@@ -52,7 +52,7 @@ def _plane_from_arg(arg: str):
 
 def suite_ybe(plane):
     checks = []
-    from .linalg import check_min_poly, check_ybe
+    from .linalg import check_min_poly, check_ybe, clear_denominators
     checks.append(Check(
         "ybe/braid-relation",
         "pass" if check_ybe(plane.r_matrix) else "fail",
@@ -63,7 +63,9 @@ def suite_ybe(plane):
                         "pass" if ok else "fail",
                         f"eigenvalues {eigs}"))
     if plane.q_projector is not None:
-        ok = plane.q_projector * plane.q_projector == plane.q_projector
+        # M = c*Q: Q*Q == Q exactly when M*M == c*M
+        m, c = clear_denominators(plane.q_projector)
+        ok = m * m == m.scale(c)
         checks.append(Check("ybe/projector-idempotent",
                             "pass" if ok else "fail", "Q*Q == Q"))
     return checks
@@ -269,13 +271,19 @@ def cmd_verify(args):
         # not a configuration error
         print(f"FAIL load/derivation: {exc}")
         return 1
-    if args.max_degree:
-        plane.system.degree_cap = args.max_degree
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     start = time.monotonic()
     checks = []
-    for name in names:
-        checks.extend(_SUITES[name](plane, args))
+    # built-in planes are cached for the process: the cap holds for this
+    # call only
+    cap = plane.system.degree_cap
+    if args.max_degree:
+        plane.system.degree_cap = args.max_degree
+    try:
+        for name in names:
+            checks.extend(_SUITES[name](plane, args))
+    finally:
+        plane.system.degree_cap = cap
     elapsed = time.monotonic() - start
     checks.sort(key=lambda c: c.name)
     report = {

@@ -20,6 +20,7 @@ R_GL2 = [
     ["0", "1", "0", "0"],
     ["0", "0", "0", "q"],
 ]
+GL2_GENERATORS = ("x", "y")
 
 # 3-dimensional orthogonal quantum plane (B1 family) braid matrix,
 # d = q - q^-1, basis order (+, 0, -).
@@ -35,6 +36,7 @@ R_ORTH3 = [
     ["0", "0", "0", "0", "0", "1", "0", "0", "0"],
     ["0", "0", "0", "0", "0", "0", "0", "0", "q"],
 ]
+ORTH3_GENERATORS = ("x+", "x0", "x-")
 
 # Printed D = (q R)^-1 table for orth3, with a = d (1 - q^-1).
 D_ORTH3_TABLE = [

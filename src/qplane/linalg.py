@@ -301,19 +301,45 @@ def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
     e2 = identity(b.base_dim, 2)
     c12 = embed(c, "12")
     c23 = embed(c, "23")
+    # conditions 1, 2, 4 and 5 are linear in E-B or E-F, so they are
+    # checked on the denominator-cleared matrices (see clear_denominators)
+    eb, _ = clear_denominators(e2 - b)
+    ef, _ = clear_denominators(e2 - f)
     checks = {}
-    checks["wz1_xx_xi_compat"] = ((e2 - b) * (e2 + c)).is_zero()
-    lhs = embed(e2 - b, "12") * c23 * c12
-    rhs = c23 * c12 * embed(e2 - b, "23")
+    checks["wz1_xx_xi_compat"] = (eb * (e2 + c)).is_zero()
+    lhs = embed(eb, "12") * c23 * c12
+    rhs = c23 * c12 * embed(eb, "23")
     checks["wz2_xx_transport"] = lhs == rhs
     braid = (embed(d, "23") * c12 * c23) == (c12 * c23 * embed(d, "12"))
     inverse_ok = (c * d) == e2 and (d * c) == e2
     checks["wz3_dc_braid_and_inverse"] = braid and inverse_ok
-    checks["wz4_ff_xi_compat"] = ((e2 - f) * (e2 + c)).is_zero()
-    lhs = embed(e2 - f, "23") * c12 * c23
-    rhs = c12 * c23 * embed(e2 - f, "12")
+    checks["wz4_ff_xi_compat"] = (ef * (e2 + c)).is_zero()
+    lhs = embed(ef, "23") * c12 * c23
+    rhs = c12 * c23 * embed(ef, "12")
     checks["wz5_dd_transport"] = lhs == rhs
     return checks
+
+
+def clear_denominators(m: LegMatrix):
+    """(c*m, c) with c the monic lcm of the entry denominators of m.
+
+    The entries of c*m are polynomials in s (times their auxiliary
+    monomials), so products of them never run a gcd.  Because c is a
+    nonzero scalar, an identity linear in m (M X = 0, or M X = Y M) holds
+    for c*m exactly when it holds for m; any other identity is scaled side
+    by side with the matching power of c (Q*Q == Q becomes M*M == c*M).
+    The check on c*m is thus the same exact proof, not a sample.
+    """
+    c = scalar.POLY_ONE
+    for den in {v.den for v in m.entries.values()}:
+        cofactor, _ = scalar.poly_divmod(den, scalar.poly_gcd(c, den))
+        c = scalar.poly_mul(c, cofactor)
+    out = LegMatrix(m.base_dim, m.legs)
+    for rc, v in m.entries.items():
+        num = scalar.poly_mul(v.num, scalar.poly_divmod(c, v.den)[0])
+        out.entries[rc] = Scalar(num, scalar.POLY_ONE, v.aux,
+                                 _canonical=True)
+    return out, Scalar(c, _canonical=True)
 
 
 def gamma_condition(d: LegMatrix, gamma: LegMatrix) -> bool:

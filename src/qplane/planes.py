@@ -355,18 +355,18 @@ def builtin_plane(name: str) -> PlaneSpec:
         return _BUILTIN_CACHE[name]
     if name == "gl2":
         plane = derive_plane(
-            "gl2", 2, ("x", "y"), "A", fixtures.R_GL2,
+            "gl2", 2, fixtures.GL2_GENERATORS, "A", fixtures.R_GL2,
             ("-q^-1", "q"), gamma_policy="r_over_q",
             symplectic={"form": "d(x)*d(y)", "scale": "1"},
         )
     elif name == "orth3":
         plane = derive_plane(
-            "orth3", 3, ("x+", "x0", "x-"), "B", fixtures.R_ORTH3,
+            "orth3", 3, fixtures.ORTH3_GENERATORS, "B", fixtures.R_ORTH3,
             ("q^-2", "-q^-1", "q"), gamma_policy="auto",
         )
     elif name == "sphere_qm1":
         plane = derive_plane(
-            "sphere_qm1", 3, ("x+", "x0", "x-"), "B", fixtures.R_ORTH3,
+            "sphere_qm1", 3, fixtures.ORTH3_GENERATORS, "B", fixtures.R_ORTH3,
             ("q^-2", "-q^-1", "q"), q="-1", gamma_policy="auto",
             quotient={"central": fixtures.SPHERE_CENTRAL, "symbol": "rho"},
             symplectic={"form": fixtures.SPHERE_SYMPLECTIC_BODY,
@@ -379,13 +379,18 @@ def builtin_plane(name: str) -> PlaneSpec:
 
 
 def specialize_builtin(name: str, q) -> PlaneSpec:
-    """A builtin plane re-derived at a numeric q (used for q = 1 checks)."""
+    """A generic builtin plane specialized at a numeric q (q = 1 checks).
+
+    The cached generic plane is evaluated at q, not derived again; its rules
+    are rebuilt in the specialized field, as for every specialization.
+    """
     base = builtin_plane(name)
-    return derive_plane(
-        f"{name}@q={q}", base.dimension, base.generator_names, base.family,
-        _matrix_exprs(base.r_matrix), [str(v) for v in base.eigenvalues],
-        q=q, gamma_policy=base.gamma_policy,
-    )
+    if base.specialization is not None:
+        raise PlaneError(f"builtin plane {name!r} is already specialized")
+    plane = _specialize(base, _parse_q_value(q))
+    plane.name = f"{name}@q={q}"
+    _resolve_gamma_in_place(plane)
+    return plane
 
 
 def _matrix_exprs(m: LegMatrix):
@@ -571,12 +576,18 @@ def verify_reference_relations(plane: PlaneSpec, tables=None):
 
 
 def _reference_shape(plane: PlaneSpec):
-    """Which transcribed tables apply: the plane's braid matrix must match."""
+    """Which transcribed tables apply.
+
+    The plane's braid matrix must match, and so must its generator names:
+    the tables are written in them, so other names would not parse or would
+    name other generators.
+    """
     base = plane.parent if plane.parent is not None else plane
-    if plane.dimension == 2 and plane.family == "A":
+    names = plane.generator_names
+    if plane.family == "A" and names == fixtures.GL2_GENERATORS:
         if base.r_matrix == from_exprs(fixtures.R_GL2, 2):
             return "gl2"
-    if plane.dimension == 3 and plane.family == "B":
+    if plane.family == "B" and names == fixtures.ORTH3_GENERATORS:
         if base.r_matrix == from_exprs(fixtures.R_ORTH3, 3):
             return "orth3"
     return None

@@ -19,6 +19,7 @@ is a dictionary lookup away everywhere else in the engine.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -132,11 +133,8 @@ def _gr_sqrt(value: GaussRational):
         return Fraction(rp, rq)
 
     def _isqrt(n):
-        r = int(n ** 0.5)
-        for cand in (r - 1, r, r + 1, r + 2):
-            if cand >= 0 and cand * cand == n:
-                return cand
-        return None
+        r = math.isqrt(n)
+        return r if r * r == n else None
 
     c, d = value.re, value.im
     if not d:

@@ -1,6 +1,8 @@
 import json
 
-from qplane import fixtures
+import pytest
+
+from qplane import fixtures, planes
 from qplane.cli import main
 
 
@@ -160,3 +162,27 @@ def test_eom_command(capsys):
     assert lines["d/dt x+"] == "x+"
     assert lines["d/dt x-"] == "x-"
     assert lines["d/dt x0"] == "0"
+
+
+def test_max_degree_applies_to_one_call_only(capsys):
+    code, _, _ = run(capsys, "verify", "--plane", "gl2", "--suite", "ybe",
+                     "--max-degree", "3")
+    assert code == 0
+    assert planes.builtin_plane("gl2").system.degree_cap == 16
+
+
+@pytest.mark.parametrize("names", [["a", "b"], ["y", "x"]])
+def test_gl2_tables_only_for_the_paper_names(tmp_path, capsys, names):
+    # the gl2 relation tables are written in x, y: a standard-basis GL_q(2)
+    # document with other names is not diffed against them
+    doc = {"name": "renamed", "dimension": 2, "generators": names,
+           "family": "A", "r_matrix": fixtures.R_GL2, "q": "generic"}
+    path = tmp_path / "renamed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                         "relations", "--format", "json")
+    assert code == 0, err
+    statuses = {c["name"]: c["status"]
+                for c in json.loads(out)["checks"]}
+    assert statuses == {"relations/confluence": "pass",
+                        "relations/fixtures": "pass"}

@@ -6,6 +6,7 @@ from qplane.linalg import (
     LinalgError,
     check_min_poly,
     check_ybe,
+    clear_denominators,
     embed,
     from_exprs,
     gamma_condition,
@@ -18,6 +19,7 @@ from qplane.linalg import (
 from qplane.scalar import (
     GaussRational,
     ONE,
+    POLY_ONE,
     Specialization,
     parse_scalar,
 )
@@ -161,14 +163,40 @@ def test_wz_gl2():
     assert all(checks.values()), checks
 
 
-def test_wz_orth3():
+def orth3_wz_inputs():
     r = r_orth3()
     q_pr = projector_q(r, parse_scalar("q^-2"), parse_scalar("-q^-1"), Q)
-    b = identity(3) - q_pr
     c = r.scale(Q)
-    d = mat_inverse(c)
+    return identity(3) - q_pr, c, mat_inverse(c)
+
+
+def test_wz_orth3():
+    b, c, d = orth3_wz_inputs()
     checks = wz_conditions(b, c, d, b)
     assert all(checks.values()), checks
+
+
+def test_clear_denominators_orth3():
+    b, _, _ = orth3_wz_inputs()
+    m = identity(3) - b
+    scaled, c = clear_denominators(m)
+    assert not c.is_zero()
+    assert not c.is_constant()  # orth3 entries carry s^4 + 1
+    assert all(v.den == POLY_ONE for v in scaled.entries.values())
+    assert scaled == m.scale(c)
+
+
+def test_wz_cleared_check_rejects_perturbed_b():
+    # the cleared check is not vacuous: B off by 1/(s^4+1) in one entry
+    # fails the conditions linear in E-B, and only those
+    b, c, d = orth3_wz_inputs()
+    bad = b.copy()
+    bad[0, 0] = bad[0, 0] + parse_scalar("1/(s^4 + 1)")
+    checks = wz_conditions(bad, c, d, b)
+    assert not checks["wz1_xx_xi_compat"]
+    assert not checks["wz2_xx_transport"]
+    assert checks["wz3_dc_braid_and_inverse"]
+    assert checks["wz4_ff_xi_compat"] and checks["wz5_dd_transport"]
 
 
 def test_wz_all_identity():

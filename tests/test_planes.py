@@ -6,6 +6,7 @@ from qplane import fixtures
 from qplane.linalg import identity
 from qplane.planes import (
     PlaneError,
+    _matrix_exprs,
     builtin_plane,
     builtin_planes,
     derive_plane,
@@ -63,6 +64,31 @@ def test_orth3_at_1_commutative():
     at1 = specialize_builtin("orth3", 1)
     diffs = verify_reference_relations(at1)
     assert diffs == []
+
+
+@pytest.mark.parametrize("name", ["gl2", "orth3"])
+def test_specialize_builtin_matches_rederivation(name):
+    # oracle: re-derive the generic plane from its printed matrices at q=1
+    base = builtin_plane(name)
+    want = derive_plane(
+        f"{name}@q=1", base.dimension, base.generator_names, base.family,
+        _matrix_exprs(base.r_matrix), [str(v) for v in base.eigenvalues],
+        q=1, gamma_policy=base.gamma_policy)
+    got = specialize_builtin(name, 1)
+    assert got.name == want.name == f"{name}@q=1"
+    assert got.specialization == want.specialization
+    for attr in ("b", "c", "d", "f", "q_projector"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    assert {lhs: r.rhs for lhs, r in got.system.rules.items()} == \
+        {lhs: r.rhs for lhs, r in want.system.rules.items()}
+    assert got.wz_report == want.wz_report
+    assert got.gamma_candidates == want.gamma_candidates
+    assert got.gamma == want.gamma
+
+
+def test_specialize_builtin_rejects_specialized_plane():
+    with pytest.raises(PlaneError, match="already specialized"):
+        specialize_builtin("sphere_qm1", 1)
 
 
 def test_d_agrees_with_printed_table_via_independent_route():

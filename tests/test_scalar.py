@@ -96,6 +96,17 @@ def test_specialization_from_q():
         Specialization.from_q(GaussRational(0, 1))  # q = i: no root in Q(i)
 
 
+def test_specialization_from_q_exact_for_huge_values():
+    # a float square root misses these roots or overflows
+    big = 10**30 + 1
+    assert Specialization.from_q(GaussRational(big * big)).value == \
+        GaussRational(big)
+    with pytest.raises(ScalarError):
+        Specialization.from_q(GaussRational(big * big + 1))
+    assert Specialization.from_q(GaussRational(10**400)).value == \
+        GaussRational(10**200)
+
+
 def _random_scalar(rng, with_aux=False):
     num = [GaussRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                          Fraction(rng.randint(-2, 2)))
