@@ -19,7 +19,8 @@ import time
 import warnings
 
 from . import __version__, fixtures, ncalg, planes, qcalc, scalar, symp
-from .ncalg import NcalgError
+from .linalg import check_min_poly, check_ybe, clear_denominators, identity
+from .ncalg import AlgebraElement, NcalgError
 from .planes import PlaneError
 from .scalar import ScalarError
 from .symp import SympError
@@ -36,14 +37,19 @@ class Check:
                 "detail": self.detail}
 
 
-def _plane_from_arg(arg: str):
+def _plane_from_arg(args):
+    """The plane of --plane, with the --max-degree cap of this call."""
     try:
-        if arg in ("gl2", "orth3", "sphere_qm1"):
-            return planes.builtin_plane(arg)
-        with open(arg, "r", encoding="utf-8") as fh:
-            return planes.load_plane(fh.read())
+        if args.plane in ("gl2", "orth3", "sphere_qm1"):
+            plane = planes.builtin_plane(args.plane)
+        else:
+            with open(args.plane, "r", encoding="utf-8") as fh:
+                plane = planes.load_plane(fh.read())
     except OSError as exc:
         raise PlaneError(f"cannot read plane configuration: {exc}")
+    if args.max_degree:
+        plane = planes.capped(plane, args.max_degree)
+    return plane
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +58,6 @@ def _plane_from_arg(arg: str):
 
 def suite_ybe(plane):
     checks = []
-    from .linalg import check_min_poly, check_ybe, clear_denominators
     checks.append(Check(
         "ybe/braid-relation",
         "pass" if check_ybe(plane.r_matrix) else "fail",
@@ -104,7 +109,6 @@ def suite_gamma(plane):
         status = "pass"
     checks.append(Check("gamma/resolution", status, table))
     if plane.specialization is not None and plane.gamma is not None:
-        from .linalg import identity
         ok = plane.gamma * plane.gamma == identity(plane.dimension)
         checks.append(Check("gamma/involution",
                             "pass" if ok else "finding",
@@ -125,7 +129,7 @@ def suite_relations(plane, seed=0):
                             "all transcribed relation tables reproduced "
                             "with empty diff"))
     if plane.quotient_central is not None:
-        generic = plane.parent if plane.parent is not None else plane
+        generic = plane.generic
         central = generic.parse(plane.quotient_central_expr)
         ok = ncalg.is_central(central, generic.system)
         checks.append(Check("relations/central-element",
@@ -153,7 +157,6 @@ def suite_relations(plane, seed=0):
 
 
 def _all_coordinates_commute(plane):
-    from .ncalg import AlgebraElement
     gens = plane.coordinate_generators()
     for a in gens:
         for b in gens:
@@ -265,7 +268,7 @@ _SUITES = {
 
 def cmd_verify(args):
     try:
-        plane = _plane_from_arg(args.plane)
+        plane = _plane_from_arg(args)
     except planes.PlaneVerificationError as exc:
         # structural checks failed while deriving: a verification failure,
         # not a configuration error
@@ -274,16 +277,8 @@ def cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     start = time.monotonic()
     checks = []
-    # built-in planes are cached for the process: the cap holds for this
-    # call only
-    cap = plane.system.degree_cap
-    if args.max_degree:
-        plane.system.degree_cap = args.max_degree
-    try:
-        for name in names:
-            checks.extend(_SUITES[name](plane, args))
-    finally:
-        plane.system.degree_cap = cap
+    for name in names:
+        checks.extend(_SUITES[name](plane, args))
     elapsed = time.monotonic() - start
     checks.sort(key=lambda c: c.name)
     report = {
@@ -312,14 +307,14 @@ def cmd_verify(args):
 
 
 def cmd_nf(args):
-    plane = _plane_from_arg(args.plane)
+    plane = _plane_from_arg(args)
     value = plane.nf(plane.parse(args.expression))
     print(plane.show(value))
     return 0
 
 
 def cmd_bracket(args):
-    plane = _plane_from_arg(args.plane)
+    plane = _plane_from_arg(args)
     omega = symp.symplectic_form(plane)
     try:
         with _surfaced_family_warnings():
@@ -334,7 +329,7 @@ def cmd_bracket(args):
 
 
 def cmd_hamvec(args):
-    plane = _plane_from_arg(args.plane)
+    plane = _plane_from_arg(args)
     omega = symp.symplectic_form(plane)
     report = symp.hamiltonian_vector_field(plane.parse(args.f), omega,
                                            plane, args.degree)
@@ -349,7 +344,7 @@ def cmd_hamvec(args):
 
 
 def cmd_eom(args):
-    plane = _plane_from_arg(args.plane)
+    plane = _plane_from_arg(args)
     omega = symp.symplectic_form(plane)
     try:
         with _surfaced_family_warnings():
@@ -395,7 +390,7 @@ def build_parser():
         p.add_argument("--degree", type=int, default=1,
                        help="vector-field coefficient degree bound")
         p.add_argument("--max-degree", type=int, default=None,
-                       help="rewrite degree cap (default 16)")
+                       help="rewrite degree cap for this call (default 16)")
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)

@@ -138,16 +138,6 @@ class LegMatrix:
             out[rc] = v.specialize(sp)
         return out
 
-    def transpose(self) -> "LegMatrix":
-        out = LegMatrix(self.base_dim, self.legs)
-        for (r, c), v in self.entries.items():
-            out[c, r] = v
-        return out
-
-    def rows_dense(self):
-        n = self.size
-        return [[self[r, c] for c in range(n)] for r in range(n)]
-
     def _check_shape(self, other):
         if self.base_dim != other.base_dim or self.legs != other.legs:
             raise LinalgError("shape mismatch")
@@ -225,25 +215,12 @@ def projector_q(r_matrix: LegMatrix, lambda0: Scalar, lambda1: Scalar,
     return num.scale((d10 * d12).inverse())
 
 
-def rref(m: LegMatrix):
-    """Reduced row echelon form with leftmost-nonzero pivoting.
-
-    Returns (reduced LegMatrix, pivot column tuple, rank).  Row order is as
-    given; pivot search is deterministic so derived rule systems are
-    byte-for-byte reproducible.
-    """
-    rows = m.rows_dense()
-    reduced, pivots = rref_rows(rows)
-    out = LegMatrix(m.base_dim, m.legs)
-    for r, row in enumerate(reduced):
-        for c, v in enumerate(row):
-            if not v.is_zero():
-                out[r, c] = v
-    return out, tuple(pivots), len(pivots)
-
-
 def rref_rows(rows):
-    """rref of a dense list-of-lists of Scalars; returns (rows, pivot cols)."""
+    """rref of a dense list-of-lists of Scalars; returns (rows, pivot cols).
+
+    Pivots are the leftmost nonzero entries, searched in the given row
+    order, so derived rule systems are byte-for-byte reproducible.
+    """
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0

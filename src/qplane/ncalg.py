@@ -19,6 +19,7 @@ and all three-letter overlaps under two strategies and reports mismatches.
 
 from __future__ import annotations
 
+import copy
 import random
 
 from . import scalar
@@ -134,14 +135,8 @@ class AlgebraElement:
                     out.terms[w] = c
         return out
 
-    def kinds(self):
-        return {g[0] for w in self.terms for g in w}
-
     def is_pure(self, kind: int) -> bool:
         return all(g[0] == kind for w in self.terms for g in w)
-
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def coefficient(self, word) -> Scalar:
         return self.terms.get(tuple(word), scalar.ZERO)
@@ -158,13 +153,6 @@ class RewriteRule:
     def __init__(self, lhs, rhs: AlgebraElement):
         self.lhs = lhs
         self.rhs = rhs
-
-    @property
-    def inhomogeneous(self) -> AlgebraElement:
-        """Degree-lowering part of the right-hand side (delta or quotient term)."""
-        out = AlgebraElement()
-        out.terms = {w: c for w, c in self.rhs.terms.items() if len(w) < 2}
-        return out
 
     def __repr__(self):
         return f"RewriteRule({self.lhs})"
@@ -184,6 +172,17 @@ class RewriteSystem:
         self.rules = {}
         self.quotient_rule = None
         self._caches = {"leftmost": {}, "rightmost": {}}
+
+    def capped(self, degree_cap) -> "RewriteSystem":
+        """This system with another degree cap, sharing rules and caches.
+
+        Exact: no rule makes a word longer, so every word met while
+        reducing is at most as long as the top-level word, and a cached
+        normal form does not depend on the cap.
+        """
+        out = copy.copy(self)
+        out.degree_cap = degree_cap
+        return out
 
     # -- ordering ----------------------------------------------------------
 
@@ -291,48 +290,47 @@ class RewriteSystem:
 # Rule derivation
 # ---------------------------------------------------------------------------
 
-def build_rewrite_system(plane) -> RewriteSystem:
-    """Derive the five rule families from a plane's B, C, D, F matrices.
+def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
+                         c: LegMatrix, d: LegMatrix, quotient=None
+                         ) -> RewriteSystem:
+    """Derive the five rule families from a plane's B, C, D matrices.
 
-    ``plane`` needs: dimension, generator_names, monomial_ranks, and the
-    LegMatrix attributes b, c, d, f; optionally quotient_central (a pure
-    coordinate AlgebraElement) and quotient_symbol for the sphere-type
-    central quotient.
+    ``ranks`` places each generator in the monomial order.  ``quotient`` is
+    an optional (central element, symbol) pair for the sphere-type central
+    quotient: a pure coordinate AlgebraElement set equal to the symbol.
     """
-    sys = RewriteSystem(plane.dimension, plane.generator_names,
-                        plane.monomial_ranks)
-    n = plane.dimension
-    e = identity(n, 2)
-    _add_reordering_rules(sys, e - plane.b, COORD)
-    _add_reordering_rules(sys, e + plane.d, DIFF)
-    _add_exchange_rules(sys, plane.c, plane.d)
-    if getattr(plane, "quotient_central", None) is not None:
-        _add_quotient_rule(sys, plane.quotient_central, plane.quotient_symbol)
+    sys = RewriteSystem(dimension, generator_names, ranks)
+    e = identity(dimension, 2)
+    for kind, relation_matrix in ((COORD, e - b), (DIFF, e + d)):
+        for lhs, rhs in _pivot_rules(sys, kind, relation_matrix.at):
+            sys.add_rule(lhs, rhs)
+    _add_exchange_rules(sys, c, d)
+    if quotient is not None:
+        _add_quotient_rule(sys, *quotient)
         sys.renormalize_rules()
     return sys
 
 
-def _add_reordering_rules(sys: RewriteSystem, relation_matrix: LegMatrix,
-                          kind: int):
-    """Rules from relation rows M . (g x g) = 0, pivoting on largest words."""
+def _pivot_rules(sys: RewriteSystem, kind: int, entry):
+    """Same-kind rules from relation rows, pivoting on the largest words.
+
+    Row (i, j) is the relation sum over (k, l) of entry((i, j), (k, l)) g_k g_l
+    = 0 for generators g of ``kind``.  Yields (lhs word, rhs element) pairs.
+    """
     n = sys.dimension
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     words = [(gen(kind, i), gen(kind, j)) for i, j in pairs]
     order = sorted(range(len(words)), key=lambda t: sys.word_key(words[t]),
                    reverse=True)
-    rows = []
-    for i, j in pairs:
-        row = [relation_matrix.at((i, j), pairs[t]) for t in order]
-        rows.append(row)
+    rows = [[entry(pair, pairs[t]) for t in order] for pair in pairs]
     reduced, pivots = rref_rows(rows)
     for r, pivot_col in enumerate(pivots):
-        lhs = words[order[pivot_col]]
         rhs = AlgebraElement()
         for c in range(pivot_col + 1, len(order)):
             v = reduced[r][c]
             if not v.is_zero():
                 rhs = rhs + AlgebraElement.from_word(words[order[c]], -v)
-        sys.add_rule(lhs, rhs)
+        yield words[order[pivot_col]], rhs
 
 
 def _add_exchange_rules(sys: RewriteSystem, c_matrix: LegMatrix,
@@ -395,10 +393,6 @@ def _add_quotient_rule(sys: RewriteSystem, central: AlgebraElement,
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
-
-def normal_form(e: AlgebraElement, sys: RewriteSystem) -> AlgebraElement:
-    return sys.normal_form(e)
-
 
 def multiply(a: AlgebraElement, b: AlgebraElement, sys: RewriteSystem
              ) -> AlgebraElement:
@@ -508,10 +502,10 @@ def derive_deriv_deriv_conventions(sys: RewriteSystem, f_matrix: LegMatrix):
     e = identity(n, 2)
     m = e - f_matrix
     conventions = {
-        "rows": lambda i, j, k, l: m.at((i, j), (k, l)),
-        "rows_flipped": lambda i, j, k, l: m.at((i, j), (l, k)),
-        "columns": lambda i, j, k, l: m.at((k, l), (i, j)),
-        "columns_flipped": lambda i, j, k, l: m.at((l, k), (i, j)),
+        "rows": m.at,
+        "rows_flipped": lambda row, col: m.at(row, col[::-1]),
+        "columns": lambda row, col: m.at(col, row),
+        "columns_flipped": lambda row, col: m.at(col[::-1], row),
     }
     results = []
     for name, entry in conventions.items():
@@ -527,27 +521,13 @@ def derive_deriv_deriv_conventions(sys: RewriteSystem, f_matrix: LegMatrix):
 
 
 def _system_with_deriv_rules(base: RewriteSystem, entry):
-    n = base.dimension
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    words = [(gen(DERIV, i), gen(DERIV, j)) for i, j in pairs]
-    order = sorted(range(len(words)), key=lambda t: base.word_key(words[t]),
-                   reverse=True)
-    rows = []
-    for i, j in pairs:
-        rows.append([entry(i, j, *pairs[t]) for t in order])
-    reduced, pivots = rref_rows(rows)
+    rules = list(_pivot_rules(base, DERIV, entry))
     trial = RewriteSystem(base.dimension, base.generator_names, base.ranks,
                           base.degree_cap)
     trial.rules = dict(base.rules)
     trial.quotient_rule = base.quotient_rule
     try:
-        for r, pivot_col in enumerate(pivots):
-            lhs = words[order[pivot_col]]
-            rhs = AlgebraElement()
-            for c in range(pivot_col + 1, len(order)):
-                v = reduced[r][c]
-                if not v.is_zero():
-                    rhs = rhs + AlgebraElement.from_word(words[order[c]], -v)
+        for lhs, rhs in rules:
             trial.add_rule(lhs, rhs)
     except NcalgError:
         return None
@@ -664,6 +644,11 @@ class _ElementParser:
                 if not _is_scalar_element(atom):
                     raise ScalarError("negative powers only on scalar factors")
                 return AlgebraElement.unit(atom.coefficient(()) ** (-e))
+            cap = self.sys.degree_cap
+            if e > cap and not _is_scalar_element(atom):
+                # the free algebra has no zero divisors, so atom^e has a word
+                # of length at least e, which the cap would reject anyway
+                raise ScalarError(f"power {e} exceeds the degree cap {cap}")
             out = AlgebraElement.unit()
             for _ in range(e):
                 out = out.concat(atom)
@@ -714,7 +699,7 @@ def element_str(e: AlgebraElement, sys: RewriteSystem) -> str:
     """Canonical printing: words ascending in the plane's monomial order."""
     if e.is_zero():
         return "0"
-    parts = []
+    terms = []
     for w in sorted(e.terms, key=sys.word_key):
         c = e.terms[w]
         cstr = str(c)
@@ -729,10 +714,5 @@ def element_str(e: AlgebraElement, sys: RewriteSystem) -> str:
             if " " in cstr:
                 cstr = f"({cstr})"
             term = f"{cstr} * {wstr}"
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term[1:])
-        else:
-            parts.append(term)
-    return " ".join(parts)
+        terms.append(term)
+    return scalar.join_signed(terms)

@@ -1,12 +1,30 @@
-"""Plane registry: derivation, validation, ingestion and fixture diffing.
+"""Plane registry: the lifecycle of a plane, built-ins, ingestion, fixtures.
 
-A plane is fully determined by its braid matrix, family and eigenvalues:
-the calculus matrices B, C, D, F are derived (A-family by rescaling, B-family
-through the spectral projector), validated against the consistency system,
-and turned into the rewrite rule set.  Specialized planes (the quantum
-sphere at q = -1) re-derive their rules after substituting the matrices,
-because rule derivation divides by quantities that may vanish exactly at
-the special value.
+A plane is an immutable value, and every plane is reached from one
+derivation of its braid matrix:
+
+1. The generic derivation (:func:`_derive_generic`) validates the braid
+   matrix and its eigenvalues, derives the calculus matrices B, C, D, F
+   (A-family by rescaling, B-family through the spectral projector),
+   checks them against the consistency system and turns them into the
+   rewrite rule set.  The result is a generic plane; its ``generic`` field
+   is the plane itself.
+2. Specialization (:func:`_specialize`) evaluates the generic matrices at
+   a numeric q and derives the rules again in that field, because rule
+   derivation divides by quantities that may vanish exactly at the special
+   value.  The result is a new plane whose ``generic`` is the plane it came
+   from.
+3. The central quotient (:func:`_quotient`) adds the rule that sets a
+   central element to a symbol, and the differential consequences of that
+   rule as form relations.  It, too, returns a new plane.
+
+:func:`derive_plane` composes these steps for a configuration document.
+The built-in sphere is the cached generic orth3, specialized at q = -1 and
+quotiented by its central radius; the q = 1 planes of the classical-limit
+check are the cached generic planes specialized at q = 1.  The braiding of
+the wedge product is computed from a plane's fields when first read.  The
+rewrite degree cap is fixed when a rule system is built; :func:`capped`
+gives a copy with another cap that shares the rules and caches.
 
 The braid matrix is the single source of truth; the printed relation
 tables live in :mod:`qplane.fixtures` and are diffed against the derived
@@ -16,6 +34,7 @@ calculus by :func:`verify_reference_relations`.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from . import fixtures, ncalg, qcalc, scalar
 from .linalg import LegMatrix, LinalgError, check_min_poly, check_ybe, \
@@ -34,33 +53,48 @@ class PlaneVerificationError(PlaneError):
 
 
 class PlaneSpec:
-    """A validated quantum plane with its derived calculus."""
+    """A validated quantum plane with its derived calculus; immutable.
 
-    def __init__(self, name, dimension, generator_names, family):
-        self.name = name
-        self.dimension = dimension
-        self.generator_names = tuple(generator_names)
-        self.family = family
-        self.r_matrix = None
-        self.eigenvalues = ()
-        self.specialization = None
-        self.parent = None
-        self.b = self.c = self.d = self.f = self.q_projector = None
-        self.gamma_policy = "auto"
-        self.gamma = None
-        self.gamma_explicit = None
-        self.gamma_candidates = []
-        self.monomial_ranks = ()
-        self.system = None
-        self.quotient_central = None
-        self.quotient_central_expr = None
-        self.quotient_symbol = None
-        self.constraint_forms = []
-        self.symplectic_body_expr = None
-        self.symplectic_scale_expr = None
-        self.wz_report = {}
+    Every field is a constructor argument, and assigning an attribute
+    afterwards raises.  ``generic`` is the generic-q plane this one was
+    specialized from; a generic plane is its own (stored as None, so that
+    no plane refers to itself).  ``constraint_spans`` memoizes the
+    constraint-module spans of :mod:`qplane.symp`.
+    """
+
+    def __init__(self, name, dimension, generator_names, family, r_matrix,
+                 eigenvalues, b, c, d, f, q_projector, wz_report,
+                 monomial_ranks, system, gamma_policy, specialization=None,
+                 generic=None, gamma_explicit=None, quotient_central=None,
+                 quotient_central_expr=None, quotient_symbol=None,
+                 constraint_forms=(), symplectic_body_expr=None,
+                 symplectic_scale_expr=None, constraint_spans=None):
+        fields = dict(locals())
+        del fields["self"]
+        fields["_generic"] = fields.pop("generic")
+        if constraint_spans is None:
+            fields["constraint_spans"] = {}
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"plane {self.name} is immutable: cannot set "
+                             f"{name!r}")
+
+    @property
+    def generic(self):
+        return self if self._generic is None else self._generic
 
     # derived views -----------------------------------------------------------
+
+    @cached_property
+    def gamma_candidates(self):
+        """(candidate name, matrix, passes) in policy order."""
+        return resolve_gamma(self)
+
+    @cached_property
+    def gamma(self):
+        """The first passing candidate: the braiding of the wedge product."""
+        return next((m for _, m, ok in self.gamma_candidates if ok), None)
 
     def coordinate_generators(self):
         return [gen(COORD, i) for i in range(1, self.dimension + 1)]
@@ -102,6 +136,19 @@ class PlaneSpec:
         return f"PlaneSpec({self.name}, n={self.dimension}, {q})"
 
 
+# the constructor's parameters, in order: the fields of a plane
+_FIELDS = PlaneSpec.__init__.__code__.co_varnames[
+    1:PlaneSpec.__init__.__code__.co_argcount]
+
+
+def _replace(plane: PlaneSpec, **fields) -> PlaneSpec:
+    """A copy of ``plane`` with ``fields`` changed."""
+    values = {name: getattr(plane, name) for name in _FIELDS}
+    values["generic"] = plane._generic
+    values.update(fields)
+    return PlaneSpec(**values)
+
+
 def derive_plane(name, dimension, generator_names, family, r_exprs,
                  eigenvalue_exprs, q="generic", gamma_policy=None,
                  gamma_exprs=None, quotient=None, symplectic=None
@@ -122,33 +169,28 @@ def derive_plane(name, dimension, generator_names, family, r_exprs,
         raise PlaneError("family A requires two eigenvalues "
                          "(lambda1, lambda2)")
 
-    plane = PlaneSpec(name, dimension, generator_names, family)
-    plane.gamma_policy = gamma_policy or ("r_over_q" if family == "A"
-                                          else "auto")
-    plane.r_matrix = from_exprs(r_exprs, dimension)
-    plane.eigenvalues = tuple(parse_scalar(e) for e in eigenvalue_exprs)
-
-    _validate_structure(plane)
-    _derive_matrices(plane)
-    plane.monomial_ranks = _family_ranks(dimension, family)
-    plane.system = ncalg.build_rewrite_system(plane)
-
+    plane = _derive_generic(
+        name, dimension, tuple(generator_names), family,
+        from_exprs(r_exprs, dimension),
+        tuple(parse_scalar(e) for e in eigenvalue_exprs),
+        gamma_policy or ("r_over_q" if family == "A" else "auto"))
     if q != "generic":
-        sp = _parse_q_value(q)
-        plane = _specialize(plane, sp)
-
+        plane = _specialize(plane, _parse_q_value(q))
     if quotient is not None:
-        _attach_quotient(plane, quotient["central"], quotient["symbol"])
+        plane = _quotient(plane, quotient["central"], quotient["symbol"])
+    declared = {}
     if gamma_exprs is not None:
-        plane.gamma_policy = "explicit"
         matrix = from_exprs(gamma_exprs, dimension)
         if plane.specialization is not None:
             matrix = matrix.specialize(plane.specialization)
-        plane.gamma_explicit = matrix
-    _resolve_gamma_in_place(plane)
+        declared.update(gamma_policy="explicit", gamma_explicit=matrix)
     if symplectic is not None:
-        plane.symplectic_body_expr = symplectic["form"]
-        plane.symplectic_scale_expr = symplectic["scale"]
+        declared.update(symplectic_body_expr=symplectic["form"],
+                        symplectic_scale_expr=symplectic["scale"])
+    if declared:
+        plane = _replace(plane, **declared)
+    if gamma_exprs is not None:
+        plane.gamma_candidates  # a failing explicit braiding raises here
     return plane
 
 
@@ -164,48 +206,53 @@ def _parse_q_value(q):
         raise PlaneError(f"invalid q value {q!r}: {exc}")
 
 
-def _validate_structure(plane):
-    if not check_ybe(plane.r_matrix):
-        raise PlaneVerificationError(
-            f"plane {plane.name}: braid Yang-Baxter equation fails for the "
-            "given r_matrix")
-    if not check_min_poly(plane.r_matrix, plane.eigenvalues):
-        raise PlaneVerificationError(
-            f"plane {plane.name}: minimal polynomial with the declared "
-            "eigenvalues does not annihilate the r_matrix")
-
-
-def _derive_matrices(plane):
-    r = plane.r_matrix
-    q = scalar.Q if plane.specialization is None else \
-        scalar.Q.specialize(plane.specialization)
-    c = r.scale(q)
+def _derive_generic(name, dimension, generator_names, family, r,
+                    eigenvalues, gamma_policy) -> PlaneSpec:
+    """The generic plane of a braid matrix: matrices, checks and rules."""
+    _validate_structure(name, r, eigenvalues)
+    c = r.scale(scalar.Q)
     try:
         d = mat_inverse(c)
     except LinalgError as exc:
         raise PlaneVerificationError(
-            f"plane {plane.name}: C = qR is singular, the exchange matrix "
+            f"plane {name}: C = qR is singular, the exchange matrix "
             f"D = C^-1 does not exist ({exc})")
-    if plane.family == "A":
-        b = r.scale(q.inverse())
-        f = b
-        plane.q_projector = None
+    if family == "A":
+        qpr = None
+        b = r.scale(scalar.Q.inverse())
     else:
-        lam0, lam1, lam2 = plane.eigenvalues
         try:
-            qpr = projector_q(r, lam0, lam1, lam2)
+            qpr = projector_q(r, *eigenvalues)
         except LinalgError as exc:
-            raise PlaneError(f"plane {plane.name}: projector undefined "
-                             f"({exc})")
-        b = identity(plane.dimension) - qpr
-        f = b
-        plane.q_projector = qpr
-    plane.b, plane.c, plane.d, plane.f = b, c, d, f
-    plane.wz_report = wz_conditions(b, c, d, f)
-    bad = [k for k, ok in plane.wz_report.items() if not ok]
+            raise PlaneError(f"plane {name}: projector undefined ({exc})")
+        b = identity(dimension) - qpr
+    wz = _checked_wz(f"plane {name}", b, c, d, b)
+    ranks = _family_ranks(dimension, family)
+    system = ncalg.build_rewrite_system(dimension, generator_names, ranks,
+                                        b, c, d)
+    return PlaneSpec(name, dimension, generator_names, family, r,
+                     eigenvalues, b, c, d, b, qpr, wz, ranks, system,
+                     gamma_policy)
+
+
+def _validate_structure(name, r, eigenvalues):
+    if not check_ybe(r):
+        raise PlaneVerificationError(
+            f"plane {name}: braid Yang-Baxter equation fails for the "
+            "given r_matrix")
+    if not check_min_poly(r, eigenvalues):
+        raise PlaneVerificationError(
+            f"plane {name}: minimal polynomial with the declared "
+            "eigenvalues does not annihilate the r_matrix")
+
+
+def _checked_wz(label, b, c, d, f):
+    report = wz_conditions(b, c, d, f)
+    bad = [k for k, ok in report.items() if not ok]
     if bad:
         raise PlaneVerificationError(
-            f"plane {plane.name}: consistency conditions failed: {bad}")
+            f"{label}: consistency conditions failed: {bad}")
+    return report
 
 
 def _family_ranks(dimension, family):
@@ -216,92 +263,85 @@ def _family_ranks(dimension, family):
     return tuple(range(dimension, 0, -1))
 
 
-def _specialize(plane: PlaneSpec, sp: Specialization) -> PlaneSpec:
-    out = PlaneSpec(plane.name, plane.dimension, plane.generator_names,
-                    plane.family)
-    out.parent = plane
-    out.specialization = sp
-    out.gamma_policy = plane.gamma_policy
+def _specialize(plane: PlaneSpec, sp: Specialization, name=None
+                ) -> PlaneSpec:
+    """``plane`` at s = sp.value, named ``name`` (default: its own name)."""
+    name = name or plane.name
     try:
-        out.r_matrix = plane.r_matrix.specialize(sp)
-        out.eigenvalues = tuple(v.specialize(sp) for v in plane.eigenvalues)
-        out.b = plane.b.specialize(sp)
-        out.c = plane.c.specialize(sp)
-        out.d = plane.d.specialize(sp)
-        out.f = plane.f.specialize(sp)
-        if plane.q_projector is not None:
-            out.q_projector = plane.q_projector.specialize(sp)
+        r = plane.r_matrix.specialize(sp)
+        eigenvalues = tuple(v.specialize(sp) for v in plane.eigenvalues)
+        b, c, d, f = (m.specialize(sp)
+                      for m in (plane.b, plane.c, plane.d, plane.f))
+        qpr = None if plane.q_projector is None \
+            else plane.q_projector.specialize(sp)
     except ScalarError as exc:
-        raise PlaneError(f"plane {plane.name}: specialization at {sp} hits a "
+        raise PlaneError(f"plane {name}: specialization at {sp} hits a "
                          f"pole: {exc}")
-    _validate_structure(out)
-    out.wz_report = wz_conditions(out.b, out.c, out.d, out.f)
-    bad = [k for k, ok in out.wz_report.items() if not ok]
-    if bad:
-        raise PlaneVerificationError(f"plane {plane.name} at {sp}: consistency "
-                                     f"conditions failed: {bad}")
-    out.monomial_ranks = plane.monomial_ranks
-    out.system = ncalg.build_rewrite_system(out)
-    return out
+    _validate_structure(name, r, eigenvalues)
+    wz = _checked_wz(f"plane {name} at {sp}", b, c, d, f)
+    system = ncalg.build_rewrite_system(
+        plane.dimension, plane.generator_names, plane.monomial_ranks, b, c, d)
+    return PlaneSpec(name, plane.dimension, plane.generator_names,
+                     plane.family, r, eigenvalues, b, c, d, f, qpr, wz,
+                     plane.monomial_ranks, system, plane.gamma_policy,
+                     specialization=sp, generic=plane.generic)
 
 
-def _attach_quotient(plane: PlaneSpec, central_expr: str, symbol: str):
-    plane.quotient_central_expr = central_expr
-    plane.quotient_symbol = symbol
+def _quotient(plane: PlaneSpec, central_expr: str, symbol: str
+              ) -> PlaneSpec:
+    """``plane`` modulo (central element = symbol), with its form relations.
+
+    Centrality is checked on the generic plane, where the element is not
+    degenerate.  A quotient at generic q is its own generic plane.
+    """
     central = plane.parse(central_expr)
     if not central.is_pure(COORD):
         raise PlaneError("quotient central element must be pure coordinate")
-    generic = plane.parent if plane.parent is not None else plane
+    generic = plane.generic
     generic_central = generic.parse(central_expr)
     if not ncalg.is_central(generic_central, generic.system):
         raise PlaneVerificationError("declared central element is not central")
-    plane.quotient_central = central
-    # rebuild the rule set with the quotient rule derived in this field
-    plane.system = ncalg.build_rewrite_system(plane)
-    plane.constraint_forms = _derive_constraint_forms(plane, generic,
-                                                      generic_central)
+    # the rule set with the quotient rule derived in this field
+    system = ncalg.build_rewrite_system(
+        plane.dimension, plane.generator_names, plane.monomial_ranks,
+        plane.b, plane.c, plane.d, quotient=(central, symbol))
+    generic_system = system if generic is plane else generic.system
+    forms = _derive_constraint_forms(plane.specialization, system,
+                                     generic_system, generic_central)
+    return _replace(plane, system=system, quotient_central=central,
+                    quotient_central_expr=central_expr,
+                    quotient_symbol=symbol, constraint_forms=forms,
+                    constraint_spans={})
 
 
-def _derive_constraint_forms(plane, generic, generic_central):
+def _derive_constraint_forms(sp, system, generic_system, generic_central):
     """Differential consequences of the quotient, as form-module generators.
 
     The differential of the central element is computed on the generic
-    parent (where it does not vanish identically), normalized to leading
-    coefficient one, and then specialized; its own differential is appended
-    when nonzero.  These generate the left module that form-level reductions
-    quotient by.
+    plane (where it does not vanish identically), normalized to leading
+    coefficient one, and then specialized at ``sp``; its own differential
+    is appended when nonzero.  These generate the left module that
+    form-level reductions quotient by.
     """
-    eta = qcalc.d_function(generic_central, generic.system)
+    eta = qcalc.d_function(generic_central, generic_system)
     if eta.is_zero():
-        return []
-    lead = max(eta.body.terms, key=generic.system.word_key)
-    monic = eta.body.scale(eta.body.terms[lead].inverse())
-    if plane.specialization is not None:
+        return ()
+    lead = max(eta.body.terms, key=generic_system.word_key)
+    body = eta.body.scale(eta.body.terms[lead].inverse())
+    if sp is not None:
         try:
-            body = AlgebraElement(
-                {w: c.specialize(plane.specialization)
-                 for w, c in monic.terms.items()})
+            body = _specialize_element(body, sp)
         except ScalarError as exc:
             raise PlaneError(f"constraint specialization hits a pole: {exc}")
-    else:
-        body = monic
-    c1 = qcalc.WedgeForm(1, plane.nf(body))
+    c1 = qcalc.WedgeForm(1, system.normal_form(body))
     forms = []
     if not c1.is_zero():
         forms.append(c1)
-        c2 = qcalc.d_form(c1, plane.system)
-        c2 = qcalc.WedgeForm(2, plane.nf(c2.body))
+        c2 = qcalc.d_form(c1, system)
+        c2 = qcalc.WedgeForm(2, system.normal_form(c2.body))
         if not c2.is_zero():
             forms.append(c2)
-    return forms
-
-
-def _resolve_gamma_in_place(plane):
-    plane.gamma_candidates = resolve_gamma(plane)
-    for _, matrix, passes in plane.gamma_candidates:
-        if passes:
-            plane.gamma = matrix
-            break
+    return tuple(forms)
 
 
 def resolve_gamma(plane: PlaneSpec):
@@ -365,13 +405,13 @@ def builtin_plane(name: str) -> PlaneSpec:
             ("q^-2", "-q^-1", "q"), gamma_policy="auto",
         )
     elif name == "sphere_qm1":
-        plane = derive_plane(
-            "sphere_qm1", 3, fixtures.ORTH3_GENERATORS, "B", fixtures.R_ORTH3,
-            ("q^-2", "-q^-1", "q"), q="-1", gamma_policy="auto",
-            quotient={"central": fixtures.SPHERE_CENTRAL, "symbol": "rho"},
-            symplectic={"form": fixtures.SPHERE_SYMPLECTIC_BODY,
-                        "scale": fixtures.SPHERE_SYMPLECTIC_SCALE},
-        )
+        # the paper's sphere: orth3 at q = -1 over its central radius
+        sphere = _specialize(builtin_plane("orth3"), _parse_q_value("-1"),
+                             name="sphere_qm1")
+        plane = _replace(
+            _quotient(sphere, fixtures.SPHERE_CENTRAL, "rho"),
+            symplectic_body_expr=fixtures.SPHERE_SYMPLECTIC_BODY,
+            symplectic_scale_expr=fixtures.SPHERE_SYMPLECTIC_SCALE)
     else:
         raise PlaneError(f"unknown builtin plane {name!r}")
     _BUILTIN_CACHE[name] = plane
@@ -387,10 +427,16 @@ def specialize_builtin(name: str, q) -> PlaneSpec:
     base = builtin_plane(name)
     if base.specialization is not None:
         raise PlaneError(f"builtin plane {name!r} is already specialized")
-    plane = _specialize(base, _parse_q_value(q))
-    plane.name = f"{name}@q={q}"
-    _resolve_gamma_in_place(plane)
-    return plane
+    return _specialize(base, _parse_q_value(q), name=f"{name}@q={q}")
+
+
+def capped(plane: PlaneSpec, degree_cap: int) -> PlaneSpec:
+    """``plane`` with rewrite degree cap ``degree_cap``.
+
+    The copy shares the rules and every cache: no rule makes a word longer,
+    so the cap only decides which top-level words are rejected.
+    """
+    return _replace(plane, system=plane.system.capped(degree_cap))
 
 
 def _matrix_exprs(m: LegMatrix):
@@ -486,7 +532,7 @@ def load_plane(document: str) -> PlaneSpec:
 
 
 def serialize_plane(plane: PlaneSpec) -> str:
-    base = plane.parent if plane.parent is not None else plane
+    base = plane.generic
     doc = {
         "name": plane.name,
         "dimension": plane.dimension,
@@ -582,13 +628,12 @@ def _reference_shape(plane: PlaneSpec):
     the tables are written in them, so other names would not parse or would
     name other generators.
     """
-    base = plane.parent if plane.parent is not None else plane
     names = plane.generator_names
     if plane.family == "A" and names == fixtures.GL2_GENERATORS:
-        if base.r_matrix == from_exprs(fixtures.R_GL2, 2):
+        if plane.generic.r_matrix == from_exprs(fixtures.R_GL2, 2):
             return "gl2"
     if plane.family == "B" and names == fixtures.ORTH3_GENERATORS:
-        if base.r_matrix == from_exprs(fixtures.R_ORTH3, 3):
+        if plane.generic.r_matrix == from_exprs(fixtures.R_ORTH3, 3):
             return "orth3"
     return None
 

@@ -245,30 +245,7 @@ def poly_eval(a, x: GaussRational):
 
 
 def poly_str(a):
-    if not a:
-        return "0"
-    parts = []
-    for e in range(len(a) - 1, -1, -1):
-        c = a[e]
-        if not c:
-            continue
-        if e == 0:
-            term = str(c)
-        else:
-            svar = "s" if e == 1 else f"s^{e}"
-            if c == GR_ONE:
-                term = svar
-            elif c == -GR_ONE:
-                term = f"-{svar}"
-            else:
-                term = f"{c}*{svar}"
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term[1:])
-        else:
-            parts.append(term)
-    return " ".join(parts)
+    return _laurent_str(a, 0) if a else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +279,6 @@ class Scalar:
 
     def is_zero(self):
         return not self.num
-
-    def is_one(self):
-        return self.num == POLY_ONE and self.den == POLY_ONE and not self.aux
 
     def is_constant(self):
         """Free of s (auxiliary monomial allowed)."""
@@ -473,19 +447,6 @@ def q_power(e: int) -> Scalar:
     return s_power(2 * e)
 
 
-def field_ops(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Named field operations: op is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ScalarError(f"unknown field operation {op!r}")
-
-
 class Specialization:
     """Exact substitution s -> value, value a nonzero Gaussian rational."""
 
@@ -556,7 +517,8 @@ def scalar_str(x: Scalar) -> str:
 
 
 def _laurent_str(num, shift):
-    parts = []
+    """The Laurent polynomial num * s^shift, highest degree first."""
+    terms = []
     for e in range(len(num) - 1, -1, -1):
         c = num[e]
         if not c:
@@ -572,12 +534,20 @@ def _laurent_str(num, shift):
                 term = f"-{svar}"
             else:
                 term = f"{c}*{svar}"
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
+        terms.append(term)
+    return join_signed(terms)
+
+
+def join_signed(terms):
+    """Join printed terms as a sum: a leading minus becomes the separator."""
+    parts = []
+    for term in terms:
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
             parts.append("- " + term[1:])
         else:
-            parts.append(term)
+            parts.append("+ " + term)
     return " ".join(parts)
 
 

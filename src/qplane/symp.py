@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 
 from . import qcalc, scalar
+from .linalg import rref_rows
 from .ncalg import COORD, DIFF, AlgebraElement, gen
 from .qcalc import TensorForm, VectorField, WedgeForm, one_form_body
 from .scalar import Scalar
@@ -36,8 +37,7 @@ class NoSolutionError(SympError):
 class SymplecticForm:
     """2-form with cached tensor representation and a constant prefactor."""
 
-    __slots__ = ("wedge", "tensor", "scale", "closed", "nondegenerate_up_to",
-                 "_columns_cache")
+    __slots__ = ("wedge", "tensor", "scale", "_columns_cache")
 
     def __init__(self, wedge: WedgeForm, tensor: TensorForm, scale: Scalar):
         if wedge.degree != 2:
@@ -47,8 +47,7 @@ class SymplecticForm:
         self.wedge = wedge
         self.tensor = tensor
         self.scale = scale
-        self.closed = None
-        self.nondegenerate_up_to = None
+        # (max_degree, reduce_constraints) -> (columns, ansatz variables)
         self._columns_cache = {}
 
 
@@ -85,7 +84,7 @@ def constraint_reduce(e: AlgebraElement, plane, extra_degree: int = 2
     only appear after the central quotient trades a coordinate pair for the
     radius symbol.  Identity on planes without constraints.
     """
-    if not getattr(plane, "constraint_forms", None) or e.is_zero():
+    if not plane.constraint_forms or e.is_zero():
         return e
     sys = plane.system
     xi_degrees = {sum(1 for g in w if g[0] == DIFF) for w in e.terms}
@@ -100,10 +99,7 @@ def constraint_reduce(e: AlgebraElement, plane, extra_degree: int = 2
 
 def _constraint_span(plane, xi_degree, coord_bound):
     key = (xi_degree, coord_bound)
-    cache = getattr(plane, "_span_cache", None)
-    if cache is None:
-        cache = {}
-        plane._span_cache = cache
+    cache = plane.constraint_spans
     if key in cache:
         return cache[key]
     sys = plane.system
@@ -194,9 +190,7 @@ def _reduce_against_span(e, span, sys):
 def is_closed(omega: SymplecticForm, plane) -> bool:
     """d(omega) = 0, checked modulo the plane's constraint module."""
     d_body = qcalc.d_form(omega.wedge, plane.system).body
-    result = constraint_reduce(d_body, plane).is_zero()
-    omega.closed = result
-    return result
+    return constraint_reduce(d_body, plane).is_zero()
 
 
 def is_nondegenerate(omega: SymplecticForm, plane, max_degree: int = 1):
@@ -206,21 +200,16 @@ def is_nondegenerate(omega: SymplecticForm, plane, max_degree: int = 1):
     verdict is False.  The certificate only covers coefficients up to
     ``max_degree``.
     """
-    variables = _ansatz(plane, max_degree)
-    columns, _ = _contraction_matrix(plane, omega, variables)
+    columns, variables = _contraction_matrix(plane, omega, max_degree)
     rows = sorted({w for col in columns for w in col.terms},
                   key=plane.system.word_key)
     matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
               for w in rows]
-    from .linalg import rref_rows
     reduced, pivots = rref_rows(matrix) if rows else ([], [])
     free = [j for j in range(len(variables)) if j not in pivots]
     if not free:
-        omega.nondegenerate_up_to = max_degree
         return True, None
-    witness = _kernel_vector(reduced, pivots, free[0], variables)
-    omega.nondegenerate_up_to = None
-    return False, witness
+    return False, _kernel_vector(reduced, pivots, free[0], variables)
 
 
 def _ansatz(plane, max_degree):
@@ -234,13 +223,17 @@ def _ansatz(plane, max_degree):
     return variables
 
 
-def _contraction_matrix(plane, omega, variables, reduce_constraints=False):
-    """One-form bodies of scale * (w d_j) ~| tensor for each ansatz variable."""
-    key = (plane.name, len(variables), reduce_constraints)
+def _contraction_matrix(plane, omega, max_degree, reduce_constraints=False):
+    """One-form bodies of scale * (w d_j) ~| tensor for each ansatz variable.
+
+    Returns (columns, variables) for the ansatz of ``max_degree``.
+    """
+    key = (max_degree, reduce_constraints)
     cached = omega._columns_cache.get(key)
     if cached is not None:
-        return cached, variables
+        return cached
     sys = plane.system
+    variables = _ansatz(plane, max_degree)
     columns = []
     for j, w in variables:
         field = VectorField.basis(j, AlgebraElement.from_word(w))
@@ -249,7 +242,7 @@ def _contraction_matrix(plane, omega, variables, reduce_constraints=False):
         if reduce_constraints:
             body = constraint_reduce(body, plane)
         columns.append(body)
-    omega._columns_cache[key] = columns
+    omega._columns_cache[key] = columns, variables
     return columns, variables
 
 
@@ -327,15 +320,13 @@ def _degree_components(f: AlgebraElement):
 def _solve_component(f: AlgebraElement, omega: SymplecticForm, plane,
                      max_degree: int):
     sys = plane.system
-    variables = _ansatz(plane, max_degree)
-    columns, _ = _contraction_matrix(plane, omega, variables,
-                                     reduce_constraints=True)
+    columns, variables = _contraction_matrix(plane, omega, max_degree,
+                                             reduce_constraints=True)
     target = qcalc.d_function(f, sys).body
     target = constraint_reduce(sys.normal_form(target), plane).scale(
         scalar.MINUS_ONE)
     rows = sorted({w for col in columns for w in col.terms}
                   | set(target.terms), key=sys.word_key)
-    from .linalg import rref_rows
     if not rows:
         # zero map and zero target: everything is a solution
         kernel = [VectorField.basis(j, AlgebraElement.from_word(w))
@@ -377,7 +368,6 @@ def _prefer_conserving(f, particular, kernel, plane):
                    key=sys.word_key)
     if not words:
         return particular
-    from .linalg import rref_rows
     matrix = [[a.terms.get(w, scalar.ZERO) for a in actions]
               + [-(base.terms.get(w, scalar.ZERO))] for w in words]
     reduced, pivots = rref_rows(matrix)

@@ -186,3 +186,21 @@ def test_gl2_tables_only_for_the_paper_names(tmp_path, capsys, names):
                 for c in json.loads(out)["checks"]}
     assert statuses == {"relations/confluence": "pass",
                         "relations/fixtures": "pass"}
+
+
+def test_max_degree_applies_to_query_commands(capsys):
+    code, out, err = run(capsys, "nf", "--plane", "gl2", "--max-degree", "2",
+                         "x*y*x*y")
+    assert code == 2, out
+    assert "exceeds the cap 2" in err
+    assert planes.builtin_plane("gl2").system.degree_cap == 16
+
+
+def test_oversized_power_rejected_while_parsing():
+    import subprocess
+    import sys
+    cmd = [sys.executable, "-m", "qplane.cli", "nf", "--plane", "gl2",
+           "x^1000000"]
+    run_ = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    assert run_.returncode == 2
+    assert "exceeds the degree cap 16" in run_.stderr

@@ -1,25 +1,71 @@
-"""Byte-for-byte regression of the verification reports.
+"""Byte-for-byte regression of the reports, query outputs and documents.
 
 `tests/golden/verify_<plane>_seed<k>.json` is the stdout of
 
     qplane verify --plane <plane> --suite all --format json --seed <k>
 
-in a fresh process.  A change that only makes the engine faster must leave
-these bytes alone; regenerate a file with the command above only when a
-change means to alter the report, and say why in the change.
+in a fresh process.  `tests/golden/query_<command>_<plane>.txt` is a
+transcript of the query commands in `QUERIES` (one `$ qplane ...` line, the
+stdout and the exit code per call), and `tests/golden/serialize_<plane>.json`
+is `planes.serialize_plane` of a built-in plane.  A change that only makes
+the engine faster or smaller must leave these bytes alone; regenerate the
+files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+only when a change means to alter the output, and say why in the change.
 """
 
+import contextlib
+import io
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+BUILTINS = ["gl2", "orth3", "sphere_qm1"]
+
+# (command, plane) -> argument lists after `--plane <plane>`
+QUERIES = {
+    ("nf", "gl2"): [["y*x"], ["d(y)*x*D(x)"], ["(x+q*y)^3"], ["D(y)*y*y"]],
+    ("nf", "sphere_qm1"): [["x+*x-"], ["x0*x0*x+"], ["d(x-)*x+*D(x0)"],
+                           ["D(x0)*x0"]],
+    ("bracket", "gl2"): [["x", "y"], ["x*y", "x"],
+                         ["y", "x*x", "--degree", "2"]],
+    ("bracket", "sphere_qm1"): [["x+", "x-"], ["x0", "x+"], ["x-", "x0"],
+                                ["x0*x+", "x0", "--degree", "0"]],
+    ("hamvec", "gl2"): [["x"], ["y"], ["x*y", "--degree", "2"]],
+    ("hamvec", "sphere_qm1"): [["x0"], ["x+*x-", "--degree", "2"],
+                               ["x0*x+", "--degree", "0"]],
+    ("eom", "gl2"): [["x*y"], ["x*x + y*y", "--degree", "2"]],
+    ("eom", "sphere_qm1"): [["x0"], ["x+*x- + x0*x0", "--degree", "2"]],
+}
+
+
+def query_transcript(command, plane):
+    from qplane.cli import main
+    out = []
+    for args in QUERIES[command, plane]:
+        argv = [command, "--plane", plane] + args
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        out.append(f"$ qplane {shlex.join(argv)}\n{buf.getvalue()}"
+                   f"exit {code}\n")
+    return "".join(out)
+
+
+def serialized(plane):
+    from qplane import planes
+    return planes.serialize_plane(planes.builtin_plane(plane)) + "\n"
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("plane", ["gl2", "orth3", "sphere_qm1"])
+@pytest.mark.parametrize("plane", BUILTINS)
 def test_verify_report_matches_golden(plane, seed):
     cmd = [sys.executable, "-m", "qplane.cli", "verify", "--plane", plane,
            "--suite", "all", "--format", "json", "--seed", str(seed)]
@@ -27,3 +73,35 @@ def test_verify_report_matches_golden(plane, seed):
     assert run.returncode == 0, run.stderr.decode()
     want = (GOLDEN / f"verify_{plane}_seed{seed}.json").read_bytes()
     assert run.stdout == want
+
+
+@pytest.mark.parametrize("command,plane", sorted(QUERIES))
+def test_query_transcript_matches_golden(command, plane):
+    want = (GOLDEN / f"query_{command}_{plane}.txt").read_bytes()
+    assert query_transcript(command, plane).encode() == want
+
+
+@pytest.mark.parametrize("plane", BUILTINS)
+def test_serialized_plane_matches_golden(plane):
+    want = (GOLDEN / f"serialize_{plane}.json").read_bytes()
+    assert serialized(plane).encode() == want
+
+
+def _regenerate():
+    for command, plane in sorted(QUERIES):
+        (GOLDEN / f"query_{command}_{plane}.txt").write_bytes(
+            query_transcript(command, plane).encode())
+    for plane in BUILTINS:
+        (GOLDEN / f"serialize_{plane}.json").write_bytes(
+            serialized(plane).encode())
+    for plane in BUILTINS:
+        for seed in (0, 3):
+            cmd = [sys.executable, "-m", "qplane.cli", "verify", "--plane",
+                   plane, "--suite", "all", "--format", "json", "--seed",
+                   str(seed)]
+            (GOLDEN / f"verify_{plane}_seed{seed}.json").write_bytes(
+                subprocess.run(cmd, capture_output=True, check=True).stdout)
+
+
+if __name__ == "__main__":
+    _regenerate()

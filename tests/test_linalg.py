@@ -13,7 +13,6 @@ from qplane.linalg import (
     identity,
     mat_inverse,
     projector_q,
-    rref,
     wz_conditions,
 )
 from qplane.scalar import (
@@ -144,14 +143,6 @@ def test_inverse_of_projector_singular():
     q = projector_q(r, parse_scalar("q^-2"), parse_scalar("-q^-1"), Q)
     with pytest.raises(LinalgError):
         mat_inverse(q)
-
-
-def test_rref_identity():
-    e = identity(2)
-    red, pivots, rank = rref(e)
-    assert red == e
-    assert pivots == (0, 1, 2, 3)
-    assert rank == 4
 
 
 def test_wz_gl2():

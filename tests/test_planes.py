@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from qplane import fixtures
+from qplane import fixtures, planes
 from qplane.linalg import identity
 from qplane.planes import (
     PlaneError,
+    capped,
     _matrix_exprs,
     builtin_plane,
     builtin_planes,
@@ -84,6 +85,53 @@ def test_specialize_builtin_matches_rederivation(name):
     assert got.wz_report == want.wz_report
     assert got.gamma_candidates == want.gamma_candidates
     assert got.gamma == want.gamma
+
+
+def test_sphere_and_orth3_share_one_derivation(monkeypatch):
+    calls = []
+    derive = planes.derive_plane
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(planes, "_BUILTIN_CACHE", {})
+    monkeypatch.setattr(planes, "derive_plane", counting)
+    sphere = builtin_plane("sphere_qm1")
+    orth3 = builtin_plane("orth3")
+    assert calls == ["orth3"]
+    assert sphere.generic is orth3
+    assert orth3.generic is orth3
+
+
+@pytest.mark.parametrize("name", ["gl2", "orth3", "sphere_qm1"])
+def test_builtin_planes_are_frozen(name):
+    plane = builtin_plane(name)
+    for attr in ("name", "system", "gamma", "generic", "constraint_spans"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(plane, attr, None)
+
+
+def test_specialize_builtin_leaves_generic_plane_unchanged():
+    orth3 = builtin_plane("orth3")
+    signature = orth3.signature()
+    candidates = list(orth3.gamma_candidates)
+    at1 = specialize_builtin("orth3", 1)
+    assert at1.name == "orth3@q=1" and at1.generic is orth3
+    assert builtin_plane("orth3") is orth3
+    assert orth3.name == "orth3"
+    assert orth3.signature() == signature
+    assert orth3.gamma_candidates == candidates
+
+
+def test_capped_copy_shares_rules_and_caches():
+    gl2 = builtin_plane("gl2")
+    low = capped(gl2, 3)
+    assert low.system.degree_cap == 3 and gl2.system.degree_cap == 16
+    assert low.system.rules is gl2.system.rules
+    assert low.system._caches is gl2.system._caches
+    assert low.generic is low and low == gl2
+    assert low.nf(low.parse("y*x*y")) == gl2.nf(gl2.parse("y*x*y"))
 
 
 def test_specialize_builtin_rejects_specialized_plane():

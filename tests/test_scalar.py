@@ -48,19 +48,6 @@ def test_field_ops_examples():
         ONE / ZERO
 
 
-def test_field_ops_named():
-    from qplane.scalar import field_ops
-    a, b = parse_scalar("q"), parse_scalar("s")
-    assert field_ops(a, b, "add") == a + b
-    assert field_ops(a, b, "sub") == a - b
-    assert field_ops(a, b, "mul") == a * b
-    assert field_ops(a, b, "div") == a / b
-    with pytest.raises(ScalarError):
-        field_ops(a, ZERO, "div")
-    with pytest.raises(ScalarError):
-        field_ops(a, b, "pow")
-
-
 def test_mixed_aux_addition_rejected():
     rho = aux_symbol("rho")
     with pytest.raises(ScalarError):
