@@ -568,10 +568,9 @@ def parse_element(text: str, sys: RewriteSystem) -> AlgebraElement:
     return value
 
 
-class _ElementParser:
+class _ElementParser(scalar._Tokens):
     def __init__(self, text, sys):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.sys = sys
         # longest-first so that "x+" wins over a bare "x" prefix
         self.names = sorted(
@@ -579,24 +578,8 @@ class _ElementParser:
             key=lambda t: -len(t[0]),
         )
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, token):
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token):
-        if not self.take(token):
-            raise ScalarError(f"expected {token!r} at position {self.pos}")
+    def error(self, message) -> ScalarError:
+        return ScalarError(f"{message} at position {self.pos}")
 
     def match_generator(self):
         self.skip_ws()
@@ -631,60 +614,43 @@ class _ElementParser:
 
     def parse_factor(self):
         atom = self.parse_atom()
-        if self.take("^"):
-            self.skip_ws()
-            neg = self.take("-")
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
-                raise ScalarError(f"expected exponent at position {self.pos}")
-            e = int(self.text[start:self.pos])
-            if neg:
-                if not _is_scalar_element(atom):
-                    raise ScalarError("negative powers only on scalar factors")
-                return AlgebraElement.unit(atom.coefficient(()) ** (-e))
-            cap = self.sys.degree_cap
-            if e > cap and not _is_scalar_element(atom):
-                # the free algebra has no zero divisors, so atom^e has a word
-                # of length at least e, which the cap would reject anyway
-                raise ScalarError(f"power {e} exceeds the degree cap {cap}")
-            out = AlgebraElement.unit()
-            for _ in range(e):
-                out = out.concat(atom)
-            return out
-        return atom
+        if not self.take("^"):
+            return atom
+        e = self.take_signed_int("exponent")
+        if _is_scalar_element(atom):
+            return AlgebraElement.unit(atom.coefficient(()) ** e)
+        if e < 0:
+            raise ScalarError("negative powers only on scalar factors")
+        cap = self.sys.degree_cap
+        if e > cap:
+            # the free algebra has no zero divisors, so atom^e has a word
+            # of length at least e, which the cap would reject anyway
+            raise ScalarError(f"power {e} exceeds the degree cap {cap}")
+        out = AlgebraElement.unit()
+        for _ in range(e):
+            out = out.concat(atom)
+        return out
 
     def parse_atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.take("(")
+        if self.take("("):
             value = self.parse_expr()
             self.expect(")")
             return value
-        if ch == "-":
-            self.take("-")
+        if self.take("-"):
             return -self.parse_factor()
         # differentials and derivatives before generic name matching
         for prefix, kind in (("d(", DIFF), ("D(", DERIV)):
-            self.skip_ws()
-            if self.text.startswith(prefix, self.pos):
-                self.pos += len(prefix)
+            if self.take(prefix):
                 idx = self.match_generator()
                 if idx is None:
-                    raise ScalarError(
-                        f"unknown generator name at position {self.pos}")
+                    raise self.error("unknown generator name")
                 self.expect(")")
                 return AlgebraElement.from_word((gen(kind, idx),))
         idx = self.match_generator()
         if idx is not None:
             return AlgebraElement.from_word((gen(COORD, idx),))
         # fall back to the scalar grammar for one atom
-        toks = scalar._Tokens(self.text)
-        toks.pos = self.pos
-        value = scalar._parse_atom(toks)
-        self.pos = toks.pos
-        return AlgebraElement.unit(value)
+        return AlgebraElement.unit(scalar._parse_atom(self))
 
 
 def _is_scalar_element(e: AlgebraElement) -> bool:

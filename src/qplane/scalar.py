@@ -6,6 +6,12 @@ Laurent monomial in auxiliary central symbols (``rho`` for the squared
 sphere radius).  The deformation parameter is always q = s^2, so that
 half-integer powers of q are ordinary powers of s.
 
+Canonical form of a :class:`GaussRational`: Gaussian integers a, b over
+one integer d, (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.  Arithmetic
+is plain ``int`` arithmetic plus one ``math.gcd``; ``fractions.Fraction``
+appears only at the parse and print boundaries (``GaussRational(re, im)``
+accepts Fractions, ``.re`` and ``.im`` read as Fractions).
+
 Canonical form of a :class:`Scalar`:
 
 * numerator and denominator are coprime polynomials in s over Q(i),
@@ -40,57 +46,86 @@ class ParseError(ScalarError):
 # ---------------------------------------------------------------------------
 
 class GaussRational:
-    """A number a + b*i with a, b rational, stored in lowest terms."""
+    """A number (a + b*i)/d with integers a, b, d, d > 0, gcd(a, b, d) = 1."""
 
-    __slots__ = ("re", "im", "_hash")
+    __slots__ = ("a", "b", "d", "_hash")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # over the lcm of the two reduced denominators no common factor
+            # of a, b and d is left
+            d = math.lcm(re.denominator, im.denominator)
+            self.a = re.numerator * (d // re.denominator)
+            self.b = im.numerator * (d // im.denominator)
+            self.d = d
         self._hash = None
 
-    @staticmethod
-    def _wrap(re: Fraction, im: Fraction) -> "GaussRational":
-        # internal fast constructor: operands are Fractions already
-        out = GaussRational.__new__(GaussRational)
-        out.re = re
-        out.im = im
-        out._hash = None
-        return out
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.re, self.im))
+            # the hash of the pair of Fractions (re, im); Fraction(n, 1)
+            # hashes like n
+            if self.d == 1:
+                self._hash = hash((self.a, self.b))
+            else:
+                self._hash = hash((self.re, self.im))
         return self._hash
 
     def __eq__(self, other):
         if not isinstance(other, GaussRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.a) or bool(self.b)
 
     def __add__(self, other):
-        return GaussRational._wrap(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            if d1 == 1:
+                return _gr(self.a + other.a, self.b + other.b, 1)
+            return _gr_reduced(self.a + other.a, self.b + other.b, d1)
+        return _gr_reduced(self.a * d2 + other.a * d1,
+                           self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other):
-        return GaussRational._wrap(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            if d1 == 1:
+                return _gr(self.a - other.a, self.b - other.b, 1)
+            return _gr_reduced(self.a - other.a, self.b - other.b, d1)
+        return _gr_reduced(self.a * d2 - other.a * d1,
+                           self.b * d2 - other.b * d1, d1 * d2)
 
     def __neg__(self):
-        return GaussRational._wrap(-self.re, -self.im)
+        return _gr(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        return GaussRational._wrap(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        a = a1 * a2 - b1 * b2
+        b = a1 * b2 + b1 * a2
+        d = self.d * other.d
+        if d == 1:
+            return _gr(a, b, 1)
+        return _gr_reduced(a, b, d)
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
+        a, b = self.a, self.b
+        n = a * a + b * b
         if not n:
             raise ScalarError("division by zero")
-        return GaussRational._wrap(self.re / n, -self.im / n)
+        d = self.d
+        return _gr_reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -113,6 +148,26 @@ class GaussRational:
         mag = abs(im)
         istr = "i" if mag == 1 else f"{mag}*i"
         return f"({re}{sign}{istr})"
+
+
+def _gr(a, b, d) -> GaussRational:
+    # internal constructor: (a, b, d) is canonical already
+    out = GaussRational.__new__(GaussRational)
+    out.a = a
+    out.b = b
+    out.d = d
+    out._hash = None
+    return out
+
+
+def _gr_reduced(a, b, d) -> GaussRational:
+    # internal constructor: d > 0; divides out gcd(a, b, d)
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _gr(a, b, d)
 
 
 GR_ZERO = GaussRational(0)
@@ -252,6 +307,16 @@ def poly_str(a):
 # Scalar: element of Q(i)(s) times a Laurent monomial in auxiliary symbols
 # ---------------------------------------------------------------------------
 
+MAX_EXPONENT = 10_000
+"""Cap on a power ``x ** e``: |e| times the weight of x may not exceed it.
+
+The weight is the largest of 1, the degree of x in s and the bit length of
+the largest integer in its coefficients.  A power within the cap has degree
+at most 10^4 in s and coefficients of at most a few times 10^4 bits, so a
+short input cannot ask for an unbounded result.  The squarings are
+schoolbook products, so a dense base of high degree can still take seconds.
+"""
+
 class Scalar:
     """Canonical reduced rational function in s with an auxiliary monomial."""
 
@@ -353,12 +418,22 @@ class Scalar:
         return self * other.inverse()
 
     def __pow__(self, e: int):
-        if e == 0:
-            return ONE
-        base = self if e > 0 else self.inverse()
+        """Repeated squaring; refuses powers larger than ``MAX_EXPONENT``."""
+        weight = max(1, len(self.num) - 1, len(self.den) - 1,
+                     *(max(c.a.bit_length(), c.b.bit_length(),
+                           c.d.bit_length()) for c in self.num + self.den))
+        if abs(e) * weight > MAX_EXPONENT:
+            raise ScalarError(f"power with exponent {e} and base weight "
+                              f"{weight} exceeds the cap {MAX_EXPONENT}")
+        base = self if e >= 0 else self.inverse()
+        e = abs(e)
         out = ONE
-        for _ in range(abs(e)):
-            out = out * base
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     # -- specialization -------------------------------------------------------
@@ -561,9 +636,14 @@ def join_signed(terms):
 # rational := int ("/" int)?
 
 class _Tokens:
+    """Cursor over an input text; also the base of the element parser."""
+
     def __init__(self, text):
         self.text = text
         self.pos = 0
+
+    def error(self, message) -> ScalarError:
+        return ParseError(message, self.pos)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -573,28 +653,29 @@ class _Tokens:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, ch):
-        if self.peek() == ch:
-            self.pos += 1
+    def take(self, token):
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
             return True
         return False
 
-    def expect(self, ch):
-        if not self.take(ch):
-            raise ParseError(f"expected {ch!r}", self.pos)
+    def expect(self, token):
+        if not self.take(token):
+            raise self.error(f"expected {token!r}")
 
-    def take_int(self):
+    def take_int(self, what="integer"):
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            raise ParseError("expected integer", self.pos)
+            raise self.error(f"expected {what}")
         return int(self.text[start:self.pos])
 
-    def take_signed_int(self):
+    def take_signed_int(self, what="integer"):
         neg = self.take("-")
-        n = self.take_int()
+        n = self.take_int(what)
         return -n if neg else n
 
     def take_word(self):

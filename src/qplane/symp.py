@@ -37,7 +37,8 @@ class NoSolutionError(SympError):
 class SymplecticForm:
     """2-form with cached tensor representation and a constant prefactor."""
 
-    __slots__ = ("wedge", "tensor", "scale", "_columns_cache")
+    __slots__ = ("wedge", "tensor", "scale", "_columns_cache",
+                 "_kernel_cache")
 
     def __init__(self, wedge: WedgeForm, tensor: TensorForm, scale: Scalar):
         if wedge.degree != 2:
@@ -49,6 +50,8 @@ class SymplecticForm:
         self.scale = scale
         # (max_degree, reduce_constraints) -> (columns, ansatz variables)
         self._columns_cache = {}
+        # max_degree -> kernel basis of the Hamiltonian system, a tuple
+        self._kernel_cache = {}
 
 
 def symplectic_form(plane) -> SymplecticForm:
@@ -201,11 +204,7 @@ def is_nondegenerate(omega: SymplecticForm, plane, max_degree: int = 1):
     ``max_degree``.
     """
     columns, variables = _contraction_matrix(plane, omega, max_degree)
-    rows = sorted({w for col in columns for w in col.terms},
-                  key=plane.system.word_key)
-    matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
-              for w in rows]
-    reduced, pivots = rref_rows(matrix) if rows else ([], [])
+    reduced, pivots = _rref_columns(columns, plane.system)
     free = [j for j in range(len(variables)) if j not in pivots]
     if not free:
         return True, None
@@ -246,6 +245,31 @@ def _contraction_matrix(plane, omega, max_degree, reduce_constraints=False):
     return columns, variables
 
 
+def _rref_columns(columns, sys):
+    """rref of the matrix whose columns are the given form bodies."""
+    rows = sorted({w for col in columns for w in col.terms}, key=sys.word_key)
+    matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
+              for w in rows]
+    return rref_rows(matrix) if rows else ([], [])
+
+
+def _kernel_basis(plane, omega, max_degree):
+    """Kernel of the Hamiltonian system's map, one tuple per degree bound.
+
+    It is the same for every Hamiltonian: when [A | b] is consistent, its
+    rref restricted to A is rref(A).  Every report shares the tuple.
+    """
+    kernel = omega._kernel_cache.get(max_degree)
+    if kernel is None:
+        columns, variables = _contraction_matrix(plane, omega, max_degree,
+                                                 reduce_constraints=True)
+        reduced, pivots = _rref_columns(columns, plane.system)
+        kernel = tuple(_kernel_vector(reduced, pivots, fc, variables)
+                       for fc in range(len(variables)) if fc not in pivots)
+        omega._kernel_cache[max_degree] = kernel
+    return kernel
+
+
 def _kernel_vector(reduced, pivots, free_col, variables):
     coeffs = {free_col: scalar.ONE}
     for r, p in enumerate(pivots):
@@ -264,7 +288,10 @@ def _kernel_vector(reduced, pivots, free_col, variables):
 # ---------------------------------------------------------------------------
 
 class SolveReport:
-    """Solution set of X ~| omega = -df within a coefficient-degree bound."""
+    """Solution set of X ~| omega = -df within a coefficient-degree bound.
+
+    ``kernel_basis`` is the tuple every report at this degree bound shares.
+    """
 
     def __init__(self, status, particular, kernel_basis, degree_bound):
         self.status = status  # "unique" | "family" | "none"
@@ -291,16 +318,12 @@ def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
                         "coordinate element")
     f = sys.normal_form(f)
     particular = VectorField()
-    kernel = None
     for component in _degree_components(f):
-        part, kern = _solve_component(component, omega, plane, max_degree)
+        part = _solve_component(component, omega, plane, max_degree)
         if part is None:
-            return SolveReport("none", None, [], max_degree)
+            return SolveReport("none", None, (), max_degree)
         particular = particular + part
-        kernel = kern  # identical system matrix for every component
-    if kernel is None:
-        kernel = _solve_component(AlgebraElement.zero(), omega, plane,
-                                  max_degree)[1]
+    kernel = _kernel_basis(plane, omega, max_degree)
     if kernel:
         particular = _prefer_conserving(f, particular, kernel, plane)
     status = "unique" if not kernel else "family"
@@ -319,6 +342,7 @@ def _degree_components(f: AlgebraElement):
 
 def _solve_component(f: AlgebraElement, omega: SymplecticForm, plane,
                      max_degree: int):
+    """A particular solution for one homogeneous component, or None."""
     sys = plane.system
     columns, variables = _contraction_matrix(plane, omega, max_degree,
                                              reduce_constraints=True)
@@ -328,16 +352,13 @@ def _solve_component(f: AlgebraElement, omega: SymplecticForm, plane,
     rows = sorted({w for col in columns for w in col.terms}
                   | set(target.terms), key=sys.word_key)
     if not rows:
-        # zero map and zero target: everything is a solution
-        kernel = [VectorField.basis(j, AlgebraElement.from_word(w))
-                  for j, w in variables]
-        return VectorField(), kernel
+        return VectorField()  # zero map and zero target
     matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
               + [target.terms.get(w, scalar.ZERO)] for w in rows]
     reduced, pivots = rref_rows(matrix)
     ncols = len(variables)
     if ncols in pivots:
-        return None, []
+        return None
     particular = VectorField()
     for r, p in enumerate(pivots):
         v = reduced[r][ncols]
@@ -345,9 +366,7 @@ def _solve_component(f: AlgebraElement, omega: SymplecticForm, plane,
             j, w = variables[p]
             particular = particular + VectorField.basis(
                 j, AlgebraElement.from_word(w, v))
-    free = [j for j in range(ncols) if j not in pivots]
-    kernel = [_kernel_vector(reduced, pivots, fc, variables) for fc in free]
-    return particular, kernel
+    return particular
 
 
 def _prefer_conserving(f, particular, kernel, plane):

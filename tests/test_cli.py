@@ -1,8 +1,11 @@
 import json
+import subprocess
+import sys
+import time
 
 import pytest
 
-from qplane import fixtures, planes
+from qplane import fixtures, planes, scalar
 from qplane.cli import main
 
 
@@ -197,10 +200,38 @@ def test_max_degree_applies_to_query_commands(capsys):
 
 
 def test_oversized_power_rejected_while_parsing():
-    import subprocess
-    import sys
     cmd = [sys.executable, "-m", "qplane.cli", "nf", "--plane", "gl2",
            "x^1000000"]
     run_ = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
     assert run_.returncode == 2
     assert "exceeds the degree cap 16" in run_.stderr
+
+
+def test_scalar_power_by_squaring(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "nf", "--plane", "gl2", "q^4000*x")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "s^8000 * x\n")
+
+
+@pytest.mark.parametrize("where", ["element", "document"])
+def test_power_over_the_cap_exits_2(tmp_path, where):
+    big = f"q^{scalar.MAX_EXPONENT + 1}"
+    if where == "element":
+        args = ["nf", "--plane", "gl2", f"{big}*x"]
+    else:
+        r_matrix = [list(row) for row in fixtures.R_GL2]
+        r_matrix[0][0] = big
+        doc = {"name": "big", "dimension": 2, "generators": ["x", "y"],
+               "family": "A", "r_matrix": r_matrix, "q": "generic"}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["verify", "--plane", str(path), "--suite", "ybe"]
+    run_ = subprocess.run([sys.executable, "-m", "qplane.cli", *args],
+                          capture_output=True, text=True, timeout=30)
+    assert run_.returncode == 2
+    assert run_.stdout == ""
+    lines = run_.stderr.splitlines()
+    assert len(lines) == 1, run_.stderr
+    assert lines[0].startswith("error: ")
+    assert "exceeds the cap" in lines[0]

@@ -352,6 +352,22 @@ def test_parse_element_division_by_scalar():
         GL2.parse("x/y")
 
 
+def test_element_parse_errors_name_the_position():
+    # the element grammar and the scalar atoms it falls back to share one
+    # tokenizer; each keeps its own message format
+    cases = {
+        "(x": "expected ')' at position 2",
+        "x^": "expected exponent at position 2",
+        "d(z)": "unknown generator name at position 2",
+        "x*foo": "unexpected token 'foo' (at position 5)",
+        "3/0*x": "zero denominator (at position 3)",
+    }
+    for text, message in cases.items():
+        with pytest.raises(scalar.ScalarError) as info:
+            GL2.parse(text)
+        assert str(info.value) == message, text
+
+
 def test_element_print_parse_roundtrip():
     rng = random.Random(31)
     for plane in (GL2, ORTH3):

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qplane.scalar import (
+    MAX_EXPONENT,
     GaussRational,
     ONE,
     Q,
@@ -173,3 +175,131 @@ def test_parse_errors_carry_position():
     for text in ["q +", "(q", "1/0", "foo", "q^", "rho rho"]:
         with pytest.raises(ScalarError):
             parse_scalar(text)
+
+
+class _RefGauss:
+    """Reference Gaussian rational: the pair of Fractions (re, im)."""
+
+    def __init__(self, re, im):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        return _RefGauss(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _RefGauss(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return _RefGauss(self.re * other.re - self.im * other.im,
+                         self.re * other.im + self.im * other.re)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return _RefGauss(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __str__(self):
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return {1: "i", -1: "-i"}.get(im, f"{im}*i")
+        mag = abs(im)
+        istr = "i" if mag == 1 else f"{mag}*i"
+        return f"({re}{'+' if im > 0 else '-'}{istr})"
+
+
+def _random_part(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.choice([1, -1]))
+    if kind == 2:  # numerators above 10^40
+        return Fraction(rng.randint(-10**45, 10**45), rng.randint(1, 10**6))
+    if kind == 3:  # huge denominators
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 10**42))
+    return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+
+
+def _assert_matches(x, ref):
+    assert x.d > 0
+    assert math.gcd(x.a, x.b, x.d) == 1
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert isinstance(x.re, Fraction) and isinstance(x.im, Fraction)
+    assert str(x) == str(ref)
+    assert hash(x) == hash(ref)
+
+
+def test_gauss_rational_against_fraction_pairs():
+    rng = random.Random(4242)
+    for _ in range(2500):
+        # zero, pure real, pure imaginary, mixed; ints and Fractions
+        re, im = _random_part(rng), _random_part(rng)
+        if rng.random() < 0.2:
+            re = 0
+        elif rng.random() < 0.2:
+            im = 0
+        re2, im2 = _random_part(rng), _random_part(rng)
+        x, y = GaussRational(re, im), GaussRational(re2, im2)
+        rx, ry = _RefGauss(re, im), _RefGauss(re2, im2)
+        _assert_matches(x, rx)
+        _assert_matches(x + y, rx + ry)
+        _assert_matches(x - y, rx - ry)
+        _assert_matches(-x, _RefGauss(-rx.re, -rx.im))
+        _assert_matches(x * y, rx * ry)
+        assert (x == y) == (rx == ry)
+        assert x - x == GaussRational(0) and not x - x
+        # an equal value reached another way is structurally equal
+        _assert_matches(x + y - y, rx)
+        assert x + y - y == x and hash(x + y - y) == hash(x)
+        if rx.re or rx.im:
+            _assert_matches(x.inverse(), rx.inverse())
+            _assert_matches(y / x, ry / rx)
+            assert (y / x) * x == y
+        else:
+            with pytest.raises(ScalarError):
+                x.inverse()
+            with pytest.raises(ScalarError):
+                y / x
+
+
+def test_gauss_rational_int_and_fraction_inputs_agree():
+    assert GaussRational(3, -2) == GaussRational(Fraction(6, 2), Fraction(-2))
+    assert GaussRational(Fraction(1, 2), Fraction(1, 3)).d == 6
+    assert hash(GaussRational(Fraction(4, 2))) == hash(GaussRational(2))
+    assert GaussRational() == GaussRational(0, 0) and not GaussRational()
+
+
+def test_power_by_squaring_matches_repeated_products():
+    rng = random.Random(17)
+    for _ in range(30):
+        x = _random_scalar(rng, with_aux=True)
+        if x.is_zero():
+            continue
+        for e in range(-5, 6):
+            expected = ONE
+            for _ in range(abs(e)):
+                expected = expected * (x if e > 0 else x.inverse())
+            assert x ** e == expected
+
+
+def test_power_cap():
+    # |e| times the base's weight (degree in s, bit length) is capped
+    assert Q ** (MAX_EXPONENT // 2) == s_power(MAX_EXPONENT)
+    assert S ** -MAX_EXPONENT == s_power(-MAX_EXPONENT)
+    for base, e in [(S, MAX_EXPONENT + 1), (Q, MAX_EXPONENT // 2 + 1),
+                    (from_int(2), -MAX_EXPONENT), (ONE, 10**30)]:
+        with pytest.raises(ScalarError, match="exceeds the cap"):
+            base ** e
+    with pytest.raises(ScalarError, match="exceeds the cap"):
+        parse_scalar("(q^100)^100")
+    assert parse_scalar("q^4000") == s_power(8000)

@@ -1,6 +1,7 @@
 import pytest
 
 from qplane import fixtures, planes, qcalc, scalar, symp
+from qplane.linalg import rref_rows
 from qplane.ncalg import DIFF, AlgebraElement, gen
 from qplane.qcalc import TensorForm, VectorField, WedgeForm, one_form_body
 from qplane.scalar import parse_scalar
@@ -243,3 +244,43 @@ def test_missing_symplectic_form():
     orth3 = planes.builtin_plane("orth3")
     with pytest.raises(SympError):
         symplectic_form(orth3)
+
+
+def _augmented_kernel(f, omega, plane, max_degree):
+    """Reference: the kernel basis read off rref([A | b]) for one f."""
+    sys = plane.system
+    columns, variables = symp._contraction_matrix(
+        plane, omega, max_degree, reduce_constraints=True)
+    target = qcalc.d_function(sys.normal_form(f), sys).body
+    target = constraint_reduce(sys.normal_form(target), plane).scale(
+        scalar.MINUS_ONE)
+    rows = sorted({w for col in columns for w in col.terms}
+                  | set(target.terms), key=sys.word_key)
+    matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
+              + [target.terms.get(w, scalar.ZERO)] for w in rows]
+    reduced, pivots = rref_rows(matrix)
+    assert len(variables) not in pivots
+    return [symp._kernel_vector(reduced, pivots, fc, variables)
+            for fc in range(len(variables)) if fc not in pivots]
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_kernel_basis_shared_per_degree_bound(degree):
+    first = hamiltonian_vector_field(SPHERE.parse("x0"), OMEGA_SPHERE,
+                                     SPHERE, degree)
+    second = hamiltonian_vector_field(SPHERE.parse("(2 - i)*x+*x-"),
+                                      OMEGA_SPHERE, SPHERE, degree)
+    assert first.status == second.status == "family"
+    assert first.kernel_basis is second.kernel_basis
+    basis = first.kernel_basis
+    assert isinstance(basis, tuple)
+    with pytest.raises(TypeError):
+        basis[0] = VectorField()
+    cold = symplectic_form(SPHERE)
+    cold_report = hamiltonian_vector_field(SPHERE.parse("x+*x-"), cold,
+                                           SPHERE, degree)
+    assert cold_report.kernel_basis is not basis
+    assert cold_report.kernel_basis == basis
+    for f in ("x0", "x+*x-"):
+        assert list(basis) == _augmented_kernel(SPHERE.parse(f), cold,
+                                                SPHERE, degree)
