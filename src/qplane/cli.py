@@ -86,8 +86,7 @@ def suite_wz(plane):
         "form implied by applying d to the coordinate relations; with "
         "(E-C) they fail for both solution families"))
     if planes._reference_shape(plane) == "orth3":
-        diffs = [d for d in planes.verify_reference_relations(plane)
-                 if d.name.startswith("d-matrix")]
+        diffs = planes._d_table_diffs(plane)
         if diffs:
             for d in diffs:
                 checks.append(Check(f"wz/{d.name}", "finding", d.residual))

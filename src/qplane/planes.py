@@ -459,6 +459,8 @@ def load_plane(document: str) -> PlaneSpec:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise PlaneError(f"configuration is not valid JSON: {exc}")
+    except ValueError:  # an int literal past Python's 4300-digit cap
+        raise PlaneError("configuration has an integer literal too long")
     if not isinstance(doc, dict):
         raise PlaneError("configuration must be a JSON object")
     unknown = set(doc) - _SCHEMA_KEYS
@@ -580,25 +582,24 @@ class RelationDiff:
         return f"RelationDiff({self.name}: {self.residual})"
 
 
-def verify_reference_relations(plane: PlaneSpec, tables=None):
-    """Diff the derived calculus against transcribed relation tables.
+def verify_reference_relations(plane: PlaneSpec):
+    """Diff the derived calculus against the transcribed tables.
 
-    ``tables`` is a list of (label, [(name, lhs, rhs), ...]) in the element
-    grammar; when omitted the built-in tables matching the plane's shape
-    are used.  Returns a list of RelationDiff entries; empty means exact
+    The built-in tables matching the plane's shape are used: relation
+    tables in the element grammar and, for the orth3 shape, the printed D
+    matrix.  Returns a list of RelationDiff entries; empty means exact
     agreement.
     """
+    reference = _reference_shape(plane)
+    tables = []
+    if reference == "gl2":
+        tables = [("coord", fixtures.GL2_COORD_RELATIONS),
+                  ("diff", fixtures.GL2_DIFF_RELATIONS)]
+    elif reference == "orth3":
+        tables = [("coord", fixtures.ORTH3_COORD_RELATIONS),
+                  ("diff-coord", fixtures.ORTH3_DIFF_COORD_RELATIONS),
+                  ("deriv-coord", fixtures.ORTH3_DERIV_COORD_RELATIONS)]
     diffs = []
-    reference = _reference_shape(plane) if tables is None else None
-    if tables is None:
-        tables = []
-        if reference == "gl2":
-            tables = [("coord", fixtures.GL2_COORD_RELATIONS),
-                      ("diff", fixtures.GL2_DIFF_RELATIONS)]
-        elif reference == "orth3":
-            tables = [("coord", fixtures.ORTH3_COORD_RELATIONS),
-                      ("diff-coord", fixtures.ORTH3_DIFF_COORD_RELATIONS),
-                      ("deriv-coord", fixtures.ORTH3_DERIV_COORD_RELATIONS)]
     for label, table in tables:
         for rname, lhs, rhs in table:
             residual = plane.nf(plane.parse(lhs) - plane.parse(rhs))
@@ -606,19 +607,20 @@ def verify_reference_relations(plane: PlaneSpec, tables=None):
                 diffs.append(RelationDiff(f"{label}/{rname}",
                                           plane.show(residual)))
     if reference == "orth3":
-        table = from_exprs(fixtures.D_ORTH3_TABLE, 3)
-        if plane.specialization is not None:
-            table = table.specialize(plane.specialization)
-        if plane.d != table:
-            size = plane.d.size
-            for rr in range(size):
-                for cc in range(size):
-                    got, want = plane.d[rr, cc], table[rr, cc]
-                    if got != want:
-                        diffs.append(RelationDiff(
-                            f"d-matrix[{rr},{cc}]",
-                            f"derived {got} vs printed {want}"))
+        diffs.extend(_d_table_diffs(plane))
     return diffs
+
+
+def _d_table_diffs(plane: PlaneSpec):
+    """Entrywise diff of an orth3-shaped plane's D and the printed table."""
+    table = from_exprs(fixtures.D_ORTH3_TABLE, 3)
+    if plane.specialization is not None:
+        table = table.specialize(plane.specialization)
+    d, size = plane.d, plane.d.size
+    return [RelationDiff(f"d-matrix[{rr},{cc}]",
+                         f"derived {d[rr, cc]} vs printed {table[rr, cc]}")
+            for rr in range(size) for cc in range(size)
+            if d[rr, cc] != table[rr, cc]]
 
 
 def _reference_shape(plane: PlaneSpec):

@@ -215,17 +215,10 @@ def to_tensor(omega: WedgeForm, gamma: LegMatrix, sys: RewriteSystem,
         raise QcalcError(
             "braiding does not satisfy the wedge well-definedness condition")
     out = TensorForm(2)
-    n = sys.dimension
     for w, c in sys.normal_form(omega.body).terms.items():
         coord = tuple(g for g in w if g[0] == COORD)
-        xis = [g[1] for g in w if g[0] == DIFF]
-        a, b = xis
-        out.add_entry(coord, (a, b), c)
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                v = gamma.at((a, b), (k, l))
-                if not v.is_zero():
-                    out.add_entry(coord, (k, l), -(c * v))
+        a, b = [g[1] for g in w if g[0] == DIFF]
+        _add_lift(out, coord, a, b, c, gamma, sys.dimension)
     return out
 
 
@@ -237,13 +230,18 @@ def tensor_lift_words(words, gamma: LegMatrix, n: int) -> TensorForm:
     """
     out = TensorForm(2)
     for (a, b), c in words:
-        out.add_entry((), (a, b), c)
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                v = gamma.at((a, b), (k, l))
-                if not v.is_zero():
-                    out.add_entry((), (k, l), -(c * v))
+        _add_lift(out, (), a, b, c, gamma, n)
     return out
+
+
+def _add_lift(out: TensorForm, coord, a, b, c: Scalar, gamma: LegMatrix, n):
+    """Add c * coord * (xi_a (x) xi_b - Gamma row (a, b)) to ``out``."""
+    out.add_entry(coord, (a, b), c)
+    for k in range(1, n + 1):
+        for l in range(1, n + 1):
+            v = gamma.at((a, b), (k, l))
+            if not v.is_zero():
+                out.add_entry(coord, (k, l), -(c * v))
 
 
 # ---------------------------------------------------------------------------

@@ -135,19 +135,22 @@ class GaussRational:
 
     def __str__(self):
         re, im = self.re, self.im
-        if not im:
-            return str(re)
-        if not re:
-            if im == 1:
-                return "i"
-            if im == -1:
-                return "-i"
-            return f"{im}*i"
-        # mixed values are parenthesised so they can sit inside a product
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        istr = "i" if mag == 1 else f"{mag}*i"
-        return f"({re}{sign}{istr})"
+        try:
+            if not im:
+                return str(re)
+            if not re:
+                if im == 1:
+                    return "i"
+                if im == -1:
+                    return "-i"
+                return f"{im}*i"
+            # mixed values are parenthesised so they can sit inside a product
+            sign = "+" if im > 0 else "-"
+            mag = abs(im)
+            istr = "i" if mag == 1 else f"{mag}*i"
+            return f"({re}{sign}{istr})"
+        except ValueError:  # Python caps int -> str (4300 digits by default)
+            raise ScalarError("a coefficient is too long to print")
 
 
 def _gr(a, b, d) -> GaussRational:
@@ -242,10 +245,6 @@ def poly_add(a, b):
 
 def poly_neg(a):
     return tuple(-c for c in a)
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
 
 
 def poly_mul(a, b):
@@ -667,11 +666,16 @@ class _Tokens:
     def take_int(self, what="integer"):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error(f"expected {what}")
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos]
+        try:
+            return int(digits)
+        except ValueError:  # Python caps str -> int (4300 digits by default)
+            self.pos = start
+            raise self.error(f"{what} of {len(digits)} digits is too long")
 
     def take_signed_int(self, what="integer"):
         neg = self.take("-")
@@ -744,13 +748,13 @@ def _parse_atom(toks):
     if ch == "-":
         toks.take("-")
         return -_parse_factor(toks)
-    if ch.isdigit():
+    if ch.isdecimal():
         n = toks.take_int()
         if toks.peek() == "/":
             # lookahead: rational only when a digit follows the slash
             save = toks.pos
             toks.take("/")
-            if toks.peek().isdigit():
+            if toks.peek().isdecimal():
                 d = toks.take_int()
                 if d == 0:
                     raise ParseError("zero denominator", toks.pos)

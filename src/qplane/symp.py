@@ -253,6 +253,20 @@ def _rref_columns(columns, sys):
     return rref_rows(matrix) if rows else ([], [])
 
 
+def _solve_columns(columns, target, sys):
+    """Solve sum_p t_p * columns[p] == target by rref of [columns | target].
+
+    Returns the nonzero (p, t_p) of the solution with every free unknown
+    zero, in pivot order, or None when the system is inconsistent.
+    """
+    reduced, pivots = _rref_columns(columns + [target], sys)
+    last = len(columns)
+    if last in pivots:
+        return None
+    return [(p, reduced[r][last]) for r, p in enumerate(pivots)
+            if not reduced[r][last].is_zero()]
+
+
 def _kernel_basis(plane, omega, max_degree):
     """Kernel of the Hamiltonian system's map, one tuple per degree bound.
 
@@ -349,23 +363,14 @@ def _solve_component(f: AlgebraElement, omega: SymplecticForm, plane,
     target = qcalc.d_function(f, sys).body
     target = constraint_reduce(sys.normal_form(target), plane).scale(
         scalar.MINUS_ONE)
-    rows = sorted({w for col in columns for w in col.terms}
-                  | set(target.terms), key=sys.word_key)
-    if not rows:
-        return VectorField()  # zero map and zero target
-    matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
-              + [target.terms.get(w, scalar.ZERO)] for w in rows]
-    reduced, pivots = rref_rows(matrix)
-    ncols = len(variables)
-    if ncols in pivots:
+    solution = _solve_columns(columns, target, sys)
+    if solution is None:
         return None
     particular = VectorField()
-    for r, p in enumerate(pivots):
-        v = reduced[r][ncols]
-        if not v.is_zero():
-            j, w = variables[p]
-            particular = particular + VectorField.basis(
-                j, AlgebraElement.from_word(w, v))
+    for p, v in solution:
+        j, w = variables[p]
+        particular = particular + VectorField.basis(
+            j, AlgebraElement.from_word(w, v))
     return particular
 
 
@@ -383,20 +388,12 @@ def _prefer_conserving(f, particular, kernel, plane):
     if base.is_zero():
         return particular
     actions = [qcalc.apply_field(z, f_nf, sys) for z in kernel]
-    words = sorted({w for a in actions for w in a.terms} | set(base.terms),
-                   key=sys.word_key)
-    if not words:
-        return particular
-    matrix = [[a.terms.get(w, scalar.ZERO) for a in actions]
-              + [-(base.terms.get(w, scalar.ZERO))] for w in words]
-    reduced, pivots = rref_rows(matrix)
-    if len(actions) in pivots:
+    solution = _solve_columns(actions, -base, sys)
+    if solution is None:
         return particular  # inconsistent: no conserving representative
     shifted = particular
-    for r, p in enumerate(pivots):
-        t = reduced[r][len(actions)]
-        if not t.is_zero():
-            shifted = shifted + kernel[p].scale(t)
+    for p, t in solution:
+        shifted = shifted + kernel[p].scale(t)
     return shifted
 
 

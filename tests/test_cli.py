@@ -235,3 +235,40 @@ def test_power_over_the_cap_exits_2(tmp_path, where):
     assert len(lines) == 1, run_.stderr
     assert lines[0].startswith("error: ")
     assert "exceeds the cap" in lines[0]
+
+
+HUGE_LITERAL = "1" + "0" * 5000  # past Python's 4300-digit int/str cap
+# the cap exists from Python 3.10.7 on and can be lifted by the environment
+INT_DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < INT_DIGIT_CAP < 4772,
+                    reason="no int/str conversion cap below 4772 digits")
+@pytest.mark.parametrize("where", ["product", "element", "document",
+                                   "json-number"])
+def test_huge_integers_exit_2(tmp_path, where):
+    if where == "product":
+        # each power is within the cap; the product has 4772 digits
+        args = ["nf", "--plane", "gl2", "3^5000*3^5000*x"]
+    elif where == "element":
+        args = ["nf", "--plane", "gl2", f"{HUGE_LITERAL}*x"]
+    else:
+        r_matrix = [list(row) for row in fixtures.R_GL2]
+        r_matrix[0][0] = HUGE_LITERAL
+        doc = {"name": "huge", "dimension": 2, "generators": ["x", "y"],
+               "family": "A", "r_matrix": r_matrix, "q": "generic"}
+        text = json.dumps(doc)
+        if where == "json-number":
+            text = text.replace(f'"{HUGE_LITERAL}"', HUGE_LITERAL)
+        path = tmp_path / "huge.json"
+        path.write_text(text, encoding="utf-8")
+        args = ["verify", "--plane", str(path), "--suite", "ybe"]
+    run_ = subprocess.run([sys.executable, "-m", "qplane.cli", *args],
+                          capture_output=True, text=True, timeout=30)
+    assert run_.returncode == 2, run_.stderr
+    assert run_.stdout == ""
+    assert "Traceback" not in run_.stderr
+    lines = run_.stderr.splitlines()
+    assert len(lines) == 1, run_.stderr
+    assert lines[0].startswith("error: ")
+    assert "too long" in lines[0]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qplane import ncalg, planes, scalar
+from qplane import planes, scalar
 from qplane.ncalg import (
     COORD,
     DERIV,
@@ -243,7 +243,7 @@ def test_confluence_builtin_planes():
         assert report.ok, (plane.name, report.mismatches[:3])
 
 
-def test_confluence_detects_corruption():
+def _corrupted_gl2_system():
     corrupted = planes.derive_plane(
         "gl2-corrupt", 2, ("x", "y"), "A",
         [["q", "0", "0", "0"],
@@ -252,14 +252,26 @@ def test_confluence_detects_corruption():
          ["0", "0", "0", "q"]],
         ("-q^-1", "q"), gamma_policy="r_over_q")
     sys = corrupted.system
-    # perturb one exchange coefficient
+    # perturb one exchange coefficient; add_rule resets the cache
     lhs = (gen(DIFF, 1), gen(COORD, 1))
     rhs = sys.rules[lhs].rhs + AlgebraElement.from_word(
         (gen(COORD, 2), gen(DIFF, 2)), parse_scalar("1"))
-    sys.rules[lhs] = ncalg.RewriteRule(lhs, rhs)
-    sys._caches = {"leftmost": {}, "rightmost": {}}
+    sys.add_rule(lhs, rhs)
+    return sys
+
+
+def test_confluence_detects_corruption():
+    sys = _corrupted_gl2_system()
     report = confluence_selftest(sys, sample_count=50, max_degree=4, seed=1)
     assert not report.ok
+
+
+def test_overlaps_alone_detect_corruption():
+    report = confluence_selftest(_corrupted_gl2_system(), sample_count=0)
+    assert report.samples == 0 and report.overlaps == 6 ** 3
+    assert report.mismatches
+    for word, left, right in report.mismatches:
+        assert len(word) == 3 and left != right
 
 
 def test_classical_limit_commutes():
@@ -288,20 +300,33 @@ def test_kind_inversions():
     assert kind_inversions((gen(COORD, 1), gen(DIFF, 1))) == 0
 
 
-def test_every_step_decreases_measure_in_debug():
+def test_every_step_decreases_measure():
     plane = planes.derive_plane(
-        "gl2-debug", 2, ("x", "y"), "A", [
+        "gl2-steps", 2, ("x", "y"), "A", [
             ["q", "0", "0", "0"],
             ["0", "q - q^-1", "1", "0"],
             ["0", "1", "0", "0"],
             ["0", "0", "0", "q"]],
         ("-q^-1", "q"), gamma_policy="r_over_q")
-    plane.system.debug = True
+    sys = plane.system
+
+    def walk(word):
+        # the reduction's own path: rewrite the first redex, recurse on
+        # every right-hand-side term
+        k = sys._find_redex(word)
+        if k is None:
+            return
+        rule = sys.rules[(word[k], word[k + 1])]
+        base = sys.measure(word)
+        for w in rule.rhs.terms:
+            nxt = word[:k] + w + word[k + 2:]
+            assert sys.measure(nxt) < base, (word, nxt)
+            walk(nxt)
+
     rng = random.Random(3)
-    gens = plane.system.generators()
+    gens = sys.generators()
     for _ in range(40):
-        w = tuple(rng.choice(gens) for _ in range(rng.randint(0, 5)))
-        plane.system.reduce_word(w)
+        walk(tuple(rng.choice(gens) for _ in range(rng.randint(0, 5))))
 
 
 # -- derivative-derivative conventions ------------------------------------------
@@ -361,6 +386,9 @@ def test_element_parse_errors_name_the_position():
         "d(z)": "unknown generator name at position 2",
         "x*foo": "unexpected token 'foo' (at position 5)",
         "3/0*x": "zero denominator (at position 3)",
+        # superscript digits pass str.isdigit but are no int literal
+        "x^\u00b2": "expected exponent at position 2",
+        "\u00b2*x": "unexpected token '\u00b2' (at position 1)",
     }
     for text, message in cases.items():
         with pytest.raises(scalar.ScalarError) as info:

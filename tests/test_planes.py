@@ -129,7 +129,7 @@ def test_capped_copy_shares_rules_and_caches():
     low = capped(gl2, 3)
     assert low.system.degree_cap == 3 and gl2.system.degree_cap == 16
     assert low.system.rules is gl2.system.rules
-    assert low.system._caches is gl2.system._caches
+    assert low.system._cache is gl2.system._cache
     assert low.generic is low and low == gl2
     assert low.nf(low.parse("y*x*y")) == gl2.nf(gl2.parse("y*x*y"))
 
