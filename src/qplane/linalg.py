@@ -10,6 +10,13 @@ This module verifies the structural input of every plane: the braid
 Yang-Baxter equation, minimal polynomials of R-matrices, the projector
 entering the B-family calculus, the Wess-Zumino consistency system, and
 the wedge-compatibility condition on the braiding of differentials.
+
+A matrix product multiplies each distinct pair of entries once: canonical
+scalars are equal exactly when their values are, so a memo keyed on the
+two operands returns the same product as the multiplication it replaces.
+The memo is local to one product and freed with it.  ``rref_rows`` (the
+symplectic solves run through it) keeps no memo, so its memory stays what
+the rows need.
 """
 
 from __future__ import annotations
@@ -98,24 +105,30 @@ class LegMatrix:
         return out
 
     def __mul__(self, other):
+        """Matrix product, or scaling by a Scalar; cancelled sums are not
+        stored."""
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check_shape(other)
         cols = {}
         for (r, c), v in other.entries.items():
             cols.setdefault(r, []).append((c, v))
-        out = LegMatrix(self.base_dim, self.legs)
+        # equal canonical scalars are equal values, so each distinct pair
+        # of entries is multiplied once; the memo lives for this call only
+        products = {}
         acc = {}
         for (r, k), u in self.entries.items():
             for c, v in cols.get(k, ()):
+                prod = products.get((u, v))
+                if prod is None:
+                    prod = products[u, v] = u * v
                 key = (r, c)
-                prod = u * v
                 if key in acc:
                     acc[key] = acc[key] + prod
                 else:
                     acc[key] = prod
-        for key, v in acc.items():
-            out[key] = v
+        out = LegMatrix(self.base_dim, self.legs)
+        out.entries = {key: v for key, v in acc.items() if not v.is_zero()}
         return out
 
     def scale(self, c: Scalar) -> "LegMatrix":

@@ -18,6 +18,16 @@ word and no two rules share one, so the only ambiguities are three-letter
 overlaps, and ``confluence_selftest`` resolves each (Bergman's diamond
 lemma, Adv. Math. 29, 1978).  Open premise: the measure is not yet a
 semigroup order, so this is not yet a certificate of confluence.
+
+A rewrite step sums ``c * reduce_word(prefix + w + suffix)`` over the
+right-hand terms ``c * w`` of the rule into one dict, and takes each
+product ``v * c`` from a memo of the rewrite system.  Canonical scalars
+are equal exactly when their values are, so the memo is exact; a product
+of values does not depend on the rules, so ``add_rule`` keeps it, and
+copies made by ``capped`` share it.  ``normal_form`` and
+``AlgebraElement.scale`` multiply without the memo: a warm session on the
+symplectic layer calls them on ever new coefficients, and a memo there
+would grow with the session.
 """
 
 from __future__ import annotations
@@ -173,9 +183,13 @@ class RewriteSystem:
         self.rules = {}
         self.quotient_rule = None
         self._cache = {}
+        # v * c for a normal-form coefficient v and a rule coefficient c;
+        # kept across add_rule, since a product of values does not depend
+        # on the rules
+        self._products = {}
 
     def capped(self, degree_cap) -> "RewriteSystem":
-        """This system with another degree cap, sharing rules and cache.
+        """This system with another degree cap, sharing rules and memos.
 
         Exact: no rule makes a word longer, so every word met while
         reducing is at most as long as the top-level word, and a cached
@@ -268,12 +282,31 @@ class RewriteSystem:
         return result
 
     def _rewrite_at(self, word, k) -> AlgebraElement:
-        """Normal form of word after rewriting the redex at position k."""
+        """Normal form of word after rewriting the redex at position k.
+
+        Terms are kept in the order a sum of one scaled reduction after
+        another gives: a word whose coefficient cancels is dropped, and
+        appended again if a later term brings it back.
+        """
         rule = self.rules[(word[k], word[k + 1])]
         prefix, suffix = word[:k], word[k + 2:]
-        result = AlgebraElement()
+        products = self._products
+        out = {}
         for w, c in rule.rhs.terms.items():
-            result = result + self.reduce_word(prefix + w + suffix).scale(c)
+            for w2, v in self.reduce_word(prefix + w + suffix).terms.items():
+                prod = products.get((v, c))
+                if prod is None:
+                    prod = products[v, c] = v * c
+                if w2 in out:
+                    total = out[w2] + prod
+                    if total.is_zero():
+                        del out[w2]
+                    else:
+                        out[w2] = total
+                else:
+                    out[w2] = prod
+        result = AlgebraElement()
+        result.terms = out
         return result
 
     def normal_form(self, e: AlgebraElement) -> AlgebraElement:
@@ -628,11 +661,13 @@ class _ElementParser(scalar._Tokens):
 
     def parse_atom(self):
         if self.take("("):
-            value = self.parse_expr()
-            self.expect(")")
+            with self.nested():
+                value = self.parse_expr()
+                self.expect(")")
             return value
         if self.take("-"):
-            return -self.parse_factor()
+            with self.nested():
+                return -self.parse_factor()
         # differentials and derivatives before generic name matching
         for prefix, kind in (("d(", DIFF), ("D(", DERIV)):
             if self.take(prefix):

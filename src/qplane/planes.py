@@ -461,6 +461,8 @@ def load_plane(document: str) -> PlaneSpec:
         raise PlaneError(f"configuration is not valid JSON: {exc}")
     except ValueError:  # an int literal past Python's 4300-digit cap
         raise PlaneError("configuration has an integer literal too long")
+    except RecursionError:
+        raise PlaneError("configuration nests arrays or objects too deeply")
     if not isinstance(doc, dict):
         raise PlaneError("configuration must be a JSON object")
     unknown = set(doc) - _SCHEMA_KEYS

@@ -25,6 +25,7 @@ is a dictionary lookup away everywhere else in the engine.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
 
@@ -634,12 +635,34 @@ def join_signed(terms):
 # atom   := rational | "i" | "s" | "q" | "rho" | "(" expr ")" | "-" factor
 # rational := int ("/" int)?
 
+MAX_NESTING = 100
+"""Cap on nested parentheses and unary minus signs, in either grammar.
+
+Both parsers descend recursively, at most four frames per level, so the
+cap keeps the deepest accepted input far inside Python's default recursion
+limit: deeper input is a parse error, not a ``RecursionError``.
+"""
+
+
 class _Tokens:
     """Cursor over an input text; also the base of the element parser."""
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    @contextlib.contextmanager
+    def nested(self):
+        """One more level of parentheses or unary minus, up to the cap."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"parentheses and unary minus signs nest "
+                             f"deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     def error(self, message) -> ScalarError:
         return ParseError(message, self.pos)
@@ -742,12 +765,14 @@ def _parse_atom(toks):
     ch = toks.peek()
     if ch == "(":
         toks.take("(")
-        value = _parse_expr(toks)
-        toks.expect(")")
+        with toks.nested():
+            value = _parse_expr(toks)
+            toks.expect(")")
         return value
     if ch == "-":
         toks.take("-")
-        return -_parse_factor(toks)
+        with toks.nested():
+            return -_parse_factor(toks)
     if ch.isdecimal():
         n = toks.take_int()
         if toks.peek() == "/":

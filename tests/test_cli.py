@@ -191,6 +191,19 @@ def test_gl2_tables_only_for_the_paper_names(tmp_path, capsys, names):
                         "relations/fixtures": "pass"}
 
 
+def test_fixtures_verdict_says_when_no_table_applies(tmp_path, capsys,
+                                                     glq3_document):
+    path = tmp_path / "glq3.json"
+    path.write_text(json.dumps(glq3_document), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                         "relations", "--format", "json")
+    assert code == 0, err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["relations/fixtures"] == {
+        "name": "relations/fixtures", "status": "pass",
+        "detail": "no transcribed relation table applies to this plane"}
+
+
 def test_max_degree_applies_to_query_commands(capsys):
     code, out, err = run(capsys, "nf", "--plane", "gl2", "--max-degree", "2",
                          "x*y*x*y")
@@ -272,3 +285,32 @@ def test_huge_integers_exit_2(tmp_path, where):
     assert len(lines) == 1, run_.stderr
     assert lines[0].startswith("error: ")
     assert "too long" in lines[0]
+
+
+@pytest.mark.parametrize("where", ["parentheses", "minus-signs",
+                                   "document-entry", "document-json"])
+def test_deep_nesting_exits_2(tmp_path, where):
+    if where == "parentheses":
+        args = ["nf", "--plane", "gl2", "(" * 400 + "x" + ")" * 400]
+    elif where == "minus-signs":
+        args = ["nf", "--plane", "gl2", "--", "-" * 3000 + "x"]
+    else:
+        r_matrix = [list(row) for row in fixtures.R_GL2]
+        r_matrix[0][0] = "(" * 3000 + "q" + ")" * 3000
+        doc = {"name": "deep", "dimension": 2, "generators": ["x", "y"],
+               "family": "A", "r_matrix": r_matrix, "q": "generic"}
+        text = json.dumps(doc)
+        if where == "document-json":
+            text = "[" * 3000 + "]" * 3000
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        args = ["verify", "--plane", str(path)]
+    run_ = subprocess.run([sys.executable, "-m", "qplane.cli", *args],
+                          capture_output=True, text=True, timeout=30)
+    assert run_.returncode == 2, run_.stderr
+    assert run_.stdout == ""
+    assert "Traceback" not in run_.stderr
+    lines = run_.stderr.splitlines()
+    assert len(lines) == 1, run_.stderr
+    assert lines[0].startswith("error: ")
+    assert "nest" in lines[0]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qplane import fixtures
@@ -83,6 +85,46 @@ def kron_oracle(a, b):
                             if not acc.is_zero():
                                 out.set_at((i, j, m), (k, l, p), acc)
     return out
+
+
+def reference_product(a, b):
+    """Memo-free triple loop over every index: the entries of a*b."""
+    size = a.size
+    out = {}
+    for r in range(size):
+        for c in range(size):
+            acc = parse_scalar("0")
+            for k in range(size):
+                acc = acc + a[r, k] * b[k, c]
+            if not acc.is_zero():
+                out[r, c] = acc
+    return out
+
+
+def test_product_against_triple_loop():
+    # a few values and their negatives, so that products repeat and sums
+    # cancel; entries of the product that cancel must not be stored
+    pool = [parse_scalar(t) for t in ("1", "q", "q - q^-1", "1/(1 + s)",
+                                      "2*i")]
+    pool += [-v for v in pool]
+    rng = random.Random(6)
+    cancelled = 0
+    for n, legs in ((2, 2), (3, 2), (2, 3)):
+        for _ in range(6):
+            a, b = LegMatrix(n, legs), LegMatrix(n, legs)
+            for m in (a, b):
+                for r in range(m.size):
+                    for c in range(m.size):
+                        if rng.random() < 0.4:
+                            m[r, c] = rng.choice(pool)
+            want = reference_product(a, b)
+            got = a * b
+            assert got.entries == want
+            assert not any(v.is_zero() for v in got.entries.values())
+            touched = {(r, c) for r, k in a.entries for kk, c in b.entries
+                       if k == kk}
+            cancelled += len(touched - set(want))
+    assert cancelled > 0
 
 
 def test_ybe_gl2():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from qplane.ncalg import (
     DIFF,
     AlgebraElement,
     NcalgError,
+    RewriteSystem,
     confluence_selftest,
     derivative_action,
     derive_deriv_deriv_conventions,
@@ -291,6 +293,81 @@ def test_degree_cap():
         sys.reduce_word(word)
 
 
+# -- the rewrite step --------------------------------------------------------
+
+def reference_reduce(sys, word, memo):
+    """Normal form by the summation the product memo replaced: one
+    AlgebraElement sum per right-hand term, each scaled without a memo."""
+    if word not in memo:
+        k = next((k for k in range(len(word) - 1)
+                  if (word[k], word[k + 1]) in sys.rules), None)
+        if k is None:
+            result = AlgebraElement.from_word(word)
+        else:
+            rule = sys.rules[(word[k], word[k + 1])]
+            prefix, suffix = word[:k], word[k + 2:]
+            result = AlgebraElement()
+            for w, c in rule.rhs.terms.items():
+                result = result + reference_reduce(
+                    sys, prefix + w + suffix, memo).scale(c)
+        memo[word] = result
+    return memo[word]
+
+
+def seeded_words(sys, seed, count=60, max_len=5):
+    rng = random.Random(seed)
+    gens = sys.generators()
+    return [tuple(rng.choice(gens) for _ in range(rng.randint(1, max_len)))
+            for _ in range(count)]
+
+
+@pytest.fixture
+def glq3(glq3_document):
+    return planes.load_plane(json.dumps(glq3_document))
+
+
+def test_rewrite_step_against_reference(glq3):
+    for plane in (GL2, ORTH3, glq3):
+        sys = plane.system
+        memo = {}
+        for word in seeded_words(sys, seed=17):
+            got = sys.reduce_word(word)
+            want = reference_reduce(sys, word, memo)
+            # same terms in the same order, and no zero stored
+            assert list(got.terms.items()) == list(want.terms.items()), word
+            assert not any(c.is_zero() for c in got.terms.values())
+
+
+def test_capped_copy_shares_the_product_memo():
+    sys = GL2.system
+    assert sys.capped(4)._products is sys._products
+
+
+def test_add_rule_keeps_products_and_normal_forms(glq3):
+    base = glq3.system
+    rules = list(base.rules.items())
+
+    def system(rule_items):
+        out = RewriteSystem(base.dimension, base.generator_names, base.ranks)
+        for lhs, rule in rule_items:
+            out.add_rule(lhs, rule.rhs)
+        return out
+
+    words = seeded_words(base, seed=23)
+    # reduce under part of the rules first, so that the memo fills
+    warm = system(rules[: len(rules) // 2])
+    for word in words:
+        warm.reduce_word(word)
+    products = warm._products
+    assert products
+    for lhs, rule in rules[len(rules) // 2:]:
+        warm.add_rule(lhs, rule.rhs)
+    assert warm._products is products
+    fresh = system(rules)
+    for word in words:
+        assert warm.reduce_word(word) == fresh.reduce_word(word), word
+
+
 # -- termination measure --------------------------------------------------------
 
 def test_kind_inversions():
@@ -394,6 +471,16 @@ def test_element_parse_errors_name_the_position():
         with pytest.raises(scalar.ScalarError) as info:
             GL2.parse(text)
         assert str(info.value) == message, text
+
+
+def test_element_nesting_cap():
+    n = scalar.MAX_NESTING
+    x = AlgebraElement.from_word((gen(COORD, 1),))
+    assert GL2.parse("(" * n + "x" + ")" * n) == x
+    assert GL2.parse("(-" * (n // 2) + "x" + ")" * (n // 2)) == x
+    for text in ["(" * (n + 1) + "x" + ")" * (n + 1), "-" * (n + 1) + "x"]:
+        with pytest.raises(scalar.ScalarError, match="nest deeper"):
+            GL2.parse(text)
 
 
 def test_element_print_parse_roundtrip():

@@ -6,6 +6,7 @@ import pytest
 
 from qplane.scalar import (
     MAX_EXPONENT,
+    MAX_NESTING,
     GaussRational,
     ONE,
     Q,
@@ -174,6 +175,17 @@ def test_canonical_zero_unique():
 def test_parse_errors_carry_position():
     for text in ["q +", "(q", "1/0", "foo", "q^", "rho rho"]:
         with pytest.raises(ScalarError):
+            parse_scalar(text)
+
+
+def test_nesting_cap():
+    n = MAX_NESTING
+    assert parse_scalar("(" * n + "q" + ")" * n) == Q
+    assert parse_scalar("-" * n + "q") == Q
+    assert parse_scalar("(-" * (n // 2) + "q" + ")" * (n // 2)) == Q
+    for text in ["(" * (n + 1) + "q" + ")" * (n + 1), "-" * (n + 1) + "q",
+                 "(-" * (n // 2) + "(q)" + ")" * (n // 2)]:
+        with pytest.raises(ScalarError, match="nest deeper"):
             parse_scalar(text)
 
 
