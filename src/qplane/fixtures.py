@@ -64,6 +64,10 @@ GL2_DIFF_RELATIONS = [
     ("dx.dy=-(1/q)dy.dx", "d(x)*d(y)", "-(1/q)*d(y)*d(x)"),
 ]
 
+GL2_DERIV_RELATIONS = [
+    ("Dy.Dx=q.Dx.Dy", "D(y)*D(x)", "q*D(x)*D(y)"),
+]
+
 ORTH3_COORD_RELATIONS = [
     ("x+.x0", "x+ * x0", "q * x0 * x+"),
     ("x0.x-", "x0 * x-", "q * x- * x0"),

@@ -7,6 +7,15 @@ rules always rewrite a two-letter pattern to a combination of strictly
 smaller words; normal forms sort every word into coordinate block,
 differential block, derivative block.
 
+The three same-kind families come from one pivoting of relation rows
+(``_pivot_rules``): coordinates from E - B, differentials from E + D, and
+derivatives from E - F read with the column word reversed, so that row
+(i, j) is sum over (k, l) of (E - F)[(i, j), (l, k)] d_k d_l = 0.  With
+F = B this gives the coordinate relations with each word reversed, e.g.
+d_y d_x = q d_x d_y on gl2 (Wess-Zumino, Nucl. Phys. B Proc. Suppl. 18B,
+1990).  The unreversed reading leaves a d.d.x overlap unresolvable.  The
+three exchange families come from C and D.
+
 Termination measure, compared lexicographically per rewrite step:
 (kind-inversion count, total degree, graded-lex rank).  Kind-inversion
 count drops on every exchange rule, degree drops on the inhomogeneous
@@ -321,9 +330,9 @@ class RewriteSystem:
 # ---------------------------------------------------------------------------
 
 def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
-                         c: LegMatrix, d: LegMatrix, quotient=None
-                         ) -> RewriteSystem:
-    """Derive the five rule families from a plane's B, C, D matrices.
+                         c: LegMatrix, d: LegMatrix, f: LegMatrix,
+                         quotient=None) -> RewriteSystem:
+    """Derive the six rule families from a plane's B, C, D, F matrices.
 
     ``ranks`` places each generator in the monomial order.  ``quotient`` is
     an optional (central element, symbol) pair for the sphere-type central
@@ -331,8 +340,11 @@ def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
     """
     sys = RewriteSystem(dimension, generator_names, ranks)
     e = identity(dimension, 2)
-    for kind, relation_matrix in ((COORD, e - b), (DIFF, e + d)):
-        for lhs, rhs in _pivot_rules(sys, kind, relation_matrix.at):
+    m = e - f
+    families = ((COORD, (e - b).at), (DIFF, (e + d).at),
+                (DERIV, lambda row, col: m.at(row, col[::-1])))
+    for kind, entry in families:
+        for lhs, rhs in _pivot_rules(sys, kind, entry):
             sys.add_rule(lhs, rhs)
     _add_exchange_rules(sys, c, d)
     if quotient is not None:
@@ -519,60 +531,6 @@ def _critical_pair_mismatch(sys: RewriteSystem, word):
     left = sys.reduce_word(word)
     right = sys._rewrite_at(word, redexes[-1])
     return None if left == right else (word, left, right)
-
-
-# ---------------------------------------------------------------------------
-# Optional derivative-derivative relations
-# ---------------------------------------------------------------------------
-
-def derive_deriv_deriv_conventions(sys: RewriteSystem, f_matrix: LegMatrix):
-    """Try index conventions for (E - F)-based derivative exchange relations.
-
-    The printed exchange relation is degenerate, so each candidate reading
-    is derived and kept only when every d.d.x overlap reduces confluently.
-    Returns a list of (convention name, rules dict, passes) triples.
-    """
-    n = sys.dimension
-    e = identity(n, 2)
-    m = e - f_matrix
-    conventions = {
-        "rows": m.at,
-        "rows_flipped": lambda row, col: m.at(row, col[::-1]),
-        "columns": lambda row, col: m.at(col, row),
-        "columns_flipped": lambda row, col: m.at(col[::-1], row),
-    }
-    results = []
-    for name, entry in conventions.items():
-        trial = _system_with_deriv_rules(sys, entry)
-        if trial is None:
-            results.append((name, None, False))
-            continue
-        ok = _deriv_overlaps_confluent(trial)
-        results.append((name, {lhs: trial.rules[lhs] for lhs in trial.rules
-                               if lhs[0][0] == DERIV and lhs[1][0] == DERIV},
-                        ok))
-    return results
-
-
-def _system_with_deriv_rules(base: RewriteSystem, entry):
-    rules = list(_pivot_rules(base, DERIV, entry))
-    trial = RewriteSystem(base.dimension, base.generator_names, base.ranks,
-                          base.degree_cap)
-    trial.rules = dict(base.rules)
-    trial.quotient_rule = base.quotient_rule
-    try:
-        for lhs, rhs in rules:
-            trial.add_rule(lhs, rhs)
-    except NcalgError:
-        return None
-    return trial
-
-
-def _deriv_overlaps_confluent(sys: RewriteSystem) -> bool:
-    derivs = sys.generators(kinds=(DERIV,))
-    coords = sys.generators(kinds=(COORD,))
-    return not any(_critical_pair_mismatch(sys, (d1, d2, x))
-                   for d1 in derivs for d2 in derivs for x in coords)
 
 
 # ---------------------------------------------------------------------------

@@ -58,17 +58,22 @@ class PlaneSpec:
     Every field is a constructor argument, and assigning an attribute
     afterwards raises.  ``generic`` is the generic-q plane this one was
     specialized from; a generic plane is its own (stored as None, so that
-    no plane refers to itself).  ``constraint_spans`` memoizes the
-    constraint-module spans of :mod:`qplane.symp`.
+    no plane refers to itself).  ``structure_report`` and ``wz_report`` hold
+    the verdicts proved while deriving (braid relation, minimal polynomial,
+    centrality of a quotient element; the consistency conditions), which
+    the verify suites read instead of proving them again.
+    ``constraint_spans`` memoizes the constraint-module spans of
+    :mod:`qplane.symp`.
     """
 
     def __init__(self, name, dimension, generator_names, family, r_matrix,
-                 eigenvalues, b, c, d, f, q_projector, wz_report,
-                 monomial_ranks, system, gamma_policy, specialization=None,
-                 generic=None, gamma_explicit=None, quotient_central=None,
-                 quotient_central_expr=None, quotient_symbol=None,
-                 constraint_forms=(), symplectic_body_expr=None,
-                 symplectic_scale_expr=None, constraint_spans=None):
+                 eigenvalues, b, c, d, f, q_projector, structure_report,
+                 wz_report, monomial_ranks, system, gamma_policy,
+                 specialization=None, generic=None, gamma_explicit=None,
+                 quotient_central=None, quotient_central_expr=None,
+                 quotient_symbol=None, constraint_forms=(),
+                 symplectic_body_expr=None, symplectic_scale_expr=None,
+                 constraint_spans=None):
         fields = dict(locals())
         del fields["self"]
         fields["_generic"] = fields.pop("generic")
@@ -209,7 +214,7 @@ def _parse_q_value(q):
 def _derive_generic(name, dimension, generator_names, family, r,
                     eigenvalues, gamma_policy) -> PlaneSpec:
     """The generic plane of a braid matrix: matrices, checks and rules."""
-    _validate_structure(name, r, eigenvalues)
+    structure = _validate_structure(name, r, eigenvalues)
     c = r.scale(scalar.Q)
     try:
         d = mat_inverse(c)
@@ -229,13 +234,14 @@ def _derive_generic(name, dimension, generator_names, family, r,
     wz = _checked_wz(f"plane {name}", b, c, d, b)
     ranks = _family_ranks(dimension, family)
     system = ncalg.build_rewrite_system(dimension, generator_names, ranks,
-                                        b, c, d)
+                                        b, c, d, b)
     return PlaneSpec(name, dimension, generator_names, family, r,
-                     eigenvalues, b, c, d, b, qpr, wz, ranks, system,
-                     gamma_policy)
+                     eigenvalues, b, c, d, b, qpr, structure, wz, ranks,
+                     system, gamma_policy)
 
 
 def _validate_structure(name, r, eigenvalues):
+    """The structural verdicts of a braid matrix; raises if one fails."""
     if not check_ybe(r):
         raise PlaneVerificationError(
             f"plane {name}: braid Yang-Baxter equation fails for the "
@@ -244,6 +250,7 @@ def _validate_structure(name, r, eigenvalues):
         raise PlaneVerificationError(
             f"plane {name}: minimal polynomial with the declared "
             "eigenvalues does not annihilate the r_matrix")
+    return {"braid-relation": True, "minimal-polynomial": True}
 
 
 def _checked_wz(label, b, c, d, f):
@@ -277,14 +284,16 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
     except ScalarError as exc:
         raise PlaneError(f"plane {name}: specialization at {sp} hits a "
                          f"pole: {exc}")
-    _validate_structure(name, r, eigenvalues)
+    structure = _validate_structure(name, r, eigenvalues)
     wz = _checked_wz(f"plane {name} at {sp}", b, c, d, f)
     system = ncalg.build_rewrite_system(
-        plane.dimension, plane.generator_names, plane.monomial_ranks, b, c, d)
+        plane.dimension, plane.generator_names, plane.monomial_ranks,
+        b, c, d, f)
     return PlaneSpec(name, plane.dimension, plane.generator_names,
-                     plane.family, r, eigenvalues, b, c, d, f, qpr, wz,
-                     plane.monomial_ranks, system, plane.gamma_policy,
-                     specialization=sp, generic=plane.generic)
+                     plane.family, r, eigenvalues, b, c, d, f, qpr,
+                     structure, wz, plane.monomial_ranks, system,
+                     plane.gamma_policy, specialization=sp,
+                     generic=plane.generic)
 
 
 def _quotient(plane: PlaneSpec, central_expr: str, symbol: str
@@ -304,11 +313,13 @@ def _quotient(plane: PlaneSpec, central_expr: str, symbol: str
     # the rule set with the quotient rule derived in this field
     system = ncalg.build_rewrite_system(
         plane.dimension, plane.generator_names, plane.monomial_ranks,
-        plane.b, plane.c, plane.d, quotient=(central, symbol))
+        plane.b, plane.c, plane.d, plane.f, quotient=(central, symbol))
     generic_system = system if generic is plane else generic.system
     forms = _derive_constraint_forms(plane.specialization, system,
                                      generic_system, generic_central)
-    return _replace(plane, system=system, quotient_central=central,
+    structure = {**plane.structure_report, "central-element": True}
+    return _replace(plane, system=system, structure_report=structure,
+                    quotient_central=central,
                     quotient_central_expr=central_expr,
                     quotient_symbol=symbol, constraint_forms=forms,
                     constraint_spans={})
@@ -472,36 +483,29 @@ def load_plane(document: str) -> PlaneSpec:
         if key not in doc:
             raise PlaneError(f"missing required key {key!r}")
     name = doc["name"]
+    if not isinstance(name, str):
+        raise PlaneError("name must be a string")
     dimension = doc["dimension"]
     if not isinstance(dimension, int) or not 2 <= dimension <= 4:
         raise PlaneError("dimension must be an integer between 2 and 4")
     generators = doc["generators"]
     if (not isinstance(generators, list)
+            or not all(isinstance(g, str) and g for g in generators)
             or len(generators) != dimension
             or len(set(generators)) != dimension):
         raise PlaneError("generators must be a list of distinct names "
                          "matching the dimension")
     family = doc["family"]
-    r_exprs = doc["r_matrix"]
     size = dimension * dimension
-    if (not isinstance(r_exprs, list) or len(r_exprs) != size
-            or any(not isinstance(row, list) or len(row) != size
-                   for row in r_exprs)):
-        raise PlaneError(f"r_matrix must be a dense {size}x{size} grid of "
-                         "scalar expressions (write zeros explicitly)")
+    r_exprs = _grid(doc["r_matrix"], size, "r_matrix")
     eig_doc = doc.get("eigenvalues")
-    if family == "B":
-        if not eig_doc or not {"lambda0", "lambda1", "lambda2"} <= set(eig_doc):
-            raise PlaneError("family B requires eigenvalues lambda0, "
-                             "lambda1, lambda2")
-        eigs = (eig_doc["lambda0"], eig_doc["lambda1"], eig_doc["lambda2"])
-    elif family == "A":
-        if eig_doc is None:
-            eigs = ("-q^-1", "q")
-        else:
-            if not {"lambda1", "lambda2"} <= set(eig_doc):
-                raise PlaneError("family A eigenvalues need lambda1, lambda2")
-            eigs = (eig_doc["lambda1"], eig_doc["lambda2"])
+    if family == "A" and eig_doc is None:
+        eigs = ("-q^-1", "q")
+    elif family in ("A", "B"):
+        keys = ("lambda1", "lambda2") if family == "A" \
+            else ("lambda0", "lambda1", "lambda2")
+        eigs = _strings(eig_doc, keys, f"family {family} requires "
+                        f"eigenvalues {', '.join(keys)} as strings")
     else:
         raise PlaneError(f"unknown family {family!r}")
     gamma = doc.get("gamma")
@@ -514,25 +518,47 @@ def load_plane(document: str) -> PlaneSpec:
             gamma_policy = _GAMMA_NAMES[gamma]
         elif isinstance(gamma, list):
             gamma_policy = "explicit"
-            gamma_explicit = gamma
+            gamma_explicit = _grid(gamma, size, "gamma")
         else:
             raise PlaneError("gamma must be a policy name or a matrix")
     quotient = doc.get("quotient")
-    if quotient is not None and not (
-            isinstance(quotient, dict)
-            and {"central", "symbol"} <= set(quotient)):
-        raise PlaneError("quotient requires 'central' and 'symbol'")
+    if quotient is not None:
+        _strings(quotient, ("central", "symbol"),
+                 "quotient requires 'central' and 'symbol' as strings")
     symplectic = doc.get("symplectic")
-    if symplectic is not None and not (
-            isinstance(symplectic, dict)
-            and {"form", "scale"} <= set(symplectic)):
-        raise PlaneError("symplectic requires 'form' and 'scale'")
+    if symplectic is not None:
+        _strings(symplectic, ("form", "scale"),
+                 "symplectic requires 'form' and 'scale' as strings")
 
     return derive_plane(
         name, dimension, tuple(generators), family, r_exprs, eigs,
         q=doc.get("q", "generic"), gamma_policy=gamma_policy,
         gamma_exprs=gamma_explicit, quotient=quotient, symplectic=symplectic,
     )
+
+
+def _grid(rows, size, key):
+    """``rows`` if it is a dense size x size grid of expressions.
+
+    An entry is an expression string or, read as its decimal text, a JSON
+    integer.
+    """
+    if (not isinstance(rows, list) or len(rows) != size
+            or any(not isinstance(row, list) or len(row) != size
+                   or not all(isinstance(v, str) or type(v) is int
+                              for v in row)
+                   for row in rows)):
+        raise PlaneError(f"{key} must be a dense {size}x{size} grid of "
+                         "scalar expressions (write zeros explicitly)")
+    return rows
+
+
+def _strings(obj, keys, message):
+    """The string values of ``keys`` in the JSON object ``obj``."""
+    if not isinstance(obj, dict) or not all(
+            isinstance(obj.get(k), str) for k in keys):
+        raise PlaneError(message)
+    return tuple(obj[k] for k in keys)
 
 
 def serialize_plane(plane: PlaneSpec) -> str:
@@ -596,7 +622,8 @@ def verify_reference_relations(plane: PlaneSpec):
     tables = []
     if reference == "gl2":
         tables = [("coord", fixtures.GL2_COORD_RELATIONS),
-                  ("diff", fixtures.GL2_DIFF_RELATIONS)]
+                  ("diff", fixtures.GL2_DIFF_RELATIONS),
+                  ("deriv", fixtures.GL2_DERIV_RELATIONS)]
     elif reference == "orth3":
         tables = [("coord", fixtures.ORTH3_COORD_RELATIONS),
                   ("diff-coord", fixtures.ORTH3_DIFF_COORD_RELATIONS),

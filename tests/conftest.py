@@ -19,8 +19,18 @@ def frt_gl_matrix(n):
 
 
 @pytest.fixture
-def glq3_document():
+def glq_document():
+    """``glq_document(n)``: a GL_q(n) plane document for n <= 4, with
+    generators a, b, c, e; no transcribed relation table applies."""
+    def make(n):
+        return {"name": f"glq{n}", "dimension": n,
+                "generators": list("abce"[:n]), "family": "A",
+                "r_matrix": frt_gl_matrix(n), "q": "generic",
+                "gamma": "r_over_q"}
+    return make
+
+
+@pytest.fixture
+def glq3_document(glq_document):
     """A GL_q(3) plane document: no transcribed relation table applies."""
-    return {"name": "glq3", "dimension": 3, "generators": ["a", "b", "c"],
-            "family": "A", "r_matrix": frt_gl_matrix(3), "q": "generic",
-            "gamma": "r_over_q"}
+    return glq_document(3)

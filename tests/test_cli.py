@@ -314,3 +314,36 @@ def test_deep_nesting_exits_2(tmp_path, where):
     assert len(lines) == 1, run_.stderr
     assert lines[0].startswith("error: ")
     assert "nest" in lines[0]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("generators", [[1], [2]]),
+    ("eigenvalues", {"lambda1": 1, "lambda2": 2}),
+    ("quotient", {"central": 1, "symbol": 2}),
+    ("gamma", [[1]]),
+], ids=["generators", "eigenvalues", "quotient", "gamma"])
+def test_wrongly_typed_document_exits_2(tmp_path, capsys, field, value):
+    doc = {"name": "typed", "dimension": 2, "generators": ["x", "y"],
+           "family": "A", "r_matrix": fixtures.R_GL2, "q": "generic",
+           field: value}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path),
+                         "--suite", "ybe")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert field in lines[0]
+
+
+def test_integer_matrix_entries_still_load(tmp_path, capsys):
+    r_matrix = [[int(v) if v.isdecimal() else v for v in row]
+                for row in fixtures.R_GL2]
+    assert any(type(v) is int for row in r_matrix for v in row)
+    doc = {"name": "ints", "dimension": 2, "generators": ["x", "y"],
+           "family": "A", "r_matrix": r_matrix, "q": "generic"}
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, _ = run(capsys, "verify", "--plane", str(path), "--suite", "ybe")
+    assert code == 0

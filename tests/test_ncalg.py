@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from qplane import planes, scalar
+from qplane import fixtures, planes, scalar
+from qplane.linalg import identity
 from qplane.ncalg import (
     COORD,
     DERIV,
@@ -11,9 +12,9 @@ from qplane.ncalg import (
     AlgebraElement,
     NcalgError,
     RewriteSystem,
+    _pivot_rules,
     confluence_selftest,
     derivative_action,
-    derive_deriv_deriv_conventions,
     element_str,
     gen,
     is_central,
@@ -406,29 +407,78 @@ def test_every_step_decreases_measure():
         walk(tuple(rng.choice(gens) for _ in range(rng.randint(0, 5))))
 
 
-# -- derivative-derivative conventions ------------------------------------------
+# -- derivative-derivative rules --------------------------------------------
 
-def test_deriv_deriv_conventions_reported():
-    results = derive_deriv_deriv_conventions(GL2.system, GL2.f)
-    names = [name for name, _, _ in results]
-    assert names == ["rows", "rows_flipped", "columns", "columns_flipped"]
-    survivors = [name for name, _, ok in results if ok]
-    # the flipped-word readings reproduce D(y)*D(x) -> q D(x)*D(y), the only
-    # exchange compatible with the derivative-coordinate rules
-    assert "rows_flipped" in survivors
-    assert "rows" not in survivors
-    for name, rules, ok in results:
-        if not ok:
-            continue
-        lhs = (gen(DERIV, 2), gen(DERIV, 1))
-        assert rules[lhs].rhs == AlgebraElement.from_word(
-            (gen(DERIV, 1), gen(DERIV, 2)), parse_scalar("q"))
+def deriv_deriv_rules(sys):
+    return {lhs: rule for lhs, rule in sys.rules.items()
+            if lhs[0][0] == DERIV and lhs[1][0] == DERIV}
 
 
-def test_default_system_has_no_deriv_deriv_rules():
-    for plane in (GL2, ORTH3, SPHERE):
-        for lhs in plane.system.rules:
-            assert not (lhs[0][0] == DERIV and lhs[1][0] == DERIV)
+def as_derivatives(e):
+    """The element with every coordinate letter made a derivative and
+    every word reversed."""
+    return AlgebraElement({tuple(gen(DERIV, g[1]) for g in reversed(w)): c
+                           for w, c in e.terms.items()})
+
+
+def test_deriv_deriv_rule_counts(glq_document):
+    assert len(deriv_deriv_rules(GL2.system)) == 1
+    assert len(deriv_deriv_rules(ORTH3.system)) == 3
+    assert len(deriv_deriv_rules(SPHERE.system)) == 3
+    for n in (2, 3, 4):
+        plane = planes.load_plane(json.dumps(glq_document(n)))
+        assert len(deriv_deriv_rules(plane.system)) == n * (n - 1) // 2
+
+
+def test_deriv_deriv_normal_forms():
+    rule = GL2.system.rules[(gen(DERIV, 2), gen(DERIV, 1))]
+    assert rule.rhs == AlgebraElement.from_word(
+        (gen(DERIV, 1), gen(DERIV, 2)), parse_scalar("q"))
+    assert nf_str(GL2, "D(y)*D(x) - q*D(x)*D(y)") == "0"
+    assert nf_str(SPHERE, "D(x+)*D(x-) - D(x-)*D(x+)") == "2*i * D(x0)*D(x0)"
+
+
+def coordinate_relations(plane):
+    """lhs - rhs of every coordinate-coordinate rule of the plane."""
+    for lhs, rule in plane.system.rules.items():
+        if lhs[0][0] == COORD and lhs[1][0] == COORD:
+            yield AlgebraElement.from_word(lhs) - rule.rhs
+
+
+def test_deriv_deriv_relations_are_reversed_coordinate_relations(glq3):
+    for plane in (GL2, ORTH3, glq3):
+        relations = list(coordinate_relations(plane))
+        assert relations
+        for rel in relations:
+            assert plane.nf(as_derivatives(rel)).is_zero(), plane.show(rel)
+    # the sphere's coordinate rules pass through its quotient rule
+    # x0*x0 -> -rho (x+*x- -> 2*i*rho + x-*x+), which has no derivative
+    # analogue; the transcribed orth3 coordinate relations do hold for its
+    # derivatives at q = -1
+    for _, lhs, rhs in fixtures.ORTH3_COORD_RELATIONS:
+        rel = SPHERE.parse(lhs) - SPHERE.parse(rhs)
+        assert SPHERE.nf(as_derivatives(rel)).is_zero(), (lhs, rhs)
+
+
+def test_unreversed_deriv_reading_is_not_confluent():
+    # reading (E - F)[(i, j), (k, l)] for the word D_k D_l, without the
+    # reversal, derives D(y)*D(x) -> q^-1 D(x)*D(y), which leaves a
+    # D.D.x overlap unresolvable
+    base = GL2.system
+    trial = RewriteSystem(base.dimension, base.generator_names, base.ranks)
+    for lhs, rule in base.rules.items():
+        if not (lhs[0][0] == DERIV and lhs[1][0] == DERIV):
+            trial.add_rule(lhs, rule.rhs)
+    m = identity(2, 2) - GL2.f
+    for lhs, rhs in _pivot_rules(trial, DERIV, m.at):
+        trial.add_rule(lhs, rhs)
+    assert trial.rules[(gen(DERIV, 2), gen(DERIV, 1))].rhs == \
+        AlgebraElement.from_word((gen(DERIV, 1), gen(DERIV, 2)),
+                                 parse_scalar("q^-1"))
+    report = confluence_selftest(trial, sample_count=0)
+    assert not report.ok
+    kinds = {tuple(g[0] for g in word) for word, _, _ in report.mismatches}
+    assert (DERIV, DERIV, COORD) in kinds
 
 
 # -- parsing and printing --------------------------------------------------------
