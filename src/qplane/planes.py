@@ -20,11 +20,15 @@ derivation of its braid matrix:
 
 :func:`derive_plane` composes these steps for a configuration document.
 The built-in sphere is the cached generic orth3, specialized at q = -1 and
-quotiented by its central radius; the q = 1 planes of the classical-limit
-check are the cached generic planes specialized at q = 1.  The braiding of
-the wedge product is computed from a plane's fields when first read.  The
-rewrite degree cap is fixed when a rule system is built; :func:`capped`
-gives a copy with another cap that shares the rules and caches.
+quotiented by its central radius.
+
+Three views are derived from a plane's fields when first read and then
+kept on it: ``gamma_candidates`` (each braiding candidate for the wedge
+product with its verdict on the wedge condition, the one place that
+condition is proved), ``gamma`` (the first passing candidate) and
+``reference_shape`` (which transcribed tables apply).  The rewrite degree
+cap is fixed when a rule system is built; :func:`capped` gives a copy with
+another cap that shares the rules and caches.
 
 The braid matrix is the single source of truth; the printed relation
 tables live in :mod:`qplane.fixtures` and are diffed against the derived
@@ -34,6 +38,7 @@ calculus by :func:`verify_reference_relations`.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from functools import cached_property
 
 from . import fixtures, ncalg, qcalc, scalar
@@ -100,6 +105,23 @@ class PlaneSpec:
     def gamma(self):
         """The first passing candidate: the braiding of the wedge product."""
         return next((m for _, m, ok in self.gamma_candidates if ok), None)
+
+    @cached_property
+    def reference_shape(self):
+        """Which transcribed tables apply: "gl2", "orth3" or None.
+
+        The plane's braid matrix must match, and so must its generator
+        names: the tables are written in them, so other names would not
+        parse or would name other generators.
+        """
+        names, r = self.generator_names, self.generic.r_matrix
+        if self.family == "A" and names == fixtures.GL2_GENERATORS:
+            if r == from_exprs(fixtures.R_GL2, 2):
+                return "gl2"
+        if self.family == "B" and names == fixtures.ORTH3_GENERATORS:
+            if r == from_exprs(fixtures.R_ORTH3, 3):
+                return "orth3"
+        return None
 
     def coordinate_generators(self):
         return [gen(COORD, i) for i in range(1, self.dimension + 1)]
@@ -359,8 +381,9 @@ def resolve_gamma(plane: PlaneSpec):
     """Evaluate the braiding candidates for the wedge product.
 
     Returns a list of (candidate name, matrix, passes) in policy order; the
-    first passing candidate becomes the plane's braiding.  Candidates that
-    cannot be formed (singular matrix) are reported as failing.
+    first passing candidate becomes the plane's braiding.  This is the one
+    place the wedge condition is proved.  R^-1 is read off D = (qR)^-1 as
+    q D: every plane has an invertible C = qR.
     """
     q = scalar.Q if plane.specialization is None else \
         scalar.Q.specialize(plane.specialization)
@@ -372,18 +395,13 @@ def resolve_gamma(plane: PlaneSpec):
         candidates.append(("d_matrix", plane.d))
     elif policy == "auto":
         candidates.append(("d_matrix", plane.d))
-        try:
-            candidates.append(("r_inverse", mat_inverse(plane.r_matrix)))
-        except LinalgError:
-            candidates.append(("r_inverse", None))
+        candidates.append(("r_inverse", plane.d.scale(q)))
     elif policy == "explicit":
         candidates.append(("explicit", plane.gamma_explicit))
     else:
         raise PlaneError(f"unknown gamma policy {policy!r}")
-    out = []
-    for cname, matrix in candidates:
-        passes = matrix is not None and gamma_condition(plane.d, matrix)
-        out.append((cname, matrix, passes))
+    out = [(cname, matrix, gamma_condition(plane.d, matrix))
+           for cname, matrix in candidates]
     if policy == "explicit" and not any(p for _, _, p in out):
         raise PlaneVerificationError("explicit braiding fails the wedge condition")
     return out
@@ -429,16 +447,20 @@ def builtin_plane(name: str) -> PlaneSpec:
     return plane
 
 
-def specialize_builtin(name: str, q) -> PlaneSpec:
-    """A generic builtin plane specialized at a numeric q (q = 1 checks).
+def specialize(plane: PlaneSpec, q) -> PlaneSpec:
+    """A generic plane specialized at a numeric q (the q = 1 checks).
 
-    The cached generic plane is evaluated at q, not derived again; its rules
-    are rebuilt in the specialized field, as for every specialization.
+    The plane is evaluated at q, not derived again; its rules are rebuilt
+    in the specialized field, as for every specialization.
     """
-    base = builtin_plane(name)
-    if base.specialization is not None:
-        raise PlaneError(f"builtin plane {name!r} is already specialized")
-    return _specialize(base, _parse_q_value(q), name=f"{name}@q={q}")
+    if plane.specialization is not None:
+        raise PlaneError(f"plane {plane.name!r} is already specialized")
+    return _specialize(plane, _parse_q_value(q), name=f"{plane.name}@q={q}")
+
+
+def specialize_builtin(name: str, q) -> PlaneSpec:
+    """The cached generic builtin plane ``name`` specialized at q."""
+    return specialize(builtin_plane(name), q)
 
 
 def capped(plane: PlaneSpec, degree_cap: int) -> PlaneSpec:
@@ -601,46 +623,37 @@ def _eig_doc(plane):
 # Fixture comparison
 # ---------------------------------------------------------------------------
 
-class RelationDiff:
-    def __init__(self, name, residual_str):
-        self.name = name
-        self.residual = residual_str
+RelationDiff = namedtuple("RelationDiff", "name residual")
 
-    def __repr__(self):
-        return f"RelationDiff({self.name}: {self.residual})"
+# the transcribed relation tables of each reference shape
+_REFERENCE_TABLES = {
+    "gl2": (("coord", fixtures.GL2_COORD_RELATIONS),
+            ("diff", fixtures.GL2_DIFF_RELATIONS),
+            ("deriv", fixtures.GL2_DERIV_RELATIONS)),
+    "orth3": (("coord", fixtures.ORTH3_COORD_RELATIONS),
+              ("diff-coord", fixtures.ORTH3_DIFF_COORD_RELATIONS),
+              ("deriv-coord", fixtures.ORTH3_DERIV_COORD_RELATIONS)),
+}
 
 
 def verify_reference_relations(plane: PlaneSpec):
-    """Diff the derived calculus against the transcribed tables.
+    """Diff the derived calculus against the transcribed relation tables.
 
-    The built-in tables matching the plane's shape are used: relation
-    tables in the element grammar and, for the orth3 shape, the printed D
-    matrix.  Returns a list of RelationDiff entries; empty means exact
-    agreement.
+    The tables of the plane's ``reference_shape`` are used, written in the
+    element grammar.  Returns a list of RelationDiff entries; empty means
+    exact agreement.  The printed D table is diffed by :func:`d_table_diffs`.
     """
-    reference = _reference_shape(plane)
-    tables = []
-    if reference == "gl2":
-        tables = [("coord", fixtures.GL2_COORD_RELATIONS),
-                  ("diff", fixtures.GL2_DIFF_RELATIONS),
-                  ("deriv", fixtures.GL2_DERIV_RELATIONS)]
-    elif reference == "orth3":
-        tables = [("coord", fixtures.ORTH3_COORD_RELATIONS),
-                  ("diff-coord", fixtures.ORTH3_DIFF_COORD_RELATIONS),
-                  ("deriv-coord", fixtures.ORTH3_DERIV_COORD_RELATIONS)]
     diffs = []
-    for label, table in tables:
+    for label, table in _REFERENCE_TABLES.get(plane.reference_shape, ()):
         for rname, lhs, rhs in table:
             residual = plane.nf(plane.parse(lhs) - plane.parse(rhs))
             if not residual.is_zero():
                 diffs.append(RelationDiff(f"{label}/{rname}",
                                           plane.show(residual)))
-    if reference == "orth3":
-        diffs.extend(_d_table_diffs(plane))
     return diffs
 
 
-def _d_table_diffs(plane: PlaneSpec):
+def d_table_diffs(plane: PlaneSpec):
     """Entrywise diff of an orth3-shaped plane's D and the printed table."""
     table = from_exprs(fixtures.D_ORTH3_TABLE, 3)
     if plane.specialization is not None:
@@ -650,23 +663,6 @@ def _d_table_diffs(plane: PlaneSpec):
                          f"derived {d[rr, cc]} vs printed {table[rr, cc]}")
             for rr in range(size) for cc in range(size)
             if d[rr, cc] != table[rr, cc]]
-
-
-def _reference_shape(plane: PlaneSpec):
-    """Which transcribed tables apply.
-
-    The plane's braid matrix must match, and so must its generator names:
-    the tables are written in them, so other names would not parse or would
-    name other generators.
-    """
-    names = plane.generator_names
-    if plane.family == "A" and names == fixtures.GL2_GENERATORS:
-        if plane.generic.r_matrix == from_exprs(fixtures.R_GL2, 2):
-            return "gl2"
-    if plane.family == "B" and names == fixtures.ORTH3_GENERATORS:
-        if plane.generic.r_matrix == from_exprs(fixtures.R_ORTH3, 3):
-            return "orth3"
-    return None
 
 
 def _specialize_element(e: AlgebraElement, sp: Specialization):

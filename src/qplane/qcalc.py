@@ -10,7 +10,7 @@ matrix of the plane links the two pictures.
 from __future__ import annotations
 
 from . import ncalg
-from .linalg import LegMatrix, gamma_condition
+from .linalg import LegMatrix
 from .ncalg import COORD, DERIV, DIFF, AlgebraElement, RewriteSystem, gen
 from .scalar import Scalar
 
@@ -201,19 +201,16 @@ def wedge(a: WedgeForm, b: WedgeForm, sys: RewriteSystem) -> WedgeForm:
 # Tensor representation
 # ---------------------------------------------------------------------------
 
-def to_tensor(omega: WedgeForm, gamma: LegMatrix, sys: RewriteSystem,
-              d_matrix: LegMatrix = None) -> TensorForm:
+def to_tensor(omega: WedgeForm, gamma: LegMatrix, sys: RewriteSystem
+              ) -> TensorForm:
     """Lift a 2-form to tensor slots: xi_a xi_b -> xi_a (x) xi_b - Gamma row.
 
-    When ``d_matrix`` is supplied the wedge well-definedness condition
-    (D+E)(E-Gamma) = 0 plus the braid relation for Gamma is verified first
-    and a violation is refused.
+    The lift is well defined when Gamma satisfies the wedge condition
+    (D+E)(E-Gamma) = 0 and the braid relation; a plane's ``gamma`` is a
+    braiding candidate that passed that check (``planes.resolve_gamma``).
     """
     if omega.degree != 2:
         raise QcalcError("to_tensor expects a 2-form")
-    if d_matrix is not None and not gamma_condition(d_matrix, gamma):
-        raise QcalcError(
-            "braiding does not satisfy the wedge well-definedness condition")
     out = TensorForm(2)
     for w, c in sys.normal_form(omega.body).terms.items():
         coord = tuple(g for g in w if g[0] == COORD)

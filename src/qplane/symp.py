@@ -67,8 +67,7 @@ def symplectic_form(plane) -> SymplecticForm:
     scale = scalar.parse_scalar(plane.symplectic_scale_expr)
     if plane.specialization is not None:
         scale = scale.specialize(plane.specialization)
-    tensor = qcalc.to_tensor(wedge, plane.gamma, plane.system,
-                             d_matrix=plane.d)
+    tensor = qcalc.to_tensor(wedge, plane.gamma, plane.system)
     return SymplecticForm(wedge, tensor, scale)
 
 
@@ -174,15 +173,14 @@ def _echelonize(elements, sys):
 
 
 def _reduce_against_span(e, span, sys):
-    changed = True
-    while changed:
-        changed = False
-        for w in sorted(e.terms, key=sys.word_key, reverse=True):
-            row = span.get(w)
-            if row is not None:
-                e = e - row.scale(e.terms[w])
-                changed = True
-                break
+    """``e`` with every lead word of ``span`` cleared, in one pass.
+
+    Each row holds exactly one lead word, its own (:func:`_echelonize`
+    back-substitutes), so subtracting a row changes no other lead word's
+    coefficient.
+    """
+    for w in [w for w in e.terms if w in span]:
+        e = e - span[w].scale(e.terms[w])
     return e
 
 
@@ -424,7 +422,13 @@ def poisson_bracket(f: AlgebraElement, g: AlgebraElement,
             f"{len(report.kernel_basis)}-dimensional kernel; the canonical "
             "particular solution was used", NonUniqueFieldWarning,
             stacklevel=2)
-    value = qcalc.apply_field(report.particular, plane.nf(g), plane.system)
+    return bracket_from_field(report.particular, g, plane)
+
+
+def bracket_from_field(field: VectorField, g: AlgebraElement, plane
+                       ) -> AlgebraElement:
+    """[f, g] = -X_f(g), given the Hamiltonian field X_f of f."""
+    value = qcalc.apply_field(field, plane.nf(g), plane.system)
     return plane.nf(value.scale(scalar.MINUS_ONE))
 
 

@@ -347,3 +347,59 @@ def test_integer_matrix_entries_still_load(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, _ = run(capsys, "verify", "--plane", str(path), "--suite", "ybe")
     assert code == 0
+
+
+def test_classical_limit_is_the_documents_own(tmp_path, capsys):
+    # a twisted GL_q(2) braid matrix under the built-in's name: its own
+    # q = 1 plane has y*x = 1/2 * x*y, so the limit is not commutative
+    doc = {"name": "gl2", "dimension": 2, "generators": ["x", "y"],
+           "family": "A", "q": "generic",
+           "r_matrix": [["q", "0", "0", "0"], ["0", "q - q^-1", "2", "0"],
+                        ["0", "1/2", "0", "0"], ["0", "0", "0", "q"]]}
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                         "relations")
+    assert code == 1, err
+    assert "FAIL relations/classical-limit" in out
+    assert planes.specialize(planes.load_plane(json.dumps(doc)), 1).nf(
+        planes.builtin_plane("gl2").parse("y*x - 1/2*x*y")).is_zero()
+
+
+def test_symplectic_form_without_braiding_is_reported(tmp_path):
+    doc = json.loads(planes.serialize_plane(planes.builtin_plane("orth3")))
+    doc["symplectic"] = {"form": "d(x+)*d(x-)", "scale": "1"}
+    path = tmp_path / "orth3_omega.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    run_ = subprocess.run([sys.executable, "-m", "qplane.cli", "verify",
+                           "--plane", str(path), "--suite", "all"],
+                          capture_output=True, text=True, timeout=60)
+    assert run_.returncode == 1
+    assert "error:" not in run_.stdout + run_.stderr
+    lines = run_.stdout.splitlines()
+    for name in ("closedness", "hamiltonian"):
+        assert f"FAIL {name}/symplectic-form: plane orth3 has no braiding " \
+               "that satisfies the wedge condition; tensor representation " \
+               "unavailable" in lines
+    assert "FAIL gamma/resolution: d_matrix: fail; r_inverse: fail" in lines
+    assert "PASS relations/classical-limit: all coordinate commutators " \
+           "vanish at q=1" in lines
+    assert lines[-1].startswith("16 checks, 3 failed, 1 findings")
+
+
+def test_unsolved_fixture_field_fails_the_bracket_check(tmp_path, capsys):
+    # x*x*d(x)*d(y) has no Hamiltonian field of x within degree 1, and the
+    # name gl2 selects the gl2 field and bracket tables
+    doc = json.loads(planes.serialize_plane(planes.builtin_plane("gl2")))
+    doc["symplectic"] = {"form": "x*x*d(x)*d(y)", "scale": "1"}
+    path = tmp_path / "gl2_degenerate.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                         "hamiltonian", "--format", "json")
+    assert code == 1, err
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["hamiltonian/solve-x"]["status"] == "fail"
+    assert checks["hamiltonian/field-fixtures"]["status"] == "fail"
+    bracket = checks["hamiltonian/bracket-fixtures"]
+    assert bracket["status"] == "fail"
+    assert "[x,y]: no field for x" in bracket["detail"]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qplane import fixtures, planes
-from qplane.linalg import identity
+from qplane.linalg import identity, mat_inverse
 from qplane.planes import (
     PlaneError,
     capped,
@@ -17,7 +17,7 @@ from qplane.planes import (
     specialize_builtin,
     verify_reference_relations,
 )
-from qplane.scalar import GaussRational, parse_scalar
+from qplane.scalar import Q, GaussRational, parse_scalar
 
 
 def test_builtins_derive():
@@ -249,6 +249,22 @@ def test_resolve_gamma_shapes():
     sphere = builtin_plane("sphere_qm1")
     out = resolve_gamma(sphere)
     assert [n for n, _, _ in out] == ["d_matrix", "r_inverse"]
+
+
+@pytest.mark.parametrize("name", ["gl2", "orth3", "sphere_qm1", "glq3"])
+def test_q_times_d_is_r_inverse(name, glq_document):
+    # D = (qR)^-1, so R^-1 = q D; the auto policy's r_inverse reads it so
+    if name == "glq3":
+        plane = load_plane(json.dumps({**glq_document(3), "gamma": "auto"}))
+    else:
+        plane = builtin_plane(name)
+    q = Q if plane.specialization is None else Q.specialize(
+        plane.specialization)
+    r_inverse = mat_inverse(plane.r_matrix)  # the oracle
+    assert plane.d.scale(q) == r_inverse
+    if plane.gamma_policy == "auto":
+        candidates = {n: m for n, m, _ in plane.gamma_candidates}
+        assert candidates["r_inverse"] == r_inverse
 
 
 def test_derive_plane_rejects_noncentral_quotient():

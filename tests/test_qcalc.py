@@ -136,7 +136,7 @@ def test_wedge_associative_random():
 
 def test_to_tensor_reproduces_printed_expansion():
     omega = form(GL2, "d(x)*d(y)", 2)
-    t = to_tensor(omega, GL2.gamma, GL2.system, d_matrix=GL2.d)
+    t = to_tensor(omega, GL2.gamma, GL2.system)
     assert t.entries == {
         ((), (1, 2)): parse_scalar("q^-2"),
         ((), (2, 1)): parse_scalar("-q^-1"),
@@ -161,15 +161,9 @@ def test_to_tensor_kills_relation_rows():
                 assert t.is_zero(), (plane.name, i, j)
 
 
-def test_to_tensor_refuses_bad_braiding():
-    omega = form(ORTH3, "d(x+)*d(x-)", 2)
-    with pytest.raises(QcalcError):
-        to_tensor(omega, ORTH3.d, ORTH3.system, d_matrix=ORTH3.d)
-
-
 def test_to_tensor_sphere_row():
     omega = form(SPHERE, "d(x+)*d(x-)", 2)
-    t = to_tensor(omega, SPHERE.gamma, SPHERE.system, d_matrix=SPHERE.d)
+    t = to_tensor(omega, SPHERE.gamma, SPHERE.system)
     # normal form of dx+ dx- is -dx- dx+; the lift of that word carries
     # the (E - Gamma) row at (-,+): slots (3,1) and -Gamma contribution
     assert t.entries[((), (1, 3))] == parse_scalar("1")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qplane import fixtures, planes, qcalc, scalar, symp
@@ -284,3 +286,47 @@ def test_kernel_basis_shared_per_degree_bound(degree):
     for f in ("x0", "x+*x-"):
         assert list(basis) == _augmented_kernel(SPHERE.parse(f), cold,
                                                 SPHERE, degree)
+
+
+def _reduce_by_restarts(e, span, sys):
+    """The former reduction: clear the largest lead word, then start over."""
+    changed = True
+    while changed:
+        changed = False
+        for w in sorted(e.terms, key=sys.word_key, reverse=True):
+            row = span.get(w)
+            if row is not None:
+                e = e - row.scale(e.terms[w])
+                changed = True
+                break
+    return e
+
+
+def test_one_pass_span_reduction_matches_restart_loop(monkeypatch):
+    keys = [(k, bound) for k in (1, 2, 3) for bound in range(2, 7)]
+    one_pass = symp._reduce_against_span
+    fresh = planes._replace(SPHERE, constraint_spans={})
+    spans = {key: symp._constraint_span(fresh, *key) for key in keys}
+    monkeypatch.setattr(symp, "_reduce_against_span", _reduce_by_restarts)
+    oracle = planes._replace(SPHERE, constraint_spans={})
+    for key in keys:
+        assert symp._constraint_span(oracle, *key) == spans[key], key
+    # seeded sphere forms: a random word's normal form plus a span row
+    rng = random.Random(20261018)
+    sys = SPHERE.system
+    coords = SPHERE.coordinate_generators()
+    diffs = [gen(DIFF, i) for i in range(1, 4)]
+    for _ in range(200):
+        k, bound = key = rng.choice(keys)
+        word = tuple(rng.choice(coords) for _ in range(rng.randint(0, bound)))
+        word += tuple(rng.choice(diffs) for _ in range(k))
+        e = sys.normal_form(AlgebraElement.from_word(
+            word, parse_scalar(str(rng.randint(1, 5)))))
+        row = rng.choice(list(spans[key].values()))
+        try:
+            e = e + row.scale(parse_scalar(str(rng.randint(-5, 5))))
+        except scalar.ScalarError:
+            pass  # mixed powers of rho do not add yet (ROADMAP item 1)
+        got = one_pass(e, spans[key], sys)
+        assert got == _reduce_by_restarts(e, spans[key], sys)
+        assert not any(w in spans[key] for w in got.terms)
