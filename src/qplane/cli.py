@@ -200,11 +200,7 @@ def suite_hamiltonian(plane, omega, degree=1):
             report.particular, plane)
         checks.append(Check(f"hamiltonian/solve-{name}",
                             "pass" if solved else "fail", detail))
-    expected = None
-    if plane.name == "gl2":
-        expected = fixtures.GL2_HAMILTONIAN_FIELDS, fixtures.GL2_BRACKETS
-    elif plane.name == "sphere_qm1":
-        expected = fixtures.SPHERE_HAMILTONIAN_FIELDS, fixtures.SPHERE_BRACKETS
+    expected = _hamiltonian_tables(plane, omega)
     if expected is not None:
         field_table, bracket_table = expected
         ok = all(name in fields and _field_matches(fields[name],
@@ -230,6 +226,40 @@ def suite_hamiltonian(plane, omega, degree=1):
         checks.append(Check("hamiltonian/bracket-fixtures",
                             "pass" if ok else "fail", "; ".join(shown)))
     return checks
+
+
+def _hamiltonian_tables(plane, omega):
+    """The printed field and bracket tables, when they hold for ``plane``
+    and ``omega``; else None.
+
+    They hold on the paper's two symplectic planes: gl2 at generic q with
+    d(x)*d(y), and orth3 at q = -1 over its central radius with the
+    sphere's form.  The plane's reference shape, q, quotient and braiding,
+    and the form, are compared with those; no other plane is derived.
+    """
+    shape, sp = plane.reference_shape, plane.specialization
+    if shape == "gl2" and sp is None and plane.quotient_central is None:
+        body, scale = fixtures.GL2_SYMPLECTIC_BODY, \
+            fixtures.GL2_SYMPLECTIC_SCALE
+        gamma = plane.r_matrix.scale(scalar.Q.inverse())
+        tables = fixtures.GL2_HAMILTONIAN_FIELDS, fixtures.GL2_BRACKETS
+    elif (shape == "orth3" and sp is not None
+          and scalar.Q.specialize(sp) == scalar.MINUS_ONE
+          and plane.quotient_central is not None
+          and plane.nf(plane.parse(fixtures.SPHERE_CENTRAL))
+          == plane.nf(plane.parse("rho"))):
+        body, scale = fixtures.SPHERE_SYMPLECTIC_BODY, \
+            fixtures.SPHERE_SYMPLECTIC_SCALE
+        gamma = plane.d
+        tables = fixtures.SPHERE_HAMILTONIAN_FIELDS, fixtures.SPHERE_BRACKETS
+    else:
+        return None
+    scale = scalar.parse_scalar(scale)
+    if sp is not None:
+        scale = scale.specialize(sp)
+    paper = (plane.nf(plane.parse(body)), scale, gamma)
+    return tables if (omega.wedge.body, omega.scale, plane.gamma) == paper \
+        else None
 
 
 def _field_str(field, plane):

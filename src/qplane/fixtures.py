@@ -106,6 +106,10 @@ ORTH3_DERIV_COORD_RELATIONS = [
 SPHERE_CENTRAL = "s^-1 * x+ * x- + x0 * x0 + s * x- * x+"
 SPHERE_DIFF_CONSTRAINT = "x0 * d(x0) + s * x- * d(x+) + s^-1 * x+ * d(x-)"
 
+# Two-form of the gl2 symplectic structure (body and prefactor).
+GL2_SYMPLECTIC_BODY = "d(x)*d(y)"
+GL2_SYMPLECTIC_SCALE = "1"
+
 # Two-form of the sphere symplectic structure (body and prefactor).
 SPHERE_SYMPLECTIC_BODY = (
     "-(x+ * d(x-) * d(x0)) + x- * d(x0) * d(x+) - x0 * d(x+) * d(x-)"

@@ -9,12 +9,15 @@ differential block, derivative block.
 
 The three same-kind families come from one pivoting of relation rows
 (``_pivot_rules``): coordinates from E - B, differentials from E + D, and
-derivatives from E - F read with the column word reversed, so that row
-(i, j) is sum over (k, l) of (E - F)[(i, j), (l, k)] d_k d_l = 0.  With
-F = B this gives the coordinate relations with each word reversed, e.g.
-d_y d_x = q d_x d_y on gl2 (Wess-Zumino, Nucl. Phys. B Proc. Suppl. 18B,
-1990).  The unreversed reading leaves a d.d.x overlap unresolvable.  The
-three exchange families come from C and D.
+derivatives from E - F read transposed, so that row (i, j) is sum over
+(k, l) of (E - F)[(l, k), (i, j)] d_k d_l = 0.  On symmetric planes, where
+that entry is (E - F)[(i, j), (l, k)], and with F = B this gives the
+coordinate relations with each word reversed, e.g. d_y d_x = q d_x d_y on
+gl2 (Wess-Zumino, Nucl. Phys. B Proc. Suppl. 18B, 1990).  A twisted
+GL_q(n) (R[(i,j),(j,i)] = t, R[(j,i),(i,j)] = 1/t) is not symmetric, and
+only the transposed reading resolves its d.d.x overlaps; the unreversed
+reading fails even on gl2.  The three exchange families come from C and
+D.
 
 Termination measure, compared lexicographically per rewrite step:
 (kind-inversion count, total degree, graded-lex rank).  Kind-inversion
@@ -342,7 +345,7 @@ def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
     e = identity(dimension, 2)
     m = e - f
     families = ((COORD, (e - b).at), (DIFF, (e + d).at),
-                (DERIV, lambda row, col: m.at(row, col[::-1])))
+                (DERIV, lambda row, col: m.at(col[::-1], row)))
     for kind, entry in families:
         for lhs, rhs in _pivot_rules(sys, kind, entry):
             sys.add_rule(lhs, rhs)
@@ -589,7 +592,7 @@ class _ElementParser(scalar._Tokens):
         value = self.parse_factor()
         while True:
             if self.take("*"):
-                value = value.concat(self.parse_factor())
+                value = self.product(value, self.parse_factor())
             elif self.take("/"):
                 rhs = self.parse_factor()
                 if not _is_scalar_element(rhs):
@@ -614,8 +617,16 @@ class _ElementParser(scalar._Tokens):
             raise ScalarError(f"power {e} exceeds the degree cap {cap}")
         out = AlgebraElement.unit()
         for _ in range(e):
-            out = out.concat(atom)
+            out = self.product(out, atom)
         return out
+
+    def product(self, a, b):
+        """The free product a*b, or a parse error when it could hold more
+        than ``scalar.MAX_TERMS`` words."""
+        if len(a.terms) * len(b.terms) > scalar.MAX_TERMS:
+            raise self.error(f"expanding the product would make more than "
+                             f"{scalar.MAX_TERMS} words")
+        return a.concat(b)
 
     def parse_atom(self):
         if self.take("("):

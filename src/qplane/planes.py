@@ -426,7 +426,8 @@ def builtin_plane(name: str) -> PlaneSpec:
         plane = derive_plane(
             "gl2", 2, fixtures.GL2_GENERATORS, "A", fixtures.R_GL2,
             ("-q^-1", "q"), gamma_policy="r_over_q",
-            symplectic={"form": "d(x)*d(y)", "scale": "1"},
+            symplectic={"form": fixtures.GL2_SYMPLECTIC_BODY,
+                        "scale": fixtures.GL2_SYMPLECTIC_SCALE},
         )
     elif name == "orth3":
         plane = derive_plane(

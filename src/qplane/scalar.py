@@ -644,6 +644,16 @@ limit: deeper input is a parse error, not a ``RecursionError``.
 """
 
 
+MAX_TERMS = 1024
+"""Cap on the words of a free product while parsing an element.
+
+The element parser expands products in the free algebra before any
+rewriting, so ``(x+y)^16`` would hold 65536 words and take a minute to
+reduce; a product that could hold more words than the cap is a parse
+error instead.  This bounds the words, not the rewriting of each one.
+"""
+
+
 class _Tokens:
     """Cursor over an input text; also the base of the element parser."""
 

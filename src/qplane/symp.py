@@ -9,11 +9,19 @@ algebra: an element of differential degree k is reduced modulo the span of
 rewriting and this module reduction together realize the sphere's exterior
 algebra; on unconstrained planes the module is empty and reduction is the
 identity.
+
+A Hamiltonian field solves X~|omega = -df over the fields whose
+coefficients have degree at most a bound.  Each ``SymplecticForm`` keeps
+one ``_HamiltonianSystem`` per bound: the contraction of omega with each
+ansatz field, the same modulo the constraint module, and the kernel of
+that map.  ``is_nondegenerate`` reads the contractions, and each field is
+one elimination against the reduced ones.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 
 from . import qcalc, scalar
 from .linalg import rref_rows
@@ -37,8 +45,7 @@ class NoSolutionError(SympError):
 class SymplecticForm:
     """2-form with cached tensor representation and a constant prefactor."""
 
-    __slots__ = ("wedge", "tensor", "scale", "_columns_cache",
-                 "_kernel_cache")
+    __slots__ = ("wedge", "tensor", "scale", "_systems")
 
     def __init__(self, wedge: WedgeForm, tensor: TensorForm, scale: Scalar):
         if wedge.degree != 2:
@@ -48,10 +55,8 @@ class SymplecticForm:
         self.wedge = wedge
         self.tensor = tensor
         self.scale = scale
-        # (max_degree, reduce_constraints) -> (columns, ansatz variables)
-        self._columns_cache = {}
-        # max_degree -> kernel basis of the Hamiltonian system, a tuple
-        self._kernel_cache = {}
+        # max_degree -> its _HamiltonianSystem
+        self._systems = {}
 
 
 def symplectic_form(plane) -> SymplecticForm:
@@ -201,12 +206,12 @@ def is_nondegenerate(omega: SymplecticForm, plane, max_degree: int = 1):
     verdict is False.  The certificate only covers coefficients up to
     ``max_degree``.
     """
-    columns, variables = _contraction_matrix(plane, omega, max_degree)
-    reduced, pivots = _rref_columns(columns, plane.system)
-    free = [j for j in range(len(variables)) if j not in pivots]
+    system = _system(omega, plane, max_degree)
+    reduced, pivots = _rref_columns(system.columns, plane.system)
+    free = [j for j in range(len(system.variables)) if j not in pivots]
     if not free:
         return True, None
-    return False, _kernel_vector(reduced, pivots, free[0], variables)
+    return False, _kernel_vector(reduced, pivots, free[0], system.variables)
 
 
 def _ansatz(plane, max_degree):
@@ -220,27 +225,34 @@ def _ansatz(plane, max_degree):
     return variables
 
 
-def _contraction_matrix(plane, omega, max_degree, reduce_constraints=False):
-    """One-form bodies of scale * (w d_j) ~| tensor for each ansatz variable.
+# The map X -> X~|omega on one bounded ansatz: ``variables`` lists the
+# unknowns (direction j, coefficient word w), ``columns`` the one-form
+# bodies scale * (w d_j)~|tensor, ``reduced`` the same modulo the
+# constraint module, and ``kernel`` the kernel basis of ``reduced``, a
+# tuple every report at this degree bound shares.
+_HamiltonianSystem = namedtuple("_HamiltonianSystem",
+                                "variables columns reduced kernel")
 
-    Returns (columns, variables) for the ansatz of ``max_degree``.
-    """
-    key = (max_degree, reduce_constraints)
-    cached = omega._columns_cache.get(key)
-    if cached is not None:
-        return cached
+
+def _system(omega, plane, max_degree):
+    """The Hamiltonian system of ``omega`` at ``max_degree``, built once."""
+    system = omega._systems.get(max_degree)
+    if system is not None:
+        return system
     sys = plane.system
     variables = _ansatz(plane, max_degree)
     columns = []
     for j, w in variables:
         field = VectorField.basis(j, AlgebraElement.from_word(w))
         body = one_form_body(qcalc.contract(field, omega.tensor, sys))
-        body = sys.normal_form(body).scale(omega.scale)
-        if reduce_constraints:
-            body = constraint_reduce(body, plane)
-        columns.append(body)
-    omega._columns_cache[key] = columns, variables
-    return columns, variables
+        columns.append(sys.normal_form(body).scale(omega.scale))
+    reduced = [constraint_reduce(col, plane) for col in columns]
+    rref, pivots = _rref_columns(reduced, sys)
+    kernel = tuple(_kernel_vector(rref, pivots, fc, variables)
+                   for fc in range(len(variables)) if fc not in pivots)
+    system = _HamiltonianSystem(variables, columns, reduced, kernel)
+    omega._systems[max_degree] = system
+    return system
 
 
 def _rref_columns(columns, sys):
@@ -251,35 +263,21 @@ def _rref_columns(columns, sys):
     return rref_rows(matrix) if rows else ([], [])
 
 
-def _solve_columns(columns, target, sys):
-    """Solve sum_p t_p * columns[p] == target by rref of [columns | target].
+def _solve_columns(columns, targets, sys):
+    """Solve sum_p t_p * columns[p] == b for each b of ``targets`` by one
+    rref of [columns | targets].
 
-    Returns the nonzero (p, t_p) of the solution with every free unknown
-    zero, in pivot order, or None when the system is inconsistent.
+    Returns one list per target of the nonzero (p, t_p) of the solution
+    with every free unknown zero, in pivot order, or None when any target
+    is out of reach.
     """
-    reduced, pivots = _rref_columns(columns + [target], sys)
+    reduced, pivots = _rref_columns(columns + targets, sys)
     last = len(columns)
-    if last in pivots:
+    if pivots and pivots[-1] >= last:
         return None
-    return [(p, reduced[r][last]) for r, p in enumerate(pivots)
-            if not reduced[r][last].is_zero()]
-
-
-def _kernel_basis(plane, omega, max_degree):
-    """Kernel of the Hamiltonian system's map, one tuple per degree bound.
-
-    It is the same for every Hamiltonian: when [A | b] is consistent, its
-    rref restricted to A is rref(A).  Every report shares the tuple.
-    """
-    kernel = omega._kernel_cache.get(max_degree)
-    if kernel is None:
-        columns, variables = _contraction_matrix(plane, omega, max_degree,
-                                                 reduce_constraints=True)
-        reduced, pivots = _rref_columns(columns, plane.system)
-        kernel = tuple(_kernel_vector(reduced, pivots, fc, variables)
-                       for fc in range(len(variables)) if fc not in pivots)
-        omega._kernel_cache[max_degree] = kernel
-    return kernel
+    return [[(p, reduced[r][b]) for r, p in enumerate(pivots)
+             if not reduced[r][b].is_zero()]
+            for b in range(last, last + len(targets))]
 
 
 def _kernel_vector(reduced, pivots, free_col, variables):
@@ -299,77 +297,52 @@ def _kernel_vector(reduced, pivots, free_col, variables):
 # Hamiltonian vector fields
 # ---------------------------------------------------------------------------
 
-class SolveReport:
-    """Solution set of X ~| omega = -df within a coefficient-degree bound.
-
-    ``kernel_basis`` is the tuple every report at this degree bound shares.
-    """
-
-    def __init__(self, status, particular, kernel_basis, degree_bound):
-        self.status = status  # "unique" | "family" | "none"
-        self.particular = particular
-        self.kernel_basis = kernel_basis
-        self.degree_bound = degree_bound
-
-    def __repr__(self):
-        return (f"SolveReport({self.status}, kernel_dim="
-                f"{len(self.kernel_basis)}, degree<={self.degree_bound})")
+# Solution set of X~|omega = -df within a coefficient-degree bound:
+# ``status`` is "unique", "family" or "none", and ``kernel_basis`` is the
+# tuple every report at this degree bound shares.
+SolveReport = namedtuple("SolveReport",
+                         "status particular kernel_basis degree_bound")
 
 
 def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
                              plane, max_degree: int = 1) -> SolveReport:
     """Solve the defining linear system of the Hamiltonian field of f.
 
-    Degree-inhomogeneous inputs are solved per homogeneous component (the
-    system is linear in f and the quotient bookkeeping is graded) and the
-    particulars are summed.
+    One elimination of [reduced | targets] per f, with one target -df_n
+    for each homogeneous component f_n of f.  The rref particular (free
+    unknowns zero) is linear in the target, so the particulars sum to the
+    one of -df.  Each target column is kept homogeneous because a scalar
+    holds one power of the sphere's radius symbol, so a row operation on
+    a column that mixes degrees there can fail to add.
     """
     sys = plane.system
     if not f.is_pure(COORD):
         raise SympError("hamiltonian_vector_field expects a pure "
                         "coordinate element")
     f = sys.normal_form(f)
+    system = _system(omega, plane, max_degree)
+    targets = []
+    for n in sorted({len(w) for w in f.terms}):
+        part = AlgebraElement({w: c for w, c in f.terms.items()
+                               if len(w) == n})
+        target = sys.normal_form(qcalc.d_function(part, sys).body)
+        targets.append(constraint_reduce(target, plane).scale(
+            scalar.MINUS_ONE))
+    solutions = _solve_columns(system.reduced, targets, sys)
+    if solutions is None:
+        return SolveReport("none", None, (), max_degree)
     particular = VectorField()
-    for component in _degree_components(f):
-        part = _solve_component(component, omega, plane, max_degree)
-        if part is None:
-            return SolveReport("none", None, (), max_degree)
-        particular = particular + part
-    kernel = _kernel_basis(plane, omega, max_degree)
+    for solution in solutions:
+        for p, v in solution:
+            j, w = system.variables[p]
+            particular = particular + VectorField.basis(
+                j, AlgebraElement.from_word(w, v))
+    kernel = system.kernel
     if kernel:
         particular = _prefer_conserving(f, particular, kernel, plane)
     status = "unique" if not kernel else "family"
-    report = SolveReport(status, particular, kernel, max_degree)
     _check_residual(f, particular, omega, plane)
-    return report
-
-
-def _degree_components(f: AlgebraElement):
-    by_degree = {}
-    for w, c in f.terms.items():
-        by_degree.setdefault(len(w), AlgebraElement.zero())
-        by_degree[len(w)] = by_degree[len(w)] + AlgebraElement.from_word(w, c)
-    return [by_degree[d] for d in sorted(by_degree)]
-
-
-def _solve_component(f: AlgebraElement, omega: SymplecticForm, plane,
-                     max_degree: int):
-    """A particular solution for one homogeneous component, or None."""
-    sys = plane.system
-    columns, variables = _contraction_matrix(plane, omega, max_degree,
-                                             reduce_constraints=True)
-    target = qcalc.d_function(f, sys).body
-    target = constraint_reduce(sys.normal_form(target), plane).scale(
-        scalar.MINUS_ONE)
-    solution = _solve_columns(columns, target, sys)
-    if solution is None:
-        return None
-    particular = VectorField()
-    for p, v in solution:
-        j, w = variables[p]
-        particular = particular + VectorField.basis(
-            j, AlgebraElement.from_word(w, v))
-    return particular
+    return SolveReport(status, particular, kernel, max_degree)
 
 
 def _prefer_conserving(f, particular, kernel, plane):
@@ -386,11 +359,11 @@ def _prefer_conserving(f, particular, kernel, plane):
     if base.is_zero():
         return particular
     actions = [qcalc.apply_field(z, f_nf, sys) for z in kernel]
-    solution = _solve_columns(actions, -base, sys)
-    if solution is None:
+    solutions = _solve_columns(actions, [-base], sys)
+    if solutions is None:
         return particular  # inconsistent: no conserving representative
     shifted = particular
-    for p, t in solution:
+    for p, t in solutions[0]:
         shifted = shifted + kernel[p].scale(t)
     return shifted
 

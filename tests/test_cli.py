@@ -227,6 +227,24 @@ def test_scalar_power_by_squaring(capsys):
     assert (code, out) == (0, "s^8000 * x\n")
 
 
+@pytest.mark.parametrize("expression", ["(x+y)^16", "(x+y+D(x)+d(y))^9"])
+def test_free_expansion_over_the_cap_exits_2(capsys, expression):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nf", "--plane", "gl2", expression)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith("error: expanding the product would make "
+                               f"more than {scalar.MAX_TERMS} words")
+
+
+def test_free_expansion_within_the_cap_is_unchanged(capsys):
+    code, out, _ = run(capsys, "nf", "--plane", "gl2", "(x+y)^3")
+    assert (code, out) == (0, "x*x*x + (1 + s^-2 + s^-4) * x*x*y + "
+                              "(1 + s^-2 + s^-4) * x*y*y + y*y*y\n")
+
+
 @pytest.mark.parametrize("where", ["element", "document"])
 def test_power_over_the_cap_exits_2(tmp_path, where):
     big = f"q^{scalar.MAX_EXPONENT + 1}"
@@ -366,6 +384,70 @@ def test_classical_limit_is_the_documents_own(tmp_path, capsys):
         planes.builtin_plane("gl2").parse("y*x - 1/2*x*y")).is_zero()
 
 
+def test_twisted_gl2_document_verifies(tmp_path, capsys):
+    # the twisted matrix of the test above under its own name: no classical
+    # limit is asked for, and its calculus is confluent
+    doc = {"name": "gl2-twisted", "dimension": 2, "generators": ["x", "y"],
+           "family": "A", "q": "generic",
+           "r_matrix": [["q", "0", "0", "0"], ["0", "q - q^-1", "2", "0"],
+                        ["0", "1/2", "0", "0"], ["0", "0", "0", "q"]]}
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path))
+    assert code == 0, err
+    assert "PASS relations/confluence: 200 random words, 216 overlap " \
+           "words, 0 mismatches" in out
+
+
+def _sphere_with(**changes):
+    doc = json.loads(planes.serialize_plane(
+        planes.builtin_plane("sphere_qm1")))
+    doc.update(changes)
+    return doc
+
+
+def _gl2_with(**changes):
+    doc = json.loads(planes.serialize_plane(planes.builtin_plane("gl2")))
+    doc.update(changes)
+    return doc
+
+
+def test_renamed_gl2_generators_verify(tmp_path, capsys):
+    # the paper's tables are written in x, y: a plane named gl2 with other
+    # generator names and its own form is not diffed against them
+    doc = _gl2_with(generators=["a", "b"],
+                    symplectic={"form": "d(a)*d(b)", "scale": "1"})
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path))
+    assert code == 0, out + err
+    assert "hamiltonian/field-fixtures" not in out
+
+
+@pytest.mark.parametrize("doc,applies", [
+    (_gl2_with(name="renamed"), True),
+    (_gl2_with(symplectic={"form": "d(x) * d(y)", "scale": "2/2"}), True),
+    (_gl2_with(symplectic={"form": "2*d(x)*d(y)", "scale": "1"}), False),
+    (_sphere_with(name="renamed"), True),
+    (_sphere_with(quotient={"central": "2*(" + fixtures.SPHERE_CENTRAL + ")",
+                            "symbol": "rho"}), False),
+], ids=["gl2-renamed", "gl2-same-form", "gl2-scaled-form", "sphere-renamed",
+        "sphere-scaled-radius"])
+def test_hamiltonian_tables_follow_the_plane_not_its_name(tmp_path, capsys,
+                                                          doc, applies):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                         "hamiltonian", "--format", "json")
+    assert code == 0, err
+    statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    tables = {"hamiltonian/field-fixtures", "hamiltonian/bracket-fixtures"}
+    if applies:
+        assert {statuses[name] for name in tables} == {"pass"}
+    else:
+        assert not tables & set(statuses)
+
+
 def test_symplectic_form_without_braiding_is_reported(tmp_path):
     doc = json.loads(planes.serialize_plane(planes.builtin_plane("orth3")))
     doc["symplectic"] = {"form": "d(x+)*d(x-)", "scale": "1"}
@@ -387,19 +469,16 @@ def test_symplectic_form_without_braiding_is_reported(tmp_path):
     assert lines[-1].startswith("16 checks, 3 failed, 1 findings")
 
 
-def test_unsolved_fixture_field_fails_the_bracket_check(tmp_path, capsys):
-    # x*x*d(x)*d(y) has no Hamiltonian field of x within degree 1, and the
-    # name gl2 selects the gl2 field and bracket tables
-    doc = json.loads(planes.serialize_plane(planes.builtin_plane("gl2")))
-    doc["symplectic"] = {"form": "x*x*d(x)*d(y)", "scale": "1"}
-    path = tmp_path / "gl2_degenerate.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
-                         "hamiltonian", "--format", "json")
+def test_unsolved_fixture_field_fails_the_bracket_check(capsys):
+    # the sphere's fields have degree-1 coefficients, so none is found
+    # within degree 0, and the sphere's field and bracket tables apply
+    code, out, err = run(capsys, "verify", "--plane", "sphere_qm1",
+                         "--suite", "hamiltonian", "--degree", "0",
+                         "--format", "json")
     assert code == 1, err
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
-    assert checks["hamiltonian/solve-x"]["status"] == "fail"
+    assert checks["hamiltonian/solve-x+"]["status"] == "fail"
     assert checks["hamiltonian/field-fixtures"]["status"] == "fail"
     bracket = checks["hamiltonian/bracket-fixtures"]
     assert bracket["status"] == "fail"
-    assert "[x,y]: no field for x" in bracket["detail"]
+    assert "[x+,x-]: no field for x+" in bracket["detail"]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qplane import fixtures, planes, qcalc, scalar, symp
+from qplane import cli, fixtures, planes, qcalc, scalar, symp
 from qplane.linalg import rref_rows
 from qplane.ncalg import DIFF, AlgebraElement, gen
 from qplane.qcalc import TensorForm, VectorField, WedgeForm, one_form_body
@@ -251,8 +251,8 @@ def test_missing_symplectic_form():
 def _augmented_kernel(f, omega, plane, max_degree):
     """Reference: the kernel basis read off rref([A | b]) for one f."""
     sys = plane.system
-    columns, variables = symp._contraction_matrix(
-        plane, omega, max_degree, reduce_constraints=True)
+    system = symp._system(omega, plane, max_degree)
+    columns, variables = system.reduced, system.variables
     target = qcalc.d_function(sys.normal_form(f), sys).body
     target = constraint_reduce(sys.normal_form(target), plane).scale(
         scalar.MINUS_ONE)
@@ -330,3 +330,100 @@ def test_one_pass_span_reduction_matches_restart_loop(monkeypatch):
         got = one_pass(e, spans[key], sys)
         assert got == _reduce_by_restarts(e, spans[key], sys)
         assert not any(w in spans[key] for w in got.terms)
+
+
+def _per_component_reference(f, omega, plane, max_degree):
+    """Reference: solve each homogeneous component of f on its own and sum.
+
+    Returns (status, particular, kernel) as a report states them.
+    """
+    sys = plane.system
+    system = symp._system(omega, plane, max_degree)
+    columns, variables = system.reduced, system.variables
+    f = sys.normal_form(f)
+    particular = VectorField()
+    for n in sorted({len(w) for w in f.terms}):
+        part = AlgebraElement({w: c for w, c in f.terms.items()
+                               if len(w) == n})
+        target = qcalc.d_function(part, sys).body
+        target = constraint_reduce(sys.normal_form(target), plane).scale(
+            scalar.MINUS_ONE)
+        rows = sorted({w for col in columns for w in col.terms}
+                      | set(target.terms), key=sys.word_key)
+        matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
+                  + [target.terms.get(w, scalar.ZERO)] for w in rows]
+        reduced, pivots = rref_rows(matrix) if rows else ([], [])
+        if len(variables) in pivots:
+            return "none", None, ()
+        for r, p in enumerate(pivots):
+            j, w = variables[p]
+            particular = particular + VectorField.basis(
+                j, AlgebraElement.from_word(w, reduced[r][-1]))
+    kernel = _augmented_kernel(AlgebraElement.zero(), omega, plane,
+                               max_degree)
+    if kernel:
+        particular = symp._prefer_conserving(f, particular, kernel, plane)
+    return ("family" if kernel else "unique"), particular, tuple(kernel)
+
+
+def _mixed_hamiltonian(rng, names):
+    terms = []
+    for _ in range(rng.randint(2, 3)):
+        word = "*".join(rng.choice(names) for _ in range(rng.randint(0, 3)))
+        terms.append(f"({rng.randint(-3, 3)} + {rng.randint(-2, 2)}*i)*"
+                     f"{word or '1'}")
+    return " + ".join(terms)
+
+
+# sphere Hamiltonians whose components reach rows of different powers of
+# rho: -df summed into one column would need to add those powers
+RHO_MIXING = ("(-2 + i)*x-*x0*x+ + (3 - i)*x0 + (-2 + 2*i)*x-*x-",
+              "(-3 - 2*i)*x0 - 3*x-*x+*x0 - 2*x+")
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("plane,omega,fixed", [
+    (GL2, OMEGA_GL2, ()), (SPHERE, OMEGA_SPHERE, RHO_MIXING)],
+    ids=["gl2", "sphere_qm1"])
+def test_one_solve_matches_per_component_reference(plane, omega, fixed,
+                                                   degree):
+    rng = random.Random(9000 + degree)
+    drawn = [_mixed_hamiltonian(rng, plane.generator_names)
+             for _ in range(12)]
+    for text in list(fixed) + drawn:
+        try:
+            want = _per_component_reference(plane.parse(text), omega, plane,
+                                            degree)
+        except scalar.ScalarError:
+            # mixed powers of rho do not add yet (ROADMAP item 1)
+            with pytest.raises(scalar.ScalarError):
+                hamiltonian_vector_field(plane.parse(text), omega, plane,
+                                         degree)
+            code = 2
+        else:
+            got = hamiltonian_vector_field(plane.parse(text), omega, plane,
+                                           degree)
+            assert (got.status, got.particular, got.kernel_basis) == want, \
+                text
+            code = 1 if want[0] == "none" else 0
+        argv = ["hamvec", "--plane", plane.name, "--degree", str(degree),
+                text]
+        assert cli.main(argv) == code, text
+
+
+def test_nondegeneracy_and_solve_contract_each_variable_once(monkeypatch):
+    calls = []
+    contract = qcalc.contract
+
+    def counted(field, tensor, sys):
+        calls.append(field)
+        return contract(field, tensor, sys)
+
+    monkeypatch.setattr(qcalc, "contract", counted)
+    omega = symplectic_form(SPHERE)
+    assert is_nondegenerate(omega, SPHERE, 2)[0]
+    variables = symp._system(omega, SPHERE, 2).variables
+    assert len(calls) == len(variables)
+    hamiltonian_vector_field(SPHERE.parse("x0"), omega, SPHERE, 2)
+    # the residual check contracts the solved field once
+    assert len(calls) == len(variables) + 1
