@@ -320,16 +320,8 @@ def clear_denominators(m: LegMatrix):
     by side with the matching power of c (Q*Q == Q becomes M*M == c*M).
     The check on c*m is thus the same exact proof, not a sample.
     """
-    c = scalar.POLY_ONE
-    for den in {v.den for v in m.entries.values()}:
-        cofactor, _ = scalar.poly_divmod(den, scalar.poly_gcd(c, den))
-        c = scalar.poly_mul(c, cofactor)
-    out = LegMatrix(m.base_dim, m.legs)
-    for rc, v in m.entries.items():
-        num = scalar.poly_mul(v.num, scalar.poly_divmod(c, v.den)[0])
-        out.entries[rc] = Scalar(num, scalar.POLY_ONE, v.aux,
-                                 _canonical=True)
-    return out, Scalar(c, _canonical=True)
+    values, c = scalar.clear_denominators(list(m.entries.values()))
+    return LegMatrix(m.base_dim, m.legs, dict(zip(m.entries, values))), c
 
 
 def gamma_condition(d: LegMatrix, gamma: LegMatrix) -> bool:

@@ -6,11 +6,12 @@ Laurent monomial in auxiliary central symbols (``rho`` for the squared
 sphere radius).  The deformation parameter is always q = s^2, so that
 half-integer powers of q are ordinary powers of s.
 
-Canonical form of a :class:`GaussRational`: Gaussian integers a, b over
-one integer d, (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1.  Arithmetic
-is plain ``int`` arithmetic plus one ``math.gcd``; ``fractions.Fraction``
-appears only at the parse and print boundaries (``GaussRational(re, im)``
-accepts Fractions, ``.re`` and ``.im`` read as Fractions).
+A polynomial in s is one flat tuple of ints ``(d, a0, b0, ..., an, bn)``:
+coefficient k is (a_k + b_k*i)/d, with d > 0, gcd(d, all a, b) = 1 and no
+trailing zero pair; ``()`` is zero.  The kernels (``poly_*``) run on plain
+ints and end in one ``math.gcd``; no other module sees this layout.
+:class:`GaussRational` ((a + b*i)/d, the same invariants) is the boundary
+type of parsing, printing, specialization and ``Scalar.constant_value``.
 
 Canonical form of a :class:`Scalar`:
 
@@ -20,7 +21,8 @@ Canonical form of a :class:`Scalar`:
 * auxiliary exponents are sorted by symbol name.
 
 Structural equality of canonical forms is field equality, so zero-testing
-is a dictionary lookup away everywhere else in the engine.
+is a dictionary lookup away everywhere else in the engine, and equality
+and hashing compare tuples of ints.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class ParseError(ScalarError):
 class GaussRational:
     """A number (a + b*i)/d with integers a, b, d, d > 0, gcd(a, b, d) = 1."""
 
-    __slots__ = ("a", "b", "d", "_hash")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
         if type(re) is int and type(im) is int:
@@ -62,7 +64,6 @@ class GaussRational:
             self.a = re.numerator * (d // re.denominator)
             self.b = im.numerator * (d // im.denominator)
             self.d = d
-        self._hash = None
 
     @property
     def re(self) -> Fraction:
@@ -73,14 +74,7 @@ class GaussRational:
         return Fraction(self.b, self.d)
 
     def __hash__(self):
-        if self._hash is None:
-            # the hash of the pair of Fractions (re, im); Fraction(n, 1)
-            # hashes like n
-            if self.d == 1:
-                self._hash = hash((self.a, self.b))
-            else:
-                self._hash = hash((self.re, self.im))
-        return self._hash
+        return hash((self.re, self.im))
 
     def __eq__(self, other):
         if not isinstance(other, GaussRational):
@@ -92,33 +86,19 @@ class GaussRational:
 
     def __add__(self, other):
         d1, d2 = self.d, other.d
-        if d1 == d2:
-            if d1 == 1:
-                return _gr(self.a + other.a, self.b + other.b, 1)
-            return _gr_reduced(self.a + other.a, self.b + other.b, d1)
         return _gr_reduced(self.a * d2 + other.a * d1,
                            self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other):
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            if d1 == 1:
-                return _gr(self.a - other.a, self.b - other.b, 1)
-            return _gr_reduced(self.a - other.a, self.b - other.b, d1)
-        return _gr_reduced(self.a * d2 - other.a * d1,
-                           self.b * d2 - other.b * d1, d1 * d2)
+        return self + -other
 
     def __neg__(self):
-        return _gr(-self.a, -self.b, self.d)
+        return _gr_reduced(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        a = a1 * a2 - b1 * b2
-        b = a1 * b2 + b1 * a2
-        d = self.d * other.d
-        if d == 1:
-            return _gr(a, b, 1)
-        return _gr_reduced(a, b, d)
+        return _gr_reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                           self.d * other.d)
 
     def inverse(self):
         a, b = self.a, self.b
@@ -154,24 +134,12 @@ class GaussRational:
             raise ScalarError("a coefficient is too long to print")
 
 
-def _gr(a, b, d) -> GaussRational:
-    # internal constructor: (a, b, d) is canonical already
-    out = GaussRational.__new__(GaussRational)
-    out.a = a
-    out.b = b
-    out.d = d
-    out._hash = None
-    return out
-
-
 def _gr_reduced(a, b, d) -> GaussRational:
     # internal constructor: d > 0; divides out gcd(a, b, d)
     g = math.gcd(a, b, d)
-    if g != 1:
-        a //= g
-        b //= g
-        d //= g
-    return _gr(a, b, d)
+    out = GaussRational.__new__(GaussRational)
+    out.a, out.b, out.d = a // g, b // g, d // g
+    return out
 
 
 GR_ZERO = GaussRational(0)
@@ -180,127 +148,178 @@ GR_I = GaussRational(0, 1)
 
 
 def _gr_sqrt(value: GaussRational):
-    """Square root of a Gaussian rational inside Q(i), or None."""
+    """Square root of a Gaussian rational inside Q(i), or None.
 
-    def _frac_sqrt(f):
-        if f < 0:
-            return None
-        p, q = f.numerator, f.denominator
-        rp, rq = _isqrt(p), _isqrt(q)
-        if rp is None or rq is None:
-            return None
-        return Fraction(rp, rq)
-
-    def _isqrt(n):
-        r = math.isqrt(n)
-        return r if r * r == n else None
-
-    c, d = value.re, value.im
-    if not d:
-        r = _frac_sqrt(c)
-        if r is not None:
-            return GaussRational(r)
-        r = _frac_sqrt(-c)
-        if r is not None:
-            return GaussRational(0, r)
+    The root is (x + y*i)/d for the Gaussian integer root x + y*i of
+    (a + b*i)*d, which exists when there is a root at all; x >= 0, and
+    y >= 0 when x == 0.
+    """
+    a, b = value.a * value.d, value.b * value.d
+    n = math.isqrt(a * a + b * b)  # |x + y*i|^2
+    if n * n != a * a + b * b:
         return None
-    # (a+bi)^2 = c+di: a^2 = (c + |z|)/2 with |z| = sqrt(c^2+d^2)
-    norm = _frac_sqrt(c * c + d * d)
-    if norm is None:
+    x, y = math.isqrt((n + a) // 2), math.isqrt((n - a) // 2)
+    if b < 0:
+        y = -y
+    if x * x - y * y != a or 2 * x * y != b:
         return None
-    a2 = (c + norm) / 2
-    a = _frac_sqrt(a2)
-    if a is None or not a:
-        return None
-    b = d / (2 * a)
-    return GaussRational(a, b)
+    return _gr_reduced(x, y, value.d)
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in s over the Gaussian rationals
+# Polynomials in s over the Gaussian rationals: (d, a0, b0, ..., an, bn)
 # ---------------------------------------------------------------------------
-# A polynomial is a tuple of GaussRational coefficients in ascending degree
-# with a nonzero last entry; () is the zero polynomial.
-
-def poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
-
 
 POLY_ZERO = ()
-POLY_ONE = (GR_ONE,)
-POLY_S = (GR_ZERO, GR_ONE)
+POLY_ONE = (1, 1, 0)
+POLY_S = (1, 0, 0, 1, 0)
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        x = a[k] if k < len(a) else GR_ZERO
-        y = b[k] if k < len(b) else GR_ZERO
-        out.append(x + y)
-    return poly_trim(out)
-
-
-def poly_neg(a):
-    return tuple(-c for c in a)
-
-
-def poly_mul(a, b):
-    if not a or not b:
+def _canon(out):
+    """Canonical tuple of a flat list [d, a0, b0, ...] with d != 0."""
+    n = len(out)
+    while n > 1 and not out[n - 1] and not out[n - 2]:
+        n -= 2
+    if n == 1:
         return POLY_ZERO
-    out = [GR_ZERO] * (len(a) + len(b) - 1)
-    for j, x in enumerate(a):
-        if not x:
+    del out[n:]
+    if out[0] < 0:
+        out = [-x for x in out]
+    if out[0] != 1:
+        g = math.gcd(*out)
+        if g != 1:
+            return tuple([x // g for x in out])
+    return tuple(out)
+
+
+def _join(d, re, im):
+    """Canonical polynomial with coefficients (re[k] + im[k]*i)/d."""
+    out = [d] * (2 * len(re) + 1)
+    out[1::2] = re
+    out[2::2] = im
+    return _canon(out)
+
+
+def poly_coeffs(p):
+    """The GaussRational coefficients of p, ascending degree."""
+    return [_gr_reduced(p[k], p[k + 1], p[0]) for k in range(1, len(p), 2)]
+
+
+def poly_add(p, q):
+    if not p or not q:
+        return p or q
+    if p[0] != q[0]:
+        d = math.lcm(p[0], q[0])
+        p, q = [x * (d // p[0]) for x in p], [x * (d // q[0]) for x in q]
+    if len(p) < len(q):
+        p, q = q, p
+    return _canon([p[0], *[x + y for x, y in zip(p[1:], q[1:])],
+                   *p[len(q):]])
+
+
+def poly_neg(p):
+    return (p[0], *[-x for x in p[1:]]) if p else p
+
+
+def poly_mul(p, q):
+    if not p or not q:
+        return POLY_ZERO
+    pa, pb, qa, qb = p[1::2], p[2::2], q[1::2], q[2::2]
+    n = len(pa) + len(qa) - 1
+    ra, rb = [0] * n, [0] * n
+    for j, (x, y) in enumerate(zip(pa, pb)):
+        if x or y:  # monomials such as q = s^2 are mostly zero rows
+            for k, (u, v) in enumerate(zip(qa, qb), j):
+                ra[k] += x * u - y * v
+                rb[k] += x * v + y * u
+    return _join(p[0] * q[0], ra, rb)
+
+
+def _scale(p, a, b=0, d=1):
+    """p times the nonzero constant (a + b*i)/d."""
+    if b:
+        xs, ys = p[1::2], p[2::2]
+        return _join(p[0] * d, [x * a - y * b for x, y in zip(xs, ys)],
+                     [x * b + y * a for x, y in zip(xs, ys)])
+    out = [x * a for x in p]
+    out[0] = p[0] * d
+    return _canon(out)
+
+
+def _unit(p):
+    """(a, b, c) with p times (a + b*i)/c monic; p is nonzero."""
+    d, la, lb = p[0], p[-2], p[-1]
+    if lb:
+        return d * la, -d * lb, la * la + lb * lb
+    return d, 0, la
+
+
+def _pseudo_divide(p, q):
+    """(scale, ua, ub, ra, rb) with scale*P == U*Q + R on the integers P
+    and Q of p and q; the leading integer m of q is real, scale a power
+    of m, U = ua + ub*i and R = ra + rb*i of degree below that of Q."""
+    m = q[-2]
+    qa, qb = q[1::2], q[2::2]
+    ra, rb = list(p[1::2]), list(p[2::2])
+    n = len(qa) - 1
+    ua, ub = [0] * (len(ra) - n), [0] * (len(ra) - n)
+    scale = 1
+    for k in range(len(ra) - n - 1, -1, -1):
+        ca, cb = ra[k + n], rb[k + n]
+        if not (ca or cb):
             continue
-        for k, y in enumerate(b):
-            if y:
-                out[j + k] = out[j + k] + x * y
-    return poly_trim(out)
+        if m != 1:
+            scale *= m
+            ra, rb = [x * m for x in ra], [x * m for x in rb]
+            ua, ub = [x * m for x in ua], [x * m for x in ub]
+        ua[k], ub[k] = ca, cb
+        for j, (x, y) in enumerate(zip(qa, qb), k):
+            ra[j] -= ca * x - cb * y
+            rb[j] -= ca * y + cb * x
+    return scale, ua, ub, ra[:n], rb[:n]
 
 
-def poly_scale(a, c):
-    if not c:
-        return POLY_ZERO
-    return tuple(x * c for x in a)
-
-
-def poly_divmod(a, b):
-    if not b:
+def poly_divmod(p, q):
+    """(quotient, remainder) of p by q over Q(i)."""
+    if not q:
         raise ScalarError("polynomial division by zero")
-    rem = list(a)
-    quot = [GR_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
-    for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1] * inv_lead
-        if not c:
-            continue
-        quot[shift] = c
-        for k, y in enumerate(b):
-            rem[shift + k] = rem[shift + k] - c * y
-    return poly_trim(quot), poly_trim(rem)
+    if len(p) < len(q):
+        return POLY_ZERO, p
+    if q[-1]:
+        # the quotient by q*conj(m), m the leading integer of q, is the
+        # quotient by q over conj(m); the remainder is the same
+        m, mb = q[-2], q[-1]
+        quot, rem = poly_divmod(p, _scale(q, m, -mb))
+        return _scale(quot, m, -mb), rem
+    scale, ua, ub, ra, rb = _pseudo_divide(p, q)
+    d, dq = p[0] * scale, q[0]
+    return (_join(d, [x * dq for x in ua], [x * dq for x in ub]),
+            _join(d, ra, rb))
 
 
-def poly_gcd(a, b):
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return POLY_ZERO
-    return poly_scale(a, a[-1].inverse())  # monic
+def poly_gcd(p, q):
+    """Monic gcd over Q(i) by pseudo-remainders.  They are kept up to
+    nonzero constants: each divisor gets a real leading integer, then
+    denominator 1 and coprime integers."""
+    while q:
+        if q[-1]:
+            q = _scale(q, q[-2], -q[-1])
+        g = math.gcd(*q[1:])
+        q = (1, *[x // g for x in q[1:]])
+        _, _, _, ra, rb = _pseudo_divide(p, q)
+        p, q = q, _join(1, ra, rb)
+    return _scale(p, *_unit(p)) if p else POLY_ZERO
 
 
-def poly_eval(a, x: GaussRational):
-    acc = GR_ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def poly_str(a):
-    return _laurent_str(a, 0) if a else "0"
+def poly_eval(p, x: GaussRational) -> GaussRational:
+    """p at s = x, by Horner's rule on the integers over x.d^deg(p)."""
+    ra = rb = 0
+    w = 1
+    for k in range(len(p) - 2, 0, -2):
+        ra, rb = (ra * x.a - rb * x.b + p[k] * w,
+                  ra * x.b + rb * x.a + p[k + 1] * w)
+        w *= x.d
+    return _gr_reduced(ra, rb, p[0] * w // x.d) if p else GR_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -310,35 +329,44 @@ def poly_str(a):
 MAX_EXPONENT = 10_000
 """Cap on a power ``x ** e``: |e| times the weight of x may not exceed it.
 
-The weight is the largest of 1, the degree of x in s and the bit length of
-the largest integer in its coefficients.  A power within the cap has degree
-at most 10^4 in s and coefficients of at most a few times 10^4 bits, so a
-short input cannot ask for an unbounded result.  The squarings are
-schoolbook products, so a dense base of high degree can still take seconds.
+The weight is the largest of 1, the degrees in s of the numerator and
+denominator of x, and the bit length of the largest integer in their
+coefficients, each coefficient (a + b*i)/d taken in lowest terms.  A power
+within the cap has degree at most 10^4 in s and coefficients of at most a
+few times 10^4 bits, so a short input cannot ask for an unbounded result.
+The squarings are schoolbook products, so a dense base of high degree can
+still take seconds.
 """
+
+
+def _coeff_bits(p):
+    """Bit length of the largest integer of a coefficient of p in lowest
+    terms (0 for the zero polynomial)."""
+    out = 0
+    for a, b in zip(p[1::2], p[2::2]):
+        g = math.gcd(a, b, p[0])
+        out = max(out, (a // g).bit_length(), (b // g).bit_length(),
+                  (p[0] // g).bit_length())
+    return out
+
 
 class Scalar:
     """Canonical reduced rational function in s with an auxiliary monomial."""
 
     __slots__ = ("num", "den", "aux", "_hash")
 
-    def __init__(self, num, den=POLY_ONE, aux=(), _canonical=False):
-        if _canonical:
-            self.num, self.den, self.aux = num, den, aux
-        else:
-            num, den, aux = _canonicalize(num, den, aux)
-            self.num, self.den, self.aux = num, den, aux
+    def __init__(self, num, den=POLY_ONE, aux=()):
+        """num/den times aux, for canonical polynomials num and den != ()."""
+        self.num, self.den, self.aux = _canonicalize(num, den, aux)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_rational(value) -> "Scalar":
-        return Scalar((GaussRational(value),) if Fraction(value) else POLY_ZERO)
-
-    @staticmethod
     def from_gauss(value: GaussRational) -> "Scalar":
-        return Scalar((value,) if value else POLY_ZERO)
+        if not value:
+            return ZERO
+        return _scalar((value.d, value.a, value.b), POLY_ONE, ())
 
     # -- canonical-form queries ---------------------------------------------
 
@@ -347,12 +375,12 @@ class Scalar:
 
     def is_constant(self):
         """Free of s (auxiliary monomial allowed)."""
-        return len(self.num) <= 1 and self.den == POLY_ONE
+        return len(self.num) <= 3 and self.den == POLY_ONE
 
     def constant_value(self) -> GaussRational:
         if not self.is_constant() or self.aux:
             raise ScalarError(f"not a plain constant: {self}")
-        return self.num[0] if self.num else GR_ZERO
+        return poly_coeffs(self.num)[0] if self.num else GR_ZERO
 
     def __hash__(self):
         if self._hash is None:
@@ -362,11 +390,8 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (
-            self.num == other.num
-            and self.den == other.den
-            and self.aux == other.aux
-        )
+        return (self.num == other.num and self.den == other.den
+                and self.aux == other.aux)
 
     def __bool__(self):
         return bool(self.num)
@@ -374,42 +399,45 @@ class Scalar:
     # -- field operations ----------------------------------------------------
 
     def __add__(self, other):
-        if self.is_zero():
+        if not self.num:
             return other
-        if other.is_zero():
+        if not other.num:
             return self
         if self.aux != other.aux:
             raise ScalarError(
                 "cannot add scalars with different auxiliary monomials: "
                 f"{self} and {other}"
             )
-        if self.den == POLY_ONE and other.den == POLY_ONE:
+        if self.den == other.den:
             num = poly_add(self.num, other.num)
             if not num:
                 return ZERO
-            return Scalar(num, POLY_ONE, self.aux, _canonical=True)
+            if self.den == POLY_ONE:
+                return _scalar(num, POLY_ONE, self.aux)
+            return Scalar(num, self.den, self.aux)
         num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
         den = poly_mul(self.den, other.den)
         return Scalar(num, den, self.aux)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if other.num else self
 
     def __neg__(self):
-        return Scalar(poly_neg(self.num), self.den, self.aux, _canonical=True)
+        if not self.num:
+            return self
+        return _scalar(poly_neg(self.num), self.den, self.aux)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
+        if not self.num or not other.num:
             return ZERO
         num = poly_mul(self.num, other.num)
         aux = _aux_mul(self.aux, other.aux)
         if self.den == POLY_ONE and other.den == POLY_ONE:
-            return Scalar(num, POLY_ONE, aux, _canonical=True)
-        den = poly_mul(self.den, other.den)
-        return Scalar(num, den, aux)
+            return _scalar(num, POLY_ONE, aux)
+        return Scalar(num, poly_mul(self.den, other.den), aux)
 
     def inverse(self):
-        if self.is_zero():
+        if not self.num:
             raise ScalarError("division by zero")
         aux = tuple((sym, -e) for sym, e in self.aux)
         return Scalar(self.den, self.num, aux)
@@ -419,9 +447,8 @@ class Scalar:
 
     def __pow__(self, e: int):
         """Repeated squaring; refuses powers larger than ``MAX_EXPONENT``."""
-        weight = max(1, len(self.num) - 1, len(self.den) - 1,
-                     *(max(c.a.bit_length(), c.b.bit_length(),
-                           c.d.bit_length()) for c in self.num + self.den))
+        weight = max(1, (len(self.num) - 3) // 2, (len(self.den) - 3) // 2,
+                     _coeff_bits(self.num), _coeff_bits(self.den))
         if abs(e) * weight > MAX_EXPONENT:
             raise ScalarError(f"power with exponent {e} and base weight "
                               f"{weight} exceeds the cap {MAX_EXPONENT}")
@@ -444,8 +471,8 @@ class Scalar:
         if not dv:
             raise ScalarError(f"pole at s = {sp.value}: {self}")
         nv = poly_eval(self.num, sp.value)
-        val = nv / dv
-        return Scalar((val,) if val else POLY_ZERO, POLY_ONE, self.aux if val else ())
+        val = Scalar.from_gauss(nv / dv)
+        return _scalar(val.num, POLY_ONE, self.aux) if val else ZERO
 
     # -- printing --------------------------------------------------------------
 
@@ -456,7 +483,18 @@ class Scalar:
         return f"Scalar({scalar_str(self)!r})"
 
 
+def _scalar(num, den, aux) -> Scalar:
+    # internal constructor: (num, den, aux) is canonical already
+    out = Scalar.__new__(Scalar)
+    out.num, out.den, out.aux, out._hash = num, den, aux, None
+    return out
+
+
 def _aux_mul(a, b):
+    if not b:
+        return a
+    if not a:
+        return b
     exps = dict(a)
     for sym, e in b:
         exps[sym] = exps.get(sym, 0) + e
@@ -464,8 +502,6 @@ def _aux_mul(a, b):
 
 
 def _canonicalize(num, den, aux):
-    num = poly_trim(num)
-    den = poly_trim(den)
     if not den:
         raise ScalarError("zero denominator")
     if not num:
@@ -473,38 +509,50 @@ def _canonicalize(num, den, aux):
     aux = tuple(sorted((s, e) for s, e in aux if e))
     if den == POLY_ONE:
         return num, den, aux
-    if not any(den[:-1]):
+    if not any(den[1:-2]):
         # monomial denominator c*s^k: cancel the s-valuation directly
-        v = 0
-        while not num[v]:
-            v += 1
-        shift = min(v, len(den) - 1)
+        v = 1
+        while not (num[v] or num[v + 1]):
+            v += 2
+        shift = min(v, len(den) - 2) - 1
         if shift:
-            num = num[shift:]
-            den = den[shift:]
+            num = num[:1] + num[1 + shift:]
+            den = den[:1] + den[1 + shift:]
     else:
         g = poly_gcd(num, den)
-        if len(g) > 1:
+        if len(g) > 3:
             num, _ = poly_divmod(num, g)
             den, _ = poly_divmod(den, g)
-    lead = den[-1]
-    if lead != GR_ONE:
-        inv = lead.inverse()
-        num = poly_scale(num, inv)
-        den = poly_scale(den, inv)
+    if den[-1] or den[-2] != den[0]:
+        unit = _unit(den)
+        num = _scale(num, *unit)
+        den = _scale(den, *unit)
     return num, den, aux
+
+
+def clear_denominators(values):
+    """([c*v for v in values], c) with c the monic lcm of their
+    denominators: each c*v is a polynomial in s times its auxiliary
+    monomial."""
+    c = POLY_ONE
+    for den in {v.den for v in values}:
+        cofactor, _ = poly_divmod(den, poly_gcd(c, den))
+        c = poly_mul(c, cofactor)
+    return ([_scalar(poly_mul(v.num, poly_divmod(c, v.den)[0]), POLY_ONE,
+                     v.aux) for v in values],
+            _scalar(c, POLY_ONE, ()))
 
 
 ZERO = Scalar(POLY_ZERO)
 ONE = Scalar(POLY_ONE)
 S = Scalar(POLY_S)
 Q = S * S
-I = Scalar((GR_I,))
-MINUS_ONE = Scalar((-GR_ONE,))
+I = Scalar.from_gauss(GR_I)
+MINUS_ONE = Scalar.from_gauss(-GR_ONE)
 
 
 def from_int(n) -> Scalar:
-    return Scalar.from_rational(n)
+    return Scalar.from_gauss(GaussRational(n))
 
 
 def aux_symbol(name: str, exponent: int = 1) -> Scalar:
@@ -513,9 +561,10 @@ def aux_symbol(name: str, exponent: int = 1) -> Scalar:
 
 def s_power(e: int) -> Scalar:
     """s^e as a Scalar, e may be negative."""
+    mono = (1,) + (0, 0) * abs(e) + (1, 0)
     if e >= 0:
-        return Scalar(poly_trim([GR_ZERO] * e + [GR_ONE]))
-    return Scalar(POLY_ONE, poly_trim([GR_ZERO] * (-e) + [GR_ONE]))
+        return _scalar(mono, POLY_ONE, ())
+    return _scalar(POLY_ONE, mono, ())
 
 
 def q_power(e: int) -> Scalar:
@@ -558,12 +607,9 @@ class Specialization:
 
 def _den_monomial_degree(den):
     """Degree k if den == s^k, else None."""
-    if den[-1] != GR_ONE:
+    if den[0] != 1 or den[-2] != 1 or any(den[1:-2]):
         return None
-    for c in den[:-1]:
-        if c:
-            return None
-    return len(den) - 1
+    return (len(den) - 3) // 2
 
 
 def scalar_str(x: Scalar) -> str:
@@ -573,9 +619,9 @@ def scalar_str(x: Scalar) -> str:
     if k is not None:
         body = _laurent_str(x.num, -k)
     else:
-        num = poly_str(x.num)
-        den = poly_str(x.den)
-        if len(x.num) > 1:
+        num = _laurent_str(x.num, 0)
+        den = _laurent_str(x.den, 0)
+        if len(x.num) > 3:
             num = f"({num})"
         body = f"{num}/({den})"
     if x.aux and (" " in body or "/" in body):
@@ -594,8 +640,9 @@ def scalar_str(x: Scalar) -> str:
 def _laurent_str(num, shift):
     """The Laurent polynomial num * s^shift, highest degree first."""
     terms = []
-    for e in range(len(num) - 1, -1, -1):
-        c = num[e]
+    coeffs = poly_coeffs(num)
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
         if not c:
             continue
         deg = e + shift
@@ -793,9 +840,9 @@ def _parse_atom(toks):
                 d = toks.take_int()
                 if d == 0:
                     raise ParseError("zero denominator", toks.pos)
-                return Scalar.from_rational(Fraction(n, d))
+                return Scalar.from_gauss(GaussRational(Fraction(n, d)))
             toks.pos = save
-        return Scalar.from_rational(n)
+        return from_int(n)
     word = toks.take_word()
     if word == "i":
         return I

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 
@@ -18,16 +20,44 @@ def frt_gl_matrix(n):
     return rows
 
 
+def glq_plane_document(n):
+    """A GL_q(n) plane document for n <= 4, with generators a, b, c, e;
+    no transcribed relation table applies."""
+    return {"name": f"glq{n}", "dimension": n,
+            "generators": list("abce"[:n]), "family": "A",
+            "r_matrix": frt_gl_matrix(n), "q": "generic",
+            "gamma": "r_over_q"}
+
+
+def twisted_glq_document(n, reverse):
+    """A multiparameter GL_q(n) document: R[(i,j),(j,i)] = t and
+    R[(j,i),(i,j)] = 1/t for i < j, with t cycling through 2, 3, 5, 7,
+    in the standard basis or the reversed one."""
+    size = n * n
+    rows = [["0"] * size for _ in range(size)]
+    twists = itertools.cycle(["2", "3", "5", "7"])
+    for i in range(n):
+        rows[i * n + i][i * n + i] = "q"
+        for j in range(i + 1, n):
+            t = next(twists)
+            rows[i * n + j][i * n + j] = "q - q^-1"
+            rows[i * n + j][j * n + i] = t
+            rows[j * n + i][i * n + j] = f"1/{t}"
+    if reverse:
+        def old(k):
+            return (n - 1 - k // n) * n + (n - 1 - k % n)
+        rows = [[rows[old(r)][old(c)] for c in range(size)]
+                for r in range(size)]
+    return {"name": f"twisted{n}", "dimension": n,
+            "generators": ["a", "b", "c", "e"][:n], "family": "A",
+            "r_matrix": rows, "q": "generic",
+            "eigenvalues": {"lambda1": "-q^-1", "lambda2": "q"}}
+
+
 @pytest.fixture
 def glq_document():
-    """``glq_document(n)``: a GL_q(n) plane document for n <= 4, with
-    generators a, b, c, e; no transcribed relation table applies."""
-    def make(n):
-        return {"name": f"glq{n}", "dimension": n,
-                "generators": list("abce"[:n]), "family": "A",
-                "r_matrix": frt_gl_matrix(n), "q": "generic",
-                "gamma": "r_over_q"}
-    return make
+    """``glq_document(n)``: :func:`glq_plane_document` as a fixture."""
+    return glq_plane_document
 
 
 @pytest.fixture

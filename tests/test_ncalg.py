@@ -1,9 +1,9 @@
-import itertools
 import json
 import random
 
 import pytest
 
+from conftest import twisted_glq_document
 from qplane import fixtures, planes, scalar
 from qplane.linalg import identity
 from qplane.ncalg import (
@@ -480,31 +480,6 @@ def test_unreversed_deriv_reading_is_not_confluent():
     assert not report.ok
     kinds = {tuple(g[0] for g in word) for word, _, _ in report.mismatches}
     assert (DERIV, DERIV, COORD) in kinds
-
-
-def twisted_glq_document(n, reverse):
-    """A multiparameter GL_q(n) document: R[(i,j),(j,i)] = t and
-    R[(j,i),(i,j)] = 1/t for i < j, with t cycling through 2, 3, 5, 7,
-    in the standard basis or the reversed one."""
-    size = n * n
-    rows = [["0"] * size for _ in range(size)]
-    twists = itertools.cycle(["2", "3", "5", "7"])
-    for i in range(n):
-        rows[i * n + i][i * n + i] = "q"
-        for j in range(i + 1, n):
-            t = next(twists)
-            rows[i * n + j][i * n + j] = "q - q^-1"
-            rows[i * n + j][j * n + i] = t
-            rows[j * n + i][i * n + j] = f"1/{t}"
-    if reverse:
-        def old(k):
-            return (n - 1 - k // n) * n + (n - 1 - k % n)
-        rows = [[rows[old(r)][old(c)] for c in range(size)]
-                for r in range(size)]
-    return {"name": f"twisted{n}", "dimension": n,
-            "generators": ["a", "b", "c", "e"][:n], "family": "A",
-            "r_matrix": rows, "q": "generic",
-            "eigenvalues": {"lambda1": "-q^-1", "lambda2": "q"}}
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["std", "reversed"])

@@ -18,6 +18,12 @@ from qplane.scalar import (
     aux_symbol,
     from_int,
     parse_scalar,
+    poly_add,
+    poly_coeffs,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    poly_mul,
     q_power,
     s_power,
 )
@@ -84,6 +90,24 @@ def test_specialization_from_q():
     assert sp4.value == GaussRational(2)
     with pytest.raises(ScalarError):
         Specialization.from_q(GaussRational(0, 1))  # q = i: no root in Q(i)
+    F = Fraction
+    for q, root in [((F(9, 4), 0), (F(3, 2), 0)), ((0, 2), (1, 1)),
+                    ((F(3, 25), F(4, 25)), (F(2, 5), F(1, 5))),
+                    ((F(-1, 4), 0), (0, F(1, 2))), ((-3, -4), (1, -2))]:
+        assert Specialization.from_q(GaussRational(*q)).value == \
+            GaussRational(*root)
+    for q in [(2, 0), (F(1, 2), 0), (1, 1), (F(1, 2), 1)]:  # no root
+        with pytest.raises(ScalarError):
+            Specialization.from_q(GaussRational(*q))
+    rng = random.Random(3)
+    for _ in range(200):
+        r = GaussRational(Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
+                          Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
+        if not r:
+            continue
+        if r.re < 0 or (r.re == 0 and r.im < 0):
+            r = -r
+        assert Specialization.from_q(r * r).value == r
 
 
 def test_specialization_from_q_exact_for_huge_values():
@@ -97,6 +121,19 @@ def test_specialization_from_q_exact_for_huge_values():
         GaussRational(10**200)
 
 
+def _flat(coeffs):
+    """The polynomial (d, a0, b0, ..., an, bn) of GaussRational coefficients
+    in ascending degree, built here independently of the kernels."""
+    d = math.lcm(*(c.d for c in coeffs))
+    out = [d]
+    for c in coeffs:
+        out += [c.a * (d // c.d), c.b * (d // c.d)]
+    while len(out) > 1 and not out[-1] and not out[-2]:
+        del out[-2:]
+    g = math.gcd(*out)
+    return tuple(x // g for x in out) if len(out) > 1 else ()
+
+
 def _random_scalar(rng, with_aux=False):
     num = [GaussRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                          Fraction(rng.randint(-2, 2)))
@@ -106,7 +143,7 @@ def _random_scalar(rng, with_aux=False):
     if not any(c for c in den):
         den = [GaussRational(1)]
     aux = (("rho", rng.randint(-2, 2)),) if with_aux else ()
-    return Scalar(tuple(num), tuple(den), aux)
+    return Scalar(_flat(num), _flat(den), aux)
 
 
 def test_field_axioms_random():
@@ -315,3 +352,160 @@ def test_power_cap():
     with pytest.raises(ScalarError, match="exceeds the cap"):
         parse_scalar("(q^100)^100")
     assert parse_scalar("q^4000") == s_power(8000)
+    # each coefficient counts in lowest terms, not over the polynomial's
+    # common denominator: 1/p and 1/r weigh 61 bits, 1/(p*r) would weigh 92
+    p, r = 2**61 - 1, 2**31 - 1
+    base = parse_scalar(f"s/{p} + 1/{r}")
+    assert base ** 163 == base ** 100 * base ** 63
+    with pytest.raises(ScalarError, match="base weight 61 exceeds"):
+        base ** 164
+    with pytest.raises(ScalarError, match="base weight 3 exceeds"):
+        parse_scalar("s/6 + 1") ** 3334
+
+
+# -- polynomial kernels against a coefficient-list reference -----------------
+
+GR0 = GaussRational(0)
+
+
+def _ref_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [GR0] * (n - len(a)), b + [GR0] * (n - len(b))
+    return _ref_trim(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [GR0] * max(0, len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] = out[j + k] + x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, quot = list(a), [GR0] * max(0, len(a) - len(b) + 1)
+    inv_lead = b[-1].inverse()
+    for shift in range(len(a) - len(b), -1, -1):
+        c = quot[shift] = rem[shift + len(b) - 1] * inv_lead
+        for k, y in enumerate(b):
+            rem[shift + k] = rem[shift + k] - c * y
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c * a[-1].inverse() for c in a] if a else []
+
+
+def _random_coeffs(rng, max_degree=4):
+    """Coefficient lists with zeros, integers above 2^64, huge denominators
+    and nonzero imaginary parts (see _random_part)."""
+    return _ref_trim(GaussRational(_random_part(rng), _random_part(rng))
+                     for _ in range(rng.randint(0, max_degree + 1)))
+
+
+def _assert_layout(p):
+    """(d, a0, b0, ..., an, bn) of ints: d > 0, gcd 1, no trailing zero
+    pair; () is zero."""
+    assert type(p) is tuple and all(type(x) is int for x in p)
+    if p:
+        assert len(p) % 2 == 1 and p[0] > 0
+        assert math.gcd(*p) == 1
+        assert p[-2] or p[-1]
+
+
+def _checked(p, ref):
+    _assert_layout(p)
+    assert poly_coeffs(p) == ref
+    assert p == _flat(ref)
+    return p
+
+
+def test_poly_kernels_match_coefficient_lists():
+    rng = random.Random(2718)
+    for _ in range(300):
+        a, b = _random_coeffs(rng), _random_coeffs(rng)
+        if rng.random() < 0.3:  # a common factor, so the gcd is not 1
+            g = _random_coeffs(rng, 2) or [GaussRational(1)]
+            a, b = _ref_mul(a, g), _ref_mul(b, g)
+        p, q = _flat(a), _flat(b)
+        _checked(poly_add(p, q), _ref_add(a, b))
+        _checked(poly_mul(p, q), _ref_mul(a, b))
+        if b:
+            quot, rem = poly_divmod(p, q)
+            ref_quot, ref_rem = _ref_divmod(a, b)
+            _checked(quot, ref_quot)
+            _checked(rem, ref_rem)
+        if a or b:
+            gcd = _checked(poly_gcd(p, q), _ref_gcd(a, b))
+            assert poly_coeffs(gcd)[-1] == GaussRational(1)
+        x = GaussRational(_random_part(rng), _random_part(rng))
+        want = GR0
+        for c in reversed(a):
+            want = want * x + c
+        assert poly_eval(p, x) == want
+
+
+def test_poly_divmod_by_non_real_leading_coefficient():
+    # a Gaussian leading coefficient with both parts nonzero
+    a = [GaussRational(3, -1), GaussRational(0, 2), GaussRational(5),
+         GaussRational(Fraction(1, 7), 2**70)]
+    b = [GaussRational(1, 1), GaussRational(Fraction(2, 3), Fraction(-5, 2))]
+    quot, rem = poly_divmod(_flat(a), _flat(b))
+    assert (poly_coeffs(quot), poly_coeffs(rem)) == _ref_divmod(a, b)
+
+
+def test_scalar_layout_invariants():
+    rng = random.Random(31)
+    for _ in range(300):
+        x = _random_scalar(rng, with_aux=True)
+        y = _random_scalar(rng)
+        for v in (x, y, x + y if not x.aux else x * y, x * y, -x, x ** 2):
+            _assert_layout(v.num)
+            _assert_layout(v.den)
+            assert v.den  # monic: the leading coefficient is 1
+            assert poly_coeffs(v.den)[-1] == GaussRational(1)
+            if v:
+                assert poly_gcd(v.num, v.den) == (1, 1, 0)  # coprime
+            else:
+                assert (v.den, v.aux) == ((1, 1, 0), ())
+        if y:
+            v = y.inverse()
+            _assert_layout(v.num)
+            assert poly_coeffs(v.den)[-1] == GaussRational(1)
+
+
+def test_equal_values_hash_equal_across_routes():
+    rng = random.Random(1618)
+    sp = Specialization(GaussRational(Fraction(1, 2), 3))
+    for _ in range(300):
+        x = _random_scalar(rng, with_aux=rng.random() < 0.3)
+        y = _random_scalar(rng)
+        routes = [parse_scalar(str(x)), (x * y) / y if y else x,
+                  (x + y) - y if not x.aux else x]
+        for v in routes:
+            assert v == x and hash(v) == hash(x)
+        # s = 1/2 + 3i: the specialized value against a Horner sum of the
+        # coefficients, parsed back from print
+        try:
+            got = x.specialize(sp)
+        except ScalarError:  # a pole at s = 1/2 + 3i
+            continue
+        nv = dv = GR0
+        for c in reversed(poly_coeffs(x.num)):
+            nv = nv * sp.value + c
+        for c in reversed(poly_coeffs(x.den)):
+            dv = dv * sp.value + c
+        want = Scalar.from_gauss(nv / dv)
+        for sym, e in x.aux:
+            want = want * aux_symbol(sym, e)
+        for v in (want, parse_scalar(str(got))):
+            assert v == got and hash(v) == hash(got)
