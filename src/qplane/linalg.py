@@ -291,21 +291,24 @@ def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
     e2 = identity(b.base_dim, 2)
     c12 = embed(c, "12")
     c23 = embed(c, "23")
+    # conditions 2, 3 and 5 share the two triple-leg products of C
+    c23c12 = c23 * c12
+    c12c23 = c12 * c23
     # conditions 1, 2, 4 and 5 are linear in E-B or E-F, so they are
     # checked on the denominator-cleared matrices (see clear_denominators)
     eb, _ = clear_denominators(e2 - b)
     ef, _ = clear_denominators(e2 - f)
     checks = {}
     checks["wz1_xx_xi_compat"] = (eb * (e2 + c)).is_zero()
-    lhs = embed(eb, "12") * c23 * c12
-    rhs = c23 * c12 * embed(eb, "23")
+    lhs = embed(eb, "12") * c23c12
+    rhs = c23c12 * embed(eb, "23")
     checks["wz2_xx_transport"] = lhs == rhs
-    braid = (embed(d, "23") * c12 * c23) == (c12 * c23 * embed(d, "12"))
+    braid = (embed(d, "23") * c12c23) == (c12c23 * embed(d, "12"))
     inverse_ok = (c * d) == e2 and (d * c) == e2
     checks["wz3_dc_braid_and_inverse"] = braid and inverse_ok
     checks["wz4_ff_xi_compat"] = (ef * (e2 + c)).is_zero()
-    lhs = embed(ef, "23") * c12 * c23
-    rhs = c12 * c23 * embed(ef, "12")
+    lhs = embed(ef, "23") * c12c23
+    rhs = c12c23 * embed(ef, "12")
     checks["wz5_dd_transport"] = lhs == rhs
     return checks
 
@@ -313,7 +316,7 @@ def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
 def clear_denominators(m: LegMatrix):
     """(c*m, c) with c the monic lcm of the entry denominators of m.
 
-    The entries of c*m are polynomials in s (times their auxiliary
+    The entries of c*m are Laurent polynomials in s (times their auxiliary
     monomials), so products of them never run a gcd.  Because c is a
     nonzero scalar, an identity linear in m (M X = 0, or M X = Y M) holds
     for c*m exactly when it holds for m; any other identity is scaled side
@@ -324,9 +327,12 @@ def clear_denominators(m: LegMatrix):
     return LegMatrix(m.base_dim, m.legs, dict(zip(m.entries, values))), c
 
 
-def gamma_condition(d: LegMatrix, gamma: LegMatrix) -> bool:
-    """Wedge well-definedness (D+E)(E-Gamma) = 0 together with YBE(Gamma)."""
+def wedge_condition(d: LegMatrix, gamma: LegMatrix) -> bool:
+    """Wedge well-definedness (D+E)(E-Gamma) = 0."""
     e = identity(d.base_dim, 2)
-    if not ((d + e) * (e - gamma)).is_zero():
-        return False
-    return check_ybe(gamma)
+    return ((d + e) * (e - gamma)).is_zero()
+
+
+def gamma_condition(d: LegMatrix, gamma: LegMatrix) -> bool:
+    """The wedge condition together with YBE(Gamma)."""
+    return wedge_condition(d, gamma) and check_ybe(gamma)

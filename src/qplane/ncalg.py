@@ -508,11 +508,17 @@ class ConfluenceReport:
 
 def confluence_selftest(sys: RewriteSystem, sample_count=200, max_degree=5,
                         seed=0) -> ConfluenceReport:
-    """Resolve every three-letter overlap, then seeded random words."""
+    """Resolve every three-letter overlap, then seeded random words.
+
+    ``overlaps`` counts all n^3 three-letter words, but only those with
+    two redexes are reduced: no other word can disagree.
+    """
     rng = random.Random(seed)
     gens = sys.generators()
-    words = [(g1, g2, g3) for g1 in gens for g2 in gens for g3 in gens]
-    overlap_count = len(words)
+    overlap_count = len(gens) ** 3
+    follows = {g: [h for h in gens if (g, h) in sys.rules] for g in gens}
+    words = [(g1, g2, g3) for g1 in gens for g2 in follows[g1]
+             for g3 in follows[g2]]
     for _ in range(sample_count):
         length = rng.randint(1, max_degree)
         words.append(tuple(rng.choice(gens) for _ in range(length)))

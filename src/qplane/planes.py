@@ -24,11 +24,12 @@ quotiented by its central radius.
 
 Three views are derived from a plane's fields when first read and then
 kept on it: ``gamma_candidates`` (each braiding candidate for the wedge
-product with its verdict on the wedge condition, the one place that
-condition is proved), ``gamma`` (the first passing candidate) and
-``reference_shape`` (which transcribed tables apply).  The rewrite degree
-cap is fixed when a rule system is built; :func:`capped` gives a copy with
-another cap that shares the rules and caches.
+product with its verdict on the wedge condition and the braid relation,
+the one place that condition is proved), ``gamma`` (the first passing
+candidate) and ``reference_shape`` (which transcribed tables apply).
+The rewrite degree cap is fixed when a rule system is built;
+:func:`capped` gives a copy with another cap that shares the rules and
+caches.
 
 The braid matrix is the single source of truth; the printed relation
 tables live in :mod:`qplane.fixtures` and are diffed against the derived
@@ -43,7 +44,7 @@ from functools import cached_property
 
 from . import fixtures, ncalg, qcalc, scalar
 from .linalg import LegMatrix, LinalgError, check_min_poly, check_ybe, \
-    from_exprs, gamma_condition, identity, mat_inverse, projector_q, \
+    from_exprs, identity, mat_inverse, projector_q, wedge_condition, \
     wz_conditions
 from .ncalg import COORD, AlgebraElement, gen
 from .scalar import Scalar, ScalarError, Specialization, parse_scalar
@@ -381,29 +382,40 @@ def resolve_gamma(plane: PlaneSpec):
     """Evaluate the braiding candidates for the wedge product.
 
     Returns a list of (candidate name, matrix, passes) in policy order; the
-    first passing candidate becomes the plane's braiding.  This is the one
-    place the wedge condition is proved.  R^-1 is read off D = (qR)^-1 as
-    q D: every plane has an invertible C = qR.
+    first passing candidate becomes the plane's braiding.  A candidate
+    passes the wedge condition (D+E)(E-Gamma) = 0 and the braid relation;
+    this is the one place the wedge condition is proved.  R^-1 is read off
+    D = (qR)^-1 as q D: every plane has an invertible C = qR.
+
+    The braid relation of the derived candidates is read off verdicts the
+    plane already holds: lambda*R and lambda*R^-1 satisfy it when R does
+    (``braid-relation``), and D is R^-1/q because C*D = D*C = E (WZ3).
+    Only an explicit braiding gets its own Yang-Baxter check.
     """
     q = scalar.Q if plane.specialization is None else \
         scalar.Q.specialize(plane.specialization)
-    candidates = []
+    r_braids = plane.structure_report["braid-relation"]
+    d_braids = r_braids and plane.wz_report["wz3_dc_braid_and_inverse"]
+    candidates = []  # (name, matrix, braid verdict or None to prove)
     policy = plane.gamma_policy
     if policy == "r_over_q":
-        candidates.append(("r_over_q", plane.r_matrix.scale(q.inverse())))
+        candidates.append(("r_over_q", plane.r_matrix.scale(q.inverse()),
+                           r_braids))
     elif policy == "d_matrix":
-        candidates.append(("d_matrix", plane.d))
+        candidates.append(("d_matrix", plane.d, d_braids))
     elif policy == "auto":
-        candidates.append(("d_matrix", plane.d))
-        candidates.append(("r_inverse", plane.d.scale(q)))
+        candidates.append(("d_matrix", plane.d, d_braids))
+        candidates.append(("r_inverse", plane.d.scale(q), d_braids))
     elif policy == "explicit":
-        candidates.append(("explicit", plane.gamma_explicit))
+        candidates.append(("explicit", plane.gamma_explicit, None))
     else:
         raise PlaneError(f"unknown gamma policy {policy!r}")
-    out = [(cname, matrix, gamma_condition(plane.d, matrix))
-           for cname, matrix in candidates]
+    out = [(cname, matrix, wedge_condition(plane.d, matrix)
+            and (check_ybe(matrix) if braids is None else braids))
+           for cname, matrix, braids in candidates]
     if policy == "explicit" and not any(p for _, _, p in out):
-        raise PlaneVerificationError("explicit braiding fails the wedge condition")
+        raise PlaneVerificationError("explicit braiding fails the wedge "
+                                     "condition or the braid relation")
     return out
 
 

@@ -13,11 +13,14 @@ ints and end in one ``math.gcd``; no other module sees this layout.
 :class:`GaussRational` ((a + b*i)/d, the same invariants) is the boundary
 type of parsing, printing, specialization and ``Scalar.constant_value``.
 
-Canonical form of a :class:`Scalar`:
+A :class:`Scalar` is s^val * num/den times an auxiliary monomial, with the
+integer ``val`` and polynomials num and den in canonical form:
 
-* numerator and denominator are coprime polynomials in s over Q(i),
-* the denominator is monic,
-* zero is (0, 1) with an empty auxiliary monomial,
+* num and den are coprime, and each has a nonzero constant coefficient,
+  so the power of s is all in ``val`` (q is the constant 1 with val 2,
+  and q - q^-1 is s^4 - 1 with val -2),
+* den is monic, so every Laurent polynomial has den == ``POLY_ONE``,
+* zero is (0, 1) with val 0 and an empty auxiliary monomial,
 * auxiliary exponents are sorted by symbol name.
 
 Structural equality of canonical forms is field equality, so zero-testing
@@ -224,6 +227,11 @@ def poly_neg(p):
 def poly_mul(p, q):
     if not p or not q:
         return POLY_ZERO
+    if len(p) == 3 or len(q) == 3:
+        # a constant operand: one pass over the other one
+        if len(p) != 3:
+            p, q = q, p
+        return q if p == POLY_ONE else _scale(q, p[1], p[2], p[0])
     pa, pb, qa, qb = p[1::2], p[2::2], q[1::2], q[2::2]
     n = len(pa) + len(qa) - 1
     ra, rb = [0] * n, [0] * n
@@ -233,6 +241,21 @@ def poly_mul(p, q):
                 ra[k] += x * u - y * v
                 rb[k] += x * v + y * u
     return _join(p[0] * q[0], ra, rb)
+
+
+def _strip(p):
+    """(p / s^v, v) for the s-valuation v of the nonzero polynomial p."""
+    if p[1] or p[2]:
+        return p, 0
+    k = 3
+    while not (p[k] or p[k + 1]):
+        k += 2
+    return p[:1] + p[k:], (k - 1) // 2
+
+
+def _shift(p, k):
+    """p times s^k, k >= 0."""
+    return p[:1] + (0, 0) * k + p[1:] if k else p
 
 
 def _scale(p, a, b=0, d=1):
@@ -322,20 +345,34 @@ def poly_eval(p, x: GaussRational) -> GaussRational:
     return _gr_reduced(ra, rb, p[0] * w // x.d) if p else GR_ZERO
 
 
+def _gr_pow(x: GaussRational, e: int) -> GaussRational:
+    """x^e for e >= 0, by repeated squaring."""
+    out = GR_ONE
+    while e:
+        if e & 1:
+            out = out * x
+        e >>= 1
+        if e:
+            x = x * x
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Scalar: element of Q(i)(s) times a Laurent monomial in auxiliary symbols
+# Scalar: s^val * num/den times a Laurent monomial in auxiliary symbols
 # ---------------------------------------------------------------------------
 
 MAX_EXPONENT = 10_000
 """Cap on a power ``x ** e``: |e| times the weight of x may not exceed it.
 
 The weight is the largest of 1, the degrees in s of the numerator and
-denominator of x, and the bit length of the largest integer in their
-coefficients, each coefficient (a + b*i)/d taken in lowest terms.  A power
-within the cap has degree at most 10^4 in s and coefficients of at most a
-few times 10^4 bits, so a short input cannot ask for an unbounded result.
-The squarings are schoolbook products, so a dense base of high degree can
-still take seconds.
+denominator of x as a reduced fraction of polynomials (s^val * num over
+den when val >= 0, num over s^-val * den otherwise), and the bit length
+of the largest integer in their coefficients, each coefficient
+(a + b*i)/d taken in lowest terms.  A power within the cap has degree at
+most 10^4 in s and coefficients of at most a few times 10^4 bits, so a
+short input cannot ask for an unbounded result.  The squarings are
+schoolbook products, so a dense base of high degree can still take
+seconds; a power of s alone is only a sum of exponents.
 """
 
 
@@ -350,14 +387,23 @@ def _coeff_bits(p):
     return out
 
 
+def _power_weight(x) -> int:
+    """The weight of x that ``MAX_EXPONENT`` caps (see there)."""
+    return max(1, (len(x.num) - 3) // 2 + max(x.val, 0),
+               (len(x.den) - 3) // 2 + max(-x.val, 0),
+               _coeff_bits(x.num), _coeff_bits(x.den))
+
+
 class Scalar:
-    """Canonical reduced rational function in s with an auxiliary monomial."""
+    """Canonical s^val * num/den with an auxiliary monomial."""
 
-    __slots__ = ("num", "den", "aux", "_hash")
+    __slots__ = ("num", "den", "aux", "val", "_hash")
 
-    def __init__(self, num, den=POLY_ONE, aux=()):
-        """num/den times aux, for canonical polynomials num and den != ()."""
-        self.num, self.den, self.aux = _canonicalize(num, den, aux)
+    def __init__(self, num, den=POLY_ONE, aux=(), val=0):
+        """s^val * num/den times aux, for canonical polynomials num and
+        den != ()."""
+        self.num, self.den, self.aux, self.val = _canonicalize(num, den, aux,
+                                                               val)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -366,7 +412,7 @@ class Scalar:
     def from_gauss(value: GaussRational) -> "Scalar":
         if not value:
             return ZERO
-        return _scalar((value.d, value.a, value.b), POLY_ONE, ())
+        return _scalar((value.d, value.a, value.b), POLY_ONE, (), 0)
 
     # -- canonical-form queries ---------------------------------------------
 
@@ -375,7 +421,7 @@ class Scalar:
 
     def is_constant(self):
         """Free of s (auxiliary monomial allowed)."""
-        return len(self.num) <= 3 and self.den == POLY_ONE
+        return len(self.num) <= 3 and not self.val and self.den == POLY_ONE
 
     def constant_value(self) -> GaussRational:
         if not self.is_constant() or self.aux:
@@ -384,14 +430,14 @@ class Scalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den, self.aux))
+            self._hash = hash((self.num, self.den, self.aux, self.val))
         return self._hash
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.num == other.num and self.den == other.den
-                and self.aux == other.aux)
+        return (self.val == other.val and self.num == other.num
+                and self.den == other.den and self.aux == other.aux)
 
     def __bool__(self):
         return bool(self.num)
@@ -408,16 +454,22 @@ class Scalar:
                 "cannot add scalars with different auxiliary monomials: "
                 f"{self} and {other}"
             )
+        # both numerators over the smaller power of s
+        p, q, val = self.num, other.num, self.val
+        if val < other.val:
+            q = _shift(q, other.val - val)
+        elif val > other.val:
+            p, val = _shift(p, val - other.val), other.val
         if self.den == other.den:
-            num = poly_add(self.num, other.num)
+            num = poly_add(p, q)
             if not num:
                 return ZERO
             if self.den == POLY_ONE:
-                return _scalar(num, POLY_ONE, self.aux)
-            return Scalar(num, self.den, self.aux)
-        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
-        den = poly_mul(self.den, other.den)
-        return Scalar(num, den, self.aux)
+                num, v = _strip(num)
+                return _scalar(num, POLY_ONE, self.aux, val + v)
+            return Scalar(num, self.den, self.aux, val)
+        num = poly_add(poly_mul(p, other.den), poly_mul(q, self.den))
+        return Scalar(num, poly_mul(self.den, other.den), self.aux, val)
 
     def __sub__(self, other):
         return self + (-other) if other.num else self
@@ -425,30 +477,34 @@ class Scalar:
     def __neg__(self):
         if not self.num:
             return self
-        return _scalar(poly_neg(self.num), self.den, self.aux)
+        return _scalar(poly_neg(self.num), self.den, self.aux, self.val)
 
     def __mul__(self, other):
         if not self.num or not other.num:
             return ZERO
+        # both numerators have a nonzero constant coefficient, so their
+        # product has one too
         num = poly_mul(self.num, other.num)
         aux = _aux_mul(self.aux, other.aux)
+        val = self.val + other.val
         if self.den == POLY_ONE and other.den == POLY_ONE:
-            return _scalar(num, POLY_ONE, aux)
-        return Scalar(num, poly_mul(self.den, other.den), aux)
+            return _scalar(num, POLY_ONE, aux, val)
+        return Scalar(num, poly_mul(self.den, other.den), aux, val)
 
     def inverse(self):
         if not self.num:
             raise ScalarError("division by zero")
         aux = tuple((sym, -e) for sym, e in self.aux)
-        return Scalar(self.den, self.num, aux)
+        # num and den are coprime already: only the new den is made monic
+        num, den = _monic(self.den, self.num)
+        return _scalar(num, den, aux, -self.val)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def __pow__(self, e: int):
         """Repeated squaring; refuses powers larger than ``MAX_EXPONENT``."""
-        weight = max(1, (len(self.num) - 3) // 2, (len(self.den) - 3) // 2,
-                     _coeff_bits(self.num), _coeff_bits(self.den))
+        weight = _power_weight(self)
         if abs(e) * weight > MAX_EXPONENT:
             raise ScalarError(f"power with exponent {e} and base weight "
                               f"{weight} exceeds the cap {MAX_EXPONENT}")
@@ -467,12 +523,17 @@ class Scalar:
 
     def specialize(self, sp: "Specialization") -> "Scalar":
         """Evaluate at s = sp.value; auxiliary monomial is preserved."""
-        dv = poly_eval(self.den, sp.value)
+        x = sp.value
+        dv = poly_eval(self.den, x)
         if not dv:
-            raise ScalarError(f"pole at s = {sp.value}: {self}")
-        nv = poly_eval(self.num, sp.value)
-        val = Scalar.from_gauss(nv / dv)
-        return _scalar(val.num, POLY_ONE, self.aux) if val else ZERO
+            raise ScalarError(f"pole at s = {x}: {self}")
+        nv = poly_eval(self.num, x)
+        if self.val > 0:
+            nv = nv * _gr_pow(x, self.val)
+        elif self.val < 0:
+            dv = dv * _gr_pow(x, -self.val)
+        value = Scalar.from_gauss(nv / dv)
+        return _scalar(value.num, POLY_ONE, self.aux, 0) if value else ZERO
 
     # -- printing --------------------------------------------------------------
 
@@ -483,10 +544,10 @@ class Scalar:
         return f"Scalar({scalar_str(self)!r})"
 
 
-def _scalar(num, den, aux) -> Scalar:
-    # internal constructor: (num, den, aux) is canonical already
+def _scalar(num, den, aux, val) -> Scalar:
+    # internal constructor: (num, den, aux, val) is canonical already
     out = Scalar.__new__(Scalar)
-    out.num, out.den, out.aux, out._hash = num, den, aux, None
+    out.num, out.den, out.aux, out.val, out._hash = num, den, aux, val, None
     return out
 
 
@@ -501,46 +562,45 @@ def _aux_mul(a, b):
     return tuple(sorted((sym, e) for sym, e in exps.items() if e))
 
 
-def _canonicalize(num, den, aux):
+def _canonicalize(num, den, aux, val):
     if not den:
         raise ScalarError("zero denominator")
     if not num:
-        return POLY_ZERO, POLY_ONE, ()
+        return POLY_ZERO, POLY_ONE, (), 0
     aux = tuple(sorted((s, e) for s, e in aux if e))
+    num, v = _strip(num)
+    den, w = _strip(den)
+    val += v - w
     if den == POLY_ONE:
-        return num, den, aux
-    if not any(den[1:-2]):
-        # monomial denominator c*s^k: cancel the s-valuation directly
-        v = 1
-        while not (num[v] or num[v + 1]):
-            v += 2
-        shift = min(v, len(den) - 2) - 1
-        if shift:
-            num = num[:1] + num[1 + shift:]
-            den = den[:1] + den[1 + shift:]
-    else:
+        return num, den, aux, val
+    if len(den) > 3:
         g = poly_gcd(num, den)
         if len(g) > 3:
             num, _ = poly_divmod(num, g)
             den, _ = poly_divmod(den, g)
+    num, den = _monic(num, den)
+    return num, den, aux, val
+
+
+def _monic(num, den):
+    """num and den times the constant that makes den monic."""
     if den[-1] or den[-2] != den[0]:
         unit = _unit(den)
-        num = _scale(num, *unit)
-        den = _scale(den, *unit)
-    return num, den, aux
+        return _scale(num, *unit), _scale(den, *unit)
+    return num, den
 
 
 def clear_denominators(values):
     """([c*v for v in values], c) with c the monic lcm of their
-    denominators: each c*v is a polynomial in s times its auxiliary
-    monomial."""
+    denominators: each c*v is a Laurent polynomial in s (den == ONE)
+    times its auxiliary monomial."""
     c = POLY_ONE
-    for den in {v.den for v in values}:
+    for den in {v.den for v in values} - {POLY_ONE}:
         cofactor, _ = poly_divmod(den, poly_gcd(c, den))
         c = poly_mul(c, cofactor)
     return ([_scalar(poly_mul(v.num, poly_divmod(c, v.den)[0]), POLY_ONE,
-                     v.aux) for v in values],
-            _scalar(c, POLY_ONE, ()))
+                     v.aux, v.val) for v in values],
+            _scalar(c, POLY_ONE, (), 0))
 
 
 ZERO = Scalar(POLY_ZERO)
@@ -561,10 +621,7 @@ def aux_symbol(name: str, exponent: int = 1) -> Scalar:
 
 def s_power(e: int) -> Scalar:
     """s^e as a Scalar, e may be negative."""
-    mono = (1,) + (0, 0) * abs(e) + (1, 0)
-    if e >= 0:
-        return _scalar(mono, POLY_ONE, ())
-    return _scalar(POLY_ONE, mono, ())
+    return _scalar(POLY_ONE, POLY_ONE, (), e)
 
 
 def q_power(e: int) -> Scalar:
@@ -605,23 +662,16 @@ class Specialization:
 # Canonical printing
 # ---------------------------------------------------------------------------
 
-def _den_monomial_degree(den):
-    """Degree k if den == s^k, else None."""
-    if den[0] != 1 or den[-2] != 1 or any(den[1:-2]):
-        return None
-    return (len(den) - 3) // 2
-
-
 def scalar_str(x: Scalar) -> str:
     if x.is_zero():
         return "0"
-    k = _den_monomial_degree(x.den)
-    if k is not None:
-        body = _laurent_str(x.num, -k)
+    if x.den == POLY_ONE:
+        body = _laurent_str(x.num, x.val)
     else:
-        num = _laurent_str(x.num, 0)
-        den = _laurent_str(x.den, 0)
-        if len(x.num) > 3:
+        # a fraction of polynomials: s^val goes on top or below
+        num = _laurent_str(x.num, max(x.val, 0))
+        den = _laurent_str(x.den, max(-x.val, 0))
+        if len(x.num) > 3 or x.val > 0:
             num = f"({num})"
         body = f"{num}/({den})"
     if x.aux and (" " in body or "/" in body):

@@ -232,6 +232,35 @@ def test_wz_cleared_check_rejects_perturbed_b():
     assert checks["wz4_ff_xi_compat"] and checks["wz5_dd_transport"]
 
 
+def _wz_inputs(name):
+    if name == "gl2":
+        r = r_gl2()
+        c = r.scale(Q)
+        return r.scale(QI), c, mat_inverse(c)
+    return orth3_wz_inputs()
+
+
+@pytest.mark.parametrize("name", ["gl2", "orth3"])
+def test_wz_corrupted_d_flips_only_wz3(name):
+    b, c, d = _wz_inputs(name)
+    bad = d.copy()
+    bad[1, 2] = bad[1, 2] + ONE
+    checks = wz_conditions(b, c, bad, b)
+    assert [k for k, ok in checks.items() if not ok] == \
+        ["wz3_dc_braid_and_inverse"]
+
+
+@pytest.mark.parametrize("name", ["gl2", "orth3"])
+def test_wz_corrupted_f_flips_only_wz4_and_wz5(name):
+    b, c, d = _wz_inputs(name)
+    bad = b.copy()
+    bad[0, 1] = bad[0, 1] + ONE
+    assert bad != b
+    checks = wz_conditions(b, c, d, bad)
+    assert [k for k, ok in checks.items() if not ok] == \
+        ["wz4_ff_xi_compat", "wz5_dd_transport"]
+
+
 def test_wz_all_identity():
     e = identity(2)
     checks = wz_conditions(e, e, e, e)

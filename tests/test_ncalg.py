@@ -13,6 +13,7 @@ from qplane.ncalg import (
     AlgebraElement,
     NcalgError,
     RewriteSystem,
+    _critical_pair_mismatch,
     _pivot_rules,
     confluence_selftest,
     derivative_action,
@@ -276,6 +277,18 @@ def test_overlaps_alone_detect_corruption():
     assert report.mismatches
     for word, left, right in report.mismatches:
         assert len(word) == 3 and left != right
+
+
+def test_overlap_mismatches_equal_brute_force_over_all_words():
+    # only words with two redexes are reduced; every other word of the n^3
+    # must agree, so a brute force over all of them finds the same list
+    sys = _corrupted_gl2_system()
+    gens = sys.generators()
+    brute = [m for m in (_critical_pair_mismatch(sys, (a, b, c))
+                         for a in gens for b in gens for c in gens)
+             if m is not None]
+    report = confluence_selftest(sys, sample_count=0)
+    assert brute and report.mismatches == brute
 
 
 def test_classical_limit_commutes():

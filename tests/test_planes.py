@@ -3,9 +3,17 @@ import json
 import pytest
 
 from qplane import fixtures, planes
-from qplane.linalg import identity, mat_inverse
+from qplane.linalg import (
+    check_ybe,
+    from_exprs,
+    gamma_condition,
+    identity,
+    mat_inverse,
+    wedge_condition,
+)
 from qplane.planes import (
     PlaneError,
+    PlaneVerificationError,
     capped,
     _matrix_exprs,
     builtin_plane,
@@ -17,7 +25,14 @@ from qplane.planes import (
     specialize_builtin,
     verify_reference_relations,
 )
-from qplane.scalar import Q, GaussRational, parse_scalar
+from qplane.scalar import (
+    ONE,
+    POLY_ONE,
+    Q,
+    ZERO,
+    GaussRational,
+    parse_scalar,
+)
 
 
 def test_builtins_derive():
@@ -251,6 +266,18 @@ def test_resolve_gamma_shapes():
     assert [n for n, _, _ in out] == ["d_matrix", "r_inverse"]
 
 
+def test_glq_scalars_are_laurent_polynomials(glq_document):
+    # every GL_q(n) entry and rule coefficient is a Laurent polynomial in
+    # s: the power of s is carried as an exponent, never as a denominator
+    plane = load_plane(json.dumps(glq_document(3)))
+    values = [v for m in (plane.r_matrix, plane.b, plane.c, plane.d)
+              for v in m.entries.values()]
+    values += [c for rule in plane.system.rules.values()
+               for c in rule.rhs.terms.values()]
+    assert values and all(v.den == POLY_ONE for v in values)
+    assert plane.c.at((1, 1), (1, 1)).val == 4  # q^2 = s^4
+
+
 @pytest.mark.parametrize("name", ["gl2", "orth3", "sphere_qm1", "glq3"])
 def test_q_times_d_is_r_inverse(name, glq_document):
     # D = (qR)^-1, so R^-1 = q D; the auto policy's r_inverse reads it so
@@ -265,6 +292,45 @@ def test_q_times_d_is_r_inverse(name, glq_document):
     if plane.gamma_policy == "auto":
         candidates = {n: m for n, m, _ in plane.gamma_candidates}
         assert candidates["r_inverse"] == r_inverse
+
+
+@pytest.mark.parametrize("name", ["gl2", "orth3", "sphere_qm1", "glq3",
+                                  "glq3-d", "glq3-auto"])
+def test_gamma_verdicts_equal_direct_gamma_condition(name, glq_document):
+    # resolve_gamma reads the braid relation of the derived candidates off
+    # the plane's verdicts; a direct proof must agree on each of them
+    if name.startswith("glq3"):
+        document = glq_document(3)
+        if "-" in name:
+            document["gamma"] = name.split("-", 1)[1]
+        plane = load_plane(json.dumps(document))
+    else:
+        plane = builtin_plane(name)
+    for _, matrix, ok in plane.gamma_candidates:
+        assert ok == gamma_condition(plane.d, matrix)
+
+
+def test_explicit_gamma_failing_only_the_braid_relation_is_refused():
+    # Gamma = E - v w^T with v = (0, -q^-1, 1, 0) in ker(D + E) passes the
+    # wedge condition for every w; with w = (1, 0, 0, 0) it breaks the
+    # braid relation, which an explicit braiding must still prove
+    gl2 = builtin_plane("gl2")
+    v = [ZERO, -Q.inverse(), ONE, ZERO]
+    rows = [["1", "0", "0", "0"],
+            ["q^-1", "1", "0", "0"],
+            ["-1", "0", "1", "0"],
+            ["0", "0", "0", "1"]]
+    gamma = from_exprs(rows, 2)
+    d_plus_e = gl2.d + identity(2)
+    for r in range(4):
+        acc = ZERO
+        for c in range(4):
+            acc = acc + d_plus_e[r, c] * v[c]
+        assert acc.is_zero()
+    assert wedge_condition(gl2.d, gamma) and not check_ybe(gamma)
+    with pytest.raises(PlaneVerificationError, match="braid relation"):
+        derive_plane("gl2", 2, ("x", "y"), "A", fixtures.R_GL2,
+                     ("-q^-1", "q"), gamma_exprs=rows)
 
 
 def test_derive_plane_rejects_noncentral_quotient():

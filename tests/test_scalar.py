@@ -7,6 +7,7 @@ import pytest
 from qplane.scalar import (
     MAX_EXPONENT,
     MAX_NESTING,
+    POLY_ONE,
     GaussRational,
     ONE,
     Q,
@@ -26,6 +27,7 @@ from qplane.scalar import (
     poly_mul,
     q_power,
     s_power,
+    _power_weight,
 )
 
 
@@ -42,10 +44,12 @@ def test_parse_i_squared():
 
 
 def test_parse_reduction_cancels_common_factor():
-    # (q - q^-1)/(q+1) reduces to (s^2-1)/s^2: the factor s^2+1 cancels.
+    # (q - q^-1)/(q+1) reduces to (s^2-1)/s^2: the factor s^2+1 cancels,
+    # and s^-2 is carried as the power of s
     val = parse_scalar("(q - q^-1)/(q+1)")
     assert val == parse_scalar("(s^2-1)/s^2")
-    assert val.den == (S * S).num
+    assert val.num == (1, -1, 0, 0, 0, 1, 0)
+    assert (val.den, val.val) == (POLY_ONE, -2)
 
 
 def test_field_ops_examples():
@@ -363,6 +367,29 @@ def test_power_cap():
         parse_scalar("s/6 + 1") ** 3334
 
 
+def test_power_weight_matches_unstripped_polynomials():
+    # the weight read off s^val * num/den equals the weight of the reduced
+    # fraction of polynomials, s^val on top or below
+    def coeff_bits(p):
+        return max(max(c.a.bit_length(), c.b.bit_length(), c.d.bit_length())
+                   for c in poly_coeffs(p))
+
+    rng = random.Random(4242)
+    for _ in range(300):
+        x = _random_scalar(rng, with_aux=True) * s_power(rng.randint(-6, 6))
+        if not x:
+            continue
+        num = (0, 0) * max(x.val, 0)
+        den = (0, 0) * max(-x.val, 0)
+        num, den = x.num[:1] + num + x.num[1:], x.den[:1] + den + x.den[1:]
+        old = max(1, (len(num) - 3) // 2, (len(den) - 3) // 2,
+                  coeff_bits(num), coeff_bits(den))
+        assert _power_weight(x) == old
+        e = MAX_EXPONENT // old
+        with pytest.raises(ScalarError, match=f"base weight {old} exceeds"):
+            x ** (e + 1)
+
+
 # -- polynomial kernels against a coefficient-list reference -----------------
 
 GR0 = GaussRational(0)
@@ -468,19 +495,24 @@ def test_scalar_layout_invariants():
     for _ in range(300):
         x = _random_scalar(rng, with_aux=True)
         y = _random_scalar(rng)
-        for v in (x, y, x + y if not x.aux else x * y, x * y, -x, x ** 2):
+        values = [x, y, x + y if not x.aux else x * y, x * y, -x, x ** 2,
+                  x * s_power(rng.randint(-4, 4)) + x]
+        if y:
+            values.append(y.inverse())
+        for v in values:
             _assert_layout(v.num)
             _assert_layout(v.den)
+            assert type(v.val) is int
             assert v.den  # monic: the leading coefficient is 1
             assert poly_coeffs(v.den)[-1] == GaussRational(1)
             if v:
                 assert poly_gcd(v.num, v.den) == (1, 1, 0)  # coprime
+                # nonzero constant coefficients: the power of s is all in
+                # val, so no s^k denominator is stored
+                assert poly_coeffs(v.num)[0] and poly_coeffs(v.den)[0]
+                assert v.den == POLY_ONE or len(v.den) > 3
             else:
-                assert (v.den, v.aux) == ((1, 1, 0), ())
-        if y:
-            v = y.inverse()
-            _assert_layout(v.num)
-            assert poly_coeffs(v.den)[-1] == GaussRational(1)
+                assert (v.den, v.aux, v.val) == ((1, 1, 0), (), 0)
 
 
 def test_equal_values_hash_equal_across_routes():
@@ -504,6 +536,11 @@ def test_equal_values_hash_equal_across_routes():
             nv = nv * sp.value + c
         for c in reversed(poly_coeffs(x.den)):
             dv = dv * sp.value + c
+        for _ in range(abs(x.val)):  # times value^val
+            if x.val > 0:
+                nv = nv * sp.value
+            else:
+                dv = dv * sp.value
         want = Scalar.from_gauss(nv / dv)
         for sym, e in x.aux:
             want = want * aux_symbol(sym, e)
