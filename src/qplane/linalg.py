@@ -14,9 +14,15 @@ the wedge-compatibility condition on the braiding of differentials.
 A matrix product multiplies each distinct pair of entries once: canonical
 scalars are equal exactly when their values are, so a memo keyed on the
 two operands returns the same product as the multiplication it replaces.
-The memo is local to one product and freed with it.  ``rref_rows`` (the
-symplectic solves run through it) keeps no memo, so its memory stays what
-the rows need.
+The memo is local to one product and freed with it.
+
+``rref_rows`` is the one exact elimination (rule pivoting, ``mat_inverse``
+and the symplectic solves run through it).  A row is a dict {column:
+nonzero Scalar}: a row operation visits only the pivot row's nonzero
+columns and deletes an entry that cancels, so no zero is stored or
+multiplied, and the pivots and values are those of dense Gauss-Jordan
+elimination.  It keeps no memo, so its memory stays what the nonzero
+entries need.
 """
 
 from __future__ import annotations
@@ -228,32 +234,45 @@ def projector_q(r_matrix: LegMatrix, lambda0: Scalar, lambda1: Scalar,
     return num.scale((d10 * d12).inverse())
 
 
-def rref_rows(rows):
-    """rref of a dense list-of-lists of Scalars; returns (rows, pivot cols).
+def rref_rows(rows, ncols):
+    """rref of sparse rows; returns (rows, pivot cols).
 
-    Pivots are the leftmost nonzero entries, searched in the given row
-    order, so derived rule systems are byte-for-byte reproducible.
+    Each row is a dict {column: nonzero Scalar} over columns
+    0 .. ``ncols`` - 1, and so is each returned row; a cancelled entry is
+    deleted.  Pivots are the leftmost nonzero entries, searched in the
+    given row order, so derived rule systems are byte-for-byte
+    reproducible.
     """
-    rows = [list(r) for r in rows]
+    rows = [dict(r) for r in rows]
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots = []
     rank = 0
     for col in range(ncols):
         pivot_row = None
         for r in range(rank, nrows):
-            if not rows[r][col].is_zero():
+            if col in rows[r]:
                 pivot_row = r
                 break
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         inv = rows[rank][col].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
+        pivot = rows[rank] = {c: v * inv for c, v in rows[rank].items()}
         for r in range(nrows):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            row = rows[r]
+            f = row.get(col)
+            if f is None or r == rank:
+                continue
+            for c, b in pivot.items():
+                a = row.get(c)
+                if a is None:
+                    row[c] = -(f * b)
+                else:
+                    v = a - f * b
+                    if v.is_zero():
+                        del row[c]
+                    else:
+                        row[c] = v
         pivots.append(col)
         rank += 1
     return rows, pivots
@@ -262,18 +281,20 @@ def rref_rows(rows):
 def mat_inverse(m: LegMatrix) -> LegMatrix:
     """Inverse via Gauss-Jordan elimination; raises on singular input."""
     n = m.size
-    aug = [[m[r, c] for c in range(n)] + [scalar.ONE if c == r else scalar.ZERO
-                                          for c in range(n)]
-           for r in range(n)]
-    reduced, pivots = rref_rows(aug)
-    if pivots[:n] != list(range(n)):
-        raise LinalgError("matrix is singular")
+    aug = [{} for _ in range(n)]
+    for (r, c), v in m.entries.items():
+        aug[r][c] = v
+    for r in range(n):
+        aug[r][n + r] = scalar.ONE
+    reduced, pivots = rref_rows(aug, 2 * n)
+    rank = sum(1 for p in pivots if p < n)
+    if rank < n:
+        raise LinalgError(f"matrix is singular (rank {rank} of {n})")
     out = LegMatrix(m.base_dim, m.legs)
     for r in range(n):
-        for c in range(n):
-            v = reduced[r][n + c]
-            if not v.is_zero():
-                out[r, c] = v
+        for c, v in sorted(reduced[r].items()):
+            if c >= n:
+                out[r, c - n] = v
     return out
 
 

@@ -367,13 +367,19 @@ def _pivot_rules(sys: RewriteSystem, kind: int, entry):
     words = [(gen(kind, i), gen(kind, j)) for i, j in pairs]
     order = sorted(range(len(words)), key=lambda t: sys.word_key(words[t]),
                    reverse=True)
-    rows = [[entry(pair, pairs[t]) for t in order] for pair in pairs]
-    reduced, pivots = rref_rows(rows)
+    rows = []
+    for pair in pairs:
+        row = {}
+        for c, t in enumerate(order):
+            v = entry(pair, pairs[t])
+            if not v.is_zero():
+                row[c] = v
+        rows.append(row)
+    reduced, pivots = rref_rows(rows, len(order))
     for r, pivot_col in enumerate(pivots):
         rhs = AlgebraElement()
-        for c in range(pivot_col + 1, len(order)):
-            v = reduced[r][c]
-            if not v.is_zero():
+        for c, v in sorted(reduced[r].items()):
+            if c > pivot_col:
                 rhs = rhs + AlgebraElement.from_word(words[order[c]], -v)
         yield words[order[pivot_col]], rhs
 

@@ -256,11 +256,20 @@ def _system(omega, plane, max_degree):
 
 
 def _rref_columns(columns, sys):
-    """rref of the matrix whose columns are the given form bodies."""
-    rows = sorted({w for col in columns for w in col.terms}, key=sys.word_key)
-    matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
-              for w in rows]
-    return rref_rows(matrix) if rows else ([], [])
+    """rref of the matrix whose columns are the given form bodies.
+
+    Row r holds the coefficients of the r-th word (in ``sys.word_key``
+    order) that occurs in any column, as a sparse row {column index:
+    coefficient}; a word a column lacks stores nothing.
+    """
+    words = sorted({w for col in columns for w in col.terms},
+                   key=sys.word_key)
+    index = {w: r for r, w in enumerate(words)}
+    rows = [{} for _ in words]
+    for c, col in enumerate(columns):
+        for w, v in col.terms.items():
+            rows[index[w]][c] = v
+    return rref_rows(rows, len(columns)) if rows else ([], [])
 
 
 def _solve_columns(columns, targets, sys):
@@ -276,15 +285,15 @@ def _solve_columns(columns, targets, sys):
     if pivots and pivots[-1] >= last:
         return None
     return [[(p, reduced[r][b]) for r, p in enumerate(pivots)
-             if not reduced[r][b].is_zero()]
+             if b in reduced[r]]
             for b in range(last, last + len(targets))]
 
 
 def _kernel_vector(reduced, pivots, free_col, variables):
     coeffs = {free_col: scalar.ONE}
     for r, p in enumerate(pivots):
-        v = reduced[r][free_col]
-        if not v.is_zero():
+        v = reduced[r].get(free_col)
+        if v is not None:
             coeffs[p] = -v
     field = VectorField()
     for col, c in coeffs.items():
@@ -341,7 +350,7 @@ def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
     if kernel:
         particular = _prefer_conserving(f, particular, kernel, plane)
     status = "unique" if not kernel else "family"
-    _check_residual(f, particular, omega, plane)
+    _check_residual(f, particular, omega, plane, max_degree)
     return SolveReport(status, particular, kernel, max_degree)
 
 
@@ -368,7 +377,7 @@ def _prefer_conserving(f, particular, kernel, plane):
     return shifted
 
 
-def _check_residual(f, field, omega, plane):
+def _check_residual(f, field, omega, plane, max_degree):
     sys = plane.system
     lhs = one_form_body(qcalc.contract(field, omega.tensor, sys))
     residual = sys.normal_form(lhs).scale(omega.scale) + \
@@ -378,7 +387,11 @@ def _check_residual(f, field, omega, plane):
     reduced = constraint_reduce(sys.normal_form(residual), plane,
                                 extra_degree=4)
     if not reduced.is_zero():
-        raise SympError("internal error: solver residual is nonzero")
+        word = min(reduced.terms, key=sys.word_key)
+        raise SympError(
+            f"internal error: solver residual at degree bound {max_degree} "
+            "is nonzero; its first word is "
+            f"{'*'.join(sys.gen_name(g) for g in word) or '1'}")
 
 
 def poisson_bracket(f: AlgebraElement, g: AlgebraElement,

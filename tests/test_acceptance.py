@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from qplane import fixtures, ncalg, planes, qcalc, scalar, symp
+from qplane import fixtures, ncalg, planes, qcalc, symp
 from qplane.cli import main as cli_main
 from qplane.linalg import check_ybe, from_exprs, identity
 from qplane.ncalg import DIFF, AlgebraElement, confluence_selftest, gen
@@ -212,10 +212,10 @@ def _in_kernel_span(field, kernel, plane):
               for w, c in e.terms.items()}
     rows.update(target)
     rows = sorted(rows, key=lambda t: (t[0], plane.system.word_key(t[1])))
-    matrix = [[t.get(r, scalar.ZERO) for t in tables]
-              + [target.get(r, scalar.ZERO)] for r in rows]
+    matrix = [{c: t[r] for c, t in enumerate(tables + [target]) if r in t}
+              for r in rows]
     from qplane.linalg import rref_rows
-    reduced, pivots = rref_rows(matrix)
+    reduced, pivots = rref_rows(matrix, len(tables) + 1)
     return len(tables) not in pivots
 
 

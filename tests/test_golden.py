@@ -49,12 +49,15 @@ QUERIES = {
     ("bracket", "gl2"): [["x", "y"], ["x*y", "x"],
                          ["y", "x*x", "--degree", "2"]],
     ("bracket", "sphere_qm1"): [["x+", "x-"], ["x0", "x+"], ["x-", "x0"],
-                                ["x0*x+", "x0", "--degree", "0"]],
+                                ["x0*x+", "x0", "--degree", "0"],
+                                ["x+*x0*x-", "x0*x+", "--degree", "3"]],
     ("hamvec", "gl2"): [["x"], ["y"], ["x*y", "--degree", "2"]],
     ("hamvec", "sphere_qm1"): [["x0"], ["x+*x-", "--degree", "2"],
-                               ["x0*x+", "--degree", "0"]],
+                               ["x0*x+", "--degree", "0"],
+                               ["x+*x0*x-", "--degree", "3"]],
     ("eom", "gl2"): [["x*y"], ["x*x + y*y", "--degree", "2"]],
-    ("eom", "sphere_qm1"): [["x0"], ["x+*x- + x0*x0", "--degree", "2"]],
+    ("eom", "sphere_qm1"): [["x0"], ["x+*x- + x0*x0", "--degree", "2"],
+                            ["x+*x0*x- + x0*x0*x0", "--degree", "3"]],
 }
 
 

@@ -15,14 +15,18 @@ from qplane.linalg import (
     identity,
     mat_inverse,
     projector_q,
+    rref_rows,
     wz_conditions,
 )
 from qplane.scalar import (
     GaussRational,
     ONE,
     POLY_ONE,
+    ZERO,
     Specialization,
+    aux_symbol,
     parse_scalar,
+    s_power,
 )
 
 
@@ -185,6 +189,107 @@ def test_inverse_of_projector_singular():
     q = projector_q(r, parse_scalar("q^-2"), parse_scalar("-q^-1"), Q)
     with pytest.raises(LinalgError):
         mat_inverse(q)
+
+
+def test_singular_inverse_names_the_rank():
+    # rows 0 and 2 are equal and row 3 is zero: rank 2 of 4
+    m = from_exprs([["1", "q", "0", "0"],
+                    ["0", "s", "q^-1", "0"],
+                    ["1", "q", "0", "0"],
+                    ["0", "0", "0", "0"]], 2)
+    with pytest.raises(LinalgError, match=r"singular \(rank 2 of 4\)"):
+        mat_inverse(m)
+    with pytest.raises(LinalgError, match=r"singular \(rank 0 of 4\)"):
+        mat_inverse(LegMatrix(2, 2))
+
+
+def dense_rref(rows):
+    """The dense Gauss-Jordan reference: rref of a list-of-lists of
+    Scalars, zeros stored and multiplied; returns (rows, pivot cols)."""
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, nrows):
+            if not rows[r][col].is_zero():
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(nrows):
+            if r != rank and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows, pivots
+
+
+def _random_dense(rng, nrows, ncols, rho):
+    """A seeded matrix with zero rows and columns, repeated and dependent
+    rows, and Laurent and rational entries in s.  With ``rho`` entry
+    (r, c) carries rho^(e_r + f_c), so every row operation adds equal
+    powers of rho."""
+    pool = [parse_scalar(t) for t in ("1", "-2", "2*i", "3 - i", "s^4 + 1",
+                                      "1/(1 + s^2)", "(s - 2*i)/(3*s + 1)")]
+    row_rho = [rng.randint(-1, 1) if rho else 0 for _ in range(nrows)]
+    col_rho = [rng.randint(-1, 1) if rho else 0 for _ in range(ncols)]
+    zero_cols = {c for c in range(ncols) if rng.random() < 0.15}
+    rows = []
+    for r in range(nrows):
+        row = []
+        for c in range(ncols):
+            if c in zero_cols or rng.random() < 0.5:
+                row.append(ZERO)
+                continue
+            v = rng.choice(pool) * s_power(rng.randint(-3, 3))
+            e = row_rho[r] + col_rho[c]
+            row.append(v * aux_symbol("rho", e) if e else v)
+        rows.append(row)
+    for r in range(1, nrows):
+        e = row_rho[r] - row_rho[r - 1]
+        lift = aux_symbol("rho", e) if e else ONE
+        pick = rng.random()
+        if pick < 0.15:
+            rows[r] = [ZERO] * ncols
+        elif pick < 0.3:
+            # a multiple of the previous row
+            f = rng.choice(pool) * lift
+            rows[r] = [f * v for v in rows[r - 1]]
+        elif pick < 0.4 and r >= 2:
+            # a combination of the two previous rows
+            e2 = row_rho[r] - row_rho[r - 2]
+            lift2 = aux_symbol("rho", e2) if e2 else ONE
+            rows[r] = [lift * a + (rng.choice(pool) * lift2) * b
+                       for a, b in zip(rows[r - 1], rows[r - 2])]
+    return rows
+
+
+@pytest.mark.parametrize("rho", [False, True])
+def test_sparse_rref_equals_dense_reference(rho):
+    rng = random.Random(11 + rho)
+    deficient = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        dense = _random_dense(rng, nrows, ncols, rho)
+        sparse = [{c: v for c, v in enumerate(row) if not v.is_zero()}
+                  for row in dense]
+        want_rows, want_pivots = dense_rref(dense)
+        got_rows, got_pivots = rref_rows(sparse, ncols)
+        assert got_pivots == want_pivots
+        assert [[row.get(c, ZERO) for c in range(ncols)]
+                for row in got_rows] == want_rows
+        assert all(0 <= c < ncols and not v.is_zero()
+                   for row in got_rows for c, v in row.items())
+        deficient += len(got_pivots) < min(nrows, ncols)
+    assert deficient > 10
+    assert rref_rows([], 3) == ([], [])
 
 
 def test_wz_gl2():

@@ -137,6 +137,15 @@ def test_residual_exact():
             assert constraint_reduce(plane.nf(residual), plane).is_zero()
 
 
+def test_nonzero_residual_names_degree_bound_and_word(monkeypatch):
+    # a solver that returns the zero field leaves the residual df
+    monkeypatch.setattr(symp, "_solve_columns",
+                        lambda columns, targets, sys: [[] for _ in targets])
+    with pytest.raises(SympError, match=r"residual at degree bound 2 is "
+                       r"nonzero; its first word is d\(y\)$"):
+        hamiltonian_vector_field(GL2.parse("x*y + y"), OMEGA_GL2, GL2, 2)
+
+
 def test_solver_scaling_linearity():
     c = parse_scalar("3*q")
     rep1 = hamiltonian_vector_field(GL2.parse("x"), OMEGA_GL2, GL2, 1)
@@ -258,9 +267,9 @@ def _augmented_kernel(f, omega, plane, max_degree):
         scalar.MINUS_ONE)
     rows = sorted({w for col in columns for w in col.terms}
                   | set(target.terms), key=sys.word_key)
-    matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
-              + [target.terms.get(w, scalar.ZERO)] for w in rows]
-    reduced, pivots = rref_rows(matrix)
+    matrix = [{c: col.terms[w] for c, col in enumerate(columns + [target])
+               if w in col.terms} for w in rows]
+    reduced, pivots = rref_rows(matrix, len(columns) + 1)
     assert len(variables) not in pivots
     return [symp._kernel_vector(reduced, pivots, fc, variables)
             for fc in range(len(variables)) if fc not in pivots]
@@ -350,15 +359,17 @@ def _per_component_reference(f, omega, plane, max_degree):
             scalar.MINUS_ONE)
         rows = sorted({w for col in columns for w in col.terms}
                       | set(target.terms), key=sys.word_key)
-        matrix = [[col.terms.get(w, scalar.ZERO) for col in columns]
-                  + [target.terms.get(w, scalar.ZERO)] for w in rows]
-        reduced, pivots = rref_rows(matrix) if rows else ([], [])
+        matrix = [{c: col.terms[w]
+                   for c, col in enumerate(columns + [target])
+                   if w in col.terms} for w in rows]
+        reduced, pivots = rref_rows(matrix, len(columns) + 1)
         if len(variables) in pivots:
             return "none", None, ()
         for r, p in enumerate(pivots):
             j, w = variables[p]
             particular = particular + VectorField.basis(
-                j, AlgebraElement.from_word(w, reduced[r][-1]))
+                j, AlgebraElement.from_word(
+                    w, reduced[r].get(len(columns), scalar.ZERO)))
     kernel = _augmented_kernel(AlgebraElement.zero(), omega, plane,
                                max_degree)
     if kernel:
