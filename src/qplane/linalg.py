@@ -16,13 +16,18 @@ scalars are equal exactly when their values are, so a memo keyed on the
 two operands returns the same product as the multiplication it replaces.
 The memo is local to one product and freed with it.
 
+``from_exprs`` reads a dense grid of entry texts with one parse per
+distinct text, and stores no zero; the derivation after it reads no
+matrix as a dense n^4 grid.
+
 ``rref_rows`` is the one exact elimination (rule pivoting, ``mat_inverse``
 and the symplectic solves run through it).  A row is a dict {column:
 nonzero Scalar}: a row operation visits only the pivot row's nonzero
 columns and deletes an entry that cancels, so no zero is stored or
 multiplied, and the pivots and values are those of dense Gauss-Jordan
-elimination.  It keeps no memo, so its memory stays what the nonzero
-entries need.
+elimination.  The pivot column's entry, which always cancels, is deleted
+without arithmetic.  It keeps no memo, so its memory stays what the
+nonzero entries need.
 """
 
 from __future__ import annotations
@@ -172,15 +177,29 @@ def identity(base_dim: int, legs: int = 2) -> LegMatrix:
     return out
 
 
-def from_exprs(rows, base_dim: int, legs: int = 2) -> LegMatrix:
-    """Build a LegMatrix from a dense grid of scalar-expression strings."""
+def from_exprs(rows, base_dim: int, legs: int = 2, name: str = "matrix"
+               ) -> LegMatrix:
+    """Build a LegMatrix from a dense grid of scalar-expression strings.
+
+    Each distinct text is parsed once (parsing is pure and scalars are
+    immutable), and a zero entry stores nothing.  A text that does not
+    parse raises a ScalarError naming its first cell in row-major order,
+    as ``name[row][col]`` with 0-based indices.
+    """
     out = LegMatrix(base_dim, legs)
     size = out.size
     if len(rows) != size or any(len(r) != size for r in rows):
         raise LinalgError(f"expected a dense {size}x{size} grid")
+    parsed = {}
     for r, row in enumerate(rows):
         for c, text in enumerate(row):
-            out[r, c] = scalar.parse_scalar(str(text))
+            text = str(text)
+            value = parsed.get(text)
+            if value is None:
+                value = parsed[text] = scalar.parse_scalar(
+                    text, where=f"{name}[{r}][{c}]")
+            if not value.is_zero():
+                out.entries[r, c] = value
     return out
 
 
@@ -257,13 +276,18 @@ def rref_rows(rows, ncols):
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         inv = rows[rank][col].inverse()
-        pivot = rows[rank] = {c: v * inv for c, v in rows[rank].items()}
+        pivot = rows[rank] = {c: scalar.ONE if c == col else v * inv
+                              for c, v in rows[rank].items()}
+        # the pivot column's own entry cancels in every eliminated row
+        rest = [(c, b) for c, b in pivot.items() if c != col]
         for r in range(nrows):
-            row = rows[r]
-            f = row.get(col)
-            if f is None or r == rank:
+            if r == rank:
                 continue
-            for c, b in pivot.items():
+            row = rows[r]
+            f = row.pop(col, None)
+            if f is None:
+                continue
+            for c, b in rest:
                 a = row.get(c)
                 if a is None:
                     row[c] = -(f * b)
@@ -318,7 +342,9 @@ def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
     # conditions 1, 2, 4 and 5 are linear in E-B or E-F, so they are
     # checked on the denominator-cleared matrices (see clear_denominators)
     eb, _ = clear_denominators(e2 - b)
-    ef, _ = clear_denominators(e2 - f)
+    # with F = B (every derived plane) condition 4 is condition 1
+    same = f == b
+    ef = eb if same else clear_denominators(e2 - f)[0]
     checks = {}
     checks["wz1_xx_xi_compat"] = (eb * (e2 + c)).is_zero()
     lhs = embed(eb, "12") * c23c12
@@ -327,7 +353,8 @@ def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
     braid = (embed(d, "23") * c12c23) == (c12c23 * embed(d, "12"))
     inverse_ok = (c * d) == e2 and (d * c) == e2
     checks["wz3_dc_braid_and_inverse"] = braid and inverse_ok
-    checks["wz4_ff_xi_compat"] = (ef * (e2 + c)).is_zero()
+    checks["wz4_ff_xi_compat"] = checks["wz1_xx_xi_compat"] if same \
+        else (ef * (e2 + c)).is_zero()
     lhs = embed(ef, "23") * c12c23
     rhs = c12c23 * embed(ef, "12")
     checks["wz5_dd_transport"] = lhs == rhs

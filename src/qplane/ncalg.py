@@ -19,6 +19,11 @@ only the transposed reading resolves its d.d.x overlaps; the unreversed
 reading fails even on gl2.  The three exchange families come from C and
 D.
 
+Every family is built from the nonzero entries of its matrix, never from
+a dense n^4 grid of ``LegMatrix.at`` reads: rule building costs the
+nonzero entries and their sort plus n^2 bookkeeping per family, and the
+same-kind families then one elimination of n^2 sparse rows each.
+
 Termination measure, compared lexicographically per rewrite step:
 (kind-inversion count, total degree, graded-lex rank).  Kind-inversion
 count drops on every exchange rule, degree drops on the inhomogeneous
@@ -340,14 +345,19 @@ def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
     ``ranks`` places each generator in the monomial order.  ``quotient`` is
     an optional (central element, symbol) pair for the sphere-type central
     quotient: a pure coordinate AlgebraElement set equal to the symbol.
+    Every family is built from the nonzero entries of its matrix.
     """
     sys = RewriteSystem(dimension, generator_names, ranks)
     e = identity(dimension, 2)
-    m = e - f
-    families = ((COORD, (e - b).at), (DIFF, (e + d).at),
-                (DERIV, lambda row, col: m.at(col[::-1], row)))
-    for kind, entry in families:
-        for lhs, rhs in _pivot_rules(sys, kind, entry):
+    pair = _pair_of(dimension)
+    # the D.D row (i, j) is read from column (i, j) of E - F, and its
+    # word d_k d_l from row (l, k)
+    deriv = {(pair[cc], pair[r][::-1]): v
+             for (r, cc), v in (e - f).entries.items()}
+    families = ((COORD, pair_entries(e - b)), (DIFF, pair_entries(e + d)),
+                (DERIV, deriv))
+    for kind, entries in families:
+        for lhs, rhs in _pivot_rules(sys, kind, entries):
             sys.add_rule(lhs, rhs)
     _add_exchange_rules(sys, c, d)
     if quotient is not None:
@@ -356,72 +366,87 @@ def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
     return sys
 
 
-def _pivot_rules(sys: RewriteSystem, kind: int, entry):
+def _pair_of(n):
+    """The 1-based index pair of each composite two-leg index."""
+    return [(k // n + 1, k % n + 1) for k in range(n * n)]
+
+
+def pair_entries(m: LegMatrix):
+    """The nonzero entries of a two-leg matrix as {(row pair, col pair):
+    value}."""
+    pair = _pair_of(m.base_dim)
+    return {(pair[r], pair[c]): v for (r, c), v in m.entries.items()}
+
+
+def _pivot_rules(sys: RewriteSystem, kind: int, entries):
     """Same-kind rules from relation rows, pivoting on the largest words.
 
-    Row (i, j) is the relation sum over (k, l) of entry((i, j), (k, l)) g_k g_l
-    = 0 for generators g of ``kind``.  Yields (lhs word, rhs element) pairs.
+    Row (i, j) is the relation sum over (k, l) of
+    entries[(i, j), (k, l)] g_k g_l = 0 for generators g of ``kind``;
+    ``entries`` holds the nonzero coefficients only.  Yields (lhs word, rhs
+    element) pairs.
     """
     n = sys.dimension
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    pairs = _pair_of(n)
     words = [(gen(kind, i), gen(kind, j)) for i, j in pairs]
     order = sorted(range(len(words)), key=lambda t: sys.word_key(words[t]),
                    reverse=True)
-    rows = []
-    for pair in pairs:
-        row = {}
-        for c, t in enumerate(order):
-            v = entry(pair, pairs[t])
-            if not v.is_zero():
-                row[c] = v
-        rows.append(row)
+    column = {pairs[t]: col for col, t in enumerate(order)}
+    row_of = {p: r for r, p in enumerate(pairs)}
+    rows = [{} for _ in pairs]
+    for (row_pair, col_pair), v in entries.items():
+        rows[row_of[row_pair]][column[col_pair]] = v
     reduced, pivots = rref_rows(rows, len(order))
     for r, pivot_col in enumerate(pivots):
         rhs = AlgebraElement()
-        for c, v in sorted(reduced[r].items()):
-            if c > pivot_col:
-                rhs = rhs + AlgebraElement.from_word(words[order[c]], -v)
+        rhs.terms = {words[order[c]]: -v
+                     for c, v in sorted(reduced[r].items()) if c > pivot_col}
         yield words[order[pivot_col]], rhs
 
 
 def _add_exchange_rules(sys: RewriteSystem, c_matrix: LegMatrix,
                         d_matrix: LegMatrix):
+    """The x.xi, d.x and d.xi rules, from the nonzero entries of C and D.
+
+    Each rule's right-hand terms are inserted in row-major order of the
+    matrix indices: (i, j) for xi_a x_b, (j, l) for d_k x_i and d_k xi_i.
+    """
     n = sys.dimension
     rng = range(1, n + 1)
+    pair = _pair_of(n)
+    # entries sorted by (row, col): grouped by row, each group is in
+    # column order; grouped by the first legs (i, k) of row (i, j) and
+    # column (k, l), each group is in (j, l) order
+    d_rows, d_blocks, c_blocks = {}, {}, {}
+    for (r, cc), v in sorted(d_matrix.entries.items()):
+        d_rows.setdefault(pair[r], []).append((pair[cc], v))
+        d_blocks.setdefault((pair[r][0], pair[cc][0]), []).append(
+            (pair[r][1], pair[cc][1], v))
+    for (r, cc), v in sorted(c_matrix.entries.items()):
+        c_blocks.setdefault((pair[r][0], pair[cc][0]), []).append(
+            (pair[r][1], pair[cc][1], v))
     # xi_a x_b -> D^{ab}_{ij} x_i xi_j   (inversion of x1 xi2 = C12 xi1 x2)
     for a in rng:
         for b in rng:
             rhs = AlgebraElement()
-            for i in rng:
-                for j in rng:
-                    v = d_matrix.at((a, b), (i, j))
-                    if not v.is_zero():
-                        rhs = rhs + AlgebraElement.from_word(
-                            (gen(COORD, i), gen(DIFF, j)), v)
+            rhs.terms = {(gen(COORD, i), gen(DIFF, j)): v
+                         for (i, j), v in d_rows.get((a, b), ())}
             sys.add_rule((gen(DIFF, a), gen(COORD, b)), rhs)
     # d_k x_i -> delta_k^i + C^{ij}_{kl} x_l d_j
     for k in rng:
         for i in rng:
             rhs = AlgebraElement()
             if i == k:
-                rhs = rhs + AlgebraElement.unit()
-            for j in rng:
-                for l in rng:
-                    v = c_matrix.at((i, j), (k, l))
-                    if not v.is_zero():
-                        rhs = rhs + AlgebraElement.from_word(
-                            (gen(COORD, l), gen(DERIV, j)), v)
+                rhs.terms[()] = scalar.ONE
+            for j, l, v in c_blocks.get((i, k), ()):
+                rhs.terms[gen(COORD, l), gen(DERIV, j)] = v
             sys.add_rule((gen(DERIV, k), gen(COORD, i)), rhs)
     # d_k xi_i -> D^{ij}_{kl} xi_l d_j
     for k in rng:
         for i in rng:
             rhs = AlgebraElement()
-            for j in rng:
-                for l in rng:
-                    v = d_matrix.at((i, j), (k, l))
-                    if not v.is_zero():
-                        rhs = rhs + AlgebraElement.from_word(
-                            (gen(DIFF, l), gen(DERIV, j)), v)
+            rhs.terms = {(gen(DIFF, l), gen(DERIV, j)): v
+                         for j, l, v in d_blocks.get((i, k), ())}
             sys.add_rule((gen(DERIV, k), gen(DIFF, i)), rhs)
 
 

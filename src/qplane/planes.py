@@ -197,10 +197,12 @@ def derive_plane(name, dimension, generator_names, family, r_exprs,
         raise PlaneError("family A requires two eigenvalues "
                          "(lambda1, lambda2)")
 
+    eigenvalues = tuple(
+        parse_scalar(e, where=f"eigenvalues.{key}")
+        for key, e in zip(_EIGENVALUE_KEYS[family], eigenvalue_exprs))
     plane = _derive_generic(
         name, dimension, tuple(generator_names), family,
-        from_exprs(r_exprs, dimension),
-        tuple(parse_scalar(e) for e in eigenvalue_exprs),
+        from_exprs(r_exprs, dimension, name="r_matrix"), eigenvalues,
         gamma_policy or ("r_over_q" if family == "A" else "auto"))
     if q != "generic":
         plane = _specialize(plane, _parse_q_value(q))
@@ -208,7 +210,7 @@ def derive_plane(name, dimension, generator_names, family, r_exprs,
         plane = _quotient(plane, quotient["central"], quotient["symbol"])
     declared = {}
     if gamma_exprs is not None:
-        matrix = from_exprs(gamma_exprs, dimension)
+        matrix = from_exprs(gamma_exprs, dimension, name="gamma")
         if plane.specialization is not None:
             matrix = matrix.specialize(plane.specialization)
         declared.update(gamma_policy="explicit", gamma_explicit=matrix)
@@ -497,6 +499,9 @@ def _matrix_exprs(m: LegMatrix):
 _SCHEMA_KEYS = {"name", "dimension", "generators", "family", "r_matrix",
                 "eigenvalues", "q", "gamma", "quotient", "symplectic"}
 _GAMMA_NAMES = {"r_over_q": "r_over_q", "d": "d_matrix", "auto": "auto"}
+# the document keys of each family's eigenvalues, in order
+_EIGENVALUE_KEYS = {"A": ("lambda1", "lambda2"),
+                    "B": ("lambda0", "lambda1", "lambda2")}
 
 
 def load_plane(document: str) -> PlaneSpec:
@@ -537,8 +542,7 @@ def load_plane(document: str) -> PlaneSpec:
     if family == "A" and eig_doc is None:
         eigs = ("-q^-1", "q")
     elif family in ("A", "B"):
-        keys = ("lambda1", "lambda2") if family == "A" \
-            else ("lambda0", "lambda1", "lambda2")
+        keys = _EIGENVALUE_KEYS[family]
         eigs = _strings(eig_doc, keys, f"family {family} requires "
                         f"eigenvalues {', '.join(keys)} as strings")
     else:
@@ -625,11 +629,8 @@ def _q_expr(sp: Specialization):
 
 
 def _eig_doc(plane):
-    if plane.family == "A":
-        lam1, lam2 = plane.eigenvalues
-        return {"lambda1": str(lam1), "lambda2": str(lam2)}
-    lam0, lam1, lam2 = plane.eigenvalues
-    return {"lambda0": str(lam0), "lambda1": str(lam1), "lambda2": str(lam2)}
+    return {key: str(v) for key, v in
+            zip(_EIGENVALUE_KEYS[plane.family], plane.eigenvalues)}
 
 
 # ---------------------------------------------------------------------------

@@ -822,8 +822,21 @@ class _Tokens:
         return self.text[start:self.pos]
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse a scalar expression; q is read as s^2."""
+def parse_scalar(text: str, where: str | None = None) -> Scalar:
+    """Parse a scalar expression; q is read as s^2.
+
+    ``where`` names the text's place in a document (``r_matrix[1][1]``,
+    ``eigenvalues.lambda1``); an error message then starts with it.
+    """
+    try:
+        return _parse_scalar(text)
+    except ScalarError as exc:
+        if where is None:
+            raise
+        raise ScalarError(f"{where}: {exc}") from None
+
+
+def _parse_scalar(text):
     toks = _Tokens(text)
     value = _parse_expr(toks)
     toks.skip_ws()

@@ -20,12 +20,27 @@ def frt_gl_matrix(n):
     return rows
 
 
-def glq_plane_document(n):
-    """A GL_q(n) plane document for n <= 4, with generators a, b, c, e;
-    no transcribed relation table applies."""
+def permute_basis(rows, n, perm):
+    """Re-index a braid matrix grid by P (x) P: new index a stands for
+    perm[a].  This conjugates R, so it keeps the braid relation."""
+    size = n * n
+
+    def old(k):
+        return perm[k // n] * n + perm[k % n]
+
+    return [[rows[old(r)][old(c)] for c in range(size)] for r in range(size)]
+
+
+def glq_plane_document(n, perm=None):
+    """A GL_q(n) plane document for n <= 4, with generators a, b, c, e, in
+    the basis permuted by ``perm`` if given; no transcribed relation table
+    applies."""
+    rows = frt_gl_matrix(n)
+    if perm is not None:
+        rows = permute_basis(rows, n, perm)
     return {"name": f"glq{n}", "dimension": n,
             "generators": list("abce"[:n]), "family": "A",
-            "r_matrix": frt_gl_matrix(n), "q": "generic",
+            "r_matrix": rows, "q": "generic",
             "gamma": "r_over_q"}
 
 
@@ -44,10 +59,7 @@ def twisted_glq_document(n, reverse):
             rows[i * n + j][j * n + i] = t
             rows[j * n + i][i * n + j] = f"1/{t}"
     if reverse:
-        def old(k):
-            return (n - 1 - k // n) * n + (n - 1 - k % n)
-        rows = [[rows[old(r)][old(c)] for c in range(size)]
-                for r in range(size)]
+        rows = permute_basis(rows, n, list(range(n - 1, -1, -1)))
     return {"name": f"twisted{n}", "dimension": n,
             "generators": ["a", "b", "c", "e"][:n], "family": "A",
             "r_matrix": rows, "q": "generic",

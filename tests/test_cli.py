@@ -355,6 +355,35 @@ def test_wrongly_typed_document_exits_2(tmp_path, capsys, field, value):
     assert field in lines[0]
 
 
+def _with_cell(grid, cells, text):
+    rows = [list(row) for row in grid]
+    for r, c in cells:
+        rows[r][c] = text
+    return rows
+
+
+@pytest.mark.parametrize("field, value, where", [
+    # "q^" twice and another bad text after it: the first in row-major
+    # order is named, though the repeated text is parsed once
+    ("r_matrix", _with_cell(_with_cell(fixtures.R_GL2, [(1, 1), (2, 2)],
+                                       "q^"), [(3, 0)], "x"),
+     "r_matrix[1][1]"),
+    ("eigenvalues", {"lambda1": "-q^-1", "lambda2": "q^"},
+     "eigenvalues.lambda2"),
+    ("gamma", _with_cell(fixtures.R_GL2, [(0, 1)], "q^"), "gamma[0][1]"),
+], ids=["r_matrix", "eigenvalues", "gamma"])
+def test_document_parse_error_names_the_entry(tmp_path, capsys, field,
+                                              value, where):
+    doc = {"name": "typo", "dimension": 2, "generators": ["x", "y"],
+           "family": "A", "r_matrix": fixtures.R_GL2, "q": "generic",
+           field: value}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {where}: expected integer (at position 2)\n"
+
+
 def test_integer_matrix_entries_still_load(tmp_path, capsys):
     r_matrix = [[int(v) if v.isdecimal() else v for v in row]
                 for row in fixtures.R_GL2]

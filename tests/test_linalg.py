@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from qplane import fixtures
+from conftest import frt_gl_matrix
+from qplane import fixtures, scalar
 from qplane.linalg import (
     LegMatrix,
     LinalgError,
@@ -23,6 +24,7 @@ from qplane.scalar import (
     ONE,
     POLY_ONE,
     ZERO,
+    ScalarError,
     Specialization,
     aux_symbol,
     parse_scalar,
@@ -40,6 +42,37 @@ def r_orth3():
 
 Q = parse_scalar("q")
 QI = parse_scalar("q^-1")
+
+
+def test_from_exprs_parses_each_distinct_text_once(monkeypatch):
+    calls = []
+
+    def counting(text, where=None):
+        calls.append(text)
+        return parse_scalar(text, where)
+
+    monkeypatch.setattr(scalar, "parse_scalar", counting)
+    rows = frt_gl_matrix(4)
+    rows[0][1] = "q - q"  # zero, though not written as "0"
+    m = from_exprs(rows, 4)
+    assert sorted(calls) == sorted({t for row in rows for t in row})
+    assert len(calls) == 5
+    # zero entries store nothing: 4 diagonal q, 12 ones, 6 q - q^-1
+    assert len(m.entries) == 22
+    assert all(not v.is_zero() for v in m.entries.values())
+    assert m == LegMatrix(4, 2, {(r, c): parse_scalar(str(t))
+                                 for r, row in enumerate(rows)
+                                 for c, t in enumerate(row)})
+
+
+def test_from_exprs_names_the_first_bad_cell():
+    rows = [list(row) for row in fixtures.R_GL2]
+    rows[2][3] = rows[1][2] = "q^"
+    rows[3][0] = "x"
+    with pytest.raises(ScalarError) as info:
+        from_exprs(rows, 2, name="r_matrix")
+    assert str(info.value) == "r_matrix[1][2]: expected integer " \
+                              "(at position 2)"
 
 
 def test_embed_identity():

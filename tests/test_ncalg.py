@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from conftest import twisted_glq_document
+from conftest import glq_plane_document, twisted_glq_document
 from qplane import fixtures, planes, scalar
-from qplane.linalg import identity
+from qplane.linalg import identity, rref_rows
 from qplane.ncalg import (
     COORD,
     DERIV,
@@ -13,8 +13,10 @@ from qplane.ncalg import (
     AlgebraElement,
     NcalgError,
     RewriteSystem,
+    _add_quotient_rule,
     _critical_pair_mismatch,
     _pivot_rules,
+    build_rewrite_system,
     confluence_selftest,
     derivative_action,
     element_str,
@@ -22,6 +24,7 @@ from qplane.ncalg import (
     is_central,
     kind_inversions,
     multiply,
+    pair_entries,
     parse_element,
     transport,
 )
@@ -79,6 +82,110 @@ def test_bad_rule_rejected():
     with pytest.raises(NcalgError):
         sys.add_rule((gen(COORD, 1), gen(COORD, 2)),
                      AlgebraElement.from_word((gen(COORD, 2), gen(COORD, 1))))
+
+
+def dense_rewrite_system(plane):
+    """The rule system of ``plane`` as derived before the derivation read
+    only nonzero entries: every family walks the dense n^4 grid through
+    ``LegMatrix.at`` and sums its right-hand sides term by term."""
+    n = plane.dimension
+    sys = RewriteSystem(n, plane.generator_names, plane.monomial_ranks)
+    e = identity(n, 2)
+    m = e - plane.f
+    families = ((COORD, (e - plane.b).at), (DIFF, (e + plane.d).at),
+                (DERIV, lambda row, col: m.at(col[::-1], row)))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for kind, entry in families:
+        words = [(gen(kind, i), gen(kind, j)) for i, j in pairs]
+        order = sorted(range(len(words)),
+                       key=lambda t: sys.word_key(words[t]), reverse=True)
+        rows = []
+        for pair in pairs:
+            row = {}
+            for c, t in enumerate(order):
+                v = entry(pair, pairs[t])
+                if not v.is_zero():
+                    row[c] = v
+            rows.append(row)
+        reduced, pivots = rref_rows(rows, len(order))
+        for r, pivot_col in enumerate(pivots):
+            rhs = AlgebraElement()
+            for c, v in sorted(reduced[r].items()):
+                if c > pivot_col:
+                    rhs = rhs + AlgebraElement.from_word(words[order[c]], -v)
+            sys.add_rule(words[order[pivot_col]], rhs)
+    rng = range(1, n + 1)
+    for a in rng:
+        for b in rng:
+            rhs = AlgebraElement()
+            for i in rng:
+                for j in rng:
+                    v = plane.d.at((a, b), (i, j))
+                    if not v.is_zero():
+                        rhs = rhs + AlgebraElement.from_word(
+                            (gen(COORD, i), gen(DIFF, j)), v)
+            sys.add_rule((gen(DIFF, a), gen(COORD, b)), rhs)
+    for target, kind, matrix in ((COORD, DERIV, plane.c),
+                                 (DIFF, DERIV, plane.d)):
+        for k in rng:
+            for i in rng:
+                rhs = AlgebraElement()
+                if i == k and target == COORD:
+                    rhs = rhs + AlgebraElement.unit()
+                for j in rng:
+                    for l in rng:
+                        v = matrix.at((i, j), (k, l))
+                        if not v.is_zero():
+                            rhs = rhs + AlgebraElement.from_word(
+                                (gen(target, l), gen(kind, j)), v)
+                sys.add_rule((gen(DERIV, k), gen(target, i)), rhs)
+    if plane.quotient_central is not None:
+        _add_quotient_rule(sys, plane.quotient_central, plane.quotient_symbol)
+        sys.renormalize_rules()
+    return sys
+
+
+def _document_plane(doc):
+    return planes.load_plane(json.dumps(doc))
+
+
+SPARSE_DERIVATION_PLANES = {
+    "gl2": lambda: GL2,
+    "orth3": lambda: ORTH3,
+    "sphere_qm1": lambda: SPHERE,
+    "gl2@q=1": lambda: planes.specialize_builtin("gl2", "1"),
+    "orth3@q=1": lambda: planes.specialize_builtin("orth3", "1"),
+    "orth3@q=-1": lambda: planes.specialize(ORTH3, "-1"),
+    "glq2": lambda: _document_plane(glq_plane_document(2)),
+    "glq3": lambda: _document_plane(glq_plane_document(3)),
+    "glq4": lambda: _document_plane(glq_plane_document(4)),
+    "glq2-perm10": lambda: _document_plane(glq_plane_document(2, [1, 0])),
+    "glq3-perm201": lambda: _document_plane(
+        glq_plane_document(3, [2, 0, 1])),
+    "glq4-perm1302": lambda: _document_plane(
+        glq_plane_document(4, [1, 3, 0, 2])),
+    "twisted3-reversed": lambda: _document_plane(
+        twisted_glq_document(3, reverse=True)),
+}
+
+
+@pytest.mark.parametrize("name", SPARSE_DERIVATION_PLANES)
+def test_sparse_derivation_equals_dense_reference(name):
+    plane = SPARSE_DERIVATION_PLANES[name]()
+    quotient = None
+    if plane.quotient_central is not None:
+        quotient = (plane.quotient_central, plane.quotient_symbol)
+    got = build_rewrite_system(plane.dimension, plane.generator_names,
+                               plane.monomial_ranks, plane.b, plane.c,
+                               plane.d, plane.f, quotient=quotient)
+    want = dense_rewrite_system(plane)
+    assert list(got.rules) == list(want.rules)
+    for lhs, rule in want.rules.items():
+        assert list(got.rules[lhs].rhs.terms.items()) == \
+            list(rule.rhs.terms.items()), lhs
+    assert (got.quotient_rule is None) == (want.quotient_rule is None)
+    if want.quotient_rule is not None:
+        assert got.quotient_rule.lhs == want.quotient_rule.lhs
 
 
 # -- normal forms -------------------------------------------------------------
@@ -484,7 +591,7 @@ def test_unreversed_deriv_reading_is_not_confluent():
         if not (lhs[0][0] == DERIV and lhs[1][0] == DERIV):
             trial.add_rule(lhs, rule.rhs)
     m = identity(2, 2) - GL2.f
-    for lhs, rhs in _pivot_rules(trial, DERIV, m.at):
+    for lhs, rhs in _pivot_rules(trial, DERIV, pair_entries(m)):
         trial.add_rule(lhs, rhs)
     assert trial.rules[(gen(DERIV, 2), gen(DERIV, 1))].rhs == \
         AlgebraElement.from_word((gen(DERIV, 1), gen(DERIV, 2)),
