@@ -10,10 +10,12 @@ derivation of its braid matrix:
    rewrite rule set.  The result is a generic plane; its ``generic`` field
    is the plane itself.
 2. Specialization (:func:`_specialize`) evaluates the generic matrices at
-   a numeric q and derives the rules again in that field, because rule
-   derivation divides by quantities that may vanish exactly at the special
-   value.  The result is a new plane whose ``generic`` is the plane it came
-   from.
+   a numeric q, refusing a pole, and inherits the generic verdicts (braid
+   relation, minimal polynomial, consistency conditions): evaluation is a
+   ring homomorphism, so they are not proved again.  It derives the rules
+   again in that field, because rule derivation divides by quantities
+   that may vanish exactly at the special value.  The result is a new
+   plane whose ``generic`` is the plane it came from.
 3. The central quotient (:func:`_quotient`) adds the rule that sets a
    central element to a symbol, and the differential consequences of that
    rule as form relations.  It, too, returns a new plane.
@@ -47,7 +49,7 @@ from .linalg import LegMatrix, LinalgError, check_min_poly, check_ybe, \
     from_exprs, identity, mat_inverse, projector_q, wedge_condition, \
     wz_conditions
 from .ncalg import COORD, AlgebraElement, gen
-from .scalar import Scalar, ScalarError, Specialization, parse_scalar
+from .scalar import ScalarError, Specialization, parse_scalar
 
 
 class PlaneError(ValueError):
@@ -228,10 +230,7 @@ def _parse_q_value(q):
     if isinstance(q, Specialization):
         return q
     try:
-        value = parse_scalar(str(q))
-        if not value.is_constant() or value.aux:
-            raise PlaneError(f"q must be a constant value, got {q!r}")
-        return Specialization.from_q(value.constant_value())
+        return Specialization.from_q(parse_scalar(str(q)))
     except ScalarError as exc:
         raise PlaneError(f"invalid q value {q!r}: {exc}")
 
@@ -256,7 +255,11 @@ def _derive_generic(name, dimension, generator_names, family, r,
         except LinalgError as exc:
             raise PlaneError(f"plane {name}: projector undefined ({exc})")
         b = identity(dimension) - qpr
-    wz = _checked_wz(f"plane {name}", b, c, d, b)
+    wz = wz_conditions(b, c, d, b)
+    bad = [k for k, ok in wz.items() if not ok]
+    if bad:
+        raise PlaneVerificationError(
+            f"plane {name}: consistency conditions failed: {bad}")
     ranks = _family_ranks(dimension, family)
     system = ncalg.build_rewrite_system(dimension, generator_names, ranks,
                                         b, c, d, b)
@@ -278,15 +281,6 @@ def _validate_structure(name, r, eigenvalues):
     return {"braid-relation": True, "minimal-polynomial": True}
 
 
-def _checked_wz(label, b, c, d, f):
-    report = wz_conditions(b, c, d, f)
-    bad = [k for k, ok in report.items() if not ok]
-    if bad:
-        raise PlaneVerificationError(
-            f"{label}: consistency conditions failed: {bad}")
-    return report
-
-
 def _family_ranks(dimension, family):
     # A-family monomial order follows the declared order (x < y); the
     # B-family basis is written largest-first (+, 0, -), so reverse it.
@@ -297,7 +291,11 @@ def _family_ranks(dimension, family):
 
 def _specialize(plane: PlaneSpec, sp: Specialization, name=None
                 ) -> PlaneSpec:
-    """``plane`` at s = sp.value, named ``name`` (default: its own name)."""
+    """``plane`` at s = sp.value, named ``name`` (default: its own name).
+
+    The generic verdicts are inherited and only the rules are derived
+    again (step 2 of the module docstring).
+    """
     name = name or plane.name
     try:
         r = plane.r_matrix.specialize(sp)
@@ -309,14 +307,14 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
     except ScalarError as exc:
         raise PlaneError(f"plane {name}: specialization at {sp} hits a "
                          f"pole: {exc}")
-    structure = _validate_structure(name, r, eigenvalues)
-    wz = _checked_wz(f"plane {name} at {sp}", b, c, d, f)
+    structure = {key: plane.structure_report[key]
+                 for key in ("braid-relation", "minimal-polynomial")}
     system = ncalg.build_rewrite_system(
         plane.dimension, plane.generator_names, plane.monomial_ranks,
         b, c, d, f)
     return PlaneSpec(name, plane.dimension, plane.generator_names,
                      plane.family, r, eigenvalues, b, c, d, f, qpr,
-                     structure, wz, plane.monomial_ranks, system,
+                     structure, plane.wz_report, plane.monomial_ranks, system,
                      plane.gamma_policy, specialization=sp,
                      generic=plane.generic)
 
@@ -625,7 +623,7 @@ def serialize_plane(plane: PlaneSpec) -> str:
 
 
 def _q_expr(sp: Specialization):
-    return str(Scalar.from_gauss(sp.value * sp.value))
+    return str(sp.value * sp.value)
 
 
 def _eig_doc(plane):

@@ -10,8 +10,11 @@ A polynomial in s is one flat tuple of ints ``(d, a0, b0, ..., an, bn)``:
 coefficient k is (a_k + b_k*i)/d, with d > 0, gcd(d, all a, b) = 1 and no
 trailing zero pair; ``()`` is zero.  The kernels (``poly_*``) run on plain
 ints and end in one ``math.gcd``; no other module sees this layout.
-:class:`GaussRational` ((a + b*i)/d, the same invariants) is the boundary
-type of parsing, printing, specialization and ``Scalar.constant_value``.
+
+:class:`Scalar` is the one number type: a Gaussian rational constant is
+the degree-0 ``Scalar`` whose numerator is ``(d, a, b)``, so parsing,
+specialization and ``Specialization.value`` use no other class.
+``fractions.Fraction`` appears only inside the coefficient printer.
 
 A :class:`Scalar` is s^val * num/den times an auxiliary monomial, with the
 integer ``val`` and polynomials num and den in canonical form:
@@ -48,128 +51,6 @@ class ParseError(ScalarError):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian rationals
-# ---------------------------------------------------------------------------
-
-class GaussRational:
-    """A number (a + b*i)/d with integers a, b, d, d > 0, gcd(a, b, d) = 1."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            self.a, self.b, self.d = re, im, 1
-        else:
-            re, im = Fraction(re), Fraction(im)
-            # over the lcm of the two reduced denominators no common factor
-            # of a, b and d is left
-            d = math.lcm(re.denominator, im.denominator)
-            self.a = re.numerator * (d // re.denominator)
-            self.b = im.numerator * (d // im.denominator)
-            self.d = d
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self.a, self.d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self.b, self.d)
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussRational):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __add__(self, other):
-        d1, d2 = self.d, other.d
-        return _gr_reduced(self.a * d2 + other.a * d1,
-                           self.b * d2 + other.b * d1, d1 * d2)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return _gr_reduced(-self.a, -self.b, self.d)
-
-    def __mul__(self, other):
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return _gr_reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
-                           self.d * other.d)
-
-    def inverse(self):
-        a, b = self.a, self.b
-        n = a * a + b * b
-        if not n:
-            raise ScalarError("division by zero")
-        d = self.d
-        return _gr_reduced(d * a, -d * b, n)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __repr__(self):
-        return f"GaussRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        re, im = self.re, self.im
-        try:
-            if not im:
-                return str(re)
-            if not re:
-                if im == 1:
-                    return "i"
-                if im == -1:
-                    return "-i"
-                return f"{im}*i"
-            # mixed values are parenthesised so they can sit inside a product
-            sign = "+" if im > 0 else "-"
-            mag = abs(im)
-            istr = "i" if mag == 1 else f"{mag}*i"
-            return f"({re}{sign}{istr})"
-        except ValueError:  # Python caps int -> str (4300 digits by default)
-            raise ScalarError("a coefficient is too long to print")
-
-
-def _gr_reduced(a, b, d) -> GaussRational:
-    # internal constructor: d > 0; divides out gcd(a, b, d)
-    g = math.gcd(a, b, d)
-    out = GaussRational.__new__(GaussRational)
-    out.a, out.b, out.d = a // g, b // g, d // g
-    return out
-
-
-GR_ZERO = GaussRational(0)
-GR_ONE = GaussRational(1)
-GR_I = GaussRational(0, 1)
-
-
-def _gr_sqrt(value: GaussRational):
-    """Square root of a Gaussian rational inside Q(i), or None.
-
-    The root is (x + y*i)/d for the Gaussian integer root x + y*i of
-    (a + b*i)*d, which exists when there is a root at all; x >= 0, and
-    y >= 0 when x == 0.
-    """
-    a, b = value.a * value.d, value.b * value.d
-    n = math.isqrt(a * a + b * b)  # |x + y*i|^2
-    if n * n != a * a + b * b:
-        return None
-    x, y = math.isqrt((n + a) // 2), math.isqrt((n - a) // 2)
-    if b < 0:
-        y = -y
-    if x * x - y * y != a or 2 * x * y != b:
-        return None
-    return _gr_reduced(x, y, value.d)
-
-
-# ---------------------------------------------------------------------------
 # Polynomials in s over the Gaussian rationals: (d, a0, b0, ..., an, bn)
 # ---------------------------------------------------------------------------
 
@@ -201,11 +82,6 @@ def _join(d, re, im):
     out[1::2] = re
     out[2::2] = im
     return _canon(out)
-
-
-def poly_coeffs(p):
-    """The GaussRational coefficients of p, ascending degree."""
-    return [_gr_reduced(p[k], p[k + 1], p[0]) for k in range(1, len(p), 2)]
 
 
 def poly_add(p, q):
@@ -334,27 +210,17 @@ def poly_gcd(p, q):
     return _scale(p, *_unit(p)) if p else POLY_ZERO
 
 
-def poly_eval(p, x: GaussRational) -> GaussRational:
-    """p at s = x, by Horner's rule on the integers over x.d^deg(p)."""
+def poly_eval(p, x):
+    """The constant polynomial p(x) for a constant x = (d, a, b) or (),
+    by Horner's rule on the integers over d^deg(p)."""
+    xd, xa, xb = x or (1, 0, 0)
     ra = rb = 0
     w = 1
     for k in range(len(p) - 2, 0, -2):
-        ra, rb = (ra * x.a - rb * x.b + p[k] * w,
-                  ra * x.b + rb * x.a + p[k + 1] * w)
-        w *= x.d
-    return _gr_reduced(ra, rb, p[0] * w // x.d) if p else GR_ZERO
-
-
-def _gr_pow(x: GaussRational, e: int) -> GaussRational:
-    """x^e for e >= 0, by repeated squaring."""
-    out = GR_ONE
-    while e:
-        if e & 1:
-            out = out * x
-        e >>= 1
-        if e:
-            x = x * x
-    return out
+        ra, rb = (ra * xa - rb * xb + p[k] * w,
+                  ra * xb + rb * xa + p[k + 1] * w)
+        w *= xd
+    return _canon([p[0] * w // xd, ra, rb]) if p else POLY_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +272,6 @@ class Scalar:
                                                                val)
         self._hash = None
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_gauss(value: GaussRational) -> "Scalar":
-        if not value:
-            return ZERO
-        return _scalar((value.d, value.a, value.b), POLY_ONE, (), 0)
-
     # -- canonical-form queries ---------------------------------------------
 
     def is_zero(self):
@@ -422,11 +280,6 @@ class Scalar:
     def is_constant(self):
         """Free of s (auxiliary monomial allowed)."""
         return len(self.num) <= 3 and not self.val and self.den == POLY_ONE
-
-    def constant_value(self) -> GaussRational:
-        if not self.is_constant() or self.aux:
-            raise ScalarError(f"not a plain constant: {self}")
-        return poly_coeffs(self.num)[0] if self.num else GR_ZERO
 
     def __hash__(self):
         if self._hash is None:
@@ -523,17 +376,18 @@ class Scalar:
 
     def specialize(self, sp: "Specialization") -> "Scalar":
         """Evaluate at s = sp.value; auxiliary monomial is preserved."""
-        x = sp.value
-        dv = poly_eval(self.den, x)
-        if not dv:
-            raise ScalarError(f"pole at s = {x}: {self}")
-        nv = poly_eval(self.num, x)
+        num, den, x = self.num, self.den, sp.value.num
         if self.val > 0:
-            nv = nv * _gr_pow(x, self.val)
+            num = _shift(num, self.val)
         elif self.val < 0:
-            dv = dv * _gr_pow(x, -self.val)
-        value = Scalar.from_gauss(nv / dv)
-        return _scalar(value.num, POLY_ONE, self.aux, 0) if value else ZERO
+            den = _shift(den, -self.val)
+        dv = poly_eval(den, x)
+        if not dv:
+            raise ScalarError(f"pole at s = {sp.value}: {self}")
+        nv = poly_eval(num, x)
+        if not nv:
+            return ZERO
+        return _scalar(_scale(nv, *_unit(dv)), POLY_ONE, self.aux, 0)
 
     # -- printing --------------------------------------------------------------
 
@@ -607,12 +461,19 @@ ZERO = Scalar(POLY_ZERO)
 ONE = Scalar(POLY_ONE)
 S = Scalar(POLY_S)
 Q = S * S
-I = Scalar.from_gauss(GR_I)
-MINUS_ONE = Scalar.from_gauss(-GR_ONE)
+
+
+def _constant(a, b=0, d=1) -> Scalar:
+    """The constant (a + b*i)/d, d != 0."""
+    return _scalar(_canon([d, a, b]), POLY_ONE, (), 0)
+
+
+I = _constant(0, 1)
+MINUS_ONE = _constant(-1)
 
 
 def from_int(n) -> Scalar:
-    return Scalar.from_gauss(GaussRational(n))
+    return _constant(n)
 
 
 def aux_symbol(name: str, exponent: int = 1) -> Scalar:
@@ -629,24 +490,34 @@ def q_power(e: int) -> Scalar:
 
 
 class Specialization:
-    """Exact substitution s -> value, value a nonzero Gaussian rational."""
+    """Exact substitution s -> value, value a nonzero constant Scalar."""
 
     __slots__ = ("value",)
 
-    def __init__(self, value: GaussRational):
+    def __init__(self, value: Scalar):
         if not value:
             raise ScalarError("specialization value must be nonzero")
+        _check_constant(value)
         self.value = value
 
     @staticmethod
-    def from_q(q_value: GaussRational) -> "Specialization":
-        """Resolve s = q^(1/2) inside Q(i); prefers i over -i and 1 over -1."""
-        root = _gr_sqrt(q_value)
-        if root is None:
+    def from_q(q_value: Scalar) -> "Specialization":
+        """Resolve s = q^(1/2) inside Q(i); prefers i over -i and 1 over -1.
+
+        For q = (a + b*i)/d the root is (x + y*i)/d with x + y*i the
+        Gaussian integer root of (a + b*i)*d, which exists when there is a
+        root at all; x >= 0, and y >= 0 when x == 0.
+        """
+        _check_constant(q_value)
+        d, a, b = q_value.num or (1, 0, 0)
+        a, b = a * d, b * d
+        n = math.isqrt(a * a + b * b)  # at least |a|
+        x, y = math.isqrt((n + a) // 2), math.isqrt((n - a) // 2)
+        if b < 0:
+            y = -y
+        if x * x - y * y != a or 2 * x * y != b:
             raise ScalarError(f"q value {q_value} has no square root in Q(i)")
-        if root.re < 0 or (root.re == 0 and root.im < 0):
-            root = -root
-        return Specialization(root)
+        return Specialization(_constant(x, y, d))
 
     def __eq__(self, other):
         return isinstance(other, Specialization) and self.value == other.value
@@ -656,6 +527,11 @@ class Specialization:
 
     def __str__(self):
         return f"s={self.value}"
+
+
+def _check_constant(value: Scalar):
+    if not value.is_constant() or value.aux:
+        raise ScalarError(f"not a constant: {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -690,24 +566,37 @@ def scalar_str(x: Scalar) -> str:
 def _laurent_str(num, shift):
     """The Laurent polynomial num * s^shift, highest degree first."""
     terms = []
-    coeffs = poly_coeffs(num)
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if not c:
+    for k in range(len(num) - 2, 0, -2):
+        if not (num[k] or num[k + 1]):
             continue
-        deg = e + shift
-        if deg == 0:
-            term = str(c)
-        else:
+        term = _coeff_str(num[k], num[k + 1], num[0])
+        deg = (k - 1) // 2 + shift
+        if deg:
             svar = "s" if deg == 1 else f"s^{deg}"
-            if c == GR_ONE:
+            if term == "1":
                 term = svar
-            elif c == -GR_ONE:
+            elif term == "-1":
                 term = f"-{svar}"
             else:
-                term = f"{c}*{svar}"
+                term = f"{term}*{svar}"
         terms.append(term)
     return join_signed(terms)
+
+
+def _coeff_str(a, b, d):
+    """(a + b*i)/d as a rational, a rational multiple of i, or a mixed
+    value in parentheses, so that it can sit inside a product."""
+    try:
+        re, im = Fraction(a, d), Fraction(b, d)
+        if not im:
+            return str(re)
+        mag = abs(im)
+        istr = "i" if mag == 1 else f"{mag}*i"
+        if not re:
+            return istr if im > 0 else f"-{istr}"
+        return f"({re}{'+' if im > 0 else '-'}{istr})"
+    except ValueError:  # Python caps int -> str (4300 digits by default)
+        raise ScalarError("a coefficient is too long to print")
 
 
 def join_signed(terms):
@@ -903,7 +792,7 @@ def _parse_atom(toks):
                 d = toks.take_int()
                 if d == 0:
                     raise ParseError("zero denominator", toks.pos)
-                return Scalar.from_gauss(GaussRational(Fraction(n, d)))
+                return _constant(n, 0, d)
             toks.pos = save
         return from_int(n)
     word = toks.take_word()

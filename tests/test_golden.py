@@ -6,7 +6,7 @@
 
 in a fresh process, and `tests/golden/verify_<document>_seed0.json` the
 same report for a plane document of `DOCUMENTS` given as `--plane <file>`.
-`tests/golden/query_<command>_<plane>.txt` is a
+`tests/golden/query_<command>_<plane>[_<tag>].txt` is a
 transcript of the query commands in `QUERIES` (one `$ qplane ...` line, the
 stdout and the exit code per call), and `tests/golden/serialize_<plane>.json`
 is `planes.serialize_plane` of a built-in plane.  A change that only makes
@@ -34,14 +34,18 @@ from conftest import glq_plane_document, twisted_glq_document
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 BUILTINS = ["gl2", "orth3", "sphere_qm1"]
 
-# golden name -> plane document: the generated GL_q(4) plane, and a
-# multiparameter GL_q(3) plane in the reversed basis
+# golden name -> plane document: the generated GL_q(4) plane, a
+# multiparameter GL_q(3) plane in the reversed basis, and orth3 at q = 2i
+# (s = 1 + i: mixed Gaussian values in the specialized report)
 DOCUMENTS = {
     "glq4": glq_plane_document(4),
     "twisted3_reversed": twisted_glq_document(3, reverse=True),
+    "orth3_q2i": {**json.loads((GOLDEN / "serialize_orth3.json").read_text()),
+                  "q": "2*i"},
 }
 
-# (command, plane) -> argument lists after `--plane <plane>`
+# (command, plane[, tag]) -> argument lists after `--plane <plane>`; the
+# tagged transcripts print mixed Gaussian coefficients
 QUERIES = {
     ("nf", "gl2"): [["y*x"], ["d(y)*x*D(x)"], ["(x+q*y)^3"], ["D(y)*y*y"]],
     ("nf", "sphere_qm1"): [["x+*x-"], ["x0*x0*x+"], ["d(x-)*x+*D(x0)"],
@@ -58,6 +62,8 @@ QUERIES = {
     ("eom", "gl2"): [["x*y"], ["x*x + y*y", "--degree", "2"]],
     ("eom", "sphere_qm1"): [["x0"], ["x+*x- + x0*x0", "--degree", "2"],
                             ["x+*x0*x- + x0*x0*x0", "--degree", "3"]],
+    ("nf", "gl2", "coefficients"): [["(1/3 + 2/7*i)*x - s^-3*y/(s+i)"]],
+    ("nf", "sphere_qm1", "coefficients"): [["(2/3 - i/5)*s^3*x0"]],
 }
 
 
@@ -78,10 +84,11 @@ def document_report(name):
         return verify_report(str(path))
 
 
-def query_transcript(command, plane):
+def query_transcript(key):
     from qplane.cli import main
+    command, plane = key[:2]
     out = []
-    for args in QUERIES[command, plane]:
+    for args in QUERIES[key]:
         argv = [command, "--plane", plane] + args
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), \
@@ -110,10 +117,13 @@ def test_document_report_matches_golden(name):
     assert document_report(name) == want
 
 
-@pytest.mark.parametrize("command,plane", sorted(QUERIES))
-def test_query_transcript_matches_golden(command, plane):
-    want = (GOLDEN / f"query_{command}_{plane}.txt").read_bytes()
-    assert query_transcript(command, plane).encode() == want
+def query_golden(key):
+    return GOLDEN / f"query_{'_'.join(key)}.txt"
+
+
+@pytest.mark.parametrize("key", sorted(QUERIES), ids="-".join)
+def test_query_transcript_matches_golden(key):
+    assert query_transcript(key).encode() == query_golden(key).read_bytes()
 
 
 @pytest.mark.parametrize("plane", BUILTINS)
@@ -123,9 +133,8 @@ def test_serialized_plane_matches_golden(plane):
 
 
 def _regenerate():
-    for command, plane in sorted(QUERIES):
-        (GOLDEN / f"query_{command}_{plane}.txt").write_bytes(
-            query_transcript(command, plane).encode())
+    for key in sorted(QUERIES):
+        query_golden(key).write_bytes(query_transcript(key).encode())
     for plane in BUILTINS:
         (GOLDEN / f"serialize_{plane}.json").write_bytes(
             serialized(plane).encode())

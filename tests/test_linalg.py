@@ -20,7 +20,7 @@ from qplane.linalg import (
     wz_conditions,
 )
 from qplane.scalar import (
-    GaussRational,
+    I,
     ONE,
     POLY_ONE,
     ZERO,
@@ -431,7 +431,7 @@ def test_gamma_orth3_generic_fails():
 
 
 def test_gamma_sphere_at_q_minus_one():
-    sp = Specialization(GaussRational(0, 1))
+    sp = Specialization(I)
     r = r_orth3().specialize(sp)
     d = mat_inverse(r.scale(Q.specialize(sp)))
     # D itself passes and squares to E; R^-1 = -D fails the wedge condition
@@ -441,7 +441,7 @@ def test_gamma_sphere_at_q_minus_one():
 
 
 def test_orth3_r_squares_to_identity_at_s_i():
-    sp = Specialization(GaussRational(0, 1))
+    sp = Specialization(I)
     r = r_orth3().specialize(sp)
     assert r * r == identity(3)
 

@@ -2,14 +2,17 @@ import json
 
 import pytest
 
+from conftest import glq_plane_document
 from qplane import fixtures, planes
 from qplane.linalg import (
+    check_min_poly,
     check_ybe,
     from_exprs,
     gamma_condition,
     identity,
     mat_inverse,
     wedge_condition,
+    wz_conditions,
 )
 from qplane.planes import (
     PlaneError,
@@ -26,11 +29,11 @@ from qplane.planes import (
     verify_reference_relations,
 )
 from qplane.scalar import (
+    I,
     ONE,
     POLY_ONE,
     Q,
     ZERO,
-    GaussRational,
     parse_scalar,
 )
 
@@ -42,7 +45,7 @@ def test_builtins_derive():
     assert gl2.family == "A" and gl2.dimension == 2
     assert orth3.family == "B" and orth3.dimension == 3
     assert sphere.specialization is not None
-    assert sphere.specialization.value == GaussRational(0, 1)
+    assert sphere.specialization.value == I
 
 
 def test_builtin_invariants():
@@ -149,6 +152,30 @@ def test_capped_copy_shares_rules_and_caches():
     assert low.nf(low.parse("y*x*y")) == gl2.nf(gl2.parse("y*x*y"))
 
 
+@pytest.mark.parametrize("name,q", [
+    ("gl2", "1"), ("orth3", "1"), ("orth3", "-1"), ("orth3", "2*i"),
+    *[(f"glq{n}", q) for n in (2, 3, 4) for q in ("1", "1/4", "-1")]])
+def test_specialization_inherits_generic_verdicts(name, q):
+    # the specialized plane carries the generic verdicts; proved again on
+    # its evaluated matrices they all pass and agree
+    if name.startswith("glq"):
+        doc = {**glq_plane_document(int(name[3:])), "q": q}
+        plane = load_plane(json.dumps(doc))
+    else:
+        plane = specialize_builtin(name, q)
+    generic = plane.generic
+    assert plane.specialization is not None and generic is not plane
+    structure = {
+        "braid-relation": check_ybe(plane.r_matrix),
+        "minimal-polynomial": check_min_poly(plane.r_matrix,
+                                             plane.eigenvalues),
+    }
+    wz = wz_conditions(plane.b, plane.c, plane.d, plane.f)
+    assert all(structure.values()) and all(wz.values())
+    assert plane.structure_report == structure == generic.structure_report
+    assert plane.wz_report == wz == generic.wz_report
+
+
 def test_specialize_builtin_rejects_specialized_plane():
     with pytest.raises(PlaneError, match="already specialized"):
         specialize_builtin("sphere_qm1", 1)
@@ -241,9 +268,15 @@ def test_explicit_gamma_accepted_and_checked():
 
 
 def test_roundtrip_serialization():
-    for name in ("gl2", "orth3", "sphere_qm1"):
-        plane = builtin_plane(name)
+    # q = 2i (s = 1 + i) and q = -1/4 (s = i/2) print q from s * s
+    cases = [(builtin_plane(name), None)
+             for name in ("gl2", "orth3", "sphere_qm1")]
+    cases += [(specialize_builtin("orth3", "2*i"), "2*i"),
+              (specialize_builtin("gl2", "-1/4"), "-1/4")]
+    for plane, q in cases:
         doc = serialize_plane(plane)
+        if q is not None:
+            assert json.loads(doc)["q"] == q
         again = load_plane(doc)
         assert again == plane
         assert serialize_plane(again) == doc

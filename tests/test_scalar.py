@@ -8,7 +8,7 @@ from qplane.scalar import (
     MAX_EXPONENT,
     MAX_NESTING,
     POLY_ONE,
-    GaussRational,
+    I,
     ONE,
     Q,
     S,
@@ -20,7 +20,6 @@ from qplane.scalar import (
     from_int,
     parse_scalar,
     poly_add,
-    poly_coeffs,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -71,7 +70,7 @@ def test_mixed_aux_addition_rejected():
 
 
 def test_specialize_examples():
-    sp = Specialization(GaussRational(0, 1))  # s = i, q = -1
+    sp = Specialization(I)  # s = i, q = -1
     assert parse_scalar("q - q^-1").specialize(sp).is_zero()
     assert parse_scalar("s").specialize(sp) == parse_scalar("i")
     with pytest.raises(ScalarError):
@@ -79,73 +78,90 @@ def test_specialize_examples():
 
 
 def test_specialize_preserves_aux():
-    sp = Specialization(GaussRational(0, 1))
+    sp = Specialization(I)
     x = parse_scalar("q*rho^-1")
     y = x.specialize(sp)
     assert y == parse_scalar("-1") * aux_symbol("rho", -1)
 
 
 def test_specialization_from_q():
-    sp = Specialization.from_q(GaussRational(-1))
-    assert sp.value == GaussRational(0, 1)
-    sp1 = Specialization.from_q(GaussRational(1))
-    assert sp1.value == GaussRational(1)
-    sp4 = Specialization.from_q(GaussRational(4))
-    assert sp4.value == GaussRational(2)
+    sp = Specialization.from_q(from_int(-1))
+    assert sp.value == I
+    sp1 = Specialization.from_q(ONE)
+    assert sp1.value == ONE
+    sp4 = Specialization.from_q(from_int(4))
+    assert sp4.value == from_int(2)
     with pytest.raises(ScalarError):
-        Specialization.from_q(GaussRational(0, 1))  # q = i: no root in Q(i)
+        Specialization.from_q(I)  # q = i: no root in Q(i)
     F = Fraction
     for q, root in [((F(9, 4), 0), (F(3, 2), 0)), ((0, 2), (1, 1)),
                     ((F(3, 25), F(4, 25)), (F(2, 5), F(1, 5))),
                     ((F(-1, 4), 0), (0, F(1, 2))), ((-3, -4), (1, -2))]:
-        assert Specialization.from_q(GaussRational(*q)).value == \
-            GaussRational(*root)
+        assert Specialization.from_q(_const(_RefGauss(*q))).value == \
+            _const(_RefGauss(*root))
     for q in [(2, 0), (F(1, 2), 0), (1, 1), (F(1, 2), 1)]:  # no root
         with pytest.raises(ScalarError):
-            Specialization.from_q(GaussRational(*q))
+            Specialization.from_q(_const(_RefGauss(*q)))
     rng = random.Random(3)
     for _ in range(200):
-        r = GaussRational(Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
-                          Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
+        r = _RefGauss(Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
+                      Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
         if not r:
             continue
         if r.re < 0 or (r.re == 0 and r.im < 0):
             r = -r
-        assert Specialization.from_q(r * r).value == r
+        assert Specialization.from_q(_const(r * r)).value == _const(r)
+    # q must be a plain nonzero constant: no s, no auxiliary symbol
+    for q in [S, Q, parse_scalar("1/(s+1)"), aux_symbol("rho"),
+              parse_scalar("4*rho")]:
+        with pytest.raises(ScalarError, match="not a constant"):
+            Specialization.from_q(q)
+    with pytest.raises(ScalarError, match="nonzero"):
+        Specialization.from_q(ZERO)
 
 
 def test_specialization_from_q_exact_for_huge_values():
     # a float square root misses these roots or overflows
     big = 10**30 + 1
-    assert Specialization.from_q(GaussRational(big * big)).value == \
-        GaussRational(big)
+    assert Specialization.from_q(from_int(big * big)).value == from_int(big)
     with pytest.raises(ScalarError):
-        Specialization.from_q(GaussRational(big * big + 1))
-    assert Specialization.from_q(GaussRational(10**400)).value == \
-        GaussRational(10**200)
+        Specialization.from_q(from_int(big * big + 1))
+    assert Specialization.from_q(from_int(10**400)).value == \
+        from_int(10**200)
 
 
 def _flat(coeffs):
-    """The polynomial (d, a0, b0, ..., an, bn) of GaussRational coefficients
+    """The polynomial (d, a0, b0, ..., an, bn) of _RefGauss coefficients
     in ascending degree, built here independently of the kernels."""
-    d = math.lcm(*(c.d for c in coeffs))
+    d = math.lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
     out = [d]
     for c in coeffs:
-        out += [c.a * (d // c.d), c.b * (d // c.d)]
+        out += [int(c.re * d), int(c.im * d)]
     while len(out) > 1 and not out[-1] and not out[-2]:
         del out[-2:]
     g = math.gcd(*out)
     return tuple(x // g for x in out) if len(out) > 1 else ()
 
 
+def _coeffs(p):
+    """The _RefGauss coefficients of the polynomial p, ascending degree."""
+    return [_RefGauss(Fraction(p[k], p[0]), Fraction(p[k + 1], p[0]))
+            for k in range(1, len(p), 2)]
+
+
+def _const(ref):
+    """The constant Scalar of a _RefGauss value."""
+    return Scalar(_flat([ref]))
+
+
 def _random_scalar(rng, with_aux=False):
-    num = [GaussRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                         Fraction(rng.randint(-2, 2)))
+    num = [_RefGauss(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                     Fraction(rng.randint(-2, 2)))
            for _ in range(rng.randint(1, 4))]
-    den = [GaussRational(rng.randint(-3, 3), rng.randint(-1, 1))
+    den = [_RefGauss(rng.randint(-3, 3), rng.randint(-1, 1))
            for _ in range(rng.randint(1, 3))]
     if not any(c for c in den):
-        den = [GaussRational(1)]
+        den = [_RefGauss(1, 0)]
     aux = (("rho", rng.randint(-2, 2)),) if with_aux else ()
     return Scalar(_flat(num), _flat(den), aux)
 
@@ -188,7 +204,7 @@ def test_print_parse_roundtrip():
 
 def test_specialize_is_ring_hom():
     rng = random.Random(5)
-    sp = Specialization(GaussRational(Fraction(2), Fraction(1)))
+    sp = Specialization(_const(_RefGauss(2, 1)))
     for _ in range(200):
         a = _random_scalar(rng)
         b = _random_scalar(rng)
@@ -235,6 +251,20 @@ class _RefGauss:
 
     def __init__(self, re, im):
         self.re, self.im = Fraction(re), Fraction(im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __neg__(self):
+        return _RefGauss(-self.re, -self.im)
+
+    def __repr__(self):
+        return f"_RefGauss({self.re!r}, {self.im!r})"
+
+    def parts(self):
+        """(a, b, d) with (re + im*i) = (a + b*i)/d in lowest terms."""
+        d = math.lcm(self.re.denominator, self.im.denominator)
+        return int(self.re * d), int(self.im * d), d
 
     def __add__(self, other):
         return _RefGauss(self.re + other.re, self.im + other.im)
@@ -284,15 +314,18 @@ def _random_part(rng):
 
 
 def _assert_matches(x, ref):
-    assert x.d > 0
-    assert math.gcd(x.a, x.b, x.d) == 1
-    assert (x.re, x.im) == (ref.re, ref.im)
-    assert isinstance(x.re, Fraction) and isinstance(x.im, Fraction)
+    """x is the plain constant ref, in canonical form."""
+    assert (x.den, x.aux, x.val) == (POLY_ONE, (), 0) and x.is_constant()
+    _assert_layout(x.num)
+    assert x.num == _flat([ref])
+    assert _coeffs(x.num) == ([ref] if ref else [])
     assert str(x) == str(ref)
-    assert hash(x) == hash(ref)
+    # the same value through the printer and the parser
+    again = parse_scalar(str(x))
+    assert again == x and hash(again) == hash(x)
 
 
-def test_gauss_rational_against_fraction_pairs():
+def test_constant_scalars_against_fraction_pairs():
     rng = random.Random(4242)
     for _ in range(2500):
         # zero, pure real, pure imaginary, mixed; ints and Fractions
@@ -302,22 +335,22 @@ def test_gauss_rational_against_fraction_pairs():
         elif rng.random() < 0.2:
             im = 0
         re2, im2 = _random_part(rng), _random_part(rng)
-        x, y = GaussRational(re, im), GaussRational(re2, im2)
         rx, ry = _RefGauss(re, im), _RefGauss(re2, im2)
+        x, y = _const(rx), _const(ry)
         _assert_matches(x, rx)
         _assert_matches(x + y, rx + ry)
         _assert_matches(x - y, rx - ry)
-        _assert_matches(-x, _RefGauss(-rx.re, -rx.im))
+        _assert_matches(-x, -rx)
         _assert_matches(x * y, rx * ry)
         assert (x == y) == (rx == ry)
-        assert x - x == GaussRational(0) and not x - x
+        assert x - x == ZERO and not x - x
         # an equal value reached another way is structurally equal
         _assert_matches(x + y - y, rx)
         assert x + y - y == x and hash(x + y - y) == hash(x)
-        if rx.re or rx.im:
+        if rx:
             _assert_matches(x.inverse(), rx.inverse())
             _assert_matches(y / x, ry / rx)
-            assert (y / x) * x == y
+            assert (y / x) * x == y and hash((y / x) * x) == hash(y)
         else:
             with pytest.raises(ScalarError):
                 x.inverse()
@@ -325,11 +358,14 @@ def test_gauss_rational_against_fraction_pairs():
                 y / x
 
 
-def test_gauss_rational_int_and_fraction_inputs_agree():
-    assert GaussRational(3, -2) == GaussRational(Fraction(6, 2), Fraction(-2))
-    assert GaussRational(Fraction(1, 2), Fraction(1, 3)).d == 6
-    assert hash(GaussRational(Fraction(4, 2))) == hash(GaussRational(2))
-    assert GaussRational() == GaussRational(0, 0) and not GaussRational()
+def test_constant_int_and_fraction_inputs_agree():
+    assert _const(_RefGauss(3, -2)) == \
+        _const(_RefGauss(Fraction(6, 2), Fraction(-2)))
+    assert _const(_RefGauss(3, -2)) == from_int(3) - from_int(2) * I
+    assert parse_scalar("1/2 + i/3").num == (6, 3, 2)
+    assert hash(parse_scalar("4/2")) == hash(from_int(2))
+    assert from_int(0) == ZERO and not from_int(0)
+    assert parse_scalar("0/5") == ZERO and not _const(_RefGauss(0, 0))
 
 
 def test_power_by_squaring_matches_repeated_products():
@@ -371,8 +407,7 @@ def test_power_weight_matches_unstripped_polynomials():
     # the weight read off s^val * num/den equals the weight of the reduced
     # fraction of polynomials, s^val on top or below
     def coeff_bits(p):
-        return max(max(c.a.bit_length(), c.b.bit_length(), c.d.bit_length())
-                   for c in poly_coeffs(p))
+        return max(x.bit_length() for c in _coeffs(p) for x in c.parts())
 
     rng = random.Random(4242)
     for _ in range(300):
@@ -392,7 +427,7 @@ def test_power_weight_matches_unstripped_polynomials():
 
 # -- polynomial kernels against a coefficient-list reference -----------------
 
-GR0 = GaussRational(0)
+REF0 = _RefGauss(0, 0)
 
 
 def _ref_trim(coeffs):
@@ -404,12 +439,12 @@ def _ref_trim(coeffs):
 
 def _ref_add(a, b):
     n = max(len(a), len(b))
-    a, b = a + [GR0] * (n - len(a)), b + [GR0] * (n - len(b))
+    a, b = a + [REF0] * (n - len(a)), b + [REF0] * (n - len(b))
     return _ref_trim(x + y for x, y in zip(a, b))
 
 
 def _ref_mul(a, b):
-    out = [GR0] * max(0, len(a) + len(b) - 1)
+    out = [REF0] * max(0, len(a) + len(b) - 1)
     for j, x in enumerate(a):
         for k, y in enumerate(b):
             out[j + k] = out[j + k] + x * y
@@ -417,7 +452,7 @@ def _ref_mul(a, b):
 
 
 def _ref_divmod(a, b):
-    rem, quot = list(a), [GR0] * max(0, len(a) - len(b) + 1)
+    rem, quot = list(a), [REF0] * max(0, len(a) - len(b) + 1)
     inv_lead = b[-1].inverse()
     for shift in range(len(a) - len(b), -1, -1):
         c = quot[shift] = rem[shift + len(b) - 1] * inv_lead
@@ -435,7 +470,7 @@ def _ref_gcd(a, b):
 def _random_coeffs(rng, max_degree=4):
     """Coefficient lists with zeros, integers above 2^64, huge denominators
     and nonzero imaginary parts (see _random_part)."""
-    return _ref_trim(GaussRational(_random_part(rng), _random_part(rng))
+    return _ref_trim(_RefGauss(_random_part(rng), _random_part(rng))
                      for _ in range(rng.randint(0, max_degree + 1)))
 
 
@@ -451,7 +486,7 @@ def _assert_layout(p):
 
 def _checked(p, ref):
     _assert_layout(p)
-    assert poly_coeffs(p) == ref
+    assert _coeffs(p) == ref
     assert p == _flat(ref)
     return p
 
@@ -461,7 +496,7 @@ def test_poly_kernels_match_coefficient_lists():
     for _ in range(300):
         a, b = _random_coeffs(rng), _random_coeffs(rng)
         if rng.random() < 0.3:  # a common factor, so the gcd is not 1
-            g = _random_coeffs(rng, 2) or [GaussRational(1)]
+            g = _random_coeffs(rng, 2) or [_RefGauss(1, 0)]
             a, b = _ref_mul(a, g), _ref_mul(b, g)
         p, q = _flat(a), _flat(b)
         _checked(poly_add(p, q), _ref_add(a, b))
@@ -473,21 +508,21 @@ def test_poly_kernels_match_coefficient_lists():
             _checked(rem, ref_rem)
         if a or b:
             gcd = _checked(poly_gcd(p, q), _ref_gcd(a, b))
-            assert poly_coeffs(gcd)[-1] == GaussRational(1)
-        x = GaussRational(_random_part(rng), _random_part(rng))
-        want = GR0
+            assert _coeffs(gcd)[-1] == _RefGauss(1, 0)
+        x = _RefGauss(_random_part(rng), _random_part(rng))
+        want = REF0
         for c in reversed(a):
             want = want * x + c
-        assert poly_eval(p, x) == want
+        assert poly_eval(p, _flat([x])) == _flat([want])
 
 
 def test_poly_divmod_by_non_real_leading_coefficient():
     # a Gaussian leading coefficient with both parts nonzero
-    a = [GaussRational(3, -1), GaussRational(0, 2), GaussRational(5),
-         GaussRational(Fraction(1, 7), 2**70)]
-    b = [GaussRational(1, 1), GaussRational(Fraction(2, 3), Fraction(-5, 2))]
+    a = [_RefGauss(3, -1), _RefGauss(0, 2), _RefGauss(5, 0),
+         _RefGauss(Fraction(1, 7), 2**70)]
+    b = [_RefGauss(1, 1), _RefGauss(Fraction(2, 3), Fraction(-5, 2))]
     quot, rem = poly_divmod(_flat(a), _flat(b))
-    assert (poly_coeffs(quot), poly_coeffs(rem)) == _ref_divmod(a, b)
+    assert (_coeffs(quot), _coeffs(rem)) == _ref_divmod(a, b)
 
 
 def test_scalar_layout_invariants():
@@ -504,12 +539,12 @@ def test_scalar_layout_invariants():
             _assert_layout(v.den)
             assert type(v.val) is int
             assert v.den  # monic: the leading coefficient is 1
-            assert poly_coeffs(v.den)[-1] == GaussRational(1)
+            assert _coeffs(v.den)[-1] == _RefGauss(1, 0)
             if v:
                 assert poly_gcd(v.num, v.den) == (1, 1, 0)  # coprime
                 # nonzero constant coefficients: the power of s is all in
                 # val, so no s^k denominator is stored
-                assert poly_coeffs(v.num)[0] and poly_coeffs(v.den)[0]
+                assert _coeffs(v.num)[0] and _coeffs(v.den)[0]
                 assert v.den == POLY_ONE or len(v.den) > 3
             else:
                 assert (v.den, v.aux, v.val) == ((1, 1, 0), (), 0)
@@ -517,7 +552,8 @@ def test_scalar_layout_invariants():
 
 def test_equal_values_hash_equal_across_routes():
     rng = random.Random(1618)
-    sp = Specialization(GaussRational(Fraction(1, 2), 3))
+    rx = _RefGauss(Fraction(1, 2), 3)
+    sp = Specialization(_const(rx))
     for _ in range(300):
         x = _random_scalar(rng, with_aux=rng.random() < 0.3)
         y = _random_scalar(rng)
@@ -531,17 +567,17 @@ def test_equal_values_hash_equal_across_routes():
             got = x.specialize(sp)
         except ScalarError:  # a pole at s = 1/2 + 3i
             continue
-        nv = dv = GR0
-        for c in reversed(poly_coeffs(x.num)):
-            nv = nv * sp.value + c
-        for c in reversed(poly_coeffs(x.den)):
-            dv = dv * sp.value + c
+        nv = dv = REF0
+        for c in reversed(_coeffs(x.num)):
+            nv = nv * rx + c
+        for c in reversed(_coeffs(x.den)):
+            dv = dv * rx + c
         for _ in range(abs(x.val)):  # times value^val
             if x.val > 0:
-                nv = nv * sp.value
+                nv = nv * rx
             else:
-                dv = dv * sp.value
-        want = Scalar.from_gauss(nv / dv)
+                dv = dv * rx
+        want = _const(nv / dv)
         for sym, e in x.aux:
             want = want * aux_symbol(sym, e)
         for v in (want, parse_scalar(str(got))):
