@@ -20,8 +20,8 @@ The memo is local to one product and freed with it.
 distinct text, and stores no zero; the derivation after it reads no
 matrix as a dense n^4 grid.
 
-``rref_rows`` is the one exact elimination (rule pivoting, ``mat_inverse``
-and the symplectic solves run through it).  A row is a dict {column:
+``rref_rows`` is the one exact elimination (rule pivoting, ``mat_inverse``,
+the constraint spans and the symplectic solves run through it).  A row is a dict {column:
 nonzero Scalar}: a row operation visits only the pivot row's nonzero
 columns and deletes an entry that cancels, so no zero is stored or
 multiplied, and the pivots and values are those of dense Gauss-Jordan

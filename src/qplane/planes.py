@@ -12,10 +12,11 @@ derivation of its braid matrix:
 2. Specialization (:func:`_specialize`) evaluates the generic matrices at
    a numeric q, refusing a pole, and inherits the generic verdicts (braid
    relation, minimal polynomial, consistency conditions): evaluation is a
-   ring homomorphism, so they are not proved again.  It derives the rules
-   again in that field, because rule derivation divides by quantities
-   that may vanish exactly at the special value.  The result is a new
-   plane whose ``generic`` is the plane it came from.
+   ring homomorphism, so they are not proved again.  It derives the rules,
+   and a quotient (step 3), again in that field, because rule derivation
+   divides by quantities that may vanish exactly at the special value; the
+   declarations are kept.  The result is a new plane whose ``generic`` is
+   the plane it came from.
 3. The central quotient (:func:`_quotient`) adds the rule that sets a
    central element to a symbol, and the differential consequences of that
    rule as form relations.  It, too, returns a new plane.
@@ -206,21 +207,19 @@ def derive_plane(name, dimension, generator_names, family, r_exprs,
         name, dimension, tuple(generator_names), family,
         from_exprs(r_exprs, dimension, name="r_matrix"), eigenvalues,
         gamma_policy or ("r_over_q" if family == "A" else "auto"))
-    if q != "generic":
-        plane = _specialize(plane, _parse_q_value(q))
-    if quotient is not None:
-        plane = _quotient(plane, quotient["central"], quotient["symbol"])
     declared = {}
     if gamma_exprs is not None:
-        matrix = from_exprs(gamma_exprs, dimension, name="gamma")
-        if plane.specialization is not None:
-            matrix = matrix.specialize(plane.specialization)
-        declared.update(gamma_policy="explicit", gamma_explicit=matrix)
+        declared.update(gamma_policy="explicit", gamma_explicit=from_exprs(
+            gamma_exprs, dimension, name="gamma"))
     if symplectic is not None:
         declared.update(symplectic_body_expr=symplectic["form"],
                         symplectic_scale_expr=symplectic["scale"])
     if declared:
         plane = _replace(plane, **declared)
+    if q != "generic":
+        plane = _specialize(plane, _parse_q_value(q))
+    if quotient is not None:
+        plane = _quotient(plane, quotient["central"], quotient["symbol"])
     if gamma_exprs is not None:
         plane.gamma_candidates  # a failing explicit braiding raises here
     return plane
@@ -293,8 +292,8 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
                 ) -> PlaneSpec:
     """``plane`` at s = sp.value, named ``name`` (default: its own name).
 
-    The generic verdicts are inherited and only the rules are derived
-    again (step 2 of the module docstring).
+    The generic verdicts and the declarations are inherited; the rules and
+    a quotient are derived again (step 2 of the module docstring).
     """
     name = name or plane.name
     try:
@@ -304,19 +303,22 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
                       for m in (plane.b, plane.c, plane.d, plane.f))
         qpr = None if plane.q_projector is None \
             else plane.q_projector.specialize(sp)
+        gamma = None if plane.gamma_explicit is None \
+            else plane.gamma_explicit.specialize(sp)
     except ScalarError as exc:
         raise PlaneError(f"plane {name}: specialization at {sp} hits a "
                          f"pole: {exc}")
-    structure = {key: plane.structure_report[key]
-                 for key in ("braid-relation", "minimal-polynomial")}
     system = ncalg.build_rewrite_system(
         plane.dimension, plane.generator_names, plane.monomial_ranks,
         b, c, d, f)
-    return PlaneSpec(name, plane.dimension, plane.generator_names,
-                     plane.family, r, eigenvalues, b, c, d, f, qpr,
-                     structure, plane.wz_report, plane.monomial_ranks, system,
-                     plane.gamma_policy, specialization=sp,
-                     generic=plane.generic)
+    out = _replace(plane, name=name, r_matrix=r, eigenvalues=eigenvalues,
+                   b=b, c=c, d=d, f=f, q_projector=qpr, gamma_explicit=gamma,
+                   system=system, specialization=sp, generic=plane.generic,
+                   constraint_spans={})
+    if plane.quotient_symbol is not None:
+        out = _quotient(out, plane.quotient_central_expr,
+                        plane.quotient_symbol)
+    return out
 
 
 def _quotient(plane: PlaneSpec, central_expr: str, symbol: str
@@ -463,8 +465,8 @@ def builtin_plane(name: str) -> PlaneSpec:
 def specialize(plane: PlaneSpec, q) -> PlaneSpec:
     """A generic plane specialized at a numeric q (the q = 1 checks).
 
-    The plane is evaluated at q, not derived again; its rules are rebuilt
-    in the specialized field, as for every specialization.
+    The plane is evaluated at q, not derived again; its rules and quotient
+    are rebuilt in the specialized field, as for every specialization.
     """
     if plane.specialization is not None:
         raise PlaneError(f"plane {plane.name!r} is already specialized")

@@ -5,9 +5,12 @@ element generates extra relations among forms.  Those cannot be oriented
 as two-letter rewrite rules without breaking confluence, so they are kept
 as a left module of form relations and quotiented out by exact linear
 algebra: an element of differential degree k is reduced modulo the span of
-(coordinate monomial) * (constraint form) * (differential letters).  Word
-rewriting and this module reduction together realize the sphere's exterior
-algebra; on unconstrained planes the module is empty and reduction is the
+(coordinate monomial) * (constraint form) * (differential letters).  The
+span is the rref (:func:`qplane.linalg.rref_rows`) of those generators
+with the largest word first, so each row is monic at its own lead word,
+which no other row holds, and a reduction is one pass.  Word rewriting
+and this module reduction together realize the sphere's exterior algebra;
+on unconstrained planes the module is empty and reduction is the
 identity.
 
 A Hamiltonian field solves X~|omega = -df over the fields whose
@@ -126,7 +129,15 @@ def _constraint_span(plane, xi_degree, coord_bound):
                             AlgebraElement.from_word(w).concat(core))
                         if not el.is_zero():
                             gens.append(el)
-    span = _echelonize(gens, sys)
+    # columns run from the largest word down, so a pivot is a row's lead
+    words = sorted({w for el in gens for w in el.terms}, key=sys.word_key,
+                   reverse=True)
+    column = {w: c for c, w in enumerate(words)}
+    rows, pivots = rref_rows(
+        [{column[w]: v for w, v in el.terms.items()} for el in gens],
+        len(words))
+    span = {words[p]: AlgebraElement({words[c]: v for c, v in row.items()})
+            for p, row in zip(pivots, rows)}
     cache[key] = span
     return span
 
@@ -158,31 +169,11 @@ def _diff_words(plane, length):
     return words
 
 
-def _echelonize(elements, sys):
-    """Row-reduce a list of elements into (lead word -> element) form."""
-    span = {}
-    for el in elements:
-        el = _reduce_against_span(el, span, sys)
-        if el.is_zero():
-            continue
-        lead = max(el.terms, key=sys.word_key)
-        el = el.scale(el.terms[lead].inverse())
-        # back-substitute into existing rows
-        for lw in list(span):
-            row = span[lw]
-            c = row.terms.get(lead)
-            if c is not None:
-                span[lw] = row - el.scale(c)
-        span[lead] = el
-    return span
-
-
 def _reduce_against_span(e, span, sys):
     """``e`` with every lead word of ``span`` cleared, in one pass.
 
-    Each row holds exactly one lead word, its own (:func:`_echelonize`
-    back-substitutes), so subtracting a row changes no other lead word's
-    coefficient.
+    Each row holds exactly one lead word, its own (the span is an rref),
+    so subtracting a row changes no other lead word's coefficient.
     """
     for w in [w for w in e.terms if w in span]:
         e = e - span[w].scale(e.terms[w])

@@ -36,6 +36,7 @@ from qplane.scalar import (
     ZERO,
     parse_scalar,
 )
+from qplane.symp import symplectic_form
 
 
 def test_builtins_derive():
@@ -179,6 +180,54 @@ def test_specialization_inherits_generic_verdicts(name, q):
 def test_specialize_builtin_rejects_specialized_plane():
     with pytest.raises(PlaneError, match="already specialized"):
         specialize_builtin("sphere_qm1", 1)
+
+
+def _rules(plane):
+    return {lhs: r.rhs for lhs, r in plane.system.rules.items()}
+
+
+def _generic_sphere():
+    doc = json.loads(serialize_plane(builtin_plane("sphere_qm1")))
+    return doc, load_plane(json.dumps({**doc, "q": "generic"}))
+
+
+def test_specialized_generic_sphere_is_the_builtin_sphere():
+    # specialization keeps the declarations and derives the quotient again
+    sphere = builtin_plane("sphere_qm1")
+    _, generic = _generic_sphere()
+    got = planes.specialize(generic, -1)
+    assert got.quotient_symbol == sphere.quotient_symbol == "rho"
+    assert _rules(got) == _rules(sphere)
+    assert got.system.quotient_rule.lhs == sphere.system.quotient_rule.lhs
+    assert got.system.quotient_rule.rhs == sphere.system.quotient_rule.rhs
+    assert [f.body for f in got.constraint_forms] == \
+        [f.body for f in sphere.constraint_forms]
+    assert got.structure_report == sphere.structure_report
+    assert got.constraint_spans == {} and got.generic is generic
+    omega, want = symplectic_form(got), symplectic_form(sphere)
+    assert omega.wedge.body == want.wedge.body
+    assert omega.scale == want.scale
+
+
+def test_specialized_generic_sphere_at_1_matches_its_document():
+    doc, generic = _generic_sphere()
+    got = planes.specialize(generic, 1)
+    want = load_plane(json.dumps({**doc, "q": "1"}))
+    assert got == want
+    assert _rules(got) == _rules(want)
+    assert got.system.quotient_rule.rhs == want.system.quotient_rule.rhs
+    assert [f.body for f in got.constraint_forms] == \
+        [f.body for f in want.constraint_forms]
+
+
+def test_specialization_keeps_an_explicit_gamma():
+    gamma = [["q^-1 * (" + e + ")" for e in row] for row in fixtures.R_GL2]
+    generic = load_plane(json.dumps(gl2_doc(gamma=gamma)))
+    got = planes.specialize(generic, "1/4")
+    assert got.gamma_policy == "explicit"
+    assert got.gamma == generic.gamma.specialize(got.specialization)
+    assert got.gamma == load_plane(json.dumps(gl2_doc(
+        gamma=gamma, q="1/4"))).gamma
 
 
 def test_d_agrees_with_printed_table_via_independent_route():

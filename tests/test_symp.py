@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -311,15 +312,59 @@ def _reduce_by_restarts(e, span, sys):
     return e
 
 
-def test_one_pass_span_reduction_matches_restart_loop(monkeypatch):
+def _echelonized_span(plane, xi_degree, coord_bound):
+    """The former span builder: the generators of ``_constraint_span``,
+    Gauss-Jordan reduced one at a time, each new row back-substituted
+    into the rows before it."""
+    sys = plane.system
+    coords = symp._normal_coord_words(plane, coord_bound)
+    gens = []
+    for form in plane.constraint_forms:
+        pad = xi_degree - form.degree
+        for split in range(pad + 1):
+            for prefix in symp._diff_words(plane, split):
+                for suffix in symp._diff_words(plane, pad - split):
+                    core = AlgebraElement.from_word(prefix).concat(
+                        form.body).concat(AlgebraElement.from_word(suffix))
+                    for w in coords:
+                        gens.append(sys.normal_form(
+                            AlgebraElement.from_word(w).concat(core)))
+    span = {}
+    for el in gens:
+        el = _reduce_by_restarts(el, span, sys)
+        if el.is_zero():
+            continue
+        lead = max(el.terms, key=sys.word_key)
+        el = el.scale(el.terms[lead].inverse())
+        for lw in list(span):
+            c = span[lw].terms.get(lead)
+            if c is not None:
+                span[lw] = span[lw] - el.scale(c)
+        span[lead] = el
+    return span
+
+
+def test_constraint_span_matches_echelonize():
+    # the rref with the largest word first is the unique reduced echelon
+    # form, so it equals the former builder's span; k = 0 has no generator
+    doc = json.loads(planes.serialize_plane(SPHERE))
+    at_one = planes.load_plane(json.dumps({**doc, "q": "1"}))
+    cases = [(SPHERE, k, bound) for k in (1, 2, 3) for bound in range(2, 7)]
+    cases += [(at_one, k, bound) for k in (1, 2, 3) for bound in range(2, 6)]
+    cases += [(SPHERE, 0, 2), (at_one, 0, 2)]
+    for plane, k, bound in cases:
+        fresh = planes._replace(plane, constraint_spans={})
+        span = symp._constraint_span(fresh, k, bound)
+        assert span == _echelonized_span(plane, k, bound), \
+            (plane.name, k, bound)
+        assert bool(span) == (k > 0)
+
+
+def test_one_pass_span_reduction_matches_restart_loop():
     keys = [(k, bound) for k in (1, 2, 3) for bound in range(2, 7)]
     one_pass = symp._reduce_against_span
     fresh = planes._replace(SPHERE, constraint_spans={})
     spans = {key: symp._constraint_span(fresh, *key) for key in keys}
-    monkeypatch.setattr(symp, "_reduce_against_span", _reduce_by_restarts)
-    oracle = planes._replace(SPHERE, constraint_spans={})
-    for key in keys:
-        assert symp._constraint_span(oracle, *key) == spans[key], key
     # seeded sphere forms: a random word's normal form plus a span row
     rng = random.Random(20261018)
     sys = SPHERE.system
