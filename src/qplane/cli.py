@@ -172,10 +172,12 @@ def suite_closedness(plane, omega, degree=1):
         return checks
     ok = symp.is_closed(omega, plane)
     checks.append(Check("closedness/d-omega-zero", "pass" if ok else "fail"))
-    nd, _ = symp.is_nondegenerate(omega, plane, degree)
+    nd, witness = symp.is_nondegenerate(omega, plane, degree)
+    detail = f"certified up to coefficient degree {degree}" if nd else \
+        f"kernel field {_field_str(witness, plane)} within coefficient " \
+        f"degree {degree}"
     checks.append(Check("closedness/nondegenerate",
-                        "pass" if nd else "fail",
-                        f"certified up to coefficient degree {degree}"))
+                        "pass" if nd else "fail", detail))
     return checks
 
 
@@ -193,13 +195,15 @@ def suite_hamiltonian(plane, omega, degree=1):
             checks.append(Check(f"hamiltonian/solve-{name}", "fail",
                                 str(exc)))
             continue
-        solved = report.status != "none"
-        if solved:
-            fields[name] = report.particular
+        if report.status == "none":
+            checks.append(Check(f"hamiltonian/solve-{name}", "fail",
+                                "no field within coefficient degree "
+                                f"{degree}"))
+            continue
+        fields[name] = report.particular
         detail = f"status {report.status}: " + _field_str(
             report.particular, plane)
-        checks.append(Check(f"hamiltonian/solve-{name}",
-                            "pass" if solved else "fail", detail))
+        checks.append(Check(f"hamiltonian/solve-{name}", "pass", detail))
     expected = _hamiltonian_tables(plane, omega)
     if expected is not None:
         field_table, bracket_table = expected

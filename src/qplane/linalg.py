@@ -20,14 +20,16 @@ The memo is local to one product and freed with it.
 distinct text, and stores no zero; the derivation after it reads no
 matrix as a dense n^4 grid.
 
-``rref_rows`` is the one exact elimination (rule pivoting, ``mat_inverse``,
-the constraint spans and the symplectic solves run through it).  A row is a dict {column:
-nonzero Scalar}: a row operation visits only the pivot row's nonzero
-columns and deletes an entry that cancels, so no zero is stored or
-multiplied, and the pivots and values are those of dense Gauss-Jordan
-elimination.  The pivot column's entry, which always cancels, is deleted
-without arithmetic.  It keeps no memo, so its memory stays what the
-nonzero entries need.
+``rref_rows`` is the one exact elimination.  It has three callers:
+``echelon``, which gives the reduced basis, keyed by lead word, that the
+rewrite rules, the quotient rule, the constraint 1-form and the
+constraint spans are read from; ``mat_inverse``; and the symplectic
+column solves.  A row is a dict {column: nonzero Scalar}: a row operation
+visits only the pivot row's nonzero columns and deletes an entry that
+cancels, so no zero is stored or multiplied, and the pivots and values
+are those of dense Gauss-Jordan elimination.  The pivot column's entry,
+which always cancels, is deleted without arithmetic.  It keeps no memo,
+so its memory stays what the nonzero entries need.
 """
 
 from __future__ import annotations
@@ -86,9 +88,6 @@ class LegMatrix:
 
     def at(self, row_indices, col_indices) -> Scalar:
         return self[self.composite(*row_indices), self.composite(*col_indices)]
-
-    def set_at(self, row_indices, col_indices, value: Scalar):
-        self[self.composite(*row_indices), self.composite(*col_indices)] = value
 
     # -- ring operations ------------------------------------------------------
 
@@ -300,6 +299,25 @@ def rref_rows(rows, ncols):
         pivots.append(col)
         rank += 1
     return rows, pivots
+
+
+def echelon(vectors, key):
+    """The reduced echelon basis of the span of ``vectors``, {lead: row}.
+
+    A vector is a dict {label: nonzero Scalar}, and labels are ordered by
+    ``key``, largest first.  A row is monic at its lead, its largest
+    label, which no other row holds.  Rows come in pivot order, and each
+    row's labels in label order.
+    """
+    vectors = list(vectors)
+    labels = sorted({label for v in vectors for label in v}, key=key,
+                    reverse=True)
+    column = {label: c for c, label in enumerate(labels)}
+    rows, pivots = rref_rows(
+        [{column[label]: x for label, x in v.items()} for v in vectors],
+        len(labels))
+    return {labels[p]: {labels[c]: row[c] for c in sorted(row)}
+            for p, row in zip(pivots, rows)}
 
 
 def mat_inverse(m: LegMatrix) -> LegMatrix:

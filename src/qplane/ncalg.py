@@ -7,11 +7,13 @@ rules always rewrite a two-letter pattern to a combination of strictly
 smaller words; normal forms sort every word into coordinate block,
 differential block, derivative block.
 
-The three same-kind families come from one pivoting of relation rows
-(``_pivot_rules``): coordinates from E - B, differentials from E + D, and
-derivatives from E - F read transposed, so that row (i, j) is sum over
-(k, l) of (E - F)[(l, k), (i, j)] d_k d_l = 0.  On symmetric planes, where
-that entry is (E - F)[(i, j), (l, k)], and with F = B this gives the
+The three same-kind families and the quotient rule are read off the
+echelon basis of their relation rows (``linalg.echelon``, largest word
+first): each row gives the rule lead -> -(row - lead).  Coordinates come
+from E - B, differentials from E + D, and derivatives from E - F read
+transposed, so that row (i, j) is sum over (k, l) of
+(E - F)[(l, k), (i, j)] d_k d_l = 0.  On symmetric planes, where that
+entry is (E - F)[(i, j), (l, k)], and with F = B this gives the
 coordinate relations with each word reversed, e.g. d_y d_x = q d_x d_y on
 gl2 (Wess-Zumino, Nucl. Phys. B Proc. Suppl. 18B, 1990).  A twisted
 GL_q(n) (R[(i,j),(j,i)] = t, R[(j,i),(i,j)] = 1/t) is not symmetric, and
@@ -53,7 +55,7 @@ import copy
 import random
 
 from . import scalar
-from .linalg import LegMatrix, identity, rref_rows
+from .linalg import LegMatrix, echelon, identity
 from .scalar import Scalar, ScalarError
 
 COORD = 0
@@ -386,22 +388,18 @@ def _pivot_rules(sys: RewriteSystem, kind: int, entries):
     ``entries`` holds the nonzero coefficients only.  Yields (lhs word, rhs
     element) pairs.
     """
-    n = sys.dimension
-    pairs = _pair_of(n)
-    words = [(gen(kind, i), gen(kind, j)) for i, j in pairs]
-    order = sorted(range(len(words)), key=lambda t: sys.word_key(words[t]),
-                   reverse=True)
-    column = {pairs[t]: col for col, t in enumerate(order)}
-    row_of = {p: r for r, p in enumerate(pairs)}
-    rows = [{} for _ in pairs]
-    for (row_pair, col_pair), v in entries.items():
-        rows[row_of[row_pair]][column[col_pair]] = v
-    reduced, pivots = rref_rows(rows, len(order))
-    for r, pivot_col in enumerate(pivots):
-        rhs = AlgebraElement()
-        rhs.terms = {words[order[c]]: -v
-                     for c, v in sorted(reduced[r].items()) if c > pivot_col}
-        yield words[order[pivot_col]], rhs
+    rows = {}
+    for (row_pair, (k, l)), v in entries.items():
+        rows.setdefault(row_pair, {})[gen(kind, k), gen(kind, l)] = v
+    for lead, row in echelon(rows.values(), sys.word_key).items():
+        yield lead, _solved_for(lead, row)
+
+
+def _solved_for(lead, row):
+    """The rhs of lead -> rhs from a relation row monic at ``lead``."""
+    rhs = AlgebraElement()
+    rhs.terms = {w: -v for w, v in row.items() if w != lead}
+    return rhs
 
 
 def _add_exchange_rules(sys: RewriteSystem, c_matrix: LegMatrix,
@@ -453,17 +451,14 @@ def _add_exchange_rules(sys: RewriteSystem, c_matrix: LegMatrix,
 def _add_quotient_rule(sys: RewriteSystem, central: AlgebraElement,
                        symbol: str):
     """Quotient by (central element = symbol), derived in the plane's field."""
-    nf = sys.normal_form(central)
-    rel = nf - AlgebraElement.unit(scalar.aux_symbol(symbol))
+    rel = sys.normal_form(central) - AlgebraElement.unit(
+        scalar.aux_symbol(symbol))
     if rel.is_zero():
         raise NcalgError("central element already equals the quotient symbol")
-    lead = max(rel.terms, key=sys.word_key)
+    (lead, row), = echelon([rel.terms], sys.word_key).items()
     if len(lead) != 2:
         raise NcalgError(f"quotient lead monomial {lead} is not quadratic")
-    c = rel.terms[lead]
-    rest = AlgebraElement()
-    rest.terms = {w: v for w, v in rel.terms.items() if w != lead}
-    sys.add_rule(lead, rest.scale(-(c.inverse())), quotient=True)
+    sys.add_rule(lead, _solved_for(lead, row), quotient=True)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +571,11 @@ def _critical_pair_mismatch(sys: RewriteSystem, word):
 # ---------------------------------------------------------------------------
 # Element grammar
 # ---------------------------------------------------------------------------
-# expr := term (("+"|"-") term)* ; term := factor ("*" factor)* ;
-# factor := atom ("^" int)? ;
-# atom := scalar-atom | generator | "d(" name ")" | "D(" name ")"
-#       | "(" expr ")" | "-" factor .
+# The scalar grammar (scalar.Parser) with elements for values:
+# name := generator | "d(" generator ")" | "D(" generator ")" | scalar name;
+# a product is taken in the free algebra, a quotient only by a scalar
+# factor, and a power of a non-scalar factor only to an exponent within
+# the degree cap.
 
 RESERVED_NAMES = {"i", "s", "q", "rho", "d", "D"}
 
@@ -594,7 +590,7 @@ def parse_element(text: str, sys: RewriteSystem) -> AlgebraElement:
     return value
 
 
-class _ElementParser(scalar._Tokens):
+class _ElementParser(scalar.Parser):
     def __init__(self, text, sys):
         super().__init__(text)
         self.sys = sys
@@ -615,48 +611,6 @@ class _ElementParser(scalar._Tokens):
                 return idx
         return None
 
-    def parse_expr(self):
-        value = self.parse_term()
-        while True:
-            if self.take("+"):
-                value = value + self.parse_term()
-            elif self.take("-"):
-                value = value - self.parse_term()
-            else:
-                return value
-
-    def parse_term(self):
-        value = self.parse_factor()
-        while True:
-            if self.take("*"):
-                value = self.product(value, self.parse_factor())
-            elif self.take("/"):
-                rhs = self.parse_factor()
-                if not _is_scalar_element(rhs):
-                    raise ScalarError("can only divide by scalar factors")
-                value = value.scale(rhs.coefficient(()).inverse())
-            else:
-                return value
-
-    def parse_factor(self):
-        atom = self.parse_atom()
-        if not self.take("^"):
-            return atom
-        e = self.take_signed_int("exponent")
-        if _is_scalar_element(atom):
-            return AlgebraElement.unit(atom.coefficient(()) ** e)
-        if e < 0:
-            raise ScalarError("negative powers only on scalar factors")
-        cap = self.sys.degree_cap
-        if e > cap:
-            # the free algebra has no zero divisors, so atom^e has a word
-            # of length at least e, which the cap would reject anyway
-            raise ScalarError(f"power {e} exceeds the degree cap {cap}")
-        out = AlgebraElement.unit()
-        for _ in range(e):
-            out = self.product(out, atom)
-        return out
-
     def product(self, a, b):
         """The free product a*b, or a parse error when it could hold more
         than ``scalar.MAX_TERMS`` words."""
@@ -665,15 +619,28 @@ class _ElementParser(scalar._Tokens):
                              f"{scalar.MAX_TERMS} words")
         return a.concat(b)
 
-    def parse_atom(self):
-        if self.take("("):
-            with self.nested():
-                value = self.parse_expr()
-                self.expect(")")
-            return value
-        if self.take("-"):
-            with self.nested():
-                return -self.parse_factor()
+    def divide(self, a, b, pos):
+        if not _is_scalar_element(b):
+            raise ScalarError("can only divide by scalar factors")
+        return a.scale(b.coefficient(()).inverse())
+
+    def power(self, base):
+        e = self.take_signed_int("exponent")
+        if _is_scalar_element(base):
+            return AlgebraElement.unit(base.coefficient(()) ** e)
+        if e < 0:
+            raise ScalarError("negative powers only on scalar factors")
+        cap = self.sys.degree_cap
+        if e > cap:
+            # the free algebra has no zero divisors, so base^e has a word
+            # of length at least e, which the cap would reject anyway
+            raise ScalarError(f"power {e} exceeds the degree cap {cap}")
+        out = AlgebraElement.unit()
+        for _ in range(e):
+            out = self.product(out, base)
+        return out
+
+    def parse_name(self):
         # differentials and derivatives before generic name matching
         for prefix, kind in (("d(", DIFF), ("D(", DERIV)):
             if self.take(prefix):
@@ -685,8 +652,7 @@ class _ElementParser(scalar._Tokens):
         idx = self.match_generator()
         if idx is not None:
             return AlgebraElement.from_word((gen(COORD, idx),))
-        # fall back to the scalar grammar for one atom
-        return AlgebraElement.unit(scalar._parse_atom(self))
+        return AlgebraElement.unit(super().parse_name())
 
 
 def _is_scalar_element(e: AlgebraElement) -> bool:

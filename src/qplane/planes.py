@@ -47,8 +47,8 @@ from functools import cached_property
 
 from . import fixtures, ncalg, qcalc, scalar
 from .linalg import LegMatrix, LinalgError, check_min_poly, check_ybe, \
-    from_exprs, identity, mat_inverse, projector_q, wedge_condition, \
-    wz_conditions
+    echelon, from_exprs, identity, mat_inverse, projector_q, \
+    wedge_condition, wz_conditions
 from .ncalg import COORD, AlgebraElement, gen
 from .scalar import ScalarError, Specialization, parse_scalar
 
@@ -193,6 +193,10 @@ def derive_plane(name, dimension, generator_names, family, r_exprs,
         if n_ in ncalg.RESERVED_NAMES:
             raise PlaneError(f"generator name {n_!r} collides with a "
                              "reserved token")
+    if quotient is not None and quotient["symbol"] != "rho":
+        raise PlaneError(f"quotient.symbol must be 'rho', the one auxiliary "
+                         f"symbol the grammar reads, not "
+                         f"{quotient['symbol']!r}")
     if family == "B" and len(eigenvalue_exprs) != 3:
         raise PlaneError("family B requires three eigenvalues "
                          "(lambda0, lambda1, lambda2)")
@@ -362,8 +366,8 @@ def _derive_constraint_forms(sp, system, generic_system, generic_central):
     eta = qcalc.d_function(generic_central, generic_system)
     if eta.is_zero():
         return ()
-    lead = max(eta.body.terms, key=generic_system.word_key)
-    body = eta.body.scale(eta.body.terms[lead].inverse())
+    (row,) = echelon([eta.body.terms], generic_system.word_key).values()
+    body = AlgebraElement(row)
     if sp is not None:
         try:
             body = _specialize_element(body, sp)
@@ -426,11 +430,6 @@ def resolve_gamma(plane: PlaneSpec):
 # ---------------------------------------------------------------------------
 
 _BUILTIN_CACHE = {}
-
-
-def builtin_planes():
-    """The three reference planes: gl2, orth3, and the sphere at q = -1."""
-    return [builtin_plane(n) for n in ("gl2", "orth3", "sphere_qm1")]
 
 
 def builtin_plane(name: str) -> PlaneSpec:

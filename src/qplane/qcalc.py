@@ -219,18 +219,6 @@ def to_tensor(omega: WedgeForm, gamma: LegMatrix, sys: RewriteSystem
     return out
 
 
-def tensor_lift_words(words, gamma: LegMatrix, n: int) -> TensorForm:
-    """Lift raw two-differential words without normal-forming them first.
-
-    Used to check that relation rows of the differential algebra map to the
-    zero tensor, which is exactly the wedge well-definedness statement.
-    """
-    out = TensorForm(2)
-    for (a, b), c in words:
-        _add_lift(out, (), a, b, c, gamma, n)
-    return out
-
-
 def _add_lift(out: TensorForm, coord, a, b, c: Scalar, gamma: LegMatrix, n):
     """Add c * coord * (xi_a (x) xi_b - Gamma row (a, b)) to ``out``."""
     out.add_entry(coord, (a, b), c)

@@ -485,10 +485,6 @@ def s_power(e: int) -> Scalar:
     return _scalar(POLY_ONE, POLY_ONE, (), e)
 
 
-def q_power(e: int) -> Scalar:
-    return s_power(2 * e)
-
-
 class Specialization:
     """Exact substitution s -> value, value a nonzero constant Scalar."""
 
@@ -618,13 +614,15 @@ def join_signed(terms):
 # expr   := term (("+"|"-") term)*
 # term   := factor (("*"|"/") factor)*
 # factor := atom ("^" signed_int)?
-# atom   := rational | "i" | "s" | "q" | "rho" | "(" expr ")" | "-" factor
+# atom   := "(" expr ")" | "-" factor | name
+# name   := rational | "i" | "s" | "q" | "rho"
 # rational := int ("/" int)?
 
 MAX_NESTING = 100
-"""Cap on nested parentheses and unary minus signs, in either grammar.
+"""Cap on nested parentheses and unary minus signs, in scalars and
+elements alike.
 
-Both parsers descend recursively, at most four frames per level, so the
+The parser descends recursively, at most four frames per level, so the
 cap keeps the deepest accepted input far inside Python's default recursion
 limit: deeper input is a parse error, not a ``RecursionError``.
 """
@@ -640,13 +638,105 @@ error instead.  This bounds the words, not the rewriting of each one.
 """
 
 
-class _Tokens:
-    """Cursor over an input text; also the base of the element parser."""
+class Parser:
+    """Recursive descent over the grammar above, valued in scalars.
+
+    ``parse_expr`` down to ``parse_atom`` are the grammar, written once;
+    the values are made by ``product``, ``divide``, ``power`` and
+    ``parse_name``, which the element parser of :mod:`qplane.ncalg`
+    overrides, with ``error``, to read elements of the free algebra.
+    """
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
         self.depth = 0
+
+    # -- the grammar ---------------------------------------------------------
+
+    def parse_expr(self):
+        value = self.parse_term()
+        while True:
+            if self.take("+"):
+                value = value + self.parse_term()
+            elif self.take("-"):
+                value = value - self.parse_term()
+            else:
+                return value
+
+    def parse_term(self):
+        value = self.parse_factor()
+        while True:
+            if self.take("*"):
+                value = self.product(value, self.parse_factor())
+            elif self.take("/"):
+                pos = self.pos
+                value = self.divide(value, self.parse_factor(), pos)
+            else:
+                return value
+
+    def parse_factor(self):
+        atom = self.parse_atom()
+        return self.power(atom) if self.take("^") else atom
+
+    def parse_atom(self):
+        if self.take("("):
+            with self.nested():
+                value = self.parse_expr()
+                self.expect(")")
+            return value
+        if self.take("-"):
+            with self.nested():
+                return -self.parse_factor()
+        return self.parse_name()
+
+    # -- scalar values -------------------------------------------------------
+
+    def product(self, a, b):
+        return a * b
+
+    def divide(self, a, b, pos):
+        """a / b, with ``pos`` where the divisor starts."""
+        if b.is_zero():
+            raise ParseError("division by zero", pos)
+        return a / b
+
+    def power(self, base):
+        """``base`` to the signed exponent that follows the ``^``."""
+        e = self.take_signed_int()
+        if e < 0 and base.is_zero():
+            raise ParseError("zero to a negative power", self.pos)
+        return base ** e
+
+    def parse_name(self):
+        """A rational or a named constant.  Its errors are always
+        ``ParseError``s, also inside an element."""
+        ch = self.peek()
+        if ch.isdecimal():
+            n = self.take_int()
+            if self.peek() == "/":
+                # lookahead: rational only when a digit follows the slash
+                save = self.pos
+                self.take("/")
+                if self.peek().isdecimal():
+                    d = self.take_int()
+                    if d == 0:
+                        raise ParseError("zero denominator", self.pos)
+                    return _constant(n, 0, d)
+                self.pos = save
+            return from_int(n)
+        word = self.take_word()
+        if word == "i":
+            return I
+        if word == "s":
+            return S
+        if word == "q":
+            return Q
+        if word == "rho":
+            return aux_symbol("rho")
+        raise ParseError(f"unexpected token {word or ch!r}", self.pos)
+
+    # -- the cursor ----------------------------------------------------------
 
     @contextlib.contextmanager
     def nested(self):
@@ -718,90 +808,13 @@ def parse_scalar(text: str, where: str | None = None) -> Scalar:
     ``eigenvalues.lambda1``); an error message then starts with it.
     """
     try:
-        return _parse_scalar(text)
+        parser = Parser(text)
+        value = parser.parse_expr()
+        parser.skip_ws()
+        if parser.pos != len(text):
+            raise ParseError("trailing input", parser.pos)
+        return value
     except ScalarError as exc:
         if where is None:
             raise
         raise ScalarError(f"{where}: {exc}") from None
-
-
-def _parse_scalar(text):
-    toks = _Tokens(text)
-    value = _parse_expr(toks)
-    toks.skip_ws()
-    if toks.pos != len(text):
-        raise ParseError("trailing input", toks.pos)
-    return value
-
-
-def _parse_expr(toks):
-    value = _parse_term(toks)
-    while True:
-        if toks.take("+"):
-            value = value + _parse_term(toks)
-        elif toks.take("-"):
-            value = value - _parse_term(toks)
-        else:
-            return value
-
-
-def _parse_term(toks):
-    value = _parse_factor(toks)
-    while True:
-        if toks.take("*"):
-            value = value * _parse_factor(toks)
-        elif toks.take("/"):
-            pos = toks.pos
-            rhs = _parse_factor(toks)
-            if rhs.is_zero():
-                raise ParseError("division by zero", pos)
-            value = value / rhs
-        else:
-            return value
-
-
-def _parse_factor(toks):
-    atom = _parse_atom(toks)
-    if toks.take("^"):
-        e = toks.take_signed_int()
-        if e < 0 and atom.is_zero():
-            raise ParseError("zero to a negative power", toks.pos)
-        atom = atom ** e
-    return atom
-
-
-def _parse_atom(toks):
-    ch = toks.peek()
-    if ch == "(":
-        toks.take("(")
-        with toks.nested():
-            value = _parse_expr(toks)
-            toks.expect(")")
-        return value
-    if ch == "-":
-        toks.take("-")
-        with toks.nested():
-            return -_parse_factor(toks)
-    if ch.isdecimal():
-        n = toks.take_int()
-        if toks.peek() == "/":
-            # lookahead: rational only when a digit follows the slash
-            save = toks.pos
-            toks.take("/")
-            if toks.peek().isdecimal():
-                d = toks.take_int()
-                if d == 0:
-                    raise ParseError("zero denominator", toks.pos)
-                return _constant(n, 0, d)
-            toks.pos = save
-        return from_int(n)
-    word = toks.take_word()
-    if word == "i":
-        return I
-    if word == "s":
-        return S
-    if word == "q":
-        return Q
-    if word == "rho":
-        return aux_symbol("rho")
-    raise ParseError(f"unexpected token {word or ch!r}", toks.pos)

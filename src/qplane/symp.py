@@ -6,9 +6,9 @@ as two-letter rewrite rules without breaking confluence, so they are kept
 as a left module of form relations and quotiented out by exact linear
 algebra: an element of differential degree k is reduced modulo the span of
 (coordinate monomial) * (constraint form) * (differential letters).  The
-span is the rref (:func:`qplane.linalg.rref_rows`) of those generators
-with the largest word first, so each row is monic at its own lead word,
-which no other row holds, and a reduction is one pass.  Word rewriting
+span is the echelon basis (:func:`qplane.linalg.echelon`) of those
+generators, largest word first, so each row is monic at its own lead
+word, which no other row holds, and a reduction is one pass.  Word rewriting
 and this module reduction together realize the sphere's exterior algebra;
 on unconstrained planes the module is empty and reduction is the
 identity.
@@ -27,7 +27,7 @@ import warnings
 from collections import namedtuple
 
 from . import qcalc, scalar
-from .linalg import rref_rows
+from .linalg import echelon, rref_rows
 from .ncalg import COORD, DIFF, AlgebraElement, gen
 from .qcalc import TensorForm, VectorField, WedgeForm, one_form_body
 from .scalar import Scalar
@@ -129,15 +129,8 @@ def _constraint_span(plane, xi_degree, coord_bound):
                             AlgebraElement.from_word(w).concat(core))
                         if not el.is_zero():
                             gens.append(el)
-    # columns run from the largest word down, so a pivot is a row's lead
-    words = sorted({w for el in gens for w in el.terms}, key=sys.word_key,
-                   reverse=True)
-    column = {w: c for c, w in enumerate(words)}
-    rows, pivots = rref_rows(
-        [{column[w]: v for w, v in el.terms.items()} for el in gens],
-        len(words))
-    span = {words[p]: AlgebraElement({words[c]: v for c, v in row.items()})
-            for p, row in zip(pivots, rows)}
+    span = {lead: AlgebraElement(row) for lead, row in
+            echelon([el.terms for el in gens], sys.word_key).items()}
     cache[key] = span
     return span
 
@@ -172,8 +165,8 @@ def _diff_words(plane, length):
 def _reduce_against_span(e, span, sys):
     """``e`` with every lead word of ``span`` cleared, in one pass.
 
-    Each row holds exactly one lead word, its own (the span is an rref),
-    so subtracting a row changes no other lead word's coefficient.
+    Each row holds exactly one lead word, its own (the span is an echelon
+    basis), so subtracting a row changes no other lead word's coefficient.
     """
     for w in [w for w in e.terms if w in span]:
         e = e - span[w].scale(e.terms[w])

@@ -334,16 +334,27 @@ def test_deep_nesting_exits_2(tmp_path, where):
     assert "nest" in lines[0]
 
 
-@pytest.mark.parametrize("field, value", [
-    ("generators", [[1], [2]]),
-    ("eigenvalues", {"lambda1": 1, "lambda2": 2}),
-    ("quotient", {"central": 1, "symbol": 2}),
-    ("gamma", [[1]]),
-], ids=["generators", "eigenvalues", "quotient", "gamma"])
-def test_wrongly_typed_document_exits_2(tmp_path, capsys, field, value):
-    doc = {"name": "typed", "dimension": 2, "generators": ["x", "y"],
-           "family": "A", "r_matrix": fixtures.R_GL2, "q": "generic",
-           field: value}
+@pytest.mark.parametrize("base, field, value", [
+    ("gl2", "generators", [[1], [2]]),
+    ("gl2", "eigenvalues", {"lambda1": 1, "lambda2": 2}),
+    ("gl2", "quotient", {"central": 1, "symbol": 2}),
+    ("gl2", "gamma", [[1]]),
+    # rho is the one auxiliary symbol the grammar reads: a generator name
+    # would print as the generator, and another name would not parse
+    ("sphere_qm1", "quotient",
+     {"central": fixtures.SPHERE_CENTRAL, "symbol": "x0"}),
+    ("sphere_qm1", "quotient",
+     {"central": fixtures.SPHERE_CENTRAL, "symbol": "r"}),
+], ids=["generators", "eigenvalues", "quotient", "gamma",
+        "sphere-symbol-x0", "sphere-symbol-r"])
+def test_wrongly_typed_document_exits_2(tmp_path, capsys, base, field,
+                                        value):
+    if base == "gl2":
+        doc = {"name": "typed", "dimension": 2, "generators": ["x", "y"],
+               "family": "A", "r_matrix": fixtures.R_GL2, "q": "generic"}
+    else:
+        doc = json.loads(planes.serialize_plane(planes.builtin_plane(base)))
+    doc[field] = value
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "verify", "--plane", str(path),
@@ -496,6 +507,25 @@ def test_symplectic_form_without_braiding_is_reported(tmp_path):
     assert "PASS relations/classical-limit: all coordinate commutators " \
            "vanish at q=1" in lines
     assert lines[-1].startswith("16 checks, 3 failed, 1 findings")
+
+
+def test_failed_symplectic_checks_name_the_witness(tmp_path, capsys,
+                                                  glq3_document):
+    # d(a)*d(b) on GL_q(3) leaves the c direction out: D(c) contracts to
+    # zero, and no field has -d(c) for its contraction
+    doc = dict(glq3_document,
+               symplectic={"form": "d(a)*d(b)", "scale": "1"})
+    path = tmp_path / "glq3_omega.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                         "all")
+    assert code == 1, err
+    lines = out.splitlines()
+    assert "FAIL closedness/nondegenerate: kernel field (1) * D(c) within " \
+           "coefficient degree 1" in lines
+    assert "FAIL hamiltonian/solve-c: no field within coefficient " \
+           "degree 1" in lines
+    assert "PASS hamiltonian/solve-a: status family: (s^2) * D(b)" in lines
 
 
 def test_unsolved_fixture_field_fails_the_bracket_check(capsys):

@@ -120,7 +120,8 @@ def kron_oracle(a, b):
                             for t in range(1, n + 1):
                                 acc = acc + a.at((i, j), (k, t)) * b.at((t, m), (l, p))
                             if not acc.is_zero():
-                                out.set_at((i, j, m), (k, l, p), acc)
+                                out[out.composite(i, j, m),
+                                    out.composite(k, l, p)] = acc
     return out
 
 

@@ -665,6 +665,58 @@ def test_element_nesting_cap():
             GL2.parse(text)
 
 
+SCALAR_ATOMS = ["0", "1", "2", "3", "12", "2/3", "i", "s", "q", "rho"]
+SCALAR_TOKENS = SCALAR_ATOMS + ["+", "-", "*", "/", "^", "^-", "(", ")", " "]
+
+
+def _random_scalar_text(rng, depth=0):
+    """A seeded random text of the scalar grammar."""
+    r = rng.random()
+    if depth > 3 or r < 0.35:
+        return rng.choice(SCALAR_ATOMS)
+    inner = _random_scalar_text(rng, depth + 1)
+    if r < 0.5:
+        return f"({inner})"
+    if r < 0.6:
+        return f"-{inner}"
+    if r < 0.75:
+        return f"{inner}^{rng.choice(['0', '2', '-1', '-2'])}"
+    return inner + rng.choice("+-*/") + _random_scalar_text(rng, depth + 1)
+
+
+def _parsed_or_none(parse, text):
+    try:
+        return parse(text)
+    except scalar.ScalarError:
+        return None
+
+
+def test_element_grammar_agrees_with_the_scalar_grammar():
+    # a text without generators reads as the unit element of its scalar,
+    # and a text one grammar rejects the other rejects too; half the
+    # random texts get one scalar token inserted at a random place
+    rng = random.Random(16)
+    texts = ["2/3^2", "-2^2", "1/2/3", "q^-1/2", "2^-1/2", "(1+s)^-2",
+             "rho^2/rho", "--2", "2*-3"]
+    for _ in range(3000):
+        text = _random_scalar_text(rng)
+        if rng.random() < 0.5:
+            k = rng.randint(0, len(text))
+            text = text[:k] + rng.choice(SCALAR_TOKENS) + text[k:]
+        texts.append(text)
+    rejected = 0
+    for text in texts:
+        value = _parsed_or_none(parse_scalar, text)
+        element = _parsed_or_none(
+            lambda t: parse_element(t, GL2.system), text)
+        assert (value is None) == (element is None), text
+        if value is None:
+            rejected += 1
+        else:
+            assert element == AlgebraElement.unit(value), text
+    assert 0 < rejected < len(texts) - 9
+
+
 def test_element_print_parse_roundtrip():
     rng = random.Random(31)
     for plane in (GL2, ORTH3):

@@ -20,7 +20,6 @@ from qplane.planes import (
     capped,
     _matrix_exprs,
     builtin_plane,
-    builtin_planes,
     derive_plane,
     load_plane,
     resolve_gamma,
@@ -37,6 +36,12 @@ from qplane.scalar import (
     parse_scalar,
 )
 from qplane.symp import symplectic_form
+
+
+
+def builtin_planes():
+    """The three reference planes: gl2, orth3, and the sphere at q = -1."""
+    return [builtin_plane(n) for n in ("gl2", "orth3", "sphere_qm1")]
 
 
 def test_builtins_derive():

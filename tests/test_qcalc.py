@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qplane import fixtures, ncalg, planes
+from qplane import fixtures, ncalg, planes, qcalc
 from qplane.ncalg import COORD, DIFF, AlgebraElement, gen
 from qplane.qcalc import (
     QcalcError,
@@ -15,7 +15,6 @@ from qplane.qcalc import (
     d_function,
     one_form_body,
     pair,
-    tensor_lift_words,
     to_tensor,
     wedge,
 )
@@ -24,6 +23,14 @@ from qplane.scalar import parse_scalar
 GL2 = planes.builtin_plane("gl2")
 ORTH3 = planes.builtin_plane("orth3")
 SPHERE = planes.builtin_plane("sphere_qm1")
+
+
+def tensor_lift_words(words, gamma, n):
+    """Lift raw two-differential words without normal-forming them first."""
+    out = TensorForm(2)
+    for (a, b), c in words:
+        qcalc._add_lift(out, (), a, b, c, gamma, n)
+    return out
 
 
 def form(plane, text, degree):

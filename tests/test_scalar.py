@@ -24,7 +24,6 @@ from qplane.scalar import (
     poly_eval,
     poly_gcd,
     poly_mul,
-    q_power,
     s_power,
     _power_weight,
 )
@@ -215,6 +214,12 @@ def test_specialize_is_ring_hom():
             continue
         assert lhs == rhs
         assert (a + b).specialize(sp) == a.specialize(sp) + b.specialize(sp)
+
+
+
+def q_power(e):
+    """q^e as a Scalar: q = s^2."""
+    return s_power(2 * e)
 
 
 def test_powers():
