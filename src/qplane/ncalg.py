@@ -244,6 +244,12 @@ class RewriteSystem:
 
     def add_rule(self, lhs, rhs: AlgebraElement, quotient=False):
         lhs = tuple(lhs)
+        if lhs[0][0] < lhs[1][0]:
+            # normal words are kind-sorted; so a coordinate head and a
+            # differential tail reduce apart, which qplane.symp's
+            # constraint spans rely on
+            raise NcalgError(f"rule left side {self._fmt_word(lhs)} has "
+                             "ascending kinds")
         lm = self.measure(lhs)
         for w in rhs.terms:
             if self.measure(w) >= lm:
@@ -594,20 +600,24 @@ class _ElementParser(scalar.Parser):
     def __init__(self, text, sys):
         super().__init__(text)
         self.sys = sys
-        # longest-first so that "x+" wins over a bare "x" prefix
-        self.names = sorted(
-            ((name, idx + 1) for idx, name in enumerate(sys.generator_names)),
-            key=lambda t: -len(t[0]),
-        )
+        # longest-first so that "x+" wins over a bare "x" prefix, and the
+        # constant "rho" over a generator "r"; a constant has index None
+        names = [(name, idx + 1)
+                 for idx, name in enumerate(sys.generator_names)]
+        names += [(name, None) for name in scalar.NAMES]
+        self.names = sorted(names, key=lambda t: -len(t[0]))
 
     def error(self, message) -> ScalarError:
         return ScalarError(f"{message} at position {self.pos}")
 
     def match_generator(self):
+        """The index of the generator named at the cursor, taken, or None
+        when the longest name there is no generator's."""
         self.skip_ws()
         for name, idx in self.names:
             if self.text.startswith(name, self.pos):
-                self.pos += len(name)
+                if idx is not None:
+                    self.pos += len(name)
                 return idx
         return None
 
@@ -622,12 +632,13 @@ class _ElementParser(scalar.Parser):
     def divide(self, a, b, pos):
         if not _is_scalar_element(b):
             raise ScalarError("can only divide by scalar factors")
-        return a.scale(b.coefficient(()).inverse())
+        return a.scale(super().divide(scalar.ONE, b.coefficient(()), pos))
 
     def power(self, base):
         e = self.take_signed_int("exponent")
         if _is_scalar_element(base):
-            return AlgebraElement.unit(base.coefficient(()) ** e)
+            return AlgebraElement.unit(
+                self.scalar_power(base.coefficient(()), e))
         if e < 0:
             raise ScalarError("negative powers only on scalar factors")
         cap = self.sys.degree_cap

@@ -618,6 +618,9 @@ def join_signed(terms):
 # name   := rational | "i" | "s" | "q" | "rho"
 # rational := int ("/" int)?
 
+NAMES = {"i": I, "s": S, "q": Q, "rho": aux_symbol("rho")}
+"""The named constants of the grammar, by name."""
+
 MAX_NESTING = 100
 """Cap on nested parentheses and unary minus signs, in scalars and
 elements alike.
@@ -703,7 +706,9 @@ class Parser:
 
     def power(self, base):
         """``base`` to the signed exponent that follows the ``^``."""
-        e = self.take_signed_int()
+        return self.scalar_power(base, self.take_signed_int())
+
+    def scalar_power(self, base, e):
         if e < 0 and base.is_zero():
             raise ParseError("zero to a negative power", self.pos)
         return base ** e
@@ -726,14 +731,8 @@ class Parser:
                 self.pos = save
             return from_int(n)
         word = self.take_word()
-        if word == "i":
-            return I
-        if word == "s":
-            return S
-        if word == "q":
-            return Q
-        if word == "rho":
-            return aux_symbol("rho")
+        if word in NAMES:
+            return NAMES[word]
         raise ParseError(f"unexpected token {word or ch!r}", self.pos)
 
     # -- the cursor ----------------------------------------------------------

@@ -13,6 +13,18 @@ and this module reduction together realize the sphere's exterior algebra;
 on unconstrained planes the module is empty and reduction is the
 identity.
 
+A span is built from an echelon basis of its cores nf(p * g * u), the
+constraint forms g padded by differential words p and u, extended by the
+normal coordinate words x^w.  This is exact for two reasons.  Scalars and
+the radius symbol are central and the normal form is linear, so the
+x^w * B over the basis rows B span what the x^w * core span, and a space
+has one reduced echelon basis.  And no rule's left side has ascending
+kinds, so the normal form of x^w times a word of B is the normal form of
+x^w times the word's coordinate head, followed by its differential tail.
+On the sphere at k = 3 the 27 cores have 7 basis rows, so the span at
+coordinate bound 6, of rank 224, is the echelon basis of 7 x 49 = 343
+generators.
+
 A Hamiltonian field solves X~|omega = -df over the fields whose
 coefficients have degree at most a bound.  Each ``SymplecticForm`` keeps
 one ``_HamiltonianSystem`` per bound: the contraction of omega with each
@@ -108,31 +120,55 @@ def constraint_reduce(e: AlgebraElement, plane, extra_degree: int = 2
 
 
 def _constraint_span(plane, xi_degree, coord_bound):
+    """The echelon basis of the constraint module at differential degree
+    ``xi_degree`` and coordinate multipliers up to ``coord_bound``: of the
+    x^w * B over the normal coordinate words w and the rows B of the
+    cores' echelon basis, each word of B split once into its coordinate
+    head and differential tail (see the module docstring).
+    """
     key = (xi_degree, coord_bound)
     cache = plane.constraint_spans
     if key in cache:
         return cache[key]
     sys = plane.system
+    cores = [core.terms for core in _constraint_cores(plane, xi_degree)]
+    basis = []
+    for row in echelon(cores, sys.word_key).values():
+        parts = []
+        for word, c in row.items():
+            n = sum(1 for g in word if g[0] == COORD)
+            parts.append((word[:n], word[n:], c))
+        basis.append(parts)
     gens = []
-    coords = _normal_coord_words(plane, coord_bound)
+    for w in _normal_coord_words(plane, coord_bound):
+        for parts in basis:
+            terms = {}
+            for head, tail, c in parts:
+                for w2, v in sys.reduce_word(w + head).terms.items():
+                    word = w2 + tail
+                    terms[word] = terms.get(word, scalar.ZERO) + v * c
+            gens.append({w2: v for w2, v in terms.items() if not v.is_zero()})
+    span = {lead: AlgebraElement(row) for lead, row in
+            echelon(gens, sys.word_key).items()}
+    cache[key] = span
+    return span
+
+
+def _constraint_cores(plane, xi_degree):
+    """The nonzero nf(p * g * u) over the constraint forms g and the
+    differential words p, u that pad g to ``xi_degree``."""
+    sys = plane.system
     for form in plane.constraint_forms:
         pad = xi_degree - form.degree
-        if pad < 0:
-            continue
         for split in range(pad + 1):
             for prefix in _diff_words(plane, split):
                 for suffix in _diff_words(plane, pad - split):
-                    core = AlgebraElement.from_word(prefix).concat(
-                        form.body).concat(AlgebraElement.from_word(suffix))
-                    for w in coords:
-                        el = sys.normal_form(
-                            AlgebraElement.from_word(w).concat(core))
-                        if not el.is_zero():
-                            gens.append(el)
-    span = {lead: AlgebraElement(row) for lead, row in
-            echelon([el.terms for el in gens], sys.word_key).items()}
-    cache[key] = span
-    return span
+                    core = sys.normal_form(
+                        AlgebraElement.from_word(prefix).concat(
+                            form.body).concat(
+                                AlgebraElement.from_word(suffix)))
+                    if not core.is_zero():
+                        yield core
 
 
 def _normal_coord_words(plane, max_degree):

@@ -464,6 +464,18 @@ def test_renamed_gl2_generators_verify(tmp_path, capsys):
     assert "hamiltonian/field-fixtures" not in out
 
 
+@pytest.mark.parametrize("first", ["r", "rh"])
+def test_generator_prefix_of_rho_does_not_shadow_it(tmp_path, capsys, first):
+    doc = _gl2_with(generators=[first, "y"],
+                    symplectic={"form": f"d({first})*d(y)", "scale": "1"})
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "nf", "--plane", str(path), "rho*y")
+    assert (code, out.strip()) == (0, "rho * y"), err
+    code, out, err = run(capsys, "nf", "--plane", str(path), f"y*{first}")
+    assert (code, out.strip()) == (0, f"s^-2 * {first}*y"), err
+
+
 @pytest.mark.parametrize("doc,applies", [
     (_gl2_with(name="renamed"), True),
     (_gl2_with(symplectic={"form": "d(x) * d(y)", "scale": "2/2"}), True),

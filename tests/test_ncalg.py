@@ -84,6 +84,23 @@ def test_bad_rule_rejected():
                      AlgebraElement.from_word((gen(COORD, 2), gen(COORD, 1))))
 
 
+def test_ascending_kind_rule_rejected():
+    # a normal word is kind-sorted, so no rule may rewrite a coordinate
+    # followed by a differential
+    sys = RewriteSystem(2, ("x", "y"), (1, 2))
+    with pytest.raises(NcalgError, match=r"x\*d\(x\)"):
+        sys.add_rule((gen(COORD, 1), gen(DIFF, 1)), AlgebraElement())
+
+
+def test_rule_left_sides_never_ascend_in_kind():
+    # every left side is same-kind or a kind inversion
+    glq = [planes.load_plane(json.dumps(glq_plane_document(n)))
+           for n in (2, 3, 4)]
+    for plane in [GL2, ORTH3, SPHERE] + glq:
+        for a, b in plane.system.rules:
+            assert a[0] >= b[0], (plane.name, a, b)
+
+
 def dense_rewrite_system(plane):
     """The rule system of ``plane`` as derived before the derivation read
     only nonzero entries: every family walks the dense n^4 grid through
@@ -653,6 +670,22 @@ def test_element_parse_errors_name_the_position():
         with pytest.raises(scalar.ScalarError) as info:
             GL2.parse(text)
         assert str(info.value) == message, text
+
+
+def test_element_division_by_zero_names_the_position():
+    # the scalar grammar's errors, at the same positions
+    cases = {
+        "x/0": "division by zero (at position 2)",
+        "0^-1": "zero to a negative power (at position 4)",
+        "x*(1-1)^-1": "zero to a negative power (at position 10)",
+    }
+    for text, message in cases.items():
+        with pytest.raises(scalar.ParseError) as info:
+            GL2.parse(text)
+        assert str(info.value) == message, text
+    with pytest.raises(scalar.ParseError) as info:
+        parse_scalar("0^-1")
+    assert str(info.value) == cases["0^-1"]
 
 
 def test_element_nesting_cap():

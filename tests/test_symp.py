@@ -360,6 +360,39 @@ def test_constraint_span_matches_echelonize():
         assert bool(span) == (k > 0)
 
 
+def test_constraint_span_matches_echelonize_on_the_sphere_document():
+    # the same comparison at generic q and at q = 2i
+    doc = json.loads(planes.serialize_plane(SPHERE))
+    for q in ("generic", "2*i"):
+        plane = planes.load_plane(json.dumps({**doc, "q": q}))
+        for k in (1, 2, 3):
+            for bound in (2, 3, 4):
+                fresh = planes._replace(plane, constraint_spans={})
+                span = symp._constraint_span(fresh, k, bound)
+                assert span == _echelonized_span(plane, k, bound), \
+                    (q, k, bound)
+                assert span
+
+
+def test_constraint_span_extends_a_basis_of_its_cores(monkeypatch):
+    # at k = 3 the 27 cores nf(p * g * u) have a basis of 7 rows, so the
+    # span at bound 6 eliminates 7 x 49 generators, not 27 x 49
+    sizes = []
+    echelon = symp.echelon
+
+    def counting(vectors, key):
+        vectors = list(vectors)
+        sizes.append(len(vectors))
+        return echelon(vectors, key)
+
+    monkeypatch.setattr(symp, "echelon", counting)
+    fresh = planes._replace(SPHERE, constraint_spans={})
+    span = symp._constraint_span(fresh, 3, 6)
+    assert len(symp._normal_coord_words(SPHERE, 6)) == 49
+    assert sizes == [27, 7 * 49]
+    assert len(span) == 224
+
+
 def test_one_pass_span_reduction_matches_restart_loop():
     keys = [(k, bound) for k in (1, 2, 3) for bound in range(2, 7)]
     one_pass = symp._reduce_against_span
