@@ -382,8 +382,8 @@ def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
 def clear_denominators(m: LegMatrix):
     """(c*m, c) with c the monic lcm of the entry denominators of m.
 
-    The entries of c*m are Laurent polynomials in s (times their auxiliary
-    monomials), so products of them never run a gcd.  Because c is a
+    The entries of c*m are Laurent polynomials in s (times their powers
+    of rho), so products of them never run a gcd.  Because c is a
     nonzero scalar, an identity linear in m (M X = 0, or M X = Y M) holds
     for c*m exactly when it holds for m; any other identity is scaled side
     by side with the matching power of c (Q*Q == Q becomes M*M == c*M).

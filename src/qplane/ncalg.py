@@ -21,6 +21,11 @@ only the transposed reading resolves its d.d.x overlaps; the unreversed
 reading fails even on gl2.  The three exchange families come from C and
 D.
 
+A central quotient (``quotient_system``) adds one rule to its plane's
+rules, the central element set equal to ``rho``, solved for the
+relation's largest word; every other rule is the plane's own, with its
+right-hand side renormalized under the new one.
+
 Every family is built from the nonzero entries of its matrix, never from
 a dense n^4 grid of ``LegMatrix.at`` reads: rule building costs the
 nonzero entries and their sort plus n^2 bookkeeping per family, and the
@@ -43,10 +48,10 @@ right-hand terms ``c * w`` of the rule into one dict, and takes each
 product ``v * c`` from a memo of the rewrite system.  Canonical scalars
 are equal exactly when their values are, so the memo is exact; a product
 of values does not depend on the rules, so ``add_rule`` keeps it, and
-copies made by ``capped`` share it.  ``normal_form`` and
-``AlgebraElement.scale`` multiply without the memo: a warm session on the
-symplectic layer calls them on ever new coefficients, and a memo there
-would grow with the session.
+copies made by ``capped`` and ``quotient_system`` share it.
+``normal_form`` and ``AlgebraElement.scale`` multiply without the memo: a
+warm session on the symplectic layer calls them on ever new coefficients,
+and a memo there would grow with the session.
 """
 
 from __future__ import annotations
@@ -242,7 +247,7 @@ class RewriteSystem:
 
     # -- construction ------------------------------------------------------
 
-    def add_rule(self, lhs, rhs: AlgebraElement, quotient=False):
+    def add_rule(self, lhs, rhs: AlgebraElement):
         lhs = tuple(lhs)
         if lhs[0][0] < lhs[1][0]:
             # normal words are kind-sorted; so a coordinate head and a
@@ -258,10 +263,7 @@ class RewriteSystem:
                     f"does not decrease the termination measure at word "
                     f"{self._fmt_word(w)}"
                 )
-        rule = RewriteRule(lhs, rhs)
-        self.rules[lhs] = rule
-        if quotient:
-            self.quotient_rule = rule
+        self.rules[lhs] = RewriteRule(lhs, rhs)
         self._cache = {}
 
     def renormalize_rules(self):
@@ -346,14 +348,12 @@ class RewriteSystem:
 # ---------------------------------------------------------------------------
 
 def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
-                         c: LegMatrix, d: LegMatrix, f: LegMatrix,
-                         quotient=None) -> RewriteSystem:
+                         c: LegMatrix, d: LegMatrix, f: LegMatrix
+                         ) -> RewriteSystem:
     """Derive the six rule families from a plane's B, C, D, F matrices.
 
-    ``ranks`` places each generator in the monomial order.  ``quotient`` is
-    an optional (central element, symbol) pair for the sphere-type central
-    quotient: a pure coordinate AlgebraElement set equal to the symbol.
-    Every family is built from the nonzero entries of its matrix.
+    ``ranks`` places each generator in the monomial order.  Every family
+    is built from the nonzero entries of its matrix.
     """
     sys = RewriteSystem(dimension, generator_names, ranks)
     e = identity(dimension, 2)
@@ -368,9 +368,6 @@ def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
         for lhs, rhs in _pivot_rules(sys, kind, entries):
             sys.add_rule(lhs, rhs)
     _add_exchange_rules(sys, c, d)
-    if quotient is not None:
-        _add_quotient_rule(sys, *quotient)
-        sys.renormalize_rules()
     return sys
 
 
@@ -454,17 +451,23 @@ def _add_exchange_rules(sys: RewriteSystem, c_matrix: LegMatrix,
             sys.add_rule((gen(DERIV, k), gen(DIFF, i)), rhs)
 
 
-def _add_quotient_rule(sys: RewriteSystem, central: AlgebraElement,
-                       symbol: str):
-    """Quotient by (central element = symbol), derived in the plane's field."""
-    rel = sys.normal_form(central) - AlgebraElement.unit(
-        scalar.aux_symbol(symbol))
+def quotient_system(sys: RewriteSystem, central: AlgebraElement
+                    ) -> RewriteSystem:
+    """``sys`` modulo (central element = rho): a copy with its own rules
+    and a fresh cache, plus the one rule solved for the relation's largest
+    word, and every right-hand side renormalized under it."""
+    rel = sys.normal_form(central) - AlgebraElement.unit(scalar.rho_power(1))
     if rel.is_zero():
         raise NcalgError("central element already equals the quotient symbol")
     (lead, row), = echelon([rel.terms], sys.word_key).items()
     if len(lead) != 2:
         raise NcalgError(f"quotient lead monomial {lead} is not quadratic")
-    sys.add_rule(lead, _solved_for(lead, row), quotient=True)
+    out = copy.copy(sys)
+    out.rules = dict(sys.rules)
+    out.add_rule(lead, _solved_for(lead, row))
+    out.quotient_rule = out.rules[lead]
+    out.renormalize_rules()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +586,7 @@ def _critical_pair_mismatch(sys: RewriteSystem, word):
 # factor, and a power of a non-scalar factor only to an exponent within
 # the degree cap.
 
-RESERVED_NAMES = {"i", "s", "q", "rho", "d", "D"}
+RESERVED_NAMES = {*scalar.NAMES, "d", "D"}
 
 
 def parse_element(text: str, sys: RewriteSystem) -> AlgebraElement:

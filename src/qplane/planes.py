@@ -17,8 +17,9 @@ derivation of its braid matrix:
    divides by quantities that may vanish exactly at the special value; the
    declarations are kept.  The result is a new plane whose ``generic`` is
    the plane it came from.
-3. The central quotient (:func:`_quotient`) adds the rule that sets a
-   central element to a symbol, and the differential consequences of that
+3. The central quotient (:func:`_quotient`) adds one rule to its plane's
+   rules (:func:`qplane.ncalg.quotient_system`), the one that sets a
+   central element to ``rho``, and the differential consequences of that
    rule as form relations.  It, too, returns a new plane.
 
 :func:`derive_plane` composes these steps for a configuration document.
@@ -80,7 +81,7 @@ class PlaneSpec:
                  wz_report, monomial_ranks, system, gamma_policy,
                  specialization=None, generic=None, gamma_explicit=None,
                  quotient_central=None, quotient_central_expr=None,
-                 quotient_symbol=None, constraint_forms=(),
+                 constraint_forms=(),
                  symplectic_body_expr=None, symplectic_scale_expr=None,
                  constraint_spans=None):
         fields = dict(locals())
@@ -223,7 +224,7 @@ def derive_plane(name, dimension, generator_names, family, r_exprs,
     if q != "generic":
         plane = _specialize(plane, _parse_q_value(q))
     if quotient is not None:
-        plane = _quotient(plane, quotient["central"], quotient["symbol"])
+        plane = _quotient(plane, quotient["central"])
     if gamma_exprs is not None:
         plane.gamma_candidates  # a failing explicit braiding raises here
     return plane
@@ -296,8 +297,9 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
                 ) -> PlaneSpec:
     """``plane`` at s = sp.value, named ``name`` (default: its own name).
 
-    The generic verdicts and the declarations are inherited; the rules and
-    a quotient are derived again (step 2 of the module docstring).
+    The generic verdicts and the declarations are inherited; the rules are
+    derived again, and a quotient rule added to them again (step 2 of the
+    module docstring).
     """
     name = name or plane.name
     try:
@@ -319,15 +321,13 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
                    b=b, c=c, d=d, f=f, q_projector=qpr, gamma_explicit=gamma,
                    system=system, specialization=sp, generic=plane.generic,
                    constraint_spans={})
-    if plane.quotient_symbol is not None:
-        out = _quotient(out, plane.quotient_central_expr,
-                        plane.quotient_symbol)
+    if plane.quotient_central_expr is not None:
+        out = _quotient(out, plane.quotient_central_expr)
     return out
 
 
-def _quotient(plane: PlaneSpec, central_expr: str, symbol: str
-              ) -> PlaneSpec:
-    """``plane`` modulo (central element = symbol), with its form relations.
+def _quotient(plane: PlaneSpec, central_expr: str) -> PlaneSpec:
+    """``plane`` modulo (central element = rho), with its form relations.
 
     Centrality is checked on the generic plane, where the element is not
     degenerate.  A quotient at generic q is its own generic plane.
@@ -339,10 +339,8 @@ def _quotient(plane: PlaneSpec, central_expr: str, symbol: str
     generic_central = generic.parse(central_expr)
     if not ncalg.is_central(generic_central, generic.system):
         raise PlaneVerificationError("declared central element is not central")
-    # the rule set with the quotient rule derived in this field
-    system = ncalg.build_rewrite_system(
-        plane.dimension, plane.generator_names, plane.monomial_ranks,
-        plane.b, plane.c, plane.d, plane.f, quotient=(central, symbol))
+    # the plane's rules and the quotient rule derived in this field
+    system = ncalg.quotient_system(plane.system, central)
     generic_system = system if generic is plane else generic.system
     forms = _derive_constraint_forms(plane.specialization, system,
                                      generic_system, generic_central)
@@ -350,7 +348,7 @@ def _quotient(plane: PlaneSpec, central_expr: str, symbol: str
     return _replace(plane, system=system, structure_report=structure,
                     quotient_central=central,
                     quotient_central_expr=central_expr,
-                    quotient_symbol=symbol, constraint_forms=forms,
+                    constraint_forms=forms,
                     constraint_spans={})
 
 
@@ -452,7 +450,7 @@ def builtin_plane(name: str) -> PlaneSpec:
         sphere = _specialize(builtin_plane("orth3"), _parse_q_value("-1"),
                              name="sphere_qm1")
         plane = _replace(
-            _quotient(sphere, fixtures.SPHERE_CENTRAL, "rho"),
+            _quotient(sphere, fixtures.SPHERE_CENTRAL),
             symplectic_body_expr=fixtures.SPHERE_SYMPLECTIC_BODY,
             symplectic_scale_expr=fixtures.SPHERE_SYMPLECTIC_SCALE)
     else:
@@ -616,7 +614,7 @@ def serialize_plane(plane: PlaneSpec) -> str:
         doc["gamma"] = policy_doc[plane.gamma_policy]
     if plane.quotient_central_expr:
         doc["quotient"] = {"central": plane.quotient_central_expr,
-                           "symbol": plane.quotient_symbol}
+                           "symbol": "rho"}
     if plane.symplectic_body_expr:
         doc["symplectic"] = {"form": plane.symplectic_body_expr,
                              "scale": plane.symplectic_scale_expr}

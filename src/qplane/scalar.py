@@ -1,10 +1,10 @@
 """Exact coefficient arithmetic for the quantum-plane engine.
 
 All coefficients live in the field Q(i)(s) of rational functions in the
-formal variable s over the Gaussian rationals, optionally multiplied by a
-Laurent monomial in auxiliary central symbols (``rho`` for the squared
-sphere radius).  The deformation parameter is always q = s^2, so that
-half-integer powers of q are ordinary powers of s.
+formal variable s over the Gaussian rationals, times an integer power of
+``rho``, the one auxiliary central symbol (the sphere's squared radius).
+The deformation parameter is always q = s^2, so that half-integer powers
+of q are ordinary powers of s.
 
 A polynomial in s is one flat tuple of ints ``(d, a0, b0, ..., an, bn)``:
 coefficient k is (a_k + b_k*i)/d, with d > 0, gcd(d, all a, b) = 1 and no
@@ -16,15 +16,14 @@ the degree-0 ``Scalar`` whose numerator is ``(d, a, b)``, so parsing,
 specialization and ``Specialization.value`` use no other class.
 ``fractions.Fraction`` appears only inside the coefficient printer.
 
-A :class:`Scalar` is s^val * num/den times an auxiliary monomial, with the
-integer ``val`` and polynomials num and den in canonical form:
+A :class:`Scalar` is s^val * num/den * rho^rho, with the integers ``val``
+and ``rho`` and polynomials num and den in canonical form:
 
 * num and den are coprime, and each has a nonzero constant coefficient,
   so the power of s is all in ``val`` (q is the constant 1 with val 2,
   and q - q^-1 is s^4 - 1 with val -2),
 * den is monic, so every Laurent polynomial has den == ``POLY_ONE``,
-* zero is (0, 1) with val 0 and an empty auxiliary monomial,
-* auxiliary exponents are sorted by symbol name.
+* zero is (0, 1) with val 0 and rho 0.
 
 Structural equality of canonical forms is field equality, so zero-testing
 is a dictionary lookup away everywhere else in the engine, and equality
@@ -224,7 +223,7 @@ def poly_eval(p, x):
 
 
 # ---------------------------------------------------------------------------
-# Scalar: s^val * num/den times a Laurent monomial in auxiliary symbols
+# Scalar: s^val * num/den * rho^rho
 # ---------------------------------------------------------------------------
 
 MAX_EXPONENT = 10_000
@@ -261,14 +260,14 @@ def _power_weight(x) -> int:
 
 
 class Scalar:
-    """Canonical s^val * num/den with an auxiliary monomial."""
+    """Canonical s^val * num/den * rho^rho."""
 
-    __slots__ = ("num", "den", "aux", "val", "_hash")
+    __slots__ = ("num", "den", "rho", "val", "_hash")
 
-    def __init__(self, num, den=POLY_ONE, aux=(), val=0):
-        """s^val * num/den times aux, for canonical polynomials num and
+    def __init__(self, num, den=POLY_ONE, rho=0, val=0):
+        """s^val * num/den * rho^rho, for canonical polynomials num and
         den != ()."""
-        self.num, self.den, self.aux, self.val = _canonicalize(num, den, aux,
+        self.num, self.den, self.rho, self.val = _canonicalize(num, den, rho,
                                                                val)
         self._hash = None
 
@@ -278,19 +277,19 @@ class Scalar:
         return not self.num
 
     def is_constant(self):
-        """Free of s (auxiliary monomial allowed)."""
+        """Free of s (a power of rho allowed)."""
         return len(self.num) <= 3 and not self.val and self.den == POLY_ONE
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.num, self.den, self.aux, self.val))
+            self._hash = hash((self.num, self.den, self.rho, self.val))
         return self._hash
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         return (self.val == other.val and self.num == other.num
-                and self.den == other.den and self.aux == other.aux)
+                and self.den == other.den and self.rho == other.rho)
 
     def __bool__(self):
         return bool(self.num)
@@ -302,7 +301,7 @@ class Scalar:
             return other
         if not other.num:
             return self
-        if self.aux != other.aux:
+        if self.rho != other.rho:
             raise ScalarError(
                 "cannot add scalars with different auxiliary monomials: "
                 f"{self} and {other}"
@@ -319,10 +318,10 @@ class Scalar:
                 return ZERO
             if self.den == POLY_ONE:
                 num, v = _strip(num)
-                return _scalar(num, POLY_ONE, self.aux, val + v)
-            return Scalar(num, self.den, self.aux, val)
+                return _scalar(num, POLY_ONE, self.rho, val + v)
+            return Scalar(num, self.den, self.rho, val)
         num = poly_add(poly_mul(p, other.den), poly_mul(q, self.den))
-        return Scalar(num, poly_mul(self.den, other.den), self.aux, val)
+        return Scalar(num, poly_mul(self.den, other.den), self.rho, val)
 
     def __sub__(self, other):
         return self + (-other) if other.num else self
@@ -330,7 +329,7 @@ class Scalar:
     def __neg__(self):
         if not self.num:
             return self
-        return _scalar(poly_neg(self.num), self.den, self.aux, self.val)
+        return _scalar(poly_neg(self.num), self.den, self.rho, self.val)
 
     def __mul__(self, other):
         if not self.num or not other.num:
@@ -338,19 +337,18 @@ class Scalar:
         # both numerators have a nonzero constant coefficient, so their
         # product has one too
         num = poly_mul(self.num, other.num)
-        aux = _aux_mul(self.aux, other.aux)
+        rho = self.rho + other.rho
         val = self.val + other.val
         if self.den == POLY_ONE and other.den == POLY_ONE:
-            return _scalar(num, POLY_ONE, aux, val)
-        return Scalar(num, poly_mul(self.den, other.den), aux, val)
+            return _scalar(num, POLY_ONE, rho, val)
+        return Scalar(num, poly_mul(self.den, other.den), rho, val)
 
     def inverse(self):
         if not self.num:
             raise ScalarError("division by zero")
-        aux = tuple((sym, -e) for sym, e in self.aux)
         # num and den are coprime already: only the new den is made monic
         num, den = _monic(self.den, self.num)
-        return _scalar(num, den, aux, -self.val)
+        return _scalar(num, den, -self.rho, -self.val)
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -375,7 +373,7 @@ class Scalar:
     # -- specialization -------------------------------------------------------
 
     def specialize(self, sp: "Specialization") -> "Scalar":
-        """Evaluate at s = sp.value; auxiliary monomial is preserved."""
+        """Evaluate at s = sp.value; the power of rho is preserved."""
         num, den, x = self.num, self.den, sp.value.num
         if self.val > 0:
             num = _shift(num, self.val)
@@ -387,7 +385,7 @@ class Scalar:
         nv = poly_eval(num, x)
         if not nv:
             return ZERO
-        return _scalar(_scale(nv, *_unit(dv)), POLY_ONE, self.aux, 0)
+        return _scalar(_scale(nv, *_unit(dv)), POLY_ONE, self.rho, 0)
 
     # -- printing --------------------------------------------------------------
 
@@ -398,42 +396,30 @@ class Scalar:
         return f"Scalar({scalar_str(self)!r})"
 
 
-def _scalar(num, den, aux, val) -> Scalar:
-    # internal constructor: (num, den, aux, val) is canonical already
+def _scalar(num, den, rho, val) -> Scalar:
+    # internal constructor: (num, den, rho, val) is canonical already
     out = Scalar.__new__(Scalar)
-    out.num, out.den, out.aux, out.val, out._hash = num, den, aux, val, None
+    out.num, out.den, out.rho, out.val, out._hash = num, den, rho, val, None
     return out
 
 
-def _aux_mul(a, b):
-    if not b:
-        return a
-    if not a:
-        return b
-    exps = dict(a)
-    for sym, e in b:
-        exps[sym] = exps.get(sym, 0) + e
-    return tuple(sorted((sym, e) for sym, e in exps.items() if e))
-
-
-def _canonicalize(num, den, aux, val):
+def _canonicalize(num, den, rho, val):
     if not den:
         raise ScalarError("zero denominator")
     if not num:
-        return POLY_ZERO, POLY_ONE, (), 0
-    aux = tuple(sorted((s, e) for s, e in aux if e))
+        return POLY_ZERO, POLY_ONE, 0, 0
     num, v = _strip(num)
     den, w = _strip(den)
     val += v - w
     if den == POLY_ONE:
-        return num, den, aux, val
+        return num, den, rho, val
     if len(den) > 3:
         g = poly_gcd(num, den)
         if len(g) > 3:
             num, _ = poly_divmod(num, g)
             den, _ = poly_divmod(den, g)
     num, den = _monic(num, den)
-    return num, den, aux, val
+    return num, den, rho, val
 
 
 def _monic(num, den):
@@ -447,14 +433,14 @@ def _monic(num, den):
 def clear_denominators(values):
     """([c*v for v in values], c) with c the monic lcm of their
     denominators: each c*v is a Laurent polynomial in s (den == ONE)
-    times its auxiliary monomial."""
+    times its power of rho."""
     c = POLY_ONE
     for den in {v.den for v in values} - {POLY_ONE}:
         cofactor, _ = poly_divmod(den, poly_gcd(c, den))
         c = poly_mul(c, cofactor)
     return ([_scalar(poly_mul(v.num, poly_divmod(c, v.den)[0]), POLY_ONE,
-                     v.aux, v.val) for v in values],
-            _scalar(c, POLY_ONE, (), 0))
+                     v.rho, v.val) for v in values],
+            _scalar(c, POLY_ONE, 0, 0))
 
 
 ZERO = Scalar(POLY_ZERO)
@@ -465,7 +451,7 @@ Q = S * S
 
 def _constant(a, b=0, d=1) -> Scalar:
     """The constant (a + b*i)/d, d != 0."""
-    return _scalar(_canon([d, a, b]), POLY_ONE, (), 0)
+    return _scalar(_canon([d, a, b]), POLY_ONE, 0, 0)
 
 
 I = _constant(0, 1)
@@ -476,13 +462,14 @@ def from_int(n) -> Scalar:
     return _constant(n)
 
 
-def aux_symbol(name: str, exponent: int = 1) -> Scalar:
-    return Scalar(POLY_ONE, POLY_ONE, ((name, exponent),))
+def rho_power(e: int) -> Scalar:
+    """rho^e as a Scalar, e may be negative."""
+    return _scalar(POLY_ONE, POLY_ONE, e, 0)
 
 
 def s_power(e: int) -> Scalar:
     """s^e as a Scalar, e may be negative."""
-    return _scalar(POLY_ONE, POLY_ONE, (), e)
+    return _scalar(POLY_ONE, POLY_ONE, 0, e)
 
 
 class Specialization:
@@ -526,7 +513,7 @@ class Specialization:
 
 
 def _check_constant(value: Scalar):
-    if not value.is_constant() or value.aux:
+    if not value.is_constant() or value.rho:
         raise ScalarError(f"not a constant: {value}")
 
 
@@ -546,17 +533,16 @@ def scalar_str(x: Scalar) -> str:
         if len(x.num) > 3 or x.val > 0:
             num = f"({num})"
         body = f"{num}/({den})"
-    if x.aux and (" " in body or "/" in body):
+    if not x.rho:
+        return body
+    rho = "rho" if x.rho == 1 else f"rho^{x.rho}"
+    if body == "1":
+        return rho
+    if body == "-1":
+        return f"-{rho}"
+    if " " in body or "/" in body:
         body = f"({body})"
-    for sym, e in x.aux:
-        aux = sym if e == 1 else f"{sym}^{e}"
-        if body == "1":
-            body = aux
-        elif body == "-1":
-            body = f"-{aux}"
-        else:
-            body = f"{body}*{aux}"
-    return body
+    return f"{body}*{rho}"
 
 
 def _laurent_str(num, shift):
@@ -618,7 +604,7 @@ def join_signed(terms):
 # name   := rational | "i" | "s" | "q" | "rho"
 # rational := int ("/" int)?
 
-NAMES = {"i": I, "s": S, "q": Q, "rho": aux_symbol("rho")}
+NAMES = {"i": I, "s": S, "q": Q, "rho": rho_power(1)}
 """The named constants of the grammar, by name."""
 
 MAX_NESTING = 100

@@ -83,6 +83,13 @@ def symplectic_form(plane) -> SymplecticForm:
             f"plane {plane.name} has no braiding that satisfies the wedge "
             "condition; tensor representation unavailable")
     body = plane.nf(plane.parse(plane.symplectic_body_expr))
+    for w in body.terms:
+        # normal words are kind-sorted: coordinates, then differentials
+        if [g[0] for g in w if g[0] != COORD] != [DIFF, DIFF]:
+            raise SympError(
+                f"plane {plane.name}: the symplectic form is not a 2-form: "
+                f"word {plane.show(AlgebraElement.from_word(w))} is not a "
+                "degree-2 differential word")
     wedge = WedgeForm(2, body)
     scale = scalar.parse_scalar(plane.symplectic_scale_expr)
     if plane.specialization is not None:

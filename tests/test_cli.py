@@ -521,6 +521,23 @@ def test_symplectic_form_without_braiding_is_reported(tmp_path):
     assert lines[-1].startswith("16 checks, 3 failed, 1 findings")
 
 
+def test_symplectic_form_that_is_not_a_2_form_is_reported(tmp_path, capsys):
+    # as with a zero scale, verify reports the form it cannot build, and a
+    # command that needs the form exits 2 with the same message
+    doc = _gl2_with(symplectic={"form": "x*d(y)", "scale": "1"})
+    path = tmp_path / "gl2_one_form.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = ("plane gl2: the symplectic form is not a 2-form: word x*d(y) "
+               "is not a degree-2 differential word")
+    code, out, err = run(capsys, "verify", "--plane", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    for name in ("closedness", "hamiltonian"):
+        assert f"FAIL {name}/symplectic-form: {message}" in lines
+    code, out, err = run(capsys, "hamvec", "--plane", str(path), "x")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_failed_symplectic_checks_name_the_witness(tmp_path, capsys,
                                                   glq3_document):
     # d(a)*d(b) on GL_q(3) leaves the c direction out: D(c) contracts to

@@ -26,8 +26,8 @@ from qplane.scalar import (
     ZERO,
     ScalarError,
     Specialization,
-    aux_symbol,
     parse_scalar,
+    rho_power,
     s_power,
 )
 
@@ -284,11 +284,11 @@ def _random_dense(rng, nrows, ncols, rho):
                 continue
             v = rng.choice(pool) * s_power(rng.randint(-3, 3))
             e = row_rho[r] + col_rho[c]
-            row.append(v * aux_symbol("rho", e) if e else v)
+            row.append(v * rho_power(e) if e else v)
         rows.append(row)
     for r in range(1, nrows):
         e = row_rho[r] - row_rho[r - 1]
-        lift = aux_symbol("rho", e) if e else ONE
+        lift = rho_power(e) if e else ONE
         pick = rng.random()
         if pick < 0.15:
             rows[r] = [ZERO] * ncols
@@ -299,7 +299,7 @@ def _random_dense(rng, nrows, ncols, rho):
         elif pick < 0.4 and r >= 2:
             # a combination of the two previous rows
             e2 = row_rho[r] - row_rho[r - 2]
-            lift2 = aux_symbol("rho", e2) if e2 else ONE
+            lift2 = rho_power(e2) if e2 else ONE
             rows[r] = [lift * a + (rng.choice(pool) * lift2) * b
                        for a, b in zip(rows[r - 1], rows[r - 2])]
     return rows

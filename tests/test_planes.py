@@ -201,7 +201,7 @@ def test_specialized_generic_sphere_is_the_builtin_sphere():
     sphere = builtin_plane("sphere_qm1")
     _, generic = _generic_sphere()
     got = planes.specialize(generic, -1)
-    assert got.quotient_symbol == sphere.quotient_symbol == "rho"
+    assert got.quotient_central_expr == sphere.quotient_central_expr
     assert _rules(got) == _rules(sphere)
     assert got.system.quotient_rule.lhs == sphere.system.quotient_rule.lhs
     assert got.system.quotient_rule.rhs == sphere.system.quotient_rule.rhs
@@ -336,10 +336,26 @@ def test_roundtrip_serialization():
         assert serialize_plane(again) == doc
 
 
+def test_quotient_adds_one_rule_to_its_planes_rules(monkeypatch):
+    # the sphere is orth3 at q = -1 plus the rule x0*x0 -> -rho; the
+    # quotient derives nothing again and leaves its plane's rules as they
+    # were
+    sphere = builtin_plane("sphere_qm1")
+    plane = planes.specialize(builtin_plane("orth3"), -1)
+    before = _rules(plane)
+    monkeypatch.setattr(planes.ncalg, "build_rewrite_system", None)
+    got = planes._quotient(plane, fixtures.SPHERE_CENTRAL)
+    lead = got.system.quotient_rule.lhs
+    assert list(got.system.rules) == [*before, lead]
+    assert _rules(got) == _rules(sphere)
+    assert _rules(plane) == before and lead not in before
+
+
 def test_specialized_quotient_reloads():
     doc = serialize_plane(builtin_plane("sphere_qm1"))
     again = load_plane(doc)
-    assert again.quotient_symbol == "rho"
+    assert json.loads(doc)["quotient"]["symbol"] == "rho"
+    assert again.quotient_central_expr == fixtures.SPHERE_CENTRAL
     assert again.system.quotient_rule is not None
     assert len(again.constraint_forms) == 2
 

@@ -16,7 +16,6 @@ from qplane.scalar import (
     ScalarError,
     Specialization,
     ZERO,
-    aux_symbol,
     from_int,
     parse_scalar,
     poly_add,
@@ -24,6 +23,7 @@ from qplane.scalar import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    rho_power,
     s_power,
     _power_weight,
 )
@@ -53,14 +53,14 @@ def test_parse_reduction_cancels_common_factor():
 def test_field_ops_examples():
     d = parse_scalar("q - q^-1")
     assert (d - d).is_zero()
-    rho = aux_symbol("rho")
+    rho = rho_power(1)
     assert (ONE / rho) * rho == ONE
     with pytest.raises(ScalarError):
         ONE / ZERO
 
 
 def test_mixed_aux_addition_rejected():
-    rho = aux_symbol("rho")
+    rho = rho_power(1)
     with pytest.raises(ScalarError):
         rho + ONE
     # adding zero is always fine
@@ -80,7 +80,7 @@ def test_specialize_preserves_aux():
     sp = Specialization(I)
     x = parse_scalar("q*rho^-1")
     y = x.specialize(sp)
-    assert y == parse_scalar("-1") * aux_symbol("rho", -1)
+    assert y == parse_scalar("-1") * rho_power(-1)
 
 
 def test_specialization_from_q():
@@ -111,7 +111,7 @@ def test_specialization_from_q():
             r = -r
         assert Specialization.from_q(_const(r * r)).value == _const(r)
     # q must be a plain nonzero constant: no s, no auxiliary symbol
-    for q in [S, Q, parse_scalar("1/(s+1)"), aux_symbol("rho"),
+    for q in [S, Q, parse_scalar("1/(s+1)"), rho_power(1),
               parse_scalar("4*rho")]:
         with pytest.raises(ScalarError, match="not a constant"):
             Specialization.from_q(q)
@@ -153,7 +153,7 @@ def _const(ref):
     return Scalar(_flat([ref]))
 
 
-def _random_scalar(rng, with_aux=False):
+def _random_scalar(rng, with_rho=False):
     num = [_RefGauss(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                      Fraction(rng.randint(-2, 2)))
            for _ in range(rng.randint(1, 4))]
@@ -161,8 +161,8 @@ def _random_scalar(rng, with_aux=False):
            for _ in range(rng.randint(1, 3))]
     if not any(c for c in den):
         den = [_RefGauss(1, 0)]
-    aux = (("rho", rng.randint(-2, 2)),) if with_aux else ()
-    return Scalar(_flat(num), _flat(den), aux)
+    rho = rng.randint(-2, 2) if with_rho else 0
+    return Scalar(_flat(num), _flat(den), rho)
 
 
 def test_field_axioms_random():
@@ -180,8 +180,8 @@ def test_field_axioms_random():
 def test_aux_monomials_multiply():
     rng = random.Random(7)
     for _ in range(200):
-        a = _random_scalar(rng, with_aux=True)
-        b = _random_scalar(rng, with_aux=True)
+        a = _random_scalar(rng, with_rho=True)
+        b = _random_scalar(rng, with_rho=True)
         if a.is_zero() or b.is_zero():
             continue
         assert (a * b) / b == a
@@ -192,13 +192,27 @@ def test_print_parse_roundtrip():
     samples = [
         ZERO, ONE, S, Q, parse_scalar("-q"), parse_scalar("q^-1"),
         parse_scalar("1/(q+1)"), parse_scalar("(s^3-i)/(s^2+s+1)"),
-        aux_symbol("rho"), aux_symbol("rho", -2),
+        rho_power(1), rho_power(-2),
         parse_scalar("(q - q^-1)*rho^-1"),
     ]
     samples += [_random_scalar(rng) for _ in range(100)]
-    samples += [_random_scalar(rng, with_aux=True) for _ in range(50)]
+    samples += [_random_scalar(rng, with_rho=True) for _ in range(50)]
     for x in samples:
         assert parse_scalar(str(x)) == x, str(x)
+
+
+def test_rho_powers_print_as_before():
+    # a power of rho is one factor after the s-part, parenthesized when
+    # that part is a sum or a fraction
+    for text, want in [
+        ("rho", "rho"), ("-rho", "-rho"), ("rho^-1", "rho^-1"),
+        ("-3*rho^-2", "-3*rho^-2"), ("(1+i)*rho", "(1+i)*rho"),
+        ("q*rho", "s^2*rho"), ("s/(1+s)*rho^-3", "((s)/(s + 1))*rho^-3"),
+        ("1/(i*rho)", "-i*rho^-1"),
+    ]:
+        x = parse_scalar(text)
+        assert str(x) == want, text
+        assert parse_scalar(want) == x
 
 
 def test_specialize_is_ring_hom():
@@ -229,9 +243,9 @@ def test_powers():
 
 
 def test_canonical_zero_unique():
-    z = parse_scalar("q - q") * aux_symbol("rho")
+    z = parse_scalar("q - q") * rho_power(1)
     assert z == ZERO
-    assert not z.aux
+    assert not z.rho
 
 
 def test_parse_errors_carry_position():
@@ -320,7 +334,7 @@ def _random_part(rng):
 
 def _assert_matches(x, ref):
     """x is the plain constant ref, in canonical form."""
-    assert (x.den, x.aux, x.val) == (POLY_ONE, (), 0) and x.is_constant()
+    assert (x.den, x.rho, x.val) == (POLY_ONE, 0, 0) and x.is_constant()
     _assert_layout(x.num)
     assert x.num == _flat([ref])
     assert _coeffs(x.num) == ([ref] if ref else [])
@@ -376,7 +390,7 @@ def test_constant_int_and_fraction_inputs_agree():
 def test_power_by_squaring_matches_repeated_products():
     rng = random.Random(17)
     for _ in range(30):
-        x = _random_scalar(rng, with_aux=True)
+        x = _random_scalar(rng, with_rho=True)
         if x.is_zero():
             continue
         for e in range(-5, 6):
@@ -416,7 +430,7 @@ def test_power_weight_matches_unstripped_polynomials():
 
     rng = random.Random(4242)
     for _ in range(300):
-        x = _random_scalar(rng, with_aux=True) * s_power(rng.randint(-6, 6))
+        x = _random_scalar(rng, with_rho=True) * s_power(rng.randint(-6, 6))
         if not x:
             continue
         num = (0, 0) * max(x.val, 0)
@@ -533,9 +547,9 @@ def test_poly_divmod_by_non_real_leading_coefficient():
 def test_scalar_layout_invariants():
     rng = random.Random(31)
     for _ in range(300):
-        x = _random_scalar(rng, with_aux=True)
+        x = _random_scalar(rng, with_rho=True)
         y = _random_scalar(rng)
-        values = [x, y, x + y if not x.aux else x * y, x * y, -x, x ** 2,
+        values = [x, y, x + y if not x.rho else x * y, x * y, -x, x ** 2,
                   x * s_power(rng.randint(-4, 4)) + x]
         if y:
             values.append(y.inverse())
@@ -552,7 +566,7 @@ def test_scalar_layout_invariants():
                 assert _coeffs(v.num)[0] and _coeffs(v.den)[0]
                 assert v.den == POLY_ONE or len(v.den) > 3
             else:
-                assert (v.den, v.aux, v.val) == ((1, 1, 0), (), 0)
+                assert (v.den, v.rho, v.val) == ((1, 1, 0), 0, 0)
 
 
 def test_equal_values_hash_equal_across_routes():
@@ -560,10 +574,10 @@ def test_equal_values_hash_equal_across_routes():
     rx = _RefGauss(Fraction(1, 2), 3)
     sp = Specialization(_const(rx))
     for _ in range(300):
-        x = _random_scalar(rng, with_aux=rng.random() < 0.3)
+        x = _random_scalar(rng, with_rho=rng.random() < 0.3)
         y = _random_scalar(rng)
         routes = [parse_scalar(str(x)), (x * y) / y if y else x,
-                  (x + y) - y if not x.aux else x]
+                  (x + y) - y if not x.rho else x]
         for v in routes:
             assert v == x and hash(v) == hash(x)
         # s = 1/2 + 3i: the specialized value against a Horner sum of the
@@ -583,7 +597,6 @@ def test_equal_values_hash_equal_across_routes():
             else:
                 dv = dv * rx
         want = _const(nv / dv)
-        for sym, e in x.aux:
-            want = want * aux_symbol(sym, e)
+        want = want * rho_power(x.rho)
         for v in (want, parse_scalar(str(got))):
             assert v == got and hash(v) == hash(got)
