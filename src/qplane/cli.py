@@ -13,6 +13,7 @@ text mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -412,7 +413,15 @@ class _surfaced_family_warnings:
         return False
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process.
+
+    ``parse_args`` keeps no state between calls: defaults go to a fresh
+    namespace, and usage, help and version text look up ``sys.stdout``,
+    ``sys.stderr`` and the terminal width when they print.  So ``main``
+    may be called any number of times in one process.
+    """
     parser = argparse.ArgumentParser(
         prog="qplane",
         description="exact symbolic calculus on quantum planes")
@@ -464,8 +473,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PlaneError, ScalarError, NcalgError, qcalc.QcalcError,

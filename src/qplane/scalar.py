@@ -14,7 +14,8 @@ ints and end in one ``math.gcd``; no other module sees this layout.
 :class:`Scalar` is the one number type: a Gaussian rational constant is
 the degree-0 ``Scalar`` whose numerator is ``(d, a, b)``, so parsing,
 specialization and ``Specialization.value`` use no other class.
-``fractions.Fraction`` appears only inside the coefficient printer.
+The printer reduces each a/d and b/d with ``math.gcd``, so no module of
+the engine imports ``fractions``.
 
 A :class:`Scalar` is s^val * num/den * rho^rho, with the integers ``val``
 and ``rho`` and polynomials num and den in canonical form:
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from fractions import Fraction
 
 
 class ScalarError(ValueError):
@@ -565,18 +565,23 @@ def _laurent_str(num, shift):
     return join_signed(terms)
 
 
+def _rational_str(n, d):
+    """n/d for d > 0 in lowest terms, the sign on the numerator."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _coeff_str(a, b, d):
     """(a + b*i)/d as a rational, a rational multiple of i, or a mixed
     value in parentheses, so that it can sit inside a product."""
     try:
-        re, im = Fraction(a, d), Fraction(b, d)
-        if not im:
-            return str(re)
-        mag = abs(im)
-        istr = "i" if mag == 1 else f"{mag}*i"
-        if not re:
-            return istr if im > 0 else f"-{istr}"
-        return f"({re}{'+' if im > 0 else '-'}{istr})"
+        if not b:
+            return _rational_str(a, d)
+        istr = "i" if abs(b) == d else f"{_rational_str(abs(b), d)}*i"
+        if not a:
+            return istr if b > 0 else f"-{istr}"
+        return f"({_rational_str(a, d)}{'+' if b > 0 else '-'}{istr})"
     except ValueError:  # Python caps int -> str (4300 digits by default)
         raise ScalarError("a coefficient is too long to print")
 

@@ -83,6 +83,8 @@ def symplectic_form(plane) -> SymplecticForm:
             f"plane {plane.name} has no braiding that satisfies the wedge "
             "condition; tensor representation unavailable")
     body = plane.nf(plane.parse(plane.symplectic_body_expr))
+    if body.is_zero():
+        raise SympError(f"plane {plane.name}: the symplectic form is zero")
     for w in body.terms:
         # normal words are kind-sorted: coordinates, then differentials
         if [g[0] for g in w if g[0] != COORD] != [DIFF, DIFF]:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qplane import fixtures, planes, scalar
+from qplane import cli, fixtures, planes, scalar
 from qplane.cli import main
 
 
@@ -536,6 +536,52 @@ def test_symplectic_form_that_is_not_a_2_form_is_reported(tmp_path, capsys):
         assert f"FAIL {name}/symplectic-form: {message}" in lines
     code, out, err = run(capsys, "hamvec", "--plane", str(path), "x")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("form", ["d(x)*d(y) - d(x)*d(y)", "d(x)*d(y)*d(x)"])
+def test_symplectic_form_that_is_zero_is_reported(tmp_path, capsys, form):
+    # both forms have normal form zero (d(x)*d(x) = 0): verify names the
+    # form it cannot build, and a command that needs it exits 2
+    doc = _gl2_with(symplectic={"form": form, "scale": "1"})
+    path = tmp_path / "gl2_zero_form.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = "plane gl2: the symplectic form is zero"
+    code, out, err = run(capsys, "verify", "--plane", str(path))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    for name in ("closedness", "hamiltonian"):
+        assert f"FAIL {name}/symplectic-form: {message}" in lines
+    assert lines[-1].startswith("14 checks, 2 failed, 1 findings")
+    for argv in (["hamvec", "x"], ["bracket", "x", "y"], ["eom", "x"]):
+        code, out, err = run(capsys, argv[0], "--plane", str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_main_is_reentrant(capsys):
+    # one process runs the calls in turn, an invalid one among them, on
+    # one parser; each answers as it does in a fresh process
+    first = ["verify", "--plane", "gl2", "--suite", "all", "--format", "json"]
+    calls = [first,
+             ["nf", "--plane", "sphere_qm1", "x0*x+"],
+             ["verify", "--plane", "gl2", "--suite", "bogus"],
+             ["verify", "--plane", "orth3", "--seed", "3", "--format", "json"],
+             ["hamvec", "--plane", "gl2", "x"],
+             first]
+    fresh = {}
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        key = tuple(argv)
+        if key not in fresh:
+            fresh[key] = subprocess.run(
+                [sys.executable, "-m", "qplane.cli", *argv],
+                capture_output=True, text=True, timeout=120)
+        assert (code, out) == (fresh[key].returncode, fresh[key].stdout), argv
+    assert fresh[tuple(calls[2])].returncode == 2
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_failed_symplectic_checks_name_the_witness(tmp_path, capsys,

@@ -25,6 +25,7 @@ from qplane.scalar import (
     poly_mul,
     rho_power,
     s_power,
+    _coeff_str,
     _power_weight,
 )
 
@@ -317,6 +318,30 @@ class _RefGauss:
         mag = abs(im)
         istr = "i" if mag == 1 else f"{mag}*i"
         return f"({re}{'+' if im > 0 else '-'}{istr})"
+
+
+def test_coeff_str_against_fraction_printer():
+    # unit parts in every sign, and common factors left in d
+    cases = [(0, 0, 1), (0, 0, 5), (1, 0, 1), (-1, 0, 1), (0, 1, 1),
+             (0, -1, 1), (3, 3, 3), (-4, -4, 4), (2, 4, 4), (-6, 9, 3),
+             (0, -7, 7)]
+    rng = random.Random(5150)
+    magnitudes = [0, 1, 2, 3, 7, 12, 10**40]
+    for _ in range(3000):
+        a, b = (rng.choice([1, -1]) * (rng.choice(magnitudes)
+                                       if rng.random() < 0.5
+                                       else rng.randint(0, 10**6))
+                for _ in range(2))
+        d = rng.choice([1, 1, 2, 6, rng.randint(1, 10**6), 10**41])
+        cases.append((a, b, d))
+    for a, b, d in cases:
+        ref = _RefGauss(Fraction(a, d), Fraction(b, d))
+        assert _coeff_str(a, b, d) == str(ref), (a, b, d)
+    # an integer past Python's int -> str digit cap is an error
+    huge = 10**4400 + 1
+    for a, b, d in [(huge, 0, 1), (0, huge, 1), (1, huge, 3), (huge, 1, 3)]:
+        with pytest.raises(ScalarError, match="too long to print"):
+            _coeff_str(a, b, d)
 
 
 def _random_part(rng):
