@@ -10,16 +10,18 @@ differential block, derivative block.
 The three same-kind families and the quotient rule are read off the
 echelon basis of their relation rows (``linalg.echelon``, largest word
 first): each row gives the rule lead -> -(row - lead).  Coordinates come
-from E - B, differentials from E + D, and derivatives from E - F read
-transposed, so that row (i, j) is sum over (k, l) of
-(E - F)[(l, k), (i, j)] d_k d_l = 0.  On symmetric planes, where that
-entry is (E - F)[(i, j), (l, k)], and with F = B this gives the
+from E - B, differentials from E + D, and derivatives from the same E - B
+read transposed, so that row (i, j) is sum over (k, l) of
+(E - B)[(l, k), (i, j)] d_k d_l = 0.  (The Wess-Zumino calculus, Nucl.
+Phys. B Proc. Suppl. 18B, 1990, reads derivatives from a fourth matrix F;
+F = B on both solution families, so no plane stores it.)  On symmetric
+planes, where that entry is (E - B)[(i, j), (l, k)], this gives the
 coordinate relations with each word reversed, e.g. d_y d_x = q d_x d_y on
-gl2 (Wess-Zumino, Nucl. Phys. B Proc. Suppl. 18B, 1990).  A twisted
-GL_q(n) (R[(i,j),(j,i)] = t, R[(j,i),(i,j)] = 1/t) is not symmetric, and
-only the transposed reading resolves its d.d.x overlaps; the unreversed
-reading fails even on gl2.  The three exchange families come from C and
-D.
+gl2.  A twisted GL_q(n) (R[(i,j),(j,i)] = t, R[(j,i),(i,j)] = 1/t) is not
+symmetric, and only the transposed reading resolves its d.d.x overlaps;
+the unreversed reading fails even on gl2.  The three exchange families
+come from C and D: each nonzero entry is added to the right-hand side it
+belongs to.
 
 A central quotient (``quotient_system``) adds one rule to its plane's
 rules, the central element set equal to ``rho``, solved for the
@@ -28,8 +30,8 @@ right-hand side renormalized under the new one.
 
 Every family is built from the nonzero entries of its matrix, never from
 a dense n^4 grid of ``LegMatrix.at`` reads: rule building costs the
-nonzero entries and their sort plus n^2 bookkeeping per family, and the
-same-kind families then one elimination of n^2 sparse rows each.
+nonzero entries and their sort plus n^2 right-hand sides per family, and
+the same-kind families then one elimination of n^2 sparse rows each.
 
 Termination measure, compared lexicographically per rewrite step:
 (kind-inversion count, total degree, graded-lex rank).  Kind-inversion
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import copy
 import random
+from collections import namedtuple
 
 from . import scalar
 from .linalg import LegMatrix, echelon, identity
@@ -182,17 +185,8 @@ class AlgebraElement:
         return f"AlgebraElement({len(self.terms)} terms)"
 
 
-class RewriteRule:
-    """lhs two-generator pattern -> rhs element of strictly smaller words."""
-
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs, rhs: AlgebraElement):
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def __repr__(self):
-        return f"RewriteRule({self.lhs})"
+# lhs two-generator pattern -> rhs element of strictly smaller words
+RewriteRule = namedtuple("RewriteRule", "lhs rhs")
 
 
 class RewriteSystem:
@@ -245,6 +239,9 @@ class RewriteSystem:
             return f"d({base})"
         return f"D({base})"
 
+    def word_str(self, word):
+        return "*".join(self.gen_name(g) for g in word) or "1"
+
     # -- construction ------------------------------------------------------
 
     def add_rule(self, lhs, rhs: AlgebraElement):
@@ -253,15 +250,15 @@ class RewriteSystem:
             # normal words are kind-sorted; so a coordinate head and a
             # differential tail reduce apart, which qplane.symp's
             # constraint spans rely on
-            raise NcalgError(f"rule left side {self._fmt_word(lhs)} has "
+            raise NcalgError(f"rule left side {self.word_str(lhs)} has "
                              "ascending kinds")
         lm = self.measure(lhs)
         for w in rhs.terms:
             if self.measure(w) >= lm:
                 raise NcalgError(
-                    f"rule {self._fmt_word(lhs)} -> {element_str(rhs, self)} "
+                    f"rule {self.word_str(lhs)} -> {element_str(rhs, self)} "
                     f"does not decrease the termination measure at word "
-                    f"{self._fmt_word(w)}"
+                    f"{self.word_str(w)}"
                 )
         self.rules[lhs] = RewriteRule(lhs, rhs)
         self._cache = {}
@@ -279,9 +276,6 @@ class RewriteSystem:
             if not changed:
                 return
         raise NcalgError("rule renormalization did not stabilize")
-
-    def _fmt_word(self, word):
-        return "*".join(self.gen_name(g) for g in word) or "1"
 
     # -- reduction ---------------------------------------------------------
 
@@ -348,21 +342,19 @@ class RewriteSystem:
 # ---------------------------------------------------------------------------
 
 def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
-                         c: LegMatrix, d: LegMatrix, f: LegMatrix
-                         ) -> RewriteSystem:
-    """Derive the six rule families from a plane's B, C, D, F matrices.
+                         c: LegMatrix, d: LegMatrix) -> RewriteSystem:
+    """Derive the six rule families from a plane's B, C, D matrices.
 
     ``ranks`` places each generator in the monomial order.  Every family
     is built from the nonzero entries of its matrix.
     """
     sys = RewriteSystem(dimension, generator_names, ranks)
     e = identity(dimension, 2)
-    pair = _pair_of(dimension)
-    # the D.D row (i, j) is read from column (i, j) of E - F, and its
+    coord = pair_entries(e - b)
+    # the D.D row (i, j) is read from column (i, j) of E - B, and its
     # word d_k d_l from row (l, k)
-    deriv = {(pair[cc], pair[r][::-1]): v
-             for (r, cc), v in (e - f).entries.items()}
-    families = ((COORD, pair_entries(e - b)), (DIFF, pair_entries(e + d)),
+    deriv = {(cp, rp[::-1]): v for (rp, cp), v in coord.items()}
+    families = ((COORD, coord), (DIFF, pair_entries(e + d)),
                 (DERIV, deriv))
     for kind, entries in families:
         for lhs, rhs in _pivot_rules(sys, kind, entries):
@@ -371,16 +363,12 @@ def build_rewrite_system(dimension, generator_names, ranks, b: LegMatrix,
     return sys
 
 
-def _pair_of(n):
-    """The 1-based index pair of each composite two-leg index."""
-    return [(k // n + 1, k % n + 1) for k in range(n * n)]
-
-
 def pair_entries(m: LegMatrix):
     """The nonzero entries of a two-leg matrix as {(row pair, col pair):
-    value}."""
-    pair = _pair_of(m.base_dim)
-    return {(pair[r], pair[c]): v for (r, c), v in m.entries.items()}
+    value}, each pair of 1-based leg indices."""
+    n = m.base_dim
+    return {((r // n + 1, r % n + 1), (c // n + 1, c % n + 1)): v
+            for (r, c), v in m.entries.items()}
 
 
 def _pivot_rules(sys: RewriteSystem, kind: int, entries):
@@ -407,48 +395,30 @@ def _solved_for(lead, row):
 
 def _add_exchange_rules(sys: RewriteSystem, c_matrix: LegMatrix,
                         d_matrix: LegMatrix):
-    """The x.xi, d.x and d.xi rules, from the nonzero entries of C and D.
+    """The xi.x, d.x and d.xi rules, from the nonzero entries of C and D.
 
-    Each rule's right-hand terms are inserted in row-major order of the
-    matrix indices: (i, j) for xi_a x_b, (j, l) for d_k x_i and d_k xi_i.
+    Each entry ((i, j), (k, l)) is added to the right-hand side it belongs
+    to.  Sorted pair keys are in row-major order of the matrix indices, so
+    each right-hand side's terms are inserted in (i, j) order for xi_a x_b
+    and in (j, l) order for d_k x_i and d_k xi_i.
     """
-    n = sys.dimension
-    rng = range(1, n + 1)
-    pair = _pair_of(n)
-    # entries sorted by (row, col): grouped by row, each group is in
-    # column order; grouped by the first legs (i, k) of row (i, j) and
-    # column (k, l), each group is in (j, l) order
-    d_rows, d_blocks, c_blocks = {}, {}, {}
-    for (r, cc), v in sorted(d_matrix.entries.items()):
-        d_rows.setdefault(pair[r], []).append((pair[cc], v))
-        d_blocks.setdefault((pair[r][0], pair[cc][0]), []).append(
-            (pair[r][1], pair[cc][1], v))
-    for (r, cc), v in sorted(c_matrix.entries.items()):
-        c_blocks.setdefault((pair[r][0], pair[cc][0]), []).append(
-            (pair[r][1], pair[cc][1], v))
-    # xi_a x_b -> D^{ab}_{ij} x_i xi_j   (inversion of x1 xi2 = C12 xi1 x2)
-    for a in rng:
-        for b in rng:
-            rhs = AlgebraElement()
-            rhs.terms = {(gen(COORD, i), gen(DIFF, j)): v
-                         for (i, j), v in d_rows.get((a, b), ())}
-            sys.add_rule((gen(DIFF, a), gen(COORD, b)), rhs)
+    rng = range(1, sys.dimension + 1)
+    # the right-hand sides in rule order, each d_k x_k's delta first
+    rhs = {(gen(left, a), gen(right, b)): {}
+           for left, right in ((DIFF, COORD), (DERIV, COORD), (DERIV, DIFF))
+           for a in rng for b in rng}
+    for k in rng:
+        rhs[gen(DERIV, k), gen(COORD, k)][()] = scalar.ONE
     # d_k x_i -> delta_k^i + C^{ij}_{kl} x_l d_j
-    for k in rng:
-        for i in rng:
-            rhs = AlgebraElement()
-            if i == k:
-                rhs.terms[()] = scalar.ONE
-            for j, l, v in c_blocks.get((i, k), ()):
-                rhs.terms[gen(COORD, l), gen(DERIV, j)] = v
-            sys.add_rule((gen(DERIV, k), gen(COORD, i)), rhs)
-    # d_k xi_i -> D^{ij}_{kl} xi_l d_j
-    for k in rng:
-        for i in rng:
-            rhs = AlgebraElement()
-            rhs.terms = {(gen(DIFF, l), gen(DERIV, j)): v
-                         for j, l, v in d_blocks.get((i, k), ())}
-            sys.add_rule((gen(DERIV, k), gen(DIFF, i)), rhs)
+    for ((i, j), (k, l)), v in sorted(pair_entries(c_matrix).items()):
+        rhs[gen(DERIV, k), gen(COORD, i)][gen(COORD, l), gen(DERIV, j)] = v
+    for ((i, j), (k, l)), v in sorted(pair_entries(d_matrix).items()):
+        # xi_i x_j -> D^{ij}_{kl} x_k xi_l  (inversion of x1 xi2 = C12 xi1 x2)
+        rhs[gen(DIFF, i), gen(COORD, j)][gen(COORD, k), gen(DIFF, l)] = v
+        # d_k xi_i -> D^{ij}_{kl} xi_l d_j
+        rhs[gen(DERIV, k), gen(DIFF, i)][gen(DIFF, l), gen(DERIV, j)] = v
+    for lhs, terms in rhs.items():
+        sys.add_rule(lhs, AlgebraElement(terms))
 
 
 def quotient_system(sys: RewriteSystem, central: AlgebraElement
@@ -525,20 +495,13 @@ def is_central(e: AlgebraElement, sys: RewriteSystem) -> bool:
 # Confluence self-test
 # ---------------------------------------------------------------------------
 
-class ConfluenceReport:
-    def __init__(self, samples, overlaps, mismatches):
-        self.samples = samples
-        self.overlaps = overlaps
-        self.mismatches = mismatches
+class ConfluenceReport(namedtuple("ConfluenceReport",
+                                  "samples overlaps mismatches")):
+    __slots__ = ()
 
     @property
     def ok(self):
         return not self.mismatches
-
-    def __repr__(self):
-        status = "ok" if self.ok else f"{len(self.mismatches)} mismatches"
-        return (f"ConfluenceReport(samples={self.samples}, "
-                f"overlaps={self.overlaps}, {status})")
 
 
 def confluence_selftest(sys: RewriteSystem, sample_count=200, max_degree=5,
@@ -685,7 +648,7 @@ def element_str(e: AlgebraElement, sys: RewriteSystem) -> str:
     for w in sorted(e.terms, key=sys.word_key):
         c = e.terms[w]
         cstr = str(c)
-        wstr = "*".join(sys.gen_name(g) for g in w)
+        wstr = sys.word_str(w)
         if not w:
             term = f"({cstr})" if " " in cstr else cstr
         elif cstr == "1":

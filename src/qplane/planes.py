@@ -4,11 +4,12 @@ A plane is an immutable value, and every plane is reached from one
 derivation of its braid matrix:
 
 1. The generic derivation (:func:`_derive_generic`) validates the braid
-   matrix and its eigenvalues, derives the calculus matrices B, C, D, F
-   (A-family by rescaling, B-family through the spectral projector),
-   checks them against the consistency system and turns them into the
-   rewrite rule set.  The result is a generic plane; its ``generic`` field
-   is the plane itself.
+   matrix and its eigenvalues, derives the calculus matrices B, C, D
+   (A-family by rescaling, B-family through the spectral projector; the
+   Wess-Zumino F is B on both families, so it is not stored), checks
+   them against the consistency system and turns them into the rewrite
+   rule set.  The result is a generic plane; its ``generic`` field is
+   the plane itself.
 2. Specialization (:func:`_specialize`) evaluates the generic matrices at
    a numeric q, refusing a pole, and inherits the generic verdicts (braid
    relation, minimal polynomial, consistency conditions): evaluation is a
@@ -26,14 +27,16 @@ derivation of its braid matrix:
 The built-in sphere is the cached generic orth3, specialized at q = -1 and
 quotiented by its central radius.
 
-Three views are derived from a plane's fields when first read and then
-kept on it: ``gamma_candidates`` (each braiding candidate for the wedge
+Four views are derived from a plane's fields when first read and then
+kept on it, so every new plane value starts without them:
+``constraint_spans`` (the memo of :mod:`qplane.symp`'s spans),
+``gamma_candidates`` (each braiding candidate for the wedge
 product with its verdict on the wedge condition and the braid relation,
 the one place that condition is proved), ``gamma`` (the first passing
 candidate) and ``reference_shape`` (which transcribed tables apply).
 The rewrite degree cap is fixed when a rule system is built;
 :func:`capped` gives a copy with another cap that shares the rules and
-caches.
+the rule system's caches, and starts its own span memo.
 
 The braid matrix is the single source of truth; the printed relation
 tables live in :mod:`qplane.fixtures` and are diffed against the derived
@@ -72,23 +75,18 @@ class PlaneSpec:
     the verdicts proved while deriving (braid relation, minimal polynomial,
     centrality of a quotient element; the consistency conditions), which
     the verify suites read instead of proving them again.
-    ``constraint_spans`` memoizes the constraint-module spans of
-    :mod:`qplane.symp`.
     """
 
     def __init__(self, name, dimension, generator_names, family, r_matrix,
-                 eigenvalues, b, c, d, f, q_projector, structure_report,
+                 eigenvalues, b, c, d, q_projector, structure_report,
                  wz_report, monomial_ranks, system, gamma_policy,
                  specialization=None, generic=None, gamma_explicit=None,
                  quotient_central=None, quotient_central_expr=None,
                  constraint_forms=(),
-                 symplectic_body_expr=None, symplectic_scale_expr=None,
-                 constraint_spans=None):
+                 symplectic_body_expr=None, symplectic_scale_expr=None):
         fields = dict(locals())
         del fields["self"]
         fields["_generic"] = fields.pop("generic")
-        if constraint_spans is None:
-            fields["constraint_spans"] = {}
         self.__dict__.update(fields)
 
     def __setattr__(self, name, value):
@@ -100,6 +98,13 @@ class PlaneSpec:
         return self if self._generic is None else self._generic
 
     # derived views -----------------------------------------------------------
+
+    @cached_property
+    def constraint_spans(self):
+        """:mod:`qplane.symp`'s constraint-module spans by (differential
+        degree, coordinate bound); a copy with another degree cap starts
+        its own."""
+        return {}
 
     @cached_property
     def gamma_candidates(self):
@@ -266,9 +271,9 @@ def _derive_generic(name, dimension, generator_names, family, r,
             f"plane {name}: consistency conditions failed: {bad}")
     ranks = _family_ranks(dimension, family)
     system = ncalg.build_rewrite_system(dimension, generator_names, ranks,
-                                        b, c, d, b)
+                                        b, c, d)
     return PlaneSpec(name, dimension, generator_names, family, r,
-                     eigenvalues, b, c, d, b, qpr, structure, wz, ranks,
+                     eigenvalues, b, c, d, qpr, structure, wz, ranks,
                      system, gamma_policy)
 
 
@@ -305,8 +310,7 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
     try:
         r = plane.r_matrix.specialize(sp)
         eigenvalues = tuple(v.specialize(sp) for v in plane.eigenvalues)
-        b, c, d, f = (m.specialize(sp)
-                      for m in (plane.b, plane.c, plane.d, plane.f))
+        b, c, d = (m.specialize(sp) for m in (plane.b, plane.c, plane.d))
         qpr = None if plane.q_projector is None \
             else plane.q_projector.specialize(sp)
         gamma = None if plane.gamma_explicit is None \
@@ -316,11 +320,10 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
                          f"pole: {exc}")
     system = ncalg.build_rewrite_system(
         plane.dimension, plane.generator_names, plane.monomial_ranks,
-        b, c, d, f)
+        b, c, d)
     out = _replace(plane, name=name, r_matrix=r, eigenvalues=eigenvalues,
-                   b=b, c=c, d=d, f=f, q_projector=qpr, gamma_explicit=gamma,
-                   system=system, specialization=sp, generic=plane.generic,
-                   constraint_spans={})
+                   b=b, c=c, d=d, q_projector=qpr, gamma_explicit=gamma,
+                   system=system, specialization=sp, generic=plane.generic)
     if plane.quotient_central_expr is not None:
         out = _quotient(out, plane.quotient_central_expr)
     return out
@@ -348,8 +351,7 @@ def _quotient(plane: PlaneSpec, central_expr: str) -> PlaneSpec:
     return _replace(plane, system=system, structure_report=structure,
                     quotient_central=central,
                     quotient_central_expr=central_expr,
-                    constraint_forms=forms,
-                    constraint_spans={})
+                    constraint_forms=forms)
 
 
 def _derive_constraint_forms(sp, system, generic_system, generic_central):
@@ -478,8 +480,10 @@ def specialize_builtin(name: str, q) -> PlaneSpec:
 def capped(plane: PlaneSpec, degree_cap: int) -> PlaneSpec:
     """``plane`` with rewrite degree cap ``degree_cap``.
 
-    The copy shares the rules and every cache: no rule makes a word longer,
-    so the cap only decides which top-level words are rejected.
+    The copy shares the rules and the rule system's caches: no rule makes
+    a word longer, so the cap only decides which top-level words are
+    rejected.  Its span memo is its own: a span built under a higher cap
+    would let the copy skip the words its cap rejects.
     """
     return _replace(plane, system=plane.system.capped(degree_cap))
 

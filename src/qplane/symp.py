@@ -90,7 +90,7 @@ def symplectic_form(plane) -> SymplecticForm:
         if [g[0] for g in w if g[0] != COORD] != [DIFF, DIFF]:
             raise SympError(
                 f"plane {plane.name}: the symplectic form is not a 2-form: "
-                f"word {plane.show(AlgebraElement.from_word(w))} is not a "
+                f"word {plane.system.word_str(w)} is not a "
                 "degree-2 differential word")
     wedge = WedgeForm(2, body)
     scale = scalar.parse_scalar(plane.symplectic_scale_expr)
@@ -419,8 +419,7 @@ def _check_residual(f, field, omega, plane, max_degree):
         word = min(reduced.terms, key=sys.word_key)
         raise SympError(
             f"internal error: solver residual at degree bound {max_degree} "
-            "is nonzero; its first word is "
-            f"{'*'.join(sys.gen_name(g) for g in word) or '1'}")
+            f"is nonzero; its first word is {sys.word_str(word)}")
 
 
 def poisson_bracket(f: AlgebraElement, g: AlgebraElement,

@@ -212,6 +212,19 @@ def test_max_degree_applies_to_query_commands(capsys):
     assert planes.builtin_plane("gl2").system.degree_cap == 16
 
 
+def test_max_degree_does_not_read_spans_of_an_earlier_call(capsys):
+    # an uncapped call builds constraint spans past degree 4; a capped call
+    # after it in the same process must still reject the words its cap
+    # rejects, exactly as a fresh process does
+    run(capsys, "hamvec", "--plane", "sphere_qm1", "x0")
+    capped = ["hamvec", "--plane", "sphere_qm1", "--max-degree", "4", "x0"]
+    code, out, err = run(capsys, *capped)
+    fresh = subprocess.run([sys.executable, "-m", "qplane.cli", *capped],
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 2
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 def test_oversized_power_rejected_while_parsing():
     cmd = [sys.executable, "-m", "qplane.cli", "nf", "--plane", "gl2",
            "x^1000000"]

@@ -108,7 +108,7 @@ def dense_rewrite_system(plane):
     n = plane.dimension
     sys = RewriteSystem(n, plane.generator_names, plane.monomial_ranks)
     e = identity(n, 2)
-    m = e - plane.f
+    m = e - plane.b
     families = ((COORD, (e - plane.b).at), (DIFF, (e + plane.d).at),
                 (DERIV, lambda row, col: m.at(col[::-1], row)))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -165,6 +165,10 @@ def _document_plane(doc):
     return planes.load_plane(json.dumps(doc))
 
 
+def _sphere_document(q):
+    return {**json.loads(planes.serialize_plane(SPHERE)), "q": q}
+
+
 SPARSE_DERIVATION_PLANES = {
     "gl2": lambda: GL2,
     "orth3": lambda: ORTH3,
@@ -182,6 +186,9 @@ SPARSE_DERIVATION_PLANES = {
         glq_plane_document(4, [1, 3, 0, 2])),
     "twisted3-reversed": lambda: _document_plane(
         twisted_glq_document(3, reverse=True)),
+    "sphere-doc@generic": lambda: _document_plane(_sphere_document("generic")),
+    "sphere-doc@q=1": lambda: _document_plane(_sphere_document("1")),
+    "orth3@q=2i": lambda: planes.specialize(ORTH3, "2*i"),
 }
 
 
@@ -190,7 +197,7 @@ def test_sparse_derivation_equals_dense_reference(name):
     plane = SPARSE_DERIVATION_PLANES[name]()
     got = build_rewrite_system(plane.dimension, plane.generator_names,
                                plane.monomial_ranks, plane.b, plane.c,
-                               plane.d, plane.f)
+                               plane.d)
     if plane.quotient_central is not None:
         got = quotient_system(got, plane.quotient_central)
     want = dense_rewrite_system(plane)
@@ -597,7 +604,7 @@ def test_deriv_deriv_relations_are_reversed_coordinate_relations(glq3):
 
 
 def test_unreversed_deriv_reading_is_not_confluent():
-    # reading (E - F)[(i, j), (k, l)] for the word D_k D_l, without the
+    # reading (E - B)[(i, j), (k, l)] for the word D_k D_l, without the
     # reversal, derives D(y)*D(x) -> q^-1 D(x)*D(y), which leaves a
     # D.D.x overlap unresolvable
     base = GL2.system
@@ -605,7 +612,7 @@ def test_unreversed_deriv_reading_is_not_confluent():
     for lhs, rule in base.rules.items():
         if not (lhs[0][0] == DERIV and lhs[1][0] == DERIV):
             trial.add_rule(lhs, rule.rhs)
-    m = identity(2, 2) - GL2.f
+    m = identity(2, 2) - GL2.b
     for lhs, rhs in _pivot_rules(trial, DERIV, pair_entries(m)):
         trial.add_rule(lhs, rhs)
     assert trial.rules[(gen(DERIV, 2), gen(DERIV, 1))].rhs == \
@@ -620,7 +627,7 @@ def test_unreversed_deriv_reading_is_not_confluent():
 @pytest.mark.parametrize("reverse", [False, True], ids=["std", "reversed"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_twisted_glq_calculus_is_confluent(n, reverse):
-    # the D.D family read as (E - F)[(l, k), (i, j)] for D_k D_l resolves
+    # the D.D family read as (E - B)[(l, k), (i, j)] for D_k D_l resolves
     # every overlap also where R[(i,j),(j,i)] != R[(j,i),(i,j)]
     plane = planes.load_plane(json.dumps(twisted_glq_document(n, reverse)))
     report = confluence_selftest(plane.system, sample_count=0)

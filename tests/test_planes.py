@@ -102,7 +102,7 @@ def test_specialize_builtin_matches_rederivation(name):
     got = specialize_builtin(name, 1)
     assert got.name == want.name == f"{name}@q=1"
     assert got.specialization == want.specialization
-    for attr in ("b", "c", "d", "f", "q_projector"):
+    for attr in ("b", "c", "d", "q_projector"):
         assert getattr(got, attr) == getattr(want, attr), attr
     assert {lhs: r.rhs for lhs, r in got.system.rules.items()} == \
         {lhs: r.rhs for lhs, r in want.system.rules.items()}
@@ -176,7 +176,7 @@ def test_specialization_inherits_generic_verdicts(name, q):
         "minimal-polynomial": check_min_poly(plane.r_matrix,
                                              plane.eigenvalues),
     }
-    wz = wz_conditions(plane.b, plane.c, plane.d, plane.f)
+    wz = wz_conditions(plane.b, plane.c, plane.d, plane.b)
     assert all(structure.values()) and all(wz.values())
     assert plane.structure_report == structure == generic.structure_report
     assert plane.wz_report == wz == generic.wz_report

@@ -353,7 +353,7 @@ def test_constraint_span_matches_echelonize():
     cases += [(at_one, k, bound) for k in (1, 2, 3) for bound in range(2, 6)]
     cases += [(SPHERE, 0, 2), (at_one, 0, 2)]
     for plane, k, bound in cases:
-        fresh = planes._replace(plane, constraint_spans={})
+        fresh = planes._replace(plane)
         span = symp._constraint_span(fresh, k, bound)
         assert span == _echelonized_span(plane, k, bound), \
             (plane.name, k, bound)
@@ -367,7 +367,7 @@ def test_constraint_span_matches_echelonize_on_the_sphere_document():
         plane = planes.load_plane(json.dumps({**doc, "q": q}))
         for k in (1, 2, 3):
             for bound in (2, 3, 4):
-                fresh = planes._replace(plane, constraint_spans={})
+                fresh = planes._replace(plane)
                 span = symp._constraint_span(fresh, k, bound)
                 assert span == _echelonized_span(plane, k, bound), \
                     (q, k, bound)
@@ -386,7 +386,7 @@ def test_constraint_span_extends_a_basis_of_its_cores(monkeypatch):
         return echelon(vectors, key)
 
     monkeypatch.setattr(symp, "echelon", counting)
-    fresh = planes._replace(SPHERE, constraint_spans={})
+    fresh = planes._replace(SPHERE)
     span = symp._constraint_span(fresh, 3, 6)
     assert len(symp._normal_coord_words(SPHERE, 6)) == 49
     assert sizes == [27, 7 * 49]
@@ -396,7 +396,7 @@ def test_constraint_span_extends_a_basis_of_its_cores(monkeypatch):
 def test_one_pass_span_reduction_matches_restart_loop():
     keys = [(k, bound) for k in (1, 2, 3) for bound in range(2, 7)]
     one_pass = symp._reduce_against_span
-    fresh = planes._replace(SPHERE, constraint_spans={})
+    fresh = planes._replace(SPHERE)
     spans = {key: symp._constraint_span(fresh, *key) for key in keys}
     # seeded sphere forms: a random word's normal form plus a span row
     rng = random.Random(20261018)
