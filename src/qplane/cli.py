@@ -40,7 +40,7 @@ def _plane_from_arg(args):
         else:
             with open(args.plane, "r", encoding="utf-8") as fh:
                 plane = planes.load_plane(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PlaneError(f"cannot read plane configuration: {exc}")
     if args.max_degree:
         plane = planes.capped(plane, args.max_degree)

@@ -23,9 +23,11 @@ derivation of its braid matrix:
    central element to ``rho``, and the differential consequences of that
    rule as form relations.  It, too, returns a new plane.
 
-:func:`derive_plane` composes these steps for a configuration document.
-The built-in sphere is the cached generic orth3, specialized at q = -1 and
-quotiented by its central radius.
+:func:`derive_plane` is the one reader of a configuration document (the
+decoded JSON object): it checks the schema and composes these steps.
+:func:`load_plane` decodes the JSON text; gl2 and orth3 are documents
+too, and the built-in sphere is the cached generic orth3, specialized at
+q = -1 and quotiented by its central radius.
 
 Four views are derived from a plane's fields when first read and then
 kept on it, so every new plane value starts without them:
@@ -36,7 +38,8 @@ the one place that condition is proved), ``gamma`` (the first passing
 candidate) and ``reference_shape`` (which transcribed tables apply).
 The rewrite degree cap is fixed when a rule system is built;
 :func:`capped` gives a copy with another cap that shares the rules and
-the rule system's caches, and starts its own span memo.
+the rule system's caches, and starts its own span memo; at the plane's own
+cap it is the plane itself.
 
 The braid matrix is the single source of truth; the printed relation
 tables live in :mod:`qplane.fixtures` and are diffed against the derived
@@ -186,16 +189,66 @@ def _replace(plane: PlaneSpec, **fields) -> PlaneSpec:
     return PlaneSpec(**values)
 
 
-def derive_plane(name, dimension, generator_names, family, r_exprs,
-                 eigenvalue_exprs, q="generic", gamma_policy=None,
-                 gamma_exprs=None, quotient=None, symplectic=None
-                 ) -> PlaneSpec:
-    """Build and validate a plane from raw configuration values."""
-    if family not in ("A", "B"):
+def derive_plane(doc) -> PlaneSpec:
+    """Validate a decoded configuration document and derive its plane.
+
+    The schema is checked first, each rule once, then the generic plane is
+    derived, given its declarations, specialized at ``q`` and quotiented.
+    """
+    if not isinstance(doc, dict):
+        raise PlaneError("configuration must be a JSON object")
+    unknown = set(doc) - _SCHEMA_KEYS
+    if unknown:
+        raise PlaneError(f"unknown configuration keys: {sorted(unknown)}")
+    for key in ("name", "dimension", "generators", "family", "r_matrix"):
+        if key not in doc:
+            raise PlaneError(f"missing required key {key!r}")
+    name = doc["name"]
+    if not isinstance(name, str):
+        raise PlaneError("name must be a string")
+    dimension = doc["dimension"]
+    if not isinstance(dimension, int) or not 2 <= dimension <= 4:
+        raise PlaneError("dimension must be an integer between 2 and 4")
+    generators = doc["generators"]
+    if (not isinstance(generators, list)
+            or not all(isinstance(g, str) and g for g in generators)
+            or len(generators) != dimension
+            or len(set(generators)) != dimension):
+        raise PlaneError("generators must be a list of distinct names "
+                         "matching the dimension")
+    family = doc["family"]
+    size = dimension * dimension
+    r_exprs = _grid(doc["r_matrix"], size, "r_matrix")
+    eig_doc = doc.get("eigenvalues")
+    if family == "A" and eig_doc is None:
+        eigs = ("-q^-1", "q")
+    elif family in ("A", "B"):
+        keys = _EIGENVALUE_KEYS[family]
+        eigs = _strings(eig_doc, keys, f"family {family} requires "
+                        f"eigenvalues {', '.join(keys)} as strings")
+    else:
         raise PlaneError(f"unknown family {family!r}")
-    if len(generator_names) != dimension:
-        raise PlaneError("generator list does not match the dimension")
-    for n_ in generator_names:
+    gamma = doc.get("gamma")
+    gamma_policy = "r_over_q" if family == "A" else "auto"
+    gamma_exprs = None
+    if gamma is not None:
+        if isinstance(gamma, str):
+            if gamma not in _GAMMA_NAMES:
+                raise PlaneError(f"unknown gamma policy {gamma!r}")
+            gamma_policy = _GAMMA_NAMES[gamma]
+        elif isinstance(gamma, list):
+            gamma_exprs = _grid(gamma, size, "gamma")
+        else:
+            raise PlaneError("gamma must be a policy name or a matrix")
+    quotient = doc.get("quotient")
+    if quotient is not None:
+        _strings(quotient, ("central", "symbol"),
+                 "quotient requires 'central' and 'symbol' as strings")
+    symplectic = doc.get("symplectic")
+    if symplectic is not None:
+        _strings(symplectic, ("form", "scale"),
+                 "symplectic requires 'form' and 'scale' as strings")
+    for n_ in generators:
         if n_ in ncalg.RESERVED_NAMES:
             raise PlaneError(f"generator name {n_!r} collides with a "
                              "reserved token")
@@ -203,31 +256,20 @@ def derive_plane(name, dimension, generator_names, family, r_exprs,
         raise PlaneError(f"quotient.symbol must be 'rho', the one auxiliary "
                          f"symbol the grammar reads, not "
                          f"{quotient['symbol']!r}")
-    if family == "B" and len(eigenvalue_exprs) != 3:
-        raise PlaneError("family B requires three eigenvalues "
-                         "(lambda0, lambda1, lambda2)")
-    if family == "A" and len(eigenvalue_exprs) != 2:
-        raise PlaneError("family A requires two eigenvalues "
-                         "(lambda1, lambda2)")
-
-    eigenvalues = tuple(
-        parse_scalar(e, where=f"eigenvalues.{key}")
-        for key, e in zip(_EIGENVALUE_KEYS[family], eigenvalue_exprs))
+    eigenvalues = tuple(parse_scalar(e, where=f"eigenvalues.{key}")
+                        for key, e in zip(_EIGENVALUE_KEYS[family], eigs))
     plane = _derive_generic(
-        name, dimension, tuple(generator_names), family,
+        name, dimension, tuple(generators), family,
         from_exprs(r_exprs, dimension, name="r_matrix"), eigenvalues,
-        gamma_policy or ("r_over_q" if family == "A" else "auto"))
-    declared = {}
+        gamma_policy)
     if gamma_exprs is not None:
-        declared.update(gamma_policy="explicit", gamma_explicit=from_exprs(
-            gamma_exprs, dimension, name="gamma"))
+        plane = _replace(plane, gamma_policy="explicit", gamma_explicit=(
+            from_exprs(gamma_exprs, dimension, name="gamma")))
     if symplectic is not None:
-        declared.update(symplectic_body_expr=symplectic["form"],
-                        symplectic_scale_expr=symplectic["scale"])
-    if declared:
-        plane = _replace(plane, **declared)
-    if q != "generic":
-        plane = _specialize(plane, _parse_q_value(q))
+        plane = _replace(plane, symplectic_body_expr=symplectic["form"],
+                         symplectic_scale_expr=symplectic["scale"])
+    if doc.get("q", "generic") != "generic":
+        plane = _specialize(plane, _parse_q_value(doc["q"]))
     if quotient is not None:
         plane = _quotient(plane, quotient["central"])
     if gamma_exprs is not None:
@@ -236,8 +278,6 @@ def derive_plane(name, dimension, generator_names, family, r_exprs,
 
 
 def _parse_q_value(q):
-    if isinstance(q, Specialization):
-        return q
     try:
         return Specialization.from_q(parse_scalar(str(q)))
     except ScalarError as exc:
@@ -436,17 +476,20 @@ def builtin_plane(name: str) -> PlaneSpec:
     if name in _BUILTIN_CACHE:
         return _BUILTIN_CACHE[name]
     if name == "gl2":
-        plane = derive_plane(
-            "gl2", 2, fixtures.GL2_GENERATORS, "A", fixtures.R_GL2,
-            ("-q^-1", "q"), gamma_policy="r_over_q",
-            symplectic={"form": fixtures.GL2_SYMPLECTIC_BODY,
-                        "scale": fixtures.GL2_SYMPLECTIC_SCALE},
-        )
+        plane = derive_plane({
+            "name": "gl2", "dimension": 2, "family": "A",
+            "generators": list(fixtures.GL2_GENERATORS),
+            "r_matrix": fixtures.R_GL2, "gamma": "r_over_q",
+            "eigenvalues": {"lambda1": "-q^-1", "lambda2": "q"},
+            "symplectic": {"form": fixtures.GL2_SYMPLECTIC_BODY,
+                           "scale": fixtures.GL2_SYMPLECTIC_SCALE}})
     elif name == "orth3":
-        plane = derive_plane(
-            "orth3", 3, fixtures.ORTH3_GENERATORS, "B", fixtures.R_ORTH3,
-            ("q^-2", "-q^-1", "q"), gamma_policy="auto",
-        )
+        plane = derive_plane({
+            "name": "orth3", "dimension": 3, "family": "B",
+            "generators": list(fixtures.ORTH3_GENERATORS),
+            "r_matrix": fixtures.R_ORTH3, "gamma": "auto",
+            "eigenvalues": {"lambda0": "q^-2", "lambda1": "-q^-1",
+                            "lambda2": "q"}})
     elif name == "sphere_qm1":
         # the paper's sphere: orth3 at q = -1 over its central radius
         sphere = _specialize(builtin_plane("orth3"), _parse_q_value("-1"),
@@ -483,8 +526,11 @@ def capped(plane: PlaneSpec, degree_cap: int) -> PlaneSpec:
     The copy shares the rules and the rule system's caches: no rule makes
     a word longer, so the cap only decides which top-level words are
     rejected.  Its span memo is its own: a span built under a higher cap
-    would let the copy skip the words its cap rejects.
+    would let the copy skip the words its cap rejects.  At the plane's own
+    cap nothing changes, so the plane itself is returned.
     """
+    if degree_cap == plane.system.degree_cap:
+        return plane
     return _replace(plane, system=plane.system.capped(degree_cap))
 
 
@@ -506,7 +552,7 @@ _EIGENVALUE_KEYS = {"A": ("lambda1", "lambda2"),
 
 
 def load_plane(document: str) -> PlaneSpec:
-    """Parse, validate and derive a plane from a JSON configuration."""
+    """Decode a JSON configuration; :func:`derive_plane` reads it."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -515,66 +561,7 @@ def load_plane(document: str) -> PlaneSpec:
         raise PlaneError("configuration has an integer literal too long")
     except RecursionError:
         raise PlaneError("configuration nests arrays or objects too deeply")
-    if not isinstance(doc, dict):
-        raise PlaneError("configuration must be a JSON object")
-    unknown = set(doc) - _SCHEMA_KEYS
-    if unknown:
-        raise PlaneError(f"unknown configuration keys: {sorted(unknown)}")
-    for key in ("name", "dimension", "generators", "family", "r_matrix"):
-        if key not in doc:
-            raise PlaneError(f"missing required key {key!r}")
-    name = doc["name"]
-    if not isinstance(name, str):
-        raise PlaneError("name must be a string")
-    dimension = doc["dimension"]
-    if not isinstance(dimension, int) or not 2 <= dimension <= 4:
-        raise PlaneError("dimension must be an integer between 2 and 4")
-    generators = doc["generators"]
-    if (not isinstance(generators, list)
-            or not all(isinstance(g, str) and g for g in generators)
-            or len(generators) != dimension
-            or len(set(generators)) != dimension):
-        raise PlaneError("generators must be a list of distinct names "
-                         "matching the dimension")
-    family = doc["family"]
-    size = dimension * dimension
-    r_exprs = _grid(doc["r_matrix"], size, "r_matrix")
-    eig_doc = doc.get("eigenvalues")
-    if family == "A" and eig_doc is None:
-        eigs = ("-q^-1", "q")
-    elif family in ("A", "B"):
-        keys = _EIGENVALUE_KEYS[family]
-        eigs = _strings(eig_doc, keys, f"family {family} requires "
-                        f"eigenvalues {', '.join(keys)} as strings")
-    else:
-        raise PlaneError(f"unknown family {family!r}")
-    gamma = doc.get("gamma")
-    gamma_policy = None
-    gamma_explicit = None
-    if gamma is not None:
-        if isinstance(gamma, str):
-            if gamma not in _GAMMA_NAMES:
-                raise PlaneError(f"unknown gamma policy {gamma!r}")
-            gamma_policy = _GAMMA_NAMES[gamma]
-        elif isinstance(gamma, list):
-            gamma_policy = "explicit"
-            gamma_explicit = _grid(gamma, size, "gamma")
-        else:
-            raise PlaneError("gamma must be a policy name or a matrix")
-    quotient = doc.get("quotient")
-    if quotient is not None:
-        _strings(quotient, ("central", "symbol"),
-                 "quotient requires 'central' and 'symbol' as strings")
-    symplectic = doc.get("symplectic")
-    if symplectic is not None:
-        _strings(symplectic, ("form", "scale"),
-                 "symplectic requires 'form' and 'scale' as strings")
-
-    return derive_plane(
-        name, dimension, tuple(generators), family, r_exprs, eigs,
-        q=doc.get("q", "generic"), gamma_policy=gamma_policy,
-        gamma_exprs=gamma_explicit, quotient=quotient, symplectic=symplectic,
-    )
+    return derive_plane(doc)
 
 
 def _grid(rows, size, key):
@@ -602,16 +589,16 @@ def _strings(obj, keys, message):
 
 
 def serialize_plane(plane: PlaneSpec) -> str:
-    base = plane.generic
+    base, sp = plane.generic, plane.specialization
     doc = {
         "name": plane.name,
         "dimension": plane.dimension,
         "generators": list(plane.generator_names),
         "family": plane.family,
         "r_matrix": _matrix_exprs(base.r_matrix),
-        "q": "generic" if plane.specialization is None
-             else _q_expr(plane.specialization),
-        "eigenvalues": _eig_doc(base),
+        "q": "generic" if sp is None else str(sp.value * sp.value),
+        "eigenvalues": {key: str(v) for key, v in
+                        zip(_EIGENVALUE_KEYS[base.family], base.eigenvalues)},
     }
     policy_doc = {v: k for k, v in _GAMMA_NAMES.items()}
     if plane.gamma_policy in policy_doc:
@@ -623,15 +610,6 @@ def serialize_plane(plane: PlaneSpec) -> str:
         doc["symplectic"] = {"form": plane.symplectic_body_expr,
                              "scale": plane.symplectic_scale_expr}
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _q_expr(sp: Specialization):
-    return str(sp.value * sp.value)
-
-
-def _eig_doc(plane):
-    return {key: str(v) for key, v in
-            zip(_EIGENVALUE_KEYS[plane.family], plane.eigenvalues)}
 
 
 # ---------------------------------------------------------------------------

@@ -235,19 +235,13 @@ def _add_lift(out: TensorForm, coord, a, b, c: Scalar, gamma: LegMatrix, n):
 
 def pair(x: VectorField, alpha: WedgeForm, sys: RewriteSystem
          ) -> AlgebraElement:
-    """Inner product <f d_i, g dx^j> evaluated by derivative transport."""
+    """Inner product <f d_i, g dx^j>: ``x`` contracted with alpha's slot."""
     if alpha.degree != 1:
         raise QcalcError("pair expects a one-form")
-    out = AlgebraElement.zero()
     body = sys.normal_form(alpha.body)
-    for i, f in x.components.items():
-        for w, c in body.terms.items():
-            coord, slot = w[:-1], w[-1][1]
-            h = ncalg.transport(i, AlgebraElement.from_word(coord), sys)
-            g = h.get(slot)
-            if g is not None:
-                out = out + sys.normal_form(f.concat(g)).scale(c)
-    return sys.normal_form(out)
+    t = contract(x, TensorForm(1, {(w[:-1], (w[-1][1],)): c
+                                   for w, c in body.terms.items()}), sys)
+    return AlgebraElement({w: c for (w, _), c in t.entries.items()})
 
 
 def contract(x: VectorField, t: TensorForm, sys: RewriteSystem) -> TensorForm:

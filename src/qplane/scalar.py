@@ -467,11 +467,6 @@ def rho_power(e: int) -> Scalar:
     return _scalar(POLY_ONE, POLY_ONE, e, 0)
 
 
-def s_power(e: int) -> Scalar:
-    """s^e as a Scalar, e may be negative."""
-    return _scalar(POLY_ONE, POLY_ONE, 0, e)
-
-
 class Specialization:
     """Exact substitution s -> value, value a nonzero constant Scalar."""
 

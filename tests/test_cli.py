@@ -87,6 +87,14 @@ def test_verify_schema_error_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_plane_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "verify", "--plane", str(path))
+    assert code == 2, out
+    assert err.startswith("error: cannot read plane configuration:")
+
+
 def test_verify_loads_valid_config(tmp_path, capsys):
     doc = {
         "name": "user-gl2",
@@ -223,6 +231,16 @@ def test_max_degree_does_not_read_spans_of_an_earlier_call(capsys):
                            capture_output=True, text=True, timeout=120)
     assert fresh.returncode == 2
     assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_max_degree_at_the_plane_cap_answers_as_uncapped(capsys):
+    # a cap equal to the plane's own restricts nothing: same plane, same
+    # answer
+    uncapped = run(capsys, "hamvec", "--plane", "sphere_qm1", "x0")
+    at_cap = run(capsys, "hamvec", "--plane", "sphere_qm1", "--max-degree",
+                 "16", "x0")
+    assert uncapped[0] == 0
+    assert at_cap == uncapped
 
 
 def test_oversized_power_rejected_while_parsing():

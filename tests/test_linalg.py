@@ -24,11 +24,11 @@ from qplane.scalar import (
     ONE,
     POLY_ONE,
     ZERO,
+    Scalar,
     ScalarError,
     Specialization,
     parse_scalar,
     rho_power,
-    s_power,
 )
 
 
@@ -282,7 +282,8 @@ def _random_dense(rng, nrows, ncols, rho):
             if c in zero_cols or rng.random() < 0.5:
                 row.append(ZERO)
                 continue
-            v = rng.choice(pool) * s_power(rng.randint(-3, 3))
+            v = rng.choice(pool) * Scalar(POLY_ONE,
+                                          val=rng.randint(-3, 3))
             e = row_rho[r] + col_rho[c]
             row.append(v * rho_power(e) if e else v)
         rows.append(row)

@@ -378,13 +378,15 @@ def test_confluence_builtin_planes():
 
 
 def _corrupted_gl2_system():
-    corrupted = planes.derive_plane(
-        "gl2-corrupt", 2, ("x", "y"), "A",
-        [["q", "0", "0", "0"],
-         ["0", "q - q^-1", "1", "0"],
-         ["0", "1", "0", "0"],
-         ["0", "0", "0", "q"]],
-        ("-q^-1", "q"), gamma_policy="r_over_q")
+    corrupted = planes.derive_plane({
+        "name": "gl2-corrupt", "dimension": 2, "generators": ["x", "y"],
+        "family": "A",
+        "r_matrix": [["q", "0", "0", "0"],
+                     ["0", "q - q^-1", "1", "0"],
+                     ["0", "1", "0", "0"],
+                     ["0", "0", "0", "q"]],
+        "eigenvalues": {"lambda1": "-q^-1", "lambda2": "q"},
+        "gamma": "r_over_q"})
     sys = corrupted.system
     # perturb one exchange coefficient; add_rule resets the cache
     lhs = (gen(DIFF, 1), gen(COORD, 1))
@@ -522,13 +524,15 @@ def test_kind_inversions():
 
 
 def test_every_step_decreases_measure():
-    plane = planes.derive_plane(
-        "gl2-steps", 2, ("x", "y"), "A", [
-            ["q", "0", "0", "0"],
-            ["0", "q - q^-1", "1", "0"],
-            ["0", "1", "0", "0"],
-            ["0", "0", "0", "q"]],
-        ("-q^-1", "q"), gamma_policy="r_over_q")
+    plane = planes.derive_plane({
+        "name": "gl2-steps", "dimension": 2, "generators": ["x", "y"],
+        "family": "A",
+        "r_matrix": [["q", "0", "0", "0"],
+                     ["0", "q - q^-1", "1", "0"],
+                     ["0", "1", "0", "0"],
+                     ["0", "0", "0", "q"]],
+        "eigenvalues": {"lambda1": "-q^-1", "lambda2": "q"},
+        "gamma": "r_over_q"})
     sys = plane.system
 
     def walk(word):

@@ -37,6 +37,14 @@ from qplane.scalar import (
 )
 from qplane.symp import symplectic_form
 
+# the generic gl2 and orth3 documents, without a name
+GL2_DOC = {"dimension": 2, "generators": ["x", "y"], "family": "A",
+           "r_matrix": fixtures.R_GL2,
+           "eigenvalues": {"lambda1": "-q^-1", "lambda2": "q"}}
+ORTH3_DOC = {"dimension": 3, "generators": ["x+", "x0", "x-"], "family": "B",
+             "r_matrix": fixtures.R_ORTH3,
+             "eigenvalues": {"lambda0": "q^-2", "lambda1": "-q^-1",
+                             "lambda2": "q"}}
 
 
 def builtin_planes():
@@ -95,10 +103,13 @@ def test_orth3_at_1_commutative():
 def test_specialize_builtin_matches_rederivation(name):
     # oracle: re-derive the generic plane from its printed matrices at q=1
     base = builtin_plane(name)
-    want = derive_plane(
-        f"{name}@q=1", base.dimension, base.generator_names, base.family,
-        _matrix_exprs(base.r_matrix), [str(v) for v in base.eigenvalues],
-        q=1, gamma_policy=base.gamma_policy)
+    want = derive_plane({
+        "name": f"{name}@q=1", "dimension": base.dimension,
+        "generators": list(base.generator_names), "family": base.family,
+        "r_matrix": _matrix_exprs(base.r_matrix),
+        "eigenvalues": {key: str(v) for key, v in zip(
+            planes._EIGENVALUE_KEYS[base.family], base.eigenvalues)},
+        "q": 1, "gamma": base.gamma_policy})
     got = specialize_builtin(name, 1)
     assert got.name == want.name == f"{name}@q=1"
     assert got.specialization == want.specialization
@@ -116,7 +127,7 @@ def test_sphere_and_orth3_share_one_derivation(monkeypatch):
     derive = planes.derive_plane
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[0]["name"])
         return derive(*args, **kwargs)
 
     monkeypatch.setattr(planes, "_BUILTIN_CACHE", {})
@@ -156,6 +167,12 @@ def test_capped_copy_shares_rules_and_caches():
     assert low.system._cache is gl2.system._cache
     assert low.generic is low and low == gl2
     assert low.nf(low.parse("y*x*y")) == gl2.nf(gl2.parse("y*x*y"))
+
+
+@pytest.mark.parametrize("name", ["gl2", "orth3", "sphere_qm1"])
+def test_capped_at_the_plane_cap_is_the_plane(name):
+    plane = builtin_plane(name)
+    assert capped(plane, plane.system.degree_cap) is plane
 
 
 @pytest.mark.parametrize("name,q", [
@@ -432,42 +449,35 @@ def test_explicit_gamma_failing_only_the_braid_relation_is_refused():
         assert acc.is_zero()
     assert wedge_condition(gl2.d, gamma) and not check_ybe(gamma)
     with pytest.raises(PlaneVerificationError, match="braid relation"):
-        derive_plane("gl2", 2, ("x", "y"), "A", fixtures.R_GL2,
-                     ("-q^-1", "q"), gamma_exprs=rows)
+        derive_plane({**GL2_DOC, "name": "gl2", "gamma": rows})
 
 
 def test_derive_plane_rejects_noncentral_quotient():
     with pytest.raises(PlaneError, match="not central"):
-        derive_plane(
-            "bad-sphere", 3, ("x+", "x0", "x-"), "B", fixtures.R_ORTH3,
-            ("q^-2", "-q^-1", "q"), q="-1",
-            quotient={"central": "x0", "symbol": "rho"})
+        derive_plane({**ORTH3_DOC, "name": "bad-sphere", "q": "-1",
+                      "quotient": {"central": "x0", "symbol": "rho"}})
 
 
 def test_q_value_must_be_square_in_gaussian_rationals():
     with pytest.raises(PlaneError):
-        derive_plane(
-            "bad-q", 2, ("x", "y"), "A", fixtures.R_GL2,
-            ("-q^-1", "q"), q="i")
+        derive_plane({**GL2_DOC, "name": "bad-q", "q": "i"})
     with pytest.raises(PlaneError):
-        derive_plane(
-            "bad-q2", 2, ("x", "y"), "A", fixtures.R_GL2,
-            ("-q^-1", "q"), q="2")  # sqrt(2) not in Q(i)
+        # sqrt(2) not in Q(i)
+        derive_plane({**GL2_DOC, "name": "bad-q2", "q": "2"})
 
 
 def test_specialization_away_from_degenerate_points():
     import warnings
     from qplane import ncalg, symp
-    p4 = derive_plane("gl2-at-4", 2, ("x", "y"), "A", fixtures.R_GL2,
-                      ("-q^-1", "q"), q="4", gamma_policy="r_over_q",
-                      symplectic={"form": "d(x)*d(y)", "scale": "1"})
+    p4 = derive_plane({**GL2_DOC, "name": "gl2-at-4", "q": "4",
+                       "gamma": "r_over_q",
+                       "symplectic": {"form": "d(x)*d(y)", "scale": "1"}})
     omega = symp.symplectic_form(p4)
     assert symp.is_closed(omega, p4)
     bracket = symp.poisson_bracket(p4.parse("x"), p4.parse("y"), omega, p4)
     assert bracket == p4.nf(p4.parse("-4"))
     assert ncalg.confluence_selftest(p4.system, 60, 4, 7).ok
-    o4 = derive_plane("orth3-at-4", 3, ("x+", "x0", "x-"), "B",
-                      fixtures.R_ORTH3, ("q^-2", "-q^-1", "q"), q="4")
+    o4 = derive_plane({**ORTH3_DOC, "name": "orth3-at-4", "q": "4"})
     assert ncalg.confluence_selftest(o4.system, 60, 4, 7).ok
     # the wedge braiding exists only at the special values of q
     assert all(not ok for _, _, ok in o4.gamma_candidates)

@@ -24,7 +24,6 @@ from qplane.scalar import (
     poly_gcd,
     poly_mul,
     rho_power,
-    s_power,
     _coeff_str,
     _power_weight,
 )
@@ -234,11 +233,11 @@ def test_specialize_is_ring_hom():
 
 def q_power(e):
     """q^e as a Scalar: q = s^2."""
-    return s_power(2 * e)
+    return Scalar(POLY_ONE, val=2 * e)
 
 
 def test_powers():
-    assert s_power(-2) == parse_scalar("s^-2")
+    assert Scalar(POLY_ONE, val=-2) == parse_scalar("s^-2")
     assert q_power(2) == parse_scalar("q^2")
     assert (S ** 0) == ONE
 
@@ -427,15 +426,15 @@ def test_power_by_squaring_matches_repeated_products():
 
 def test_power_cap():
     # |e| times the base's weight (degree in s, bit length) is capped
-    assert Q ** (MAX_EXPONENT // 2) == s_power(MAX_EXPONENT)
-    assert S ** -MAX_EXPONENT == s_power(-MAX_EXPONENT)
+    assert Q ** (MAX_EXPONENT // 2) == Scalar(POLY_ONE, val=MAX_EXPONENT)
+    assert S ** -MAX_EXPONENT == Scalar(POLY_ONE, val=-MAX_EXPONENT)
     for base, e in [(S, MAX_EXPONENT + 1), (Q, MAX_EXPONENT // 2 + 1),
                     (from_int(2), -MAX_EXPONENT), (ONE, 10**30)]:
         with pytest.raises(ScalarError, match="exceeds the cap"):
             base ** e
     with pytest.raises(ScalarError, match="exceeds the cap"):
         parse_scalar("(q^100)^100")
-    assert parse_scalar("q^4000") == s_power(8000)
+    assert parse_scalar("q^4000") == Scalar(POLY_ONE, val=8000)
     # each coefficient counts in lowest terms, not over the polynomial's
     # common denominator: 1/p and 1/r weigh 61 bits, 1/(p*r) would weigh 92
     p, r = 2**61 - 1, 2**31 - 1
@@ -455,7 +454,8 @@ def test_power_weight_matches_unstripped_polynomials():
 
     rng = random.Random(4242)
     for _ in range(300):
-        x = _random_scalar(rng, with_rho=True) * s_power(rng.randint(-6, 6))
+        x = _random_scalar(rng, with_rho=True) * Scalar(
+            POLY_ONE, val=rng.randint(-6, 6))
         if not x:
             continue
         num = (0, 0) * max(x.val, 0)
@@ -575,7 +575,7 @@ def test_scalar_layout_invariants():
         x = _random_scalar(rng, with_rho=True)
         y = _random_scalar(rng)
         values = [x, y, x + y if not x.rho else x * y, x * y, -x, x ** 2,
-                  x * s_power(rng.randint(-4, 4)) + x]
+                  x * Scalar(POLY_ONE, val=rng.randint(-4, 4)) + x]
         if y:
             values.append(y.inverse())
         for v in values:
