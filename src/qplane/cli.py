@@ -2,8 +2,10 @@
 
 Every command is a thin composition of library calls; no computation lives
 only here.  Exit codes: 0 all checks pass, 1 verification or solve
-failure, 2 usage/parse/configuration error.  Findings (adjudicated
-discrepancies in the printed tables) exit 0 unless --strict is given.
+failure, 2 usage/parse/configuration error; 141 when stdout is closed
+before the output is written and 130 on an interrupt, each quietly.
+Findings (adjudicated discrepancies in the printed tables) exit 0 unless
+--strict is given.
 
 JSON reports are byte-deterministic for fixed inputs: checks are sorted by
 name, scalars print canonically, and wall-clock timing is reported only in
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 import warnings
@@ -27,6 +30,12 @@ from .planes import PlaneError
 from .scalar import ScalarError
 from .symp import SympError
 
+
+# exit codes past the 0/1/2 contract, as a shell reports a process killed
+# by the signal: 128 + SIGPIPE when stdout is closed before the output is
+# written, 128 + SIGINT on an interrupt
+EXIT_BROKEN_PIPE = 141
+EXIT_INTERRUPTED = 130
 
 # status is "pass", "fail" or "finding"
 Check = namedtuple("Check", "name status detail", defaults=("",))
@@ -473,13 +482,28 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (PlaneError, ScalarError, NcalgError, qcalc.QcalcError,
-            SympError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(argv)
+        try:
+            code = args.func(args)
+        except (PlaneError, ScalarError, NcalgError, qcalc.QcalcError,
+                SympError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        # a closed stdout is met here, not when the interpreter exits
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull, so that the
+        # flush at exit does not fail again (the Python docs' "Note on
+        # SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -208,17 +208,19 @@ def embed(m: LegMatrix, position: str) -> LegMatrix:
         raise LinalgError("embed expects a 2-leg matrix")
     n = m.base_dim
     out = LegMatrix(n, 3)
+    # each entry of m lands on n distinct in-range cells, and none is zero
+    entries = out.entries
     if position == "12":
         # M x E
         for (r, c), v in m.entries.items():
             for k in range(n):
-                out[r * n + k, c * n + k] = v
+                entries[r * n + k, c * n + k] = v
     elif position == "23":
         # E x M
         n2 = n * n
         for (r, c), v in m.entries.items():
             for k in range(n):
-                out[k * n2 + r, k * n2 + c] = v
+                entries[k * n2 + r, k * n2 + c] = v
     else:
         raise LinalgError("position must be '12' or '23'")
     return out

@@ -43,14 +43,23 @@ Confluence is checked on critical pairs: every rule rewrites a two-letter
 word and no two rules share one, so the only ambiguities are three-letter
 overlaps, and ``confluence_selftest`` resolves each (Bergman's diamond
 lemma, Adv. Math. 29, 1978).  Open premise: the measure is not yet a
-semigroup order, so this is not yet a certificate of confluence.
+semigroup order, so this is not yet a certificate of confluence.  The
+seeded random words it also checks depend only on the generator set, the
+sample count, the maximal length and the seed, so they are drawn once per
+such tuple and kept (a small bounded memo).
 
-A rewrite step sums ``c * reduce_word(prefix + w + suffix)`` over the
-right-hand terms ``c * w`` of the rule into one dict, and takes each
-product ``v * c`` from a memo of the rewrite system.  Canonical scalars
-are equal exactly when their values are, so the memo is exact; a product
-of values does not depend on the rules, so ``add_rule`` keeps it, and
-copies made by ``capped`` and ``quotient_system`` share it.
+There is one rewrite path.  ``reduce_word`` checks the degree cap and the
+cache; a word not cached goes to ``_reduce``, which rewrites its leftmost
+redex (``_rewrite_at``, also the right-hand side of a critical pair) and
+caches the result.  No rule makes a word longer, so every word met below
+the top-level one is within the cap and is looked up in the cache or
+reduced directly, with no second check.  A rewrite step sums
+``c * nf(prefix + w + suffix)`` over the right-hand terms ``c * w`` of the
+rule into one dict, and takes each product ``v * c`` from a memo of the
+rewrite system.  Canonical scalars are equal exactly when their values
+are, so the memo is exact; a product of values does not depend on the
+rules, so ``add_rule`` keeps it, and copies made by ``capped`` and
+``quotient_system`` share it.
 ``normal_form`` and ``AlgebraElement.scale`` multiply without the memo: a
 warm session on the symplectic layer calls them on ever new coefficients,
 and a memo there would grow with the session.
@@ -59,6 +68,7 @@ and a memo there would grow with the session.
 from __future__ import annotations
 
 import copy
+import functools
 import random
 from collections import namedtuple
 
@@ -279,12 +289,6 @@ class RewriteSystem:
 
     # -- reduction ---------------------------------------------------------
 
-    def _find_redex(self, word):
-        for k in range(len(word) - 1):
-            if (word[k], word[k + 1]) in self.rules:
-                return k
-        return None
-
     def reduce_word(self, word) -> AlgebraElement:
         word = tuple(word)
         if len(word) > self.degree_cap:
@@ -294,11 +298,19 @@ class RewriteSystem:
         hit = self._cache.get(word)
         if hit is not None:
             return hit
-        k = self._find_redex(word)
-        if k is None:
-            result = AlgebraElement.from_word(word)
+        return self._reduce(word)
+
+    def _reduce(self, word) -> AlgebraElement:
+        """Normal form of a word that is not cached: its leftmost redex
+        rewritten, or the word itself.  The result is cached."""
+        rules = self.rules
+        for k in range(len(word) - 1):
+            if word[k:k + 2] in rules:
+                result = self._rewrite_at(word, k)
+                break
         else:
-            result = self._rewrite_at(word, k)
+            result = AlgebraElement()
+            result.terms = {word: scalar.ONE}
         self._cache[word] = result
         return result
 
@@ -307,14 +319,19 @@ class RewriteSystem:
 
         Terms are kept in the order a sum of one scaled reduction after
         another gives: a word whose coefficient cancels is dropped, and
-        appended again if a later term brings it back.
+        appended again if a later term brings it back.  A term's word is
+        no longer than ``word``, so it is reduced without a cap check.
         """
-        rule = self.rules[(word[k], word[k + 1])]
+        rule = self.rules[word[k:k + 2]]
         prefix, suffix = word[:k], word[k + 2:]
-        products = self._products
+        cache, products = self._cache, self._products
         out = {}
         for w, c in rule.rhs.terms.items():
-            for w2, v in self.reduce_word(prefix + w + suffix).terms.items():
+            sub = prefix + w + suffix
+            nf = cache.get(sub)
+            if nf is None:
+                nf = self._reduce(sub)
+            for w2, v in nf.terms.items():
                 prod = products.get((v, c))
                 if prod is None:
                     prod = products[v, c] = v * c
@@ -511,18 +528,26 @@ def confluence_selftest(sys: RewriteSystem, sample_count=200, max_degree=5,
     ``overlaps`` counts all n^3 three-letter words, but only those with
     two redexes are reduced: no other word can disagree.
     """
-    rng = random.Random(seed)
-    gens = sys.generators()
+    gens = tuple(sys.generators())
     overlap_count = len(gens) ** 3
     follows = {g: [h for h in gens if (g, h) in sys.rules] for g in gens}
     words = [(g1, g2, g3) for g1 in gens for g2 in follows[g1]
              for g3 in follows[g2]]
-    for _ in range(sample_count):
-        length = rng.randint(1, max_degree)
-        words.append(tuple(rng.choice(gens) for _ in range(length)))
+    words += _sample_words(gens, sample_count, max_degree, seed)
     mismatches = [m for m in (_critical_pair_mismatch(sys, w) for w in words)
                   if m is not None]
     return ConfluenceReport(sample_count, overlap_count, mismatches)
+
+
+@functools.lru_cache(maxsize=32)
+def _sample_words(gens, sample_count, max_degree, seed):
+    """``sample_count`` seeded random words over ``gens`` of length 1 to
+    ``max_degree``; drawn once per argument tuple, since they depend on
+    nothing else."""
+    rng = random.Random(seed)
+    return tuple(tuple(rng.choice(gens)
+                       for _ in range(rng.randint(1, max_degree)))
+                 for _ in range(sample_count))
 
 
 def _critical_pair_mismatch(sys: RewriteSystem, word):

@@ -29,17 +29,19 @@ decoded JSON object): it checks the schema and composes these steps.
 too, and the built-in sphere is the cached generic orth3, specialized at
 q = -1 and quotiented by its central radius.
 
-Four views are derived from a plane's fields when first read and then
+Five views are derived from a plane's fields when first read and then
 kept on it, so every new plane value starts without them:
 ``constraint_spans`` (the memo of :mod:`qplane.symp`'s spans),
+``symplectic`` (the declared symplectic form with its per-bound
+Hamiltonian systems, or the message of the error that building it raised),
 ``gamma_candidates`` (each braiding candidate for the wedge
 product with its verdict on the wedge condition and the braid relation,
 the one place that condition is proved), ``gamma`` (the first passing
 candidate) and ``reference_shape`` (which transcribed tables apply).
 The rewrite degree cap is fixed when a rule system is built;
 :func:`capped` gives a copy with another cap that shares the rules and
-the rule system's caches, and starts its own span memo; at the plane's own
-cap it is the plane itself.
+the rule system's caches, and starts its own span memo and symplectic
+form; at the plane's own cap it is the plane itself.
 
 The braid matrix is the single source of truth; the printed relation
 tables live in :mod:`qplane.fixtures` and are diffed against the derived
@@ -52,7 +54,7 @@ import json
 from collections import namedtuple
 from functools import cached_property
 
-from . import fixtures, ncalg, qcalc, scalar
+from . import fixtures, ncalg, qcalc, scalar, symp
 from .linalg import LegMatrix, LinalgError, check_min_poly, check_ybe, \
     echelon, from_exprs, identity, mat_inverse, projector_q, \
     wedge_condition, wz_conditions
@@ -108,6 +110,15 @@ class PlaneSpec:
         degree, coordinate bound); a copy with another degree cap starts
         its own."""
         return {}
+
+    @cached_property
+    def symplectic(self):
+        """:func:`qplane.symp.symplectic_form`'s form, built on first read,
+        or the message of the ``SympError`` that building it raised."""
+        try:
+            return symp.build_symplectic_form(self)
+        except symp.SympError as exc:
+            return str(exc)
 
     @cached_property
     def gamma_candidates(self):

@@ -75,7 +75,20 @@ class SymplecticForm:
 
 
 def symplectic_form(plane) -> SymplecticForm:
-    """Build the plane's declared symplectic form (wedge + tensor + scale)."""
+    """The plane's declared symplectic form (wedge + tensor + scale).
+
+    It is built on first use and kept on the plane value
+    (``plane.symplectic``), with its per-bound Hamiltonian systems; a form
+    that cannot be built raises the same ``SympError`` text on every call.
+    """
+    form = plane.symplectic
+    if isinstance(form, str):
+        raise SympError(form)
+    return form
+
+
+def build_symplectic_form(plane) -> SymplecticForm:
+    """Build the plane's declared symplectic form, uncached."""
     if plane.symplectic_body_expr is None:
         raise SympError(f"plane {plane.name} declares no symplectic form")
     if plane.gamma is None:

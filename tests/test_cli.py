@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -647,3 +649,54 @@ def test_unsolved_fixture_field_fails_the_bracket_check(capsys):
     bracket = checks["hamiltonian/bracket-fixtures"]
     assert bracket["status"] == "fail"
     assert "[x+,x-]: no field for x+" in bracket["detail"]
+
+
+def test_query_commands_repeated_in_process_answer_as_fresh(capsys):
+    # the form is built on the first call and kept on the plane; each
+    # later call prints what a fresh process prints
+    calls = [["hamvec", "--plane", "sphere_qm1", "x0"],
+             ["bracket", "--plane", "sphere_qm1", "x+", "x-"],
+             ["eom", "--plane", "sphere_qm1", "x0*x0 + x+*x-"],
+             ["hamvec", "--plane", "sphere_qm1", "x0", "--degree", "2"],
+             ["hamvec", "--plane", "gl2", "x*y"],
+             ["bracket", "--plane", "gl2", "x", "y"],
+             ["eom", "--plane", "gl2", "x*y"]]
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "qplane.cli", *argv],
+                               capture_output=True, text=True, timeout=120)
+        for _ in range(3):
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout,
+                                          fresh.stderr), argv
+
+
+def test_closed_stdout_ends_quietly():
+    # the read end is closed before the child starts, so its first write
+    # meets a pipe with no reader
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run_ = subprocess.run(
+            [sys.executable, "-m", "qplane.cli", "nf", "--plane", "gl2",
+             "y*x"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert run_.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert run_.stderr == ""
+
+
+def test_interrupt_exits_130_with_one_line():
+    # (1+s)^8000 takes far longer than the wait, on any host
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qplane.cli", "nf", "--plane", "gl2",
+         "(1+s)^8000*x"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        time.sleep(1.2)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+    assert (out, err) == ("", "interrupted\n")

@@ -89,6 +89,44 @@ def test_embed_entry_by_index_arithmetic():
     assert m[row, row] == Q
 
 
+def _embed_by_setitem(m, position):
+    """embed as a per-entry ``__setitem__`` build: each cell checked for
+    range and zero."""
+    n = m.base_dim
+    out = LegMatrix(n, 3)
+    for (r, c), v in m.entries.items():
+        for k in range(n):
+            if position == "12":
+                out[r * n + k, c * n + k] = v
+            else:
+                out[k * n * n + r, k * n * n + c] = v
+    return out
+
+
+def test_embed_equals_a_setitem_build():
+    mats = [r_gl2(), r_orth3(), identity(3),
+            from_exprs(frt_gl_matrix(4), 4)]
+    rng = random.Random(5)
+    for n in (2, 3):
+        size = n * n
+        mats.append(LegMatrix(n, 2, {
+            (rng.randrange(size), rng.randrange(size)):
+                parse_scalar(rng.choice(["q", "-1", "2*i", "s^3 - 1"]))
+            for _ in range(size)}))
+    for m in mats:
+        for position in ("12", "23"):
+            got = embed(m, position)
+            want = _embed_by_setitem(m, position)
+            assert got == want
+            # same cells in the same insertion order, none zero
+            assert list(got.entries.items()) == list(want.entries.items())
+            assert len(got.entries) == m.base_dim * len(m.entries)
+    with pytest.raises(LinalgError):
+        embed(r_gl2(), "13")
+    with pytest.raises(LinalgError):
+        embed(identity(2, 3), "12")
+
+
 def test_embed_mixed_product_property():
     # embed(M,12) * embed(N,23) must equal the full Kronecker product M x N
     r = r_gl2()

@@ -1,10 +1,11 @@
+import itertools
 import json
 import random
 
 import pytest
 
 from conftest import glq_plane_document, twisted_glq_document
-from qplane import fixtures, planes, scalar
+from qplane import fixtures, ncalg, planes, scalar
 from qplane.linalg import identity, rref_rows
 from qplane.ncalg import (
     COORD,
@@ -435,8 +436,19 @@ def test_classical_limit_commutes():
 def test_degree_cap():
     sys = GL2.system
     word = tuple(gen(COORD, 1) for _ in range(sys.degree_cap + 1))
-    with pytest.raises(NcalgError):
+    with pytest.raises(NcalgError) as err:
         sys.reduce_word(word)
+    assert str(err.value) == "word of degree 17 exceeds the cap 16"
+    # the cap is checked before the cache: a word cached under the plane's
+    # cap is still refused by a copy capped below it
+    five = (gen(DERIV, 1), gen(COORD, 2), gen(COORD, 1), gen(DIFF, 2),
+            gen(COORD, 1))
+    nf = sys.reduce_word(five)
+    assert sys.reduce_word(list(five)) is nf
+    with pytest.raises(NcalgError) as err:
+        sys.capped(4).reduce_word(five)
+    assert str(err.value) == "word of degree 5 exceeds the cap 4"
+    assert sys.capped(5).reduce_word(five) is nf
 
 
 # -- the rewrite step --------------------------------------------------------
@@ -514,6 +526,91 @@ def test_add_rule_keeps_products_and_normal_forms(glq3):
         assert warm.reduce_word(word) == fresh.reduce_word(word), word
 
 
+def _all_words(sys, max_len):
+    gens = sys.generators()
+    return [w for n in range(max_len + 1)
+            for w in itertools.product(gens, repeat=n)]
+
+
+LEFTMOST_PLANES = {
+    "gl2": lambda: GL2.system,
+    "orth3": lambda: ORTH3.system,
+    "sphere_qm1": lambda: SPHERE.system,
+    "glq3-perm201": lambda: planes.load_plane(
+        json.dumps(glq_plane_document(3, [2, 0, 1]))).system,
+    "gl2-corrupted": lambda: _corrupted_gl2_system(),
+}
+
+
+@pytest.mark.parametrize("name", LEFTMOST_PLANES)
+def test_reduction_equals_plain_leftmost_reducer(name):
+    sys = LEFTMOST_PLANES[name]()
+    memo = {}
+    for word in _all_words(sys, 4):
+        got = sys.reduce_word(word)
+        want = reference_reduce(sys, word, memo)
+        assert list(got.terms.items()) == list(want.terms.items()), word
+    # every cached normal form, also of words met while reducing, has the
+    # reference's value and term order
+    for word, got in sys._cache.items():
+        want = reference_reduce(sys, word, memo)
+        assert list(got.terms.items()) == list(want.terms.items()), word
+
+
+def reference_confluence(sys, sample_count, max_degree, seed):
+    """The mismatch list of confluence_selftest, by the plain reducer: all
+    n^3 three-letter words, then the seeded words, each with two redexes
+    reduced leftmost-first and with its last redex rewritten first."""
+    gens = sys.generators()
+    words = list(itertools.product(gens, repeat=3))
+    rng = random.Random(seed)
+    for _ in range(sample_count):
+        length = rng.randint(1, max_degree)
+        words.append(tuple(rng.choice(gens) for _ in range(length)))
+    memo, out = {}, []
+    for word in words:
+        redexes = [k for k in range(len(word) - 1)
+                   if (word[k], word[k + 1]) in sys.rules]
+        if len(redexes) < 2:
+            continue
+        k = redexes[-1]
+        right = AlgebraElement()
+        for w, c in sys.rules[(word[k], word[k + 1])].rhs.terms.items():
+            right = right + reference_reduce(
+                sys, word[:k] + w + word[k + 2:], memo).scale(c)
+        left = reference_reduce(sys, word, memo)
+        if left != right:
+            out.append((word, left, right))
+    return out
+
+
+def _ordered(mismatches):
+    return [(w, list(a.terms.items()), list(b.terms.items()))
+            for w, a, b in mismatches]
+
+
+def test_corrupted_mismatches_equal_the_plain_reducers():
+    report = confluence_selftest(_corrupted_gl2_system(), sample_count=50,
+                                 max_degree=4, seed=1)
+    want = reference_confluence(_corrupted_gl2_system(), 50, 4, 1)
+    assert want and _ordered(report.mismatches) == _ordered(want)
+
+
+def test_sample_words_are_drawn_once():
+    for sys, count, degree, seed in ((GL2.system, 50, 4, 1),
+                                     (ORTH3.system, 200, 5, 3)):
+        gens = tuple(sys.generators())
+        rng = random.Random(seed)
+        want = []
+        for _ in range(count):
+            length = rng.randint(1, degree)
+            want.append(tuple(rng.choice(gens) for _ in range(length)))
+        got = ncalg._sample_words(gens, count, degree, seed)
+        assert list(got) == want
+        assert ncalg._sample_words(gens, count, degree, seed) is got
+    assert ncalg._sample_words.cache_info().maxsize is not None
+
+
 # -- termination measure --------------------------------------------------------
 
 def test_kind_inversions():
@@ -538,7 +635,8 @@ def test_every_step_decreases_measure():
     def walk(word):
         # the reduction's own path: rewrite the first redex, recurse on
         # every right-hand-side term
-        k = sys._find_redex(word)
+        k = next((k for k in range(len(word) - 1)
+                  if (word[k], word[k + 1]) in sys.rules), None)
         if k is None:
             return
         rule = sys.rules[(word[k], word[k + 1])]

@@ -288,7 +288,7 @@ def test_kernel_basis_shared_per_degree_bound(degree):
     assert isinstance(basis, tuple)
     with pytest.raises(TypeError):
         basis[0] = VectorField()
-    cold = symplectic_form(SPHERE)
+    cold = symp.build_symplectic_form(SPHERE)
     cold_report = hamiltonian_vector_field(SPHERE.parse("x+*x-"), cold,
                                            SPHERE, degree)
     assert cold_report.kernel_basis is not basis
@@ -509,10 +509,56 @@ def test_nondegeneracy_and_solve_contract_each_variable_once(monkeypatch):
         return contract(field, tensor, sys)
 
     monkeypatch.setattr(qcalc, "contract", counted)
-    omega = symplectic_form(SPHERE)
+    omega = symp.build_symplectic_form(SPHERE)
     assert is_nondegenerate(omega, SPHERE, 2)[0]
     variables = symp._system(omega, SPHERE, 2).variables
     assert len(calls) == len(variables)
     hamiltonian_vector_field(SPHERE.parse("x0"), omega, SPHERE, 2)
     # the residual check contracts the solved field once
     assert len(calls) == len(variables) + 1
+
+
+# -- one form per plane value ---------------------------------------------------
+
+def _sphere_document_plane(**changes):
+    doc = {**json.loads(planes.serialize_plane(SPHERE)), **changes}
+    doc = {k: v for k, v in doc.items() if v is not None}
+    return planes.load_plane(json.dumps(doc))
+
+
+def test_symplectic_form_is_kept_on_the_plane():
+    for plane in (GL2, SPHERE):
+        assert symplectic_form(plane) is symplectic_form(plane)
+    # each new plane value builds its own form, once
+    capped = planes.capped(SPHERE, 8)
+    assert planes.capped(SPHERE, SPHERE.system.degree_cap) is SPHERE
+    generic = _sphere_document_plane(q="generic")
+    special = planes.specialize(generic, "-1")
+    unquotiented = _sphere_document_plane(quotient=None)
+    assert unquotiented.quotient_central is None
+    before = symplectic_form(unquotiented)
+    quotient = planes._quotient(unquotiented, fixtures.SPHERE_CENTRAL)
+    for plane, other in ((capped, SPHERE), (special, SPHERE),
+                         (quotient, unquotiented)):
+        omega = symplectic_form(plane)
+        assert omega is symplectic_form(plane)
+        assert omega is not symplectic_form(other)
+    assert symplectic_form(unquotiented) is before
+    # the copies' forms are the form the plane would build afresh
+    fresh = symp.build_symplectic_form(capped)
+    assert symplectic_form(capped).wedge.body == fresh.wedge.body
+    assert symplectic_form(capped).scale == fresh.scale
+
+
+def test_symplectic_form_that_fails_raises_the_same_text_each_call():
+    orth3 = planes.builtin_plane("orth3")
+    generic = _sphere_document_plane(q="generic")
+    for plane, text in (
+            (orth3, "plane orth3 declares no symplectic form"),
+            (generic, "plane sphere_qm1 has no braiding that satisfies the "
+                      "wedge condition; tensor representation unavailable")):
+        for _ in range(3):
+            with pytest.raises(SympError) as err:
+                symplectic_form(plane)
+            assert str(err.value) == text
+            assert type(err.value) is SympError
