@@ -5,7 +5,11 @@ only here.  Exit codes: 0 all checks pass, 1 verification or solve
 failure, 2 usage/parse/configuration error; 141 when stdout is closed
 before the output is written and 130 on an interrupt, each quietly.
 Findings (adjudicated discrepancies in the printed tables) exit 0 unless
---strict is given.
+--strict is given.  --degree takes an integer of at least 0 and
+--max-degree one of at least 1; any other value is a usage error.
+
+The suites read the verdicts and views the plane keeps: the symplectic
+suites read ``plane.symplectic``, built once per plane value.
 
 JSON reports are byte-deterministic for fixed inputs: checks are sorted by
 name, scalars print canonically, and wall-clock timing is reported only in
@@ -51,7 +55,7 @@ def _plane_from_arg(args):
                 plane = planes.load_plane(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise PlaneError(f"cannot read plane configuration: {exc}")
-    if args.max_degree:
+    if args.max_degree is not None:
         plane = planes.capped(plane, args.max_degree)
     return plane
 
@@ -72,9 +76,9 @@ def suite_ybe(plane):
     checks.append(Check("ybe/minimal-polynomial",
                         "pass" if ok else "fail",
                         f"eigenvalues {eigs}"))
-    if plane.q_projector is not None:
-        # M = c*Q: Q*Q == Q exactly when M*M == c*M
-        m, c = clear_denominators(plane.q_projector)
+    if plane.family == "B":
+        # B = E - Q, and M = c*Q: Q*Q == Q exactly when M*M == c*M
+        m, c = clear_denominators(identity(plane.dimension) - plane.b)
         ok = m * m == m.scale(c)
         checks.append(Check("ybe/projector-idempotent",
                             "pass" if ok else "fail", "Q*Q == Q"))
@@ -126,7 +130,7 @@ def suite_relations(plane, seed=0):
                             "plane" if plane.reference_shape is None else
                             "all transcribed relation tables reproduced "
                             "with empty diff"))
-    if plane.quotient_central is not None:
+    if plane.quotient_central_expr is not None:
         ok = plane.structure_report["central-element"]
         checks.append(Check("relations/central-element",
                             "pass" if ok else "fail",
@@ -154,32 +158,22 @@ def suite_relations(plane, seed=0):
     return checks
 
 
-def _symplectic_form(plane):
-    """The declared symplectic form, the SympError that keeps it from being
-    built, or None when the plane declares none."""
-    if plane.symplectic_body_expr is None:
-        return None
-    try:
-        return symp.symplectic_form(plane)
-    except SympError as exc:
-        return exc
-
-
-def _without_form(suite, omega):
+def _without_form(suite, plane):
     """The one check of a symplectic suite that has no form to work on,
-    or [] when it has one."""
-    if omega is None:
+    or [] when ``plane.symplectic`` is a form."""
+    if plane.symplectic_body_expr is None:
         return [Check(f"{suite}/symplectic-declared", "pass",
                       "plane declares no symplectic form; nothing to check")]
-    if isinstance(omega, SympError):
-        return [Check(f"{suite}/symplectic-form", "fail", str(omega))]
+    if isinstance(plane.symplectic, str):
+        return [Check(f"{suite}/symplectic-form", "fail", plane.symplectic)]
     return []
 
 
-def suite_closedness(plane, omega, degree=1):
-    checks = _without_form("closedness", omega)
+def suite_closedness(plane, degree=1):
+    checks = _without_form("closedness", plane)
     if checks:
         return checks
+    omega = plane.symplectic
     ok = symp.is_closed(omega, plane)
     checks.append(Check("closedness/d-omega-zero", "pass" if ok else "fail"))
     nd, witness = symp.is_nondegenerate(omega, plane, degree)
@@ -191,10 +185,11 @@ def suite_closedness(plane, omega, degree=1):
     return checks
 
 
-def suite_hamiltonian(plane, omega, degree=1):
-    checks = _without_form("hamiltonian", omega)
+def suite_hamiltonian(plane, degree=1):
+    checks = _without_form("hamiltonian", plane)
     if checks:
         return checks
+    omega = plane.symplectic
     fields = {}  # generator name -> its solved field
     for g in plane.coordinate_generators():
         name = plane.generator_names[g[1] - 1]
@@ -252,14 +247,14 @@ def _hamiltonian_tables(plane, omega):
     and the form, are compared with those; no other plane is derived.
     """
     shape, sp = plane.reference_shape, plane.specialization
-    if shape == "gl2" and sp is None and plane.quotient_central is None:
+    if shape == "gl2" and sp is None and plane.quotient_central_expr is None:
         body, scale = fixtures.GL2_SYMPLECTIC_BODY, \
             fixtures.GL2_SYMPLECTIC_SCALE
         gamma = plane.r_matrix.scale(scalar.Q.inverse())
         tables = fixtures.GL2_HAMILTONIAN_FIELDS, fixtures.GL2_BRACKETS
     elif (shape == "orth3" and sp is not None
           and scalar.Q.specialize(sp) == scalar.MINUS_ONE
-          and plane.quotient_central is not None
+          and plane.quotient_central_expr is not None
           and plane.nf(plane.parse(fixtures.SPHERE_CENTRAL))
           == plane.nf(plane.parse("rho"))):
         body, scale = fixtures.SPHERE_SYMPLECTIC_BODY, \
@@ -295,17 +290,14 @@ def _field_matches(field, table, plane):
     return all(plane.nf(e).is_zero() for e in diff.components.values())
 
 
-# each suite as f(plane, args, omega), omega as _symplectic_form returns it
+# each suite as f(plane, args)
 _SUITES = {
-    "ybe": lambda plane, args, omega: suite_ybe(plane),
-    "wz": lambda plane, args, omega: suite_wz(plane),
-    "gamma": lambda plane, args, omega: suite_gamma(plane),
-    "relations": lambda plane, args, omega: suite_relations(plane,
-                                                            seed=args.seed),
-    "closedness": lambda plane, args, omega: suite_closedness(
-        plane, omega, degree=args.degree),
-    "hamiltonian": lambda plane, args, omega: suite_hamiltonian(
-        plane, omega, degree=args.degree),
+    "ybe": lambda plane, args: suite_ybe(plane),
+    "wz": lambda plane, args: suite_wz(plane),
+    "gamma": lambda plane, args: suite_gamma(plane),
+    "relations": lambda plane, args: suite_relations(plane, seed=args.seed),
+    "closedness": lambda plane, args: suite_closedness(plane, args.degree),
+    "hamiltonian": lambda plane, args: suite_hamiltonian(plane, args.degree),
 }
 
 
@@ -319,12 +311,9 @@ def cmd_verify(args):
         return 1
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     start = time.monotonic()
-    # one symplectic form serves both suites that read it
-    omega = _symplectic_form(plane) \
-        if {"closedness", "hamiltonian"} & set(names) else None
     checks = []
     for name in names:
-        checks.extend(_SUITES[name](plane, args, omega))
+        checks.extend(_SUITES[name](plane, args))
     elapsed = time.monotonic() - start
     checks.sort(key=lambda c: c.name)
     report = {
@@ -422,6 +411,18 @@ class _surfaced_family_warnings:
         return False
 
 
+def _int_from(low):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text):
+        value = int(text)  # argparse reports a ValueError as "invalid int"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"not {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process.
@@ -441,10 +442,12 @@ def build_parser():
         p.add_argument("--plane", required=True,
                        help="builtin name (gl2, orth3, sphere_qm1) or a "
                             "JSON configuration path")
-        p.add_argument("--degree", type=int, default=1,
-                       help="vector-field coefficient degree bound")
-        p.add_argument("--max-degree", type=int, default=None,
-                       help="rewrite degree cap for this call (default 16)")
+        p.add_argument("--degree", type=_int_from(0), default=1,
+                       help="vector-field coefficient degree bound, at "
+                            "least 0")
+        p.add_argument("--max-degree", type=_int_from(1), default=None,
+                       help="rewrite degree cap for this call, at least 1 "
+                            "(default 16)")
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)

@@ -5,11 +5,12 @@ derivation of its braid matrix:
 
 1. The generic derivation (:func:`_derive_generic`) validates the braid
    matrix and its eigenvalues, derives the calculus matrices B, C, D
-   (A-family by rescaling, B-family through the spectral projector; the
-   Wess-Zumino F is B on both families, so it is not stored), checks
-   them against the consistency system and turns them into the rewrite
-   rule set.  The result is a generic plane; its ``generic`` field is
-   the plane itself.
+   (A-family by rescaling, B-family as E - Q from the spectral projector
+   Q, which B therefore holds; the Wess-Zumino F is B on both families;
+   neither Q nor F is stored), checks them against the consistency system
+   and turns them into the rewrite rule set, which holds the monomial
+   order (``system.ranks``).  The result is a generic plane; its
+   ``generic`` field is the plane itself.
 2. Specialization (:func:`_specialize`) evaluates the generic matrices at
    a numeric q, refusing a pole, and inherits the generic verdicts (braid
    relation, minimal polynomial, consistency conditions): evaluation is a
@@ -21,13 +22,18 @@ derivation of its braid matrix:
 3. The central quotient (:func:`_quotient`) adds one rule to its plane's
    rules (:func:`qplane.ncalg.quotient_system`), the one that sets a
    central element to ``rho``, and the differential consequences of that
-   rule as form relations.  It, too, returns a new plane.
+   rule as form relations.  It, too, returns a new plane, which keeps the
+   element as its text (``quotient_central_expr``).
 
 :func:`derive_plane` is the one reader of a configuration document (the
 decoded JSON object): it checks the schema and composes these steps.
 :func:`load_plane` decodes the JSON text; gl2 and orth3 are documents
 too, and the built-in sphere is the cached generic orth3, specialized at
-q = -1 and quotiented by its central radius.
+q = -1 and quotiented by its central radius.  A braiding policy has its
+document name (``r_over_q``, ``d``, ``auto``) in the code too, and
+``explicit`` when the document gives a matrix; :func:`serialize_plane`
+writes the name or the generic matrix, and the plane's signature, which
+decides equality, includes it.
 
 Five views are derived from a plane's fields when first read and then
 kept on it, so every new plane value starts without them:
@@ -83,10 +89,9 @@ class PlaneSpec:
     """
 
     def __init__(self, name, dimension, generator_names, family, r_matrix,
-                 eigenvalues, b, c, d, q_projector, structure_report,
-                 wz_report, monomial_ranks, system, gamma_policy,
-                 specialization=None, generic=None, gamma_explicit=None,
-                 quotient_central=None, quotient_central_expr=None,
+                 eigenvalues, b, c, d, structure_report, wz_report, system,
+                 gamma_policy, specialization=None, generic=None,
+                 gamma_explicit=None, quotient_central_expr=None,
                  constraint_forms=(),
                  symplectic_body_expr=None, symplectic_scale_expr=None):
         fields = dict(locals())
@@ -167,11 +172,12 @@ class PlaneSpec:
             "dimension": self.dimension,
             "generators": list(self.generator_names),
             "family": self.family,
-            "r_matrix": {rc: str(v) for rc, v in
-                         sorted(self.r_matrix.entries.items())},
+            "r_matrix": _matrix_exprs(self.r_matrix),
             "eigenvalues": [str(v) for v in self.eigenvalues],
             "q": "generic" if self.specialization is None
                  else str(self.specialization.value),
+            "gamma": self.gamma_policy if self.gamma_explicit is None
+                     else _matrix_exprs(self.gamma_explicit),
             "quotient": self.quotient_central_expr,
             "symplectic": self.symplectic_body_expr,
         }
@@ -244,9 +250,9 @@ def derive_plane(doc) -> PlaneSpec:
     gamma_exprs = None
     if gamma is not None:
         if isinstance(gamma, str):
-            if gamma not in _GAMMA_NAMES:
+            if gamma not in _GAMMA_POLICIES:
                 raise PlaneError(f"unknown gamma policy {gamma!r}")
-            gamma_policy = _GAMMA_NAMES[gamma]
+            gamma_policy = gamma
         elif isinstance(gamma, list):
             gamma_exprs = _grid(gamma, size, "gamma")
         else:
@@ -307,25 +313,21 @@ def _derive_generic(name, dimension, generator_names, family, r,
             f"plane {name}: C = qR is singular, the exchange matrix "
             f"D = C^-1 does not exist ({exc})")
     if family == "A":
-        qpr = None
         b = r.scale(scalar.Q.inverse())
     else:
         try:
-            qpr = projector_q(r, *eigenvalues)
+            b = identity(dimension) - projector_q(r, *eigenvalues)
         except LinalgError as exc:
             raise PlaneError(f"plane {name}: projector undefined ({exc})")
-        b = identity(dimension) - qpr
     wz = wz_conditions(b, c, d, b)
     bad = [k for k, ok in wz.items() if not ok]
     if bad:
         raise PlaneVerificationError(
             f"plane {name}: consistency conditions failed: {bad}")
-    ranks = _family_ranks(dimension, family)
-    system = ncalg.build_rewrite_system(dimension, generator_names, ranks,
-                                        b, c, d)
+    system = ncalg.build_rewrite_system(
+        dimension, generator_names, _family_ranks(dimension, family), b, c, d)
     return PlaneSpec(name, dimension, generator_names, family, r,
-                     eigenvalues, b, c, d, qpr, structure, wz, ranks,
-                     system, gamma_policy)
+                     eigenvalues, b, c, d, structure, wz, system, gamma_policy)
 
 
 def _validate_structure(name, r, eigenvalues):
@@ -362,18 +364,15 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
         r = plane.r_matrix.specialize(sp)
         eigenvalues = tuple(v.specialize(sp) for v in plane.eigenvalues)
         b, c, d = (m.specialize(sp) for m in (plane.b, plane.c, plane.d))
-        qpr = None if plane.q_projector is None \
-            else plane.q_projector.specialize(sp)
         gamma = None if plane.gamma_explicit is None \
             else plane.gamma_explicit.specialize(sp)
     except ScalarError as exc:
         raise PlaneError(f"plane {name}: specialization at {sp} hits a "
                          f"pole: {exc}")
     system = ncalg.build_rewrite_system(
-        plane.dimension, plane.generator_names, plane.monomial_ranks,
-        b, c, d)
+        plane.dimension, plane.generator_names, plane.system.ranks, b, c, d)
     out = _replace(plane, name=name, r_matrix=r, eigenvalues=eigenvalues,
-                   b=b, c=c, d=d, q_projector=qpr, gamma_explicit=gamma,
+                   b=b, c=c, d=d, gamma_explicit=gamma,
                    system=system, specialization=sp, generic=plane.generic)
     if plane.quotient_central_expr is not None:
         out = _quotient(out, plane.quotient_central_expr)
@@ -400,7 +399,6 @@ def _quotient(plane: PlaneSpec, central_expr: str) -> PlaneSpec:
                                      generic_system, generic_central)
     structure = {**plane.structure_report, "central-element": True}
     return _replace(plane, system=system, structure_report=structure,
-                    quotient_central=central,
                     quotient_central_expr=central_expr,
                     constraint_forms=forms)
 
@@ -458,15 +456,13 @@ def resolve_gamma(plane: PlaneSpec):
     if policy == "r_over_q":
         candidates.append(("r_over_q", plane.r_matrix.scale(q.inverse()),
                            r_braids))
-    elif policy == "d_matrix":
+    elif policy == "d":
         candidates.append(("d_matrix", plane.d, d_braids))
     elif policy == "auto":
         candidates.append(("d_matrix", plane.d, d_braids))
         candidates.append(("r_inverse", plane.d.scale(q), d_braids))
-    elif policy == "explicit":
+    else:  # "explicit": the document's matrix
         candidates.append(("explicit", plane.gamma_explicit, None))
-    else:
-        raise PlaneError(f"unknown gamma policy {policy!r}")
     out = [(cname, matrix, wedge_condition(plane.d, matrix)
             and (check_ybe(matrix) if braids is None else braids))
            for cname, matrix, braids in candidates]
@@ -556,7 +552,7 @@ def _matrix_exprs(m: LegMatrix):
 
 _SCHEMA_KEYS = {"name", "dimension", "generators", "family", "r_matrix",
                 "eigenvalues", "q", "gamma", "quotient", "symplectic"}
-_GAMMA_NAMES = {"r_over_q": "r_over_q", "d": "d_matrix", "auto": "auto"}
+_GAMMA_POLICIES = ("r_over_q", "d", "auto")
 # the document keys of each family's eigenvalues, in order
 _EIGENVALUE_KEYS = {"A": ("lambda1", "lambda2"),
                     "B": ("lambda0", "lambda1", "lambda2")}
@@ -610,10 +606,9 @@ def serialize_plane(plane: PlaneSpec) -> str:
         "q": "generic" if sp is None else str(sp.value * sp.value),
         "eigenvalues": {key: str(v) for key, v in
                         zip(_EIGENVALUE_KEYS[base.family], base.eigenvalues)},
+        "gamma": plane.gamma_policy if base.gamma_explicit is None
+                 else _matrix_exprs(base.gamma_explicit),
     }
-    policy_doc = {v: k for k, v in _GAMMA_NAMES.items()}
-    if plane.gamma_policy in policy_doc:
-        doc["gamma"] = policy_doc[plane.gamma_policy]
     if plane.quotient_central_expr:
         doc["quotient"] = {"central": plane.quotient_central_expr,
                            "symbol": "rho"}

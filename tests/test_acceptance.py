@@ -59,7 +59,7 @@ def test_criterion_2_spectral():
     orth3_ok = ((ORTH3.r_matrix - e3.scale(q))
                 * (ORTH3.r_matrix + e3.scale(parse_scalar("q^-1")))
                 * (ORTH3.r_matrix - e3.scale(parse_scalar("q^-2")))).is_zero()
-    qpr = ORTH3.q_projector
+    qpr = identity(3) - ORTH3.b
     proj_ok = qpr * qpr == qpr
     report(2, gl2_ok and orth3_ok and proj_ok,
            "quadratic and cubic minimal polynomials vanish, projector "

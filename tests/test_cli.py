@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qplane import cli, fixtures, planes, scalar
+from qplane import cli, fixtures, planes, scalar, symp
 from qplane.cli import main
 
 
@@ -182,6 +182,51 @@ def test_max_degree_applies_to_one_call_only(capsys):
                      "--max-degree", "3")
     assert code == 0
     assert planes.builtin_plane("gl2").system.degree_cap == 16
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--plane", "gl2", "--degree", "-2", "--suite", "closedness"],
+    ["hamvec", "--plane", "gl2", "--degree", "-1", "x"],
+    ["nf", "--plane", "gl2", "--max-degree", "0", "x"],
+    ["nf", "--plane", "gl2", "--max-degree", "-3", "x"],
+])
+def test_degree_flags_out_of_range_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qplane {argv[0]}")
+    assert "must be at least" in err
+
+
+def test_degree_flags_at_their_least_values(capsys):
+    assert run(capsys, "nf", "--plane", "gl2", "--max-degree", "1", "x") \
+        == (0, "x\n", "")
+    code, out, _ = run(capsys, "hamvec", "--plane", "gl2", "--degree", "0",
+                       "x")
+    assert code == 0
+    assert out.startswith("status: ")
+
+
+@pytest.mark.parametrize("suite, builds", [("all", 1), ("ybe", 0)])
+def test_verify_builds_the_symplectic_form_once(tmp_path, capsys,
+                                               monkeypatch, suite, builds):
+    # a plane read from a file is a new value on each call
+    calls = []
+    build = symp.build_symplectic_form
+
+    def counted(plane):
+        calls.append(plane.name)
+        return build(plane)
+
+    monkeypatch.setattr(symp, "build_symplectic_form", counted)
+    path = tmp_path / "gl2.json"
+    path.write_text(planes.serialize_plane(planes.builtin_plane("gl2")),
+                    encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                       suite)
+    assert code == 0, err
+    assert calls == ["gl2"] * builds
 
 
 @pytest.mark.parametrize("names", [["a", "b"], ["y", "x"]])
@@ -552,6 +597,17 @@ def test_symplectic_form_without_braiding_is_reported(tmp_path):
     assert "PASS relations/classical-limit: all coordinate commutators " \
            "vanish at q=1" in lines
     assert lines[-1].startswith("16 checks, 3 failed, 1 findings")
+
+
+def test_d_braiding_policy_is_reported_on_gl2(tmp_path, capsys):
+    # the document's policy "d" offers D alone, which gl2's wedge product
+    # does not satisfy
+    path = tmp_path / "gl2_d.json"
+    path.write_text(json.dumps(_gl2_with(gamma="d")), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--plane", str(path), "--suite",
+                       "gamma")
+    assert code == 1
+    assert "FAIL gamma/resolution: d_matrix: fail" in out.splitlines()
 
 
 def test_symplectic_form_that_is_not_a_2_form_is_reported(tmp_path, capsys):

@@ -107,7 +107,7 @@ def dense_rewrite_system(plane):
     only nonzero entries: every family walks the dense n^4 grid through
     ``LegMatrix.at`` and sums its right-hand sides term by term."""
     n = plane.dimension
-    sys = RewriteSystem(n, plane.generator_names, plane.monomial_ranks)
+    sys = RewriteSystem(n, plane.generator_names, plane.system.ranks)
     e = identity(n, 2)
     m = e - plane.b
     families = ((COORD, (e - plane.b).at), (DIFF, (e + plane.d).at),
@@ -157,8 +157,8 @@ def dense_rewrite_system(plane):
                             rhs = rhs + AlgebraElement.from_word(
                                 (gen(target, l), gen(kind, j)), v)
                 sys.add_rule((gen(DERIV, k), gen(target, i)), rhs)
-    if plane.quotient_central is not None:
-        sys = quotient_system(sys, plane.quotient_central)
+    if plane.quotient_central_expr is not None:
+        sys = quotient_system(sys, plane.parse(plane.quotient_central_expr))
     return sys
 
 
@@ -197,10 +197,10 @@ SPARSE_DERIVATION_PLANES = {
 def test_sparse_derivation_equals_dense_reference(name):
     plane = SPARSE_DERIVATION_PLANES[name]()
     got = build_rewrite_system(plane.dimension, plane.generator_names,
-                               plane.monomial_ranks, plane.b, plane.c,
+                               plane.system.ranks, plane.b, plane.c,
                                plane.d)
-    if plane.quotient_central is not None:
-        got = quotient_system(got, plane.quotient_central)
+    if plane.quotient_central_expr is not None:
+        got = quotient_system(got, plane.parse(plane.quotient_central_expr))
     want = dense_rewrite_system(plane)
     assert list(got.rules) == list(want.rules)
     for lhs, rule in want.rules.items():

@@ -113,7 +113,7 @@ def test_specialize_builtin_matches_rederivation(name):
     got = specialize_builtin(name, 1)
     assert got.name == want.name == f"{name}@q=1"
     assert got.specialization == want.specialization
-    for attr in ("b", "c", "d", "q_projector"):
+    for attr in ("b", "c", "d"):
         assert getattr(got, attr) == getattr(want, attr), attr
     assert {lhs: r.rhs for lhs, r in got.system.rules.items()} == \
         {lhs: r.rhs for lhs, r in want.system.rules.items()}
@@ -250,6 +250,35 @@ def test_specialization_keeps_an_explicit_gamma():
     assert got.gamma == generic.gamma.specialize(got.specialization)
     assert got.gamma == load_plane(json.dumps(gl2_doc(
         gamma=gamma, q="1/4"))).gamma
+
+
+@pytest.mark.parametrize("q", ["generic", "1/4"])
+def test_serialization_keeps_an_explicit_gamma(q):
+    # the serialized text carries the document's matrix, not the family's
+    # default policy
+    gamma = [["q^-1 * (" + e + ")" for e in row] for row in fixtures.R_GL2]
+    plane = load_plane(json.dumps(gl2_doc(gamma=gamma, q=q)))
+    doc = serialize_plane(plane)
+    assert json.loads(doc)["gamma"] == _matrix_exprs(plane.generic.gamma)
+    again = load_plane(doc)
+    assert again.gamma_policy == "explicit"
+    assert again.gamma == plane.gamma
+    assert again == plane
+    assert serialize_plane(again) == doc
+
+
+def test_signature_tells_braidings_apart():
+    # R/q is the default braiding of gl2: declared as a matrix, it is the
+    # same braiding but another plane, as its serialized text differs
+    gamma = [["q^-1 * (" + e + ")" for e in row] for row in fixtures.R_GL2]
+    default = load_plane(json.dumps(gl2_doc()))
+    explicit = load_plane(json.dumps(gl2_doc(gamma=gamma)))
+    assert explicit.gamma == default.gamma
+    assert explicit != default
+    assert explicit == load_plane(json.dumps(gl2_doc(gamma=gamma)))
+    for policy in ("d", "auto"):
+        assert load_plane(json.dumps(gl2_doc(gamma=policy))) != default
+    assert load_plane(json.dumps(gl2_doc(gamma="r_over_q"))) == default
 
 
 def test_d_agrees_with_printed_table_via_independent_route():

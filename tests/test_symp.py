@@ -535,7 +535,7 @@ def test_symplectic_form_is_kept_on_the_plane():
     generic = _sphere_document_plane(q="generic")
     special = planes.specialize(generic, "-1")
     unquotiented = _sphere_document_plane(quotient=None)
-    assert unquotiented.quotient_central is None
+    assert unquotiented.quotient_central_expr is None
     before = symplectic_form(unquotiented)
     quotient = planes._quotient(unquotiented, fixtures.SPHERE_CENTRAL)
     for plane, other in ((capped, SPHERE), (special, SPHERE),
