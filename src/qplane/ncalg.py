@@ -49,18 +49,24 @@ sample count, the maximal length and the seed, so they are drawn once per
 such tuple and kept (a small bounded memo).
 
 There is one rewrite path.  ``reduce_word`` checks the degree cap and the
-cache; a word not cached goes to ``_reduce``, which rewrites its leftmost
-redex (``_rewrite_at``, also the right-hand side of a critical pair) and
-caches the result.  No rule makes a word longer, so every word met below
+cache; a word not cached goes to the module function ``_reduce``, which
+rewrites its leftmost redex (``_rewrite_at``, also the right-hand side of
+a critical pair) and caches the result.  Both take the rules and the cache
+as arguments, so a step does one ``rules.get`` per position and no method
+or attribute lookup.  No rule makes a word longer, so every word met below
 the top-level one is within the cap and is looked up in the cache or
-reduced directly, with no second check.  A rewrite step sums
-``c * nf(prefix + w + suffix)`` over the right-hand terms ``c * w`` of the
-rule into one dict, and takes each product ``v * c`` from a memo of the
-rewrite system.  Canonical scalars are equal exactly when their values
-are, so the memo is exact; a product of values does not depend on the
-rules, so ``add_rule`` keeps it, and copies made by ``capped`` and
-``quotient_system`` share it.
-``normal_form`` and ``AlgebraElement.scale`` multiply without the memo: a
+reduced directly, with no second check.  A rule carries its right-hand
+side compiled, as (word w, coefficient c, memo) triples in term order,
+built by ``add_rule`` and ``renormalize_rules``; the memo is the rewrite
+system's ``_products[c]``, which maps a normal-form coefficient v to
+v * c.  A rewrite step sums ``c * nf(prefix + w + suffix)`` over the
+triples into one dict, each product read from the memo.  Canonical
+scalars are equal exactly when their values are, so the memo is exact; a
+product of values does not depend on the rules, so ``add_rule`` keeps it,
+and copies made by ``capped`` and ``quotient_system`` share it, the
+quotient's rules included.
+``normal_form`` merges each scaled word normal form into one dict in
+place, and it and ``AlgebraElement.scale`` multiply without the memo: a
 warm session on the symplectic layer calls them on ever new coefficients,
 and a memo there would grow with the session.
 """
@@ -141,49 +147,27 @@ class AlgebraElement:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            if w in out:
-                s = out[w] + c
-                if s.is_zero():
-                    del out[w]
-                else:
-                    out[w] = s
-            else:
-                out[w] = c
-        el = AlgebraElement()
-        el.terms = out
-        return el
+            _merge(out, w, c)
+        return _element(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        el = AlgebraElement()
-        el.terms = {w: -c for w, c in self.terms.items()}
-        return el
+        return _element({w: -c for w, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "AlgebraElement":
         if c.is_zero():
             return AlgebraElement()
-        el = AlgebraElement()
-        el.terms = {w: v * c for w, v in self.terms.items()}
-        return el
+        return _element({w: v * c for w, v in self.terms.items()})
 
     def concat(self, other: "AlgebraElement") -> "AlgebraElement":
         """Free (unreduced) product."""
-        out = AlgebraElement()
+        out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                if w in out.terms:
-                    s = out.terms[w] + c
-                    if s.is_zero():
-                        del out.terms[w]
-                    else:
-                        out.terms[w] = s
-                elif not c.is_zero():
-                    out.terms[w] = c
-        return out
+                _merge(out, w1 + w2, c1 * c2)
+        return _element(out)
 
     def is_pure(self, kind: int) -> bool:
         return all(g[0] == kind for w in self.terms for g in w)
@@ -195,8 +179,34 @@ class AlgebraElement:
         return f"AlgebraElement({len(self.terms)} terms)"
 
 
-# lhs two-generator pattern -> rhs element of strictly smaller words
-RewriteRule = namedtuple("RewriteRule", "lhs rhs")
+_new = object.__new__
+
+
+def _element(terms) -> AlgebraElement:
+    """An element over ``terms``, which hold no zero coefficient."""
+    el = _new(AlgebraElement)
+    el.terms = terms
+    return el
+
+
+def _merge(out, w, c):
+    """Add c * w to the terms ``out``: a word whose coefficient cancels is
+    dropped, and appended again if a later term brings it back."""
+    total = out.get(w)
+    if total is None:
+        out[w] = c
+    else:
+        total = total + c
+        if total.is_zero():
+            del out[w]
+        else:
+            out[w] = total
+
+
+# lhs two-generator pattern -> rhs element of strictly smaller words, and
+# the same rhs compiled: its terms as (word, c, memo) triples in term
+# order, with memo the rewrite system's products {v: v * c}
+RewriteRule = namedtuple("RewriteRule", "lhs rhs compiled")
 
 
 class RewriteSystem:
@@ -211,9 +221,9 @@ class RewriteSystem:
         self.rules = {}
         self.quotient_rule = None
         self._cache = {}
-        # v * c for a normal-form coefficient v and a rule coefficient c;
-        # kept across add_rule, since a product of values does not depend
-        # on the rules
+        # c -> {v: v * c} for a rule coefficient c and a normal-form
+        # coefficient v; kept across add_rule, since a product of values
+        # does not depend on the rules
         self._products = {}
 
     def capped(self, degree_cap) -> "RewriteSystem":
@@ -270,8 +280,15 @@ class RewriteSystem:
                     f"does not decrease the termination measure at word "
                     f"{self.word_str(w)}"
                 )
-        self.rules[lhs] = RewriteRule(lhs, rhs)
+        self.rules[lhs] = self._rule(lhs, rhs)
         self._cache = {}
+
+    def _rule(self, lhs, rhs):
+        """The rule lhs -> rhs, its rhs compiled against this system's
+        product memo."""
+        products = self._products
+        return RewriteRule(lhs, rhs, tuple(
+            (w, c, products.setdefault(c, {})) for w, c in rhs.terms.items()))
 
     def renormalize_rules(self):
         """Re-reduce every rhs under the full system until stable."""
@@ -280,7 +297,7 @@ class RewriteSystem:
             for lhs, rule in list(self.rules.items()):
                 nf = self.normal_form(rule.rhs)
                 if nf != rule.rhs:
-                    self.rules[lhs] = RewriteRule(lhs, nf)
+                    self.rules[lhs] = self._rule(lhs, nf)
                     changed = True
             self._cache = {}
             if not changed:
@@ -298,60 +315,65 @@ class RewriteSystem:
         hit = self._cache.get(word)
         if hit is not None:
             return hit
-        return self._reduce(word)
-
-    def _reduce(self, word) -> AlgebraElement:
-        """Normal form of a word that is not cached: its leftmost redex
-        rewritten, or the word itself.  The result is cached."""
-        rules = self.rules
-        for k in range(len(word) - 1):
-            if word[k:k + 2] in rules:
-                result = self._rewrite_at(word, k)
-                break
-        else:
-            result = AlgebraElement()
-            result.terms = {word: scalar.ONE}
-        self._cache[word] = result
-        return result
-
-    def _rewrite_at(self, word, k) -> AlgebraElement:
-        """Normal form of word after rewriting the redex at position k.
-
-        Terms are kept in the order a sum of one scaled reduction after
-        another gives: a word whose coefficient cancels is dropped, and
-        appended again if a later term brings it back.  A term's word is
-        no longer than ``word``, so it is reduced without a cap check.
-        """
-        rule = self.rules[word[k:k + 2]]
-        prefix, suffix = word[:k], word[k + 2:]
-        cache, products = self._cache, self._products
-        out = {}
-        for w, c in rule.rhs.terms.items():
-            sub = prefix + w + suffix
-            nf = cache.get(sub)
-            if nf is None:
-                nf = self._reduce(sub)
-            for w2, v in nf.terms.items():
-                prod = products.get((v, c))
-                if prod is None:
-                    prod = products[v, c] = v * c
-                if w2 in out:
-                    total = out[w2] + prod
-                    if total.is_zero():
-                        del out[w2]
-                    else:
-                        out[w2] = total
-                else:
-                    out[w2] = prod
-        result = AlgebraElement()
-        result.terms = out
-        return result
+        return _reduce(word, self.rules, self._cache)
 
     def normal_form(self, e: AlgebraElement) -> AlgebraElement:
-        out = AlgebraElement()
+        """The sum of c * nf(w) over the terms c * w of e, merged into one
+        dict in the order a sum of one scaled reduction after another
+        gives."""
+        out = {}
         for w, c in e.terms.items():
-            out = out + self.reduce_word(w).scale(c)
-        return out
+            for w2, v in self.reduce_word(w).terms.items():
+                _merge(out, w2, v * c)
+        return _element(out)
+
+
+def _reduce(word, rules, cache) -> AlgebraElement:
+    """Normal form of a word that is not in ``cache``: its leftmost redex
+    rewritten, or the word itself.  The result is cached."""
+    for k in range(len(word) - 1):
+        rule = rules.get(word[k:k + 2])
+        if rule is not None:
+            result = _rewrite_at(word, k, rule, rules, cache)
+            break
+    else:
+        result = _new(AlgebraElement)
+        result.terms = {word: scalar.ONE}
+    cache[word] = result
+    return result
+
+
+def _rewrite_at(word, k, rule, rules, cache) -> AlgebraElement:
+    """Normal form of word after rewriting its redex ``rule`` at position k.
+
+    Terms are kept in the order a sum of one scaled reduction after
+    another gives (see ``_merge``).  A term's word is no longer than
+    ``word``, so it is reduced without a cap check.
+    """
+    prefix, suffix = word[:k], word[k + 2:]
+    out = {}
+    for w, c, products in rule.compiled:
+        sub = prefix + w + suffix
+        nf = cache.get(sub)
+        if nf is None:
+            nf = _reduce(sub, rules, cache)
+        for w2, v in nf.terms.items():
+            prod = products.get(v)
+            if prod is None:
+                prod = products[v] = v * c
+            # _merge, inlined in the rewrite step
+            total = out.get(w2)
+            if total is None:
+                out[w2] = prod
+            else:
+                total = total + prod
+                if total.is_zero():
+                    del out[w2]
+                else:
+                    out[w2] = total
+    result = _new(AlgebraElement)
+    result.terms = out
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +427,7 @@ def _pivot_rules(sys: RewriteSystem, kind: int, entries):
 
 def _solved_for(lead, row):
     """The rhs of lead -> rhs from a relation row monic at ``lead``."""
-    rhs = AlgebraElement()
-    rhs.terms = {w: -v for w, v in row.items() if w != lead}
-    return rhs
+    return _element({w: -v for w, v in row.items() if w != lead})
 
 
 def _add_exchange_rules(sys: RewriteSystem, c_matrix: LegMatrix,
@@ -470,10 +490,8 @@ def derivative_action(i: int, f: AlgebraElement, sys: RewriteSystem
                       ) -> AlgebraElement:
     """Function part of moving d_i through a pure-coordinate element."""
     moved = _move_derivative(i, f, sys)
-    out = AlgebraElement()
-    out.terms = {w: c for w, c in moved.terms.items()
-                 if all(g[0] != DERIV for g in w)}
-    return out
+    return _element({w: c for w, c in moved.terms.items()
+                     if all(g[0] != DERIV for g in w)})
 
 
 def transport(i: int, f: AlgebraElement, sys: RewriteSystem):
@@ -556,12 +574,13 @@ def _critical_pair_mismatch(sys: RewriteSystem, word):
     left is the normal form; right is the normal form after the last redex
     is rewritten first.  A word with fewer than two redexes cannot disagree.
     """
-    redexes = [k for k in range(len(word) - 1)
-               if (word[k], word[k + 1]) in sys.rules]
+    rules = sys.rules
+    redexes = [k for k in range(len(word) - 1) if word[k:k + 2] in rules]
     if len(redexes) < 2:
         return None
+    k = redexes[-1]
     left = sys.reduce_word(word)
-    right = sys._rewrite_at(word, redexes[-1])
+    right = _rewrite_at(word, k, rules[word[k:k + 2]], rules, sys._cache)
     return None if left == right else (word, left, right)
 
 

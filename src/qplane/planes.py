@@ -161,6 +161,14 @@ class PlaneSpec:
             e = _specialize_element(e, self.specialization)
         return e
 
+    def parse_coefficient(self, text: str) -> scalar.Scalar:
+        """A scalar in this plane's field: parsed, and specialized when
+        the plane is."""
+        c = parse_scalar(text)
+        if self.specialization is not None:
+            c = c.specialize(self.specialization)
+        return c
+
     def nf(self, e: AlgebraElement) -> AlgebraElement:
         return self.system.normal_form(e)
 
@@ -178,9 +186,29 @@ class PlaneSpec:
                  else str(self.specialization.value),
             "gamma": self.gamma_policy if self.gamma_explicit is None
                      else _matrix_exprs(self.gamma_explicit),
-            "quotient": self.quotient_central_expr,
-            "symplectic": self.symplectic_body_expr,
+            # the quotient element's free parse (on the quotient plane its
+            # normal form is rho), the form's normal form and the scale's
+            # value, each printed canonically
+            "quotient": self._printed(self.quotient_central_expr,
+                                      lambda t: self.show(self.parse(t))),
+            "symplectic": self._printed(
+                self.symplectic_body_expr,
+                lambda t: self.show(self.nf(self.parse(t)))),
+            "scale": self._printed(
+                self.symplectic_scale_expr,
+                lambda t: str(self.parse_coefficient(t))),
         }
+
+    @staticmethod
+    def _printed(text, printed):
+        """``printed(text)``, or ``text`` itself when it is None or does
+        not read."""
+        if text is None:
+            return None
+        try:
+            return printed(text)
+        except (ScalarError, ncalg.NcalgError):
+            return text
 
     def __eq__(self, other):
         if not isinstance(other, PlaneSpec):

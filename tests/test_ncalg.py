@@ -501,6 +501,12 @@ def test_capped_copy_shares_the_product_memo():
     assert sys.capped(4)._products is sys._products
 
 
+def test_quotient_copy_shares_the_product_memo():
+    sys = ORTH3.system
+    central = parse_element(fixtures.SPHERE_CENTRAL, sys)
+    assert quotient_system(sys, central)._products is sys._products
+
+
 def test_add_rule_keeps_products_and_normal_forms(glq3):
     base = glq3.system
     rules = list(base.rules.items())
@@ -594,6 +600,79 @@ def test_corrupted_mismatches_equal_the_plain_reducers():
                                  max_degree=4, seed=1)
     want = reference_confluence(_corrupted_gl2_system(), 50, 4, 1)
     assert want and _ordered(report.mismatches) == _ordered(want)
+
+
+def reference_normal_form(sys, e):
+    """The normal form as one AlgebraElement sum per term of e, with the
+    words whose coefficient cancelled in the sum and those that a later
+    term brought back."""
+    out, dropped, back = AlgebraElement(), set(), set()
+    for w, c in e.terms.items():
+        total = out + sys.reduce_word(w).scale(c)
+        back |= dropped & total.terms.keys()
+        dropped |= out.terms.keys() - total.terms.keys()
+        out = total
+    return out, dropped, back
+
+
+def seeded_elements(sys, seed, count=40):
+    """Elements of 2-4 seeded words with Gaussian coefficients, minus the
+    normal form of the first term, so that terms cancel in the normal
+    form, plus the first word reversed, which brings some of them back."""
+    rng = random.Random(seed)
+    gens = sys.generators()
+    out = []
+    for _ in range(count):
+        length = rng.randint(2, 4)
+        words = [tuple(rng.choice(gens) for _ in range(length))
+                 for _ in range(rng.randint(2, 4))]
+        e = AlgebraElement()
+        for w in words:
+            c = scalar.from_int(rng.randint(-3, 3) or 1) + \
+                scalar.from_int(rng.randint(-3, 3)) * scalar.I
+            e = e + AlgebraElement.from_word(w, c)
+        first = sys.reduce_word(words[0]).scale(e.coefficient(words[0]))
+        # the first word reversed reduces to some of the cancelled words
+        back = AlgebraElement.from_word(words[0][::-1])
+        out.append(e - first + back)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", ["gl2", "orth3", "sphere_qm1", "glq3-perm201"])
+def test_normal_form_equals_the_sum_of_scaled_reductions(name):
+    sys = LEFTMOST_PLANES[name]()
+    cancelled = brought_back = 0
+    for e in seeded_elements(sys, seed=31):
+        want, dropped, back = reference_normal_form(sys, e)
+        got = sys.normal_form(e)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert not any(c.is_zero() for c in got.terms.values())
+        cancelled += bool(dropped)
+        brought_back += bool(back)
+    assert cancelled >= 10 and brought_back >= 10
+
+
+def _assert_compiled(sys):
+    for lhs, rule in sys.rules.items():
+        assert [(w, c) for w, c, _ in rule.compiled] == \
+            list(rule.rhs.terms.items()), lhs
+        for _, c, products in rule.compiled:
+            assert products is sys._products[c]
+
+
+def test_every_rule_carries_its_compiled_right_hand_side():
+    glq3 = planes.load_plane(json.dumps(glq_plane_document(3, [2, 0, 1])))
+    built = build_rewrite_system(glq3.dimension, glq3.generator_names,
+                                 glq3.system.ranks, glq3.b, glq3.c, glq3.d)
+    _assert_compiled(built)
+    built.renormalize_rules()
+    _assert_compiled(built)
+    for plane in (GL2, ORTH3, SPHERE):
+        _assert_compiled(plane.system)
+    central = parse_element(fixtures.SPHERE_CENTRAL, ORTH3.system)
+    quotient = quotient_system(ORTH3.system, central)
+    _assert_compiled(quotient)
 
 
 def test_sample_words_are_drawn_once():

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -279,6 +280,49 @@ def test_signature_tells_braidings_apart():
     for policy in ("d", "auto"):
         assert load_plane(json.dumps(gl2_doc(gamma=policy))) != default
     assert load_plane(json.dumps(gl2_doc(gamma="r_over_q"))) == default
+
+
+def _golden_document(name, edit):
+    path = pathlib.Path(__file__).parent / "golden" / f"serialize_{name}.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    return doc
+
+
+def test_signature_tells_symplectic_scales_apart():
+    def scale(text):
+        return lambda doc: doc["symplectic"].update(scale=text)
+
+    one = derive_plane(_golden_document("gl2", scale("1")))
+    assert derive_plane(_golden_document("gl2", scale("2"))) != one
+    # the scale is compared by its value, not its text
+    assert derive_plane(_golden_document("gl2", scale("2/2"))) == one
+
+
+def test_signature_reads_the_symplectic_form_by_its_normal_form():
+    def form(text):
+        return lambda doc: doc["symplectic"].update(form=text)
+
+    gl2 = derive_plane(_golden_document("gl2", form("d(x)*d(y)")))
+    assert derive_plane(_golden_document("gl2", form("d(x) * d(y)"))) == gl2
+    # d(x)*d(x) is zero, so this is the same form
+    same = "d(x)*d(y) + d(x)*d(x)"
+    assert derive_plane(_golden_document("gl2", form(same))) == gl2
+    assert derive_plane(_golden_document("gl2", form("d(y)*d(x)"))) != gl2
+
+
+def test_signature_reads_the_quotient_element_by_its_free_parse():
+    def central(text):
+        return lambda doc: doc["quotient"].update(central=text)
+
+    sphere = derive_plane(_golden_document("sphere_qm1", lambda doc: None))
+    respaced = "s^-1*x+*x- + x0*x0 + s*x-*x+"
+    assert derive_plane(_golden_document("sphere_qm1",
+                                         central(respaced))) == sphere
+    # on the quotient plane the element's normal form is rho, so a
+    # comparison of normal forms could not tell central elements apart
+    assert sphere.show(sphere.nf(sphere.parse(respaced))) == "rho"
+    assert sphere.signature()["quotient"] != "rho"
 
 
 def test_d_agrees_with_printed_table_via_independent_route():

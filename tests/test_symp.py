@@ -147,6 +147,26 @@ def test_nonzero_residual_names_degree_bound_and_word(monkeypatch):
         hamiltonian_vector_field(GL2.parse("x*y + y"), OMEGA_GL2, GL2, 2)
 
 
+def test_residual_checked_at_the_wider_margin_only_on_a_remainder(
+        monkeypatch):
+    # a residual that vanishes at the solver's own margin needs no span at
+    # the wider one: on a cold plane the (1, 6) span is never built
+    fresh = planes._replace(SPHERE)
+    rep = hamiltonian_vector_field(fresh.parse("x0"), symplectic_form(fresh),
+                                   fresh, 1)
+    assert rep.particular is not None
+    assert (1, 6) not in fresh.constraint_spans
+    # a remainder is named from the wider margin's span
+    monkeypatch.setattr(symp, "_solve_columns",
+                        lambda columns, targets, sys: [[] for _ in targets])
+    fresh = planes._replace(SPHERE)
+    with pytest.raises(SympError, match=r"residual at degree bound 2 is "
+                       r"nonzero; its first word is d\(x-\)$"):
+        hamiltonian_vector_field(fresh.parse("x0*x+ + x-"),
+                                 symplectic_form(fresh), fresh, 2)
+    assert (1, 5) in fresh.constraint_spans
+
+
 def test_solver_scaling_linearity():
     c = parse_scalar("3*q")
     rep1 = hamiltonian_vector_field(GL2.parse("x"), OMEGA_GL2, GL2, 1)
