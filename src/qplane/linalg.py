@@ -342,8 +342,15 @@ def mat_inverse(m: LegMatrix) -> LegMatrix:
     return out
 
 
+# the names of the five Wess-Zumino consistency conditions, in order
+WZ_CONDITIONS = ("wz1_xx_xi_compat", "wz2_xx_transport",
+                 "wz3_dc_braid_and_inverse", "wz4_ff_xi_compat",
+                 "wz5_dd_transport")
+
+
 def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
-    """The five Wess-Zumino consistency conditions, reported separately.
+    """The five Wess-Zumino consistency conditions, reported separately
+    and keyed by :data:`WZ_CONDITIONS`.
 
     The first and fourth are evaluated as (E-B)(E+C) = 0 and (E-F)(E+C) = 0:
     this is the form that follows from applying the exterior differential to
@@ -365,20 +372,13 @@ def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
     # with F = B (every derived plane) condition 4 is condition 1
     same = f == b
     ef = eb if same else clear_denominators(e2 - f)[0]
-    checks = {}
-    checks["wz1_xx_xi_compat"] = (eb * (e2 + c)).is_zero()
-    lhs = embed(eb, "12") * c23c12
-    rhs = c23c12 * embed(eb, "23")
-    checks["wz2_xx_transport"] = lhs == rhs
+    wz1 = (eb * (e2 + c)).is_zero()
+    wz2 = embed(eb, "12") * c23c12 == c23c12 * embed(eb, "23")
     braid = (embed(d, "23") * c12c23) == (c12c23 * embed(d, "12"))
-    inverse_ok = (c * d) == e2 and (d * c) == e2
-    checks["wz3_dc_braid_and_inverse"] = braid and inverse_ok
-    checks["wz4_ff_xi_compat"] = checks["wz1_xx_xi_compat"] if same \
-        else (ef * (e2 + c)).is_zero()
-    lhs = embed(ef, "23") * c12c23
-    rhs = c12c23 * embed(ef, "12")
-    checks["wz5_dd_transport"] = lhs == rhs
-    return checks
+    wz3 = braid and (c * d) == e2 and (d * c) == e2
+    wz4 = wz1 if same else (ef * (e2 + c)).is_zero()
+    wz5 = embed(ef, "23") * c12c23 == c12c23 * embed(ef, "12")
+    return dict(zip(WZ_CONDITIONS, (wz1, wz2, wz3, wz4, wz5)))
 
 
 def clear_denominators(m: LegMatrix):

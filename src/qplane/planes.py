@@ -12,13 +12,13 @@ derivation of its braid matrix:
    order (``system.ranks``).  The result is a generic plane; its
    ``generic`` field is the plane itself.
 2. Specialization (:func:`_specialize`) evaluates the generic matrices at
-   a numeric q, refusing a pole, and inherits the generic verdicts (braid
-   relation, minimal polynomial, consistency conditions): evaluation is a
-   ring homomorphism, so they are not proved again.  It derives the rules,
-   and a quotient (step 3), again in that field, because rule derivation
-   divides by quantities that may vanish exactly at the special value; the
-   declarations are kept.  The result is a new plane whose ``generic`` is
-   the plane it came from.
+   a numeric q, refusing a pole; the generic checks (braid relation,
+   minimal polynomial, consistency conditions) hold there too, since
+   evaluation is a ring homomorphism, so they are not proved again.  It
+   derives the rules, and a quotient (step 3), again in that field,
+   because rule derivation divides by quantities that may vanish exactly
+   at the special value; the declarations are kept.  The result is a new
+   plane whose ``generic`` is the plane it came from.
 3. The central quotient (:func:`_quotient`) adds one rule to its plane's
    rules (:func:`qplane.ncalg.quotient_system`), the one that sets a
    central element to ``rho``, and the differential consequences of that
@@ -26,7 +26,10 @@ derivation of its braid matrix:
    element as its text (``quotient_central_expr``).
 
 :func:`derive_plane` is the one reader of a configuration document (the
-decoded JSON object): it checks the schema and composes these steps.
+decoded JSON object): it checks the schema, composes these steps and reads
+the symplectic declaration in the final plane's field.  Each step raises
+:class:`PlaneVerificationError` when one of its checks fails, so a plane
+that exists has passed them all and keeps no record of them.
 :func:`load_plane` decodes the JSON text; gl2 and orth3 are documents
 too, and the built-in sphere is the cached generic orth3, specialized at
 q = -1 and quotiented by its central radius.  A braiding policy has its
@@ -82,15 +85,16 @@ class PlaneSpec:
     Every field is a constructor argument, and assigning an attribute
     afterwards raises.  ``generic`` is the generic-q plane this one was
     specialized from; a generic plane is its own (stored as None, so that
-    no plane refers to itself).  ``structure_report`` and ``wz_report`` hold
-    the verdicts proved while deriving (braid relation, minimal polynomial,
-    centrality of a quotient element; the consistency conditions), which
-    the verify suites read instead of proving them again.
+    no plane refers to itself).  A plane is its own certificate: it is
+    built only when its braid matrix satisfies the braid relation and its
+    minimal polynomial, its calculus matrices the consistency conditions,
+    and a quotient element is central; a failing check raises
+    :class:`PlaneVerificationError` instead.
     """
 
     def __init__(self, name, dimension, generator_names, family, r_matrix,
-                 eigenvalues, b, c, d, structure_report, wz_report, system,
-                 gamma_policy, specialization=None, generic=None,
+                 eigenvalues, b, c, d, system, gamma_policy,
+                 specialization=None, generic=None,
                  gamma_explicit=None, quotient_central_expr=None,
                  constraint_forms=(),
                  symplectic_body_expr=None, symplectic_scale_expr=None):
@@ -317,9 +321,23 @@ def derive_plane(doc) -> PlaneSpec:
         plane = _specialize(plane, _parse_q_value(doc["q"]))
     if quotient is not None:
         plane = _quotient(plane, quotient["central"])
+    if symplectic is not None:
+        # read in the final plane's field, so a pole at q is caught too
+        _read(plane.parse, symplectic["form"], "symplectic.form")
+        _read(plane.parse_coefficient, symplectic["scale"],
+              "symplectic.scale")
     if gamma_exprs is not None:
         plane.gamma_candidates  # a failing explicit braiding raises here
     return plane
+
+
+def _read(parse, text, key):
+    """``parse(text)``; text that does not read raises a PlaneError that
+    names its document key."""
+    try:
+        return parse(text)
+    except (ScalarError, ncalg.NcalgError) as exc:
+        raise PlaneError(f"{key}: {exc}")
 
 
 def _parse_q_value(q):
@@ -332,7 +350,7 @@ def _parse_q_value(q):
 def _derive_generic(name, dimension, generator_names, family, r,
                     eigenvalues, gamma_policy) -> PlaneSpec:
     """The generic plane of a braid matrix: matrices, checks and rules."""
-    structure = _validate_structure(name, r, eigenvalues)
+    _validate_structure(name, r, eigenvalues)
     c = r.scale(scalar.Q)
     try:
         d = mat_inverse(c)
@@ -347,19 +365,18 @@ def _derive_generic(name, dimension, generator_names, family, r,
             b = identity(dimension) - projector_q(r, *eigenvalues)
         except LinalgError as exc:
             raise PlaneError(f"plane {name}: projector undefined ({exc})")
-    wz = wz_conditions(b, c, d, b)
-    bad = [k for k, ok in wz.items() if not ok]
+    bad = [k for k, ok in wz_conditions(b, c, d, b).items() if not ok]
     if bad:
         raise PlaneVerificationError(
             f"plane {name}: consistency conditions failed: {bad}")
     system = ncalg.build_rewrite_system(
         dimension, generator_names, _family_ranks(dimension, family), b, c, d)
     return PlaneSpec(name, dimension, generator_names, family, r,
-                     eigenvalues, b, c, d, structure, wz, system, gamma_policy)
+                     eigenvalues, b, c, d, system, gamma_policy)
 
 
 def _validate_structure(name, r, eigenvalues):
-    """The structural verdicts of a braid matrix; raises if one fails."""
+    """Check the braid relation and minimal polynomial; raise if one fails."""
     if not check_ybe(r):
         raise PlaneVerificationError(
             f"plane {name}: braid Yang-Baxter equation fails for the "
@@ -368,7 +385,6 @@ def _validate_structure(name, r, eigenvalues):
         raise PlaneVerificationError(
             f"plane {name}: minimal polynomial with the declared "
             "eigenvalues does not annihilate the r_matrix")
-    return {"braid-relation": True, "minimal-polynomial": True}
 
 
 def _family_ranks(dimension, family):
@@ -383,7 +399,7 @@ def _specialize(plane: PlaneSpec, sp: Specialization, name=None
                 ) -> PlaneSpec:
     """``plane`` at s = sp.value, named ``name`` (default: its own name).
 
-    The generic verdicts and the declarations are inherited; the rules are
+    The generic checks and the declarations are inherited; the rules are
     derived again, and a quotient rule added to them again (step 2 of the
     module docstring).
     """
@@ -413,21 +429,26 @@ def _quotient(plane: PlaneSpec, central_expr: str) -> PlaneSpec:
     Centrality is checked on the generic plane, where the element is not
     degenerate.  A quotient at generic q is its own generic plane.
     """
-    central = plane.parse(central_expr)
+    central = _read(plane.parse, central_expr, "quotient.central")
     if not central.is_pure(COORD):
         raise PlaneError("quotient central element must be pure coordinate")
     generic = plane.generic
     generic_central = generic.parse(central_expr)
-    if not ncalg.is_central(generic_central, generic.system):
-        raise PlaneVerificationError("declared central element is not central")
+    for name, g in zip(generic.generator_names,
+                       generic.coordinate_generators()):
+        x = AlgebraElement.from_word((g,))
+        if not generic.nf(generic_central.concat(x)
+                          - x.concat(generic_central)).is_zero():
+            raise PlaneVerificationError(
+                f"plane {plane.name}: declared central element "
+                f"{central_expr} is not central: it does not commute with "
+                f"{name}")
     # the plane's rules and the quotient rule derived in this field
     system = ncalg.quotient_system(plane.system, central)
     generic_system = system if generic is plane else generic.system
     forms = _derive_constraint_forms(plane.specialization, system,
                                      generic_system, generic_central)
-    structure = {**plane.structure_report, "central-element": True}
-    return _replace(plane, system=system, structure_report=structure,
-                    quotient_central_expr=central_expr,
+    return _replace(plane, system=system, quotient_central_expr=central_expr,
                     constraint_forms=forms)
 
 
@@ -470,30 +491,25 @@ def resolve_gamma(plane: PlaneSpec):
     this is the one place the wedge condition is proved.  R^-1 is read off
     D = (qR)^-1 as q D: every plane has an invertible C = qR.
 
-    The braid relation of the derived candidates is read off verdicts the
-    plane already holds: lambda*R and lambda*R^-1 satisfy it when R does
-    (``braid-relation``), and D is R^-1/q because C*D = D*C = E (WZ3).
-    Only an explicit braiding gets its own Yang-Baxter check.
+    The derived candidates R/q, D and q D = R^-1 satisfy the braid relation
+    because the plane exists: its R does, and so does every scalar multiple
+    of R or of R^-1.  Only an explicit braiding gets its own Yang-Baxter
+    check.
     """
     q = scalar.Q if plane.specialization is None else \
         scalar.Q.specialize(plane.specialization)
-    r_braids = plane.structure_report["braid-relation"]
-    d_braids = r_braids and plane.wz_report["wz3_dc_braid_and_inverse"]
-    candidates = []  # (name, matrix, braid verdict or None to prove)
     policy = plane.gamma_policy
     if policy == "r_over_q":
-        candidates.append(("r_over_q", plane.r_matrix.scale(q.inverse()),
-                           r_braids))
+        candidates = [("r_over_q", plane.r_matrix.scale(q.inverse()))]
     elif policy == "d":
-        candidates.append(("d_matrix", plane.d, d_braids))
+        candidates = [("d_matrix", plane.d)]
     elif policy == "auto":
-        candidates.append(("d_matrix", plane.d, d_braids))
-        candidates.append(("r_inverse", plane.d.scale(q), d_braids))
+        candidates = [("d_matrix", plane.d), ("r_inverse", plane.d.scale(q))]
     else:  # "explicit": the document's matrix
-        candidates.append(("explicit", plane.gamma_explicit, None))
+        candidates = [("explicit", plane.gamma_explicit)]
     out = [(cname, matrix, wedge_condition(plane.d, matrix)
-            and (check_ybe(matrix) if braids is None else braids))
-           for cname, matrix, braids in candidates]
+            and (policy != "explicit" or check_ybe(matrix)))
+           for cname, matrix in candidates]
     if policy == "explicit" and not any(p for _, _, p in out):
         raise PlaneVerificationError("explicit braiding fails the wedge "
                                      "condition or the braid relation")

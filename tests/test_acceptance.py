@@ -11,7 +11,7 @@ import time
 
 from qplane import fixtures, ncalg, planes, qcalc, symp
 from qplane.cli import main as cli_main
-from qplane.linalg import check_ybe, from_exprs, identity
+from qplane.linalg import check_ybe, from_exprs, identity, wz_conditions
 from qplane.ncalg import DIFF, AlgebraElement, confluence_selftest, gen
 from qplane.qcalc import VectorField, WedgeForm, one_form_body
 from qplane.scalar import from_int, parse_scalar
@@ -67,8 +67,8 @@ def test_criterion_2_spectral():
 
 
 def test_criterion_3_consistency():
-    gl2_ok = all(GL2.wz_report.values())
-    orth3_ok = all(ORTH3.wz_report.values())
+    gl2_ok = all(wz_conditions(GL2.b, GL2.c, GL2.d, GL2.b).values())
+    orth3_ok = all(wz_conditions(ORTH3.b, ORTH3.c, ORTH3.d, ORTH3.b).values())
     table = from_exprs(fixtures.D_ORTH3_TABLE, 3)
     typos = []
     for rr in range(9):

@@ -756,3 +756,89 @@ def test_interrupt_exits_130_with_one_line():
         proc.wait()
     assert proc.returncode == cli.EXIT_INTERRUPTED == 130
     assert (out, err) == ("", "interrupted\n")
+
+
+def _gl2_with_symplectic(key, text):
+    doc = _gl2_with()
+    doc["symplectic"] = {**doc["symplectic"], key: text}
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_gl2_with_symplectic("scale", "x"),
+     "symplectic.scale: unexpected token 'x' (at position 1)"),
+    (_gl2_with_symplectic("form", "d(x)*"),
+     "symplectic.form: unexpected token '' (at position 5)"),
+    (_gl2_with_symplectic("form", "d(z)*d(y)"),
+     "symplectic.form: unknown generator name at position 2"),
+    ({**_gl2_with_symplectic("scale", "1/(q-1)"), "q": "1"},
+     "symplectic.scale: pole at s = 1: 1/(s^2 - 1)"),
+], ids=["scale-x", "form-truncated", "form-unknown-name", "scale-pole-at-q"])
+@pytest.mark.parametrize("argv", [["verify", "--suite", "ybe"], ["nf", "x"]],
+                         ids=["verify-ybe", "nf"])
+def test_unreadable_symplectic_declaration_fails_at_load(tmp_path, capsys,
+                                                         doc, message, argv):
+    # loading reads the declared form and scale in the plane's field, so
+    # every command refuses the document, naming the key, before any suite
+    # or query runs
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, argv[0], "--plane", str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unreadable_quotient_element_names_its_key(tmp_path, capsys):
+    doc = _sphere_with(quotient={"central": "x0*", "symbol": "rho"})
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "nf", "--plane", str(path), "x0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: quotient.central: ")
+
+
+def _gl2_r_with(row, col, text):
+    doc = _gl2_with()
+    doc["r_matrix"][row][col] = text
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_gl2_r_with(1, 2, "2"),
+     "plane gl2: braid Yang-Baxter equation fails for the given r_matrix"),
+    (_gl2_with(eigenvalues={"lambda1": "-q", "lambda2": "q"}),
+     "plane gl2: minimal polynomial with the declared eigenvalues does not "
+     "annihilate the r_matrix"),
+    ({"name": "jordanian", "dimension": 2, "generators": ["x", "y"],
+      "family": "A", "eigenvalues": {"lambda1": "-1", "lambda2": "1"},
+      "r_matrix": [[1, -1, 1, 1], [0, 0, 1, 1], [0, 1, 0, -1], [0, 0, 0, 1]]},
+     "plane jordanian: consistency conditions failed: "
+     "['wz1_xx_xi_compat', 'wz4_ff_xi_compat']"),
+    (_gl2_with(quotient={"central": "x", "symbol": "rho"}),
+     "plane gl2: declared central element x is not central: it does not "
+     "commute with y"),
+], ids=["braid-relation", "minimal-polynomial", "jordanian-wz",
+        "central-element"])
+def test_failed_derivation_check_is_one_line(tmp_path, capsys, doc, message):
+    # a plane exists only when every derivation check holds: verify prints
+    # the one failed check and exits 1, and a query has no plane to ask
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                         "all")
+    assert (code, out, err) == (1, f"FAIL load/derivation: {message}\n", "")
+    code, out, err = run(capsys, "nf", "--plane", str(path), "x")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_failed_confluence_names_its_first_witness(tmp_path, capsys):
+    # the sphere's document at generic q: its rules and the quotient rule
+    # do not resolve every overlap there
+    path = tmp_path / "sphere_generic.json"
+    path.write_text(json.dumps(_sphere_with(q="generic")), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                         "relations")
+    assert (code, err) == (1, "")
+    assert "FAIL relations/confluence: 200 random words, 729 overlap words, " \
+           "16 mismatches; first d(x+)*x+*x-: leftmost redex first gives " \
+           "((-s^-1 + s^-3)*rho) * d(x+) + x-*x+*d(x+), last redex first " \
+           "gives ((-s^3 + s)*rho) * d(x+) + x-*x+*d(x+)" in out.splitlines()

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from conftest import glq_plane_document
-from qplane import fixtures, planes
+from qplane import fixtures, ncalg, planes
 from qplane.linalg import (
     check_min_poly,
     check_ybe,
@@ -63,9 +63,17 @@ def test_builtins_derive():
     assert sphere.specialization.value == I
 
 
+def _derivation_verdicts(plane):
+    """The derivation's checks, proved again on the plane's own matrices:
+    braid relation, minimal polynomial, consistency conditions."""
+    r = plane.r_matrix
+    return (check_ybe(r), check_min_poly(r, plane.eigenvalues),
+            all(wz_conditions(plane.b, plane.c, plane.d, plane.b).values()))
+
+
 def test_builtin_invariants():
     for plane in builtin_planes():
-        assert all(plane.wz_report.values())
+        assert _derivation_verdicts(plane) == (True, True, True)
         assert plane.system is not None
 
 
@@ -118,7 +126,8 @@ def test_specialize_builtin_matches_rederivation(name):
         assert getattr(got, attr) == getattr(want, attr), attr
     assert {lhs: r.rhs for lhs, r in got.system.rules.items()} == \
         {lhs: r.rhs for lhs, r in want.system.rules.items()}
-    assert got.wz_report == want.wz_report
+    assert _derivation_verdicts(got) == _derivation_verdicts(want) \
+        == (True, True, True)
     assert got.gamma_candidates == want.gamma_candidates
     assert got.gamma == want.gamma
 
@@ -180,8 +189,9 @@ def test_capped_at_the_plane_cap_is_the_plane(name):
     ("gl2", "1"), ("orth3", "1"), ("orth3", "-1"), ("orth3", "2*i"),
     *[(f"glq{n}", q) for n in (2, 3, 4) for q in ("1", "1/4", "-1")]])
 def test_specialization_inherits_generic_verdicts(name, q):
-    # the specialized plane carries the generic verdicts; proved again on
-    # its evaluated matrices they all pass and agree
+    # the specialized plane inherits the generic checks without proving
+    # them; proved again on its evaluated matrices and on the generic ones,
+    # they all pass
     if name.startswith("glq"):
         doc = {**glq_plane_document(int(name[3:])), "q": q}
         plane = load_plane(json.dumps(doc))
@@ -189,15 +199,8 @@ def test_specialization_inherits_generic_verdicts(name, q):
         plane = specialize_builtin(name, q)
     generic = plane.generic
     assert plane.specialization is not None and generic is not plane
-    structure = {
-        "braid-relation": check_ybe(plane.r_matrix),
-        "minimal-polynomial": check_min_poly(plane.r_matrix,
-                                             plane.eigenvalues),
-    }
-    wz = wz_conditions(plane.b, plane.c, plane.d, plane.b)
-    assert all(structure.values()) and all(wz.values())
-    assert plane.structure_report == structure == generic.structure_report
-    assert plane.wz_report == wz == generic.wz_report
+    assert _derivation_verdicts(plane) == _derivation_verdicts(generic) \
+        == (True, True, True)
 
 
 def test_specialize_builtin_rejects_specialized_plane():
@@ -225,7 +228,11 @@ def test_specialized_generic_sphere_is_the_builtin_sphere():
     assert got.system.quotient_rule.rhs == sphere.system.quotient_rule.rhs
     assert [f.body for f in got.constraint_forms] == \
         [f.body for f in sphere.constraint_forms]
-    assert got.structure_report == sphere.structure_report
+    assert _derivation_verdicts(got) == _derivation_verdicts(sphere) \
+        == (True, True, True)
+    for p in (got, sphere):
+        assert ncalg.is_central(p.generic.parse(p.quotient_central_expr),
+                                p.generic.system)
     assert got.constraint_spans == {} and got.generic is generic
     omega, want = symplectic_form(got), symplectic_form(sphere)
     assert omega.wedge.body == want.wedge.body
@@ -490,8 +497,8 @@ def test_q_times_d_is_r_inverse(name, glq_document):
 @pytest.mark.parametrize("name", ["gl2", "orth3", "sphere_qm1", "glq3",
                                   "glq3-d", "glq3-auto"])
 def test_gamma_verdicts_equal_direct_gamma_condition(name, glq_document):
-    # resolve_gamma reads the braid relation of the derived candidates off
-    # the plane's verdicts; a direct proof must agree on each of them
+    # resolve_gamma takes the braid relation of the derived candidates
+    # from the plane's existence; a direct proof must agree on each of them
     if name.startswith("glq3"):
         document = glq_document(3)
         if "-" in name:
