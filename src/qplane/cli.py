@@ -138,9 +138,14 @@ def suite_relations(plane, seed=0):
         detail = "all coordinate commutators vanish at q=1"
         try:
             at1 = planes.specialize(plane, 1)
-            ok = all(ncalg.is_central(AlgebraElement.from_word((g,)),
-                                      at1.system)
-                     for g in at1.coordinate_generators())
+            name, ok = at1.system.gen_name, True
+            for g in at1.coordinate_generators():
+                x = AlgebraElement.from_word((g,))
+                if not ncalg.is_central(x, at1.system):
+                    h = ncalg.noncommuting_generator(x, at1.system)
+                    ok, detail = False, (f"{name(g)} and {name(h)} do not "
+                                         "commute at q=1")
+                    break
         except PlaneError as exc:
             ok, detail = False, str(exc)
         checks.append(Check("relations/classical-limit",

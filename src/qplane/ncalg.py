@@ -7,6 +7,14 @@ rules always rewrite a two-letter pattern to a combination of strictly
 smaller words; normal forms sort every word into coordinate block,
 differential block, derivative block.
 
+That layout is the calculus layer's one convention, stated here once:
+functions left of differentials, differentials left of derivatives.
+``blocks`` splits a normal word into its three blocks.  Moving d_i through
+a coordinate element f gives d_i f = action + sum_j h_j d_j, with the
+action and each h_j pure coordinate; ``derivative_split`` reads
+(action, {j: h_j}) off the one normal form of d_i f.  ``add_term`` is the
+one accumulator of linear combinations.
+
 The three same-kind families and the quotient rule are read off the
 echelon basis of their relation rows (``linalg.echelon``, largest word
 first): each row gives the rule lead -> -(row - lead).  Coordinates come
@@ -147,7 +155,7 @@ class AlgebraElement:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            _merge(out, w, c)
+            add_term(out, w, c)
         return _element(out)
 
     def __sub__(self, other):
@@ -166,7 +174,7 @@ class AlgebraElement:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _merge(out, w1 + w2, c1 * c2)
+                add_term(out, w1 + w2, c1 * c2)
         return _element(out)
 
     def is_pure(self, kind: int) -> bool:
@@ -189,9 +197,10 @@ def _element(terms) -> AlgebraElement:
     return el
 
 
-def _merge(out, w, c):
-    """Add c * w to the terms ``out``: a word whose coefficient cancels is
-    dropped, and appended again if a later term brings it back."""
+def add_term(out, w, c):
+    """Add c * w, for a nonzero c, to the terms ``out``: a word whose
+    coefficient cancels is dropped, and appended again if a later term
+    brings it back."""
     total = out.get(w)
     if total is None:
         out[w] = c
@@ -324,7 +333,7 @@ class RewriteSystem:
         out = {}
         for w, c in e.terms.items():
             for w2, v in self.reduce_word(w).terms.items():
-                _merge(out, w2, v * c)
+                add_term(out, w2, v * c)
         return _element(out)
 
 
@@ -347,7 +356,7 @@ def _rewrite_at(word, k, rule, rules, cache) -> AlgebraElement:
     """Normal form of word after rewriting its redex ``rule`` at position k.
 
     Terms are kept in the order a sum of one scaled reduction after
-    another gives (see ``_merge``).  A term's word is no longer than
+    another gives (see ``add_term``).  A term's word is no longer than
     ``word``, so it is reduced without a cap check.
     """
     prefix, suffix = word[:k], word[k + 2:]
@@ -361,7 +370,7 @@ def _rewrite_at(word, k, rule, rules, cache) -> AlgebraElement:
             prod = products.get(v)
             if prod is None:
                 prod = products[v] = v * c
-            # _merge, inlined in the rewrite step
+            # add_term, inlined in the rewrite step
             total = out.get(w2)
             if total is None:
                 out[w2] = prod
@@ -486,44 +495,48 @@ def multiply(a: AlgebraElement, b: AlgebraElement, sys: RewriteSystem
     return sys.normal_form(a.concat(b))
 
 
-def derivative_action(i: int, f: AlgebraElement, sys: RewriteSystem
-                      ) -> AlgebraElement:
-    """Function part of moving d_i through a pure-coordinate element."""
-    moved = _move_derivative(i, f, sys)
-    return _element({w: c for w, c in moved.terms.items()
-                     if all(g[0] != DERIV for g in w)})
+def blocks(word):
+    """The (coordinates, differentials, derivatives) blocks of a normal
+    word; a word that is not kind-sorted is an error."""
+    kinds = [g[0] for g in word]
+    if kinds != sorted(kinds):
+        raise NcalgError(f"word {word} is not kind-sorted")
+    a, b = kinds.count(COORD), len(kinds) - kinds.count(DERIV)
+    return word[:a], word[a:b], word[b:]
 
 
-def transport(i: int, f: AlgebraElement, sys: RewriteSystem):
-    """Homogeneous part: d_i f = action + sum_j h_j d_j; returns {j: h_j}."""
-    moved = _move_derivative(i, f, sys)
-    table = {}
-    for w, c in moved.terms.items():
-        positions = [k for k, g in enumerate(w) if g[0] == DERIV]
-        if not positions:
-            continue
-        if positions != [len(w) - 1]:
-            raise NcalgError(f"unexpected derivative placement in {w}")
-        j = w[-1][1]
-        table.setdefault(j, AlgebraElement())
-        table[j] = table[j] + AlgebraElement.from_word(w[:-1], c)
-    return {j: h for j, h in table.items() if not h.is_zero()}
-
-
-def _move_derivative(i, f, sys):
+def derivative_split(i: int, f: AlgebraElement, sys: RewriteSystem):
+    """d_i f = action + sum_j h_j d_j for a pure-coordinate f: returns
+    (action, {j: h_j}), read off the one normal form of d_i f."""
     if not f.is_pure(COORD):
         raise NcalgError("derivative requires a pure-coordinate element")
-    deriv = AlgebraElement.from_word((gen(DERIV, i),))
-    return sys.normal_form(deriv.concat(f))
+    moved = sys.normal_form(
+        AlgebraElement.from_word((gen(DERIV, i),)).concat(f))
+    action, table = {}, {}
+    for w, c in moved.terms.items():
+        coords, xis, derivs = blocks(w)
+        if not derivs:
+            action[w] = c
+        elif xis or len(derivs) != 1:
+            raise NcalgError(f"unexpected derivative placement in {w}")
+        else:
+            table.setdefault(derivs[0][1], {})[coords] = c
+    return _element(action), {j: _element(h) for j, h in table.items()}
+
+
+def noncommuting_generator(e: AlgebraElement, sys: RewriteSystem):
+    """The first coordinate generator that e does not commute with, or
+    None when e is central."""
+    for g in sys.generators(kinds=(COORD,)):
+        x = AlgebraElement.from_word((g,))
+        if not sys.normal_form(e.concat(x) - x.concat(e)).is_zero():
+            return g
+    return None
 
 
 def is_central(e: AlgebraElement, sys: RewriteSystem) -> bool:
     """True iff e commutes with every coordinate generator."""
-    for g in sys.generators(kinds=(COORD,)):
-        x = AlgebraElement.from_word((g,))
-        if not sys.normal_form(e.concat(x) - x.concat(e)).is_zero():
-            return False
-    return True
+    return noncommuting_generator(e, sys) is None
 
 
 # ---------------------------------------------------------------------------

@@ -434,15 +434,12 @@ def _quotient(plane: PlaneSpec, central_expr: str) -> PlaneSpec:
         raise PlaneError("quotient central element must be pure coordinate")
     generic = plane.generic
     generic_central = generic.parse(central_expr)
-    for name, g in zip(generic.generator_names,
-                       generic.coordinate_generators()):
-        x = AlgebraElement.from_word((g,))
-        if not generic.nf(generic_central.concat(x)
-                          - x.concat(generic_central)).is_zero():
-            raise PlaneVerificationError(
-                f"plane {plane.name}: declared central element "
-                f"{central_expr} is not central: it does not commute with "
-                f"{name}")
+    g = ncalg.noncommuting_generator(generic_central, generic.system)
+    if g is not None:
+        raise PlaneVerificationError(
+            f"plane {plane.name}: declared central element {central_expr} "
+            f"is not central: it does not commute with "
+            f"{generic.system.gen_name(g)}")
     # the plane's rules and the quotient rule derived in this field
     system = ncalg.quotient_system(plane.system, central)
     generic_system = system if generic is plane else generic.system
@@ -476,7 +473,6 @@ def _derive_constraint_forms(sp, system, generic_system, generic_central):
     if not c1.is_zero():
         forms.append(c1)
         c2 = qcalc.d_form(c1, system)
-        c2 = qcalc.WedgeForm(2, system.normal_form(c2.body))
         if not c2.is_zero():
             forms.append(c2)
     return tuple(forms)

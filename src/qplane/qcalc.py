@@ -4,14 +4,17 @@ Forms live in the xi-algebra: a k-form is an element whose normal words
 consist of a coordinate prefix followed by exactly k differentials.  The
 tensor representation keeps the k differential slots free (no relations),
 which is where contraction against vector fields happens; the braiding
-matrix of the plane links the two pictures.
+matrix of the plane links the two pictures.  The normal-word layout, the
+split d_i f = action + sum_j h_j d_j that d, contraction and field
+application read, and the term accumulator are :mod:`qplane.ncalg`'s
+(see its module docstring).
 """
 
 from __future__ import annotations
 
 from . import ncalg
 from .linalg import LegMatrix
-from .ncalg import COORD, DERIV, DIFF, AlgebraElement, RewriteSystem, gen
+from .ncalg import COORD, DIFF, AlgebraElement, RewriteSystem, gen
 from .scalar import Scalar
 
 
@@ -50,17 +53,13 @@ class VectorField:
         return VectorField({j: e.scale(c) for j, e in self.components.items()})
 
     def is_zero(self):
-        return all(e.is_zero() for e in self.components.values())
+        return not self.components
 
     def __eq__(self, other):
+        # no component is stored zero
         if not isinstance(other, VectorField):
             return NotImplemented
-        keys = set(self.components) | set(other.components)
-        return all(
-            self.components.get(k, AlgebraElement.zero())
-            == other.components.get(k, AlgebraElement.zero())
-            for k in keys
-        )
+        return self.components == other.components
 
     def __repr__(self):
         return f"VectorField({sorted(self.components)})"
@@ -73,8 +72,8 @@ class WedgeForm:
 
     def __init__(self, degree: int, body: AlgebraElement):
         for w in body.terms:
-            k = sum(1 for g in w if g[0] == DIFF)
-            if k != degree or any(g[0] == DERIV for g in w):
+            _, xis, derivs = ncalg.blocks(w)
+            if len(xis) != degree or derivs:
                 raise QcalcError(
                     f"word {w} is not a degree-{degree} differential word")
         self.degree = degree
@@ -82,17 +81,6 @@ class WedgeForm:
 
     def is_zero(self):
         return self.body.is_zero()
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise QcalcError("cannot add forms of different degree")
-        return WedgeForm(self.degree, self.body + other.body)
-
-    def __sub__(self, other):
-        return self + WedgeForm(other.degree, -other.body)
-
-    def scale(self, c: Scalar) -> "WedgeForm":
-        return WedgeForm(self.degree, self.body.scale(c))
 
     def __eq__(self, other):
         if not isinstance(other, WedgeForm):
@@ -119,23 +107,8 @@ class TensorForm:
                     self.entries[(word, slots)] = c
 
     def add_entry(self, word, slots, c: Scalar):
-        key = (tuple(word), tuple(slots))
-        cur = self.entries.get(key)
-        if cur is None:
-            if not c.is_zero():
-                self.entries[key] = c
-        else:
-            s = cur + c
-            if s.is_zero():
-                del self.entries[key]
-            else:
-                self.entries[key] = s
-
-    def scale(self, c: Scalar) -> "TensorForm":
-        out = TensorForm(self.degree)
-        for key, v in self.entries.items():
-            out.entries[key] = v * c
-        return out
+        if not c.is_zero():
+            ncalg.add_term(self.entries, (tuple(word), tuple(slots)), c)
 
     def is_zero(self):
         return not self.entries
@@ -153,10 +126,10 @@ def one_form_body(t: TensorForm) -> AlgebraElement:
     """Identify a degree-1 tensor with its xi-algebra body."""
     if t.degree != 1:
         raise QcalcError("expected a degree-1 tensor")
-    out = AlgebraElement.zero()
+    out = {}
     for (word, slots), c in t.entries.items():
-        out = out + AlgebraElement.from_word(word + (gen(DIFF, slots[0]),), c)
-    return out
+        ncalg.add_term(out, word + (gen(DIFF, slots[0]),), c)
+    return AlgebraElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -167,29 +140,25 @@ def d_function(f: AlgebraElement, sys: RewriteSystem) -> WedgeForm:
     """d f = sum_i xi_i . (d_i f), normal-ordered to functions-left form."""
     if not f.is_pure(COORD):
         raise QcalcError("d_function expects a pure coordinate element")
-    total = AlgebraElement.zero()
+    out = {}
     for i in range(1, sys.dimension + 1):
-        action = ncalg.derivative_action(i, f, sys)
-        if action.is_zero():
-            continue
+        action, _ = ncalg.derivative_split(i, f, sys)
         xi = AlgebraElement.from_word((gen(DIFF, i),))
-        total = total + sys.normal_form(xi.concat(action))
-    return WedgeForm(1, total)
+        for w, c in sys.normal_form(xi.concat(action)).terms.items():
+            ncalg.add_term(out, w, c)
+    return WedgeForm(1, AlgebraElement(out))
 
 
 def d_form(omega: WedgeForm, sys: RewriteSystem) -> WedgeForm:
     """Differentiate coordinate coefficients; differentials are d-closed."""
-    total = AlgebraElement.zero()
+    out = {}
     for w, c in sys.normal_form(omega.body).terms.items():
-        split = 0
-        while split < len(w) and w[split][0] == COORD:
-            split += 1
-        coord, xis = w[:split], w[split:]
+        coord, xis, _ = ncalg.blocks(w)
         df = d_function(AlgebraElement.from_word(coord, c), sys)
-        if not df.is_zero():
-            total = total + sys.normal_form(
-                df.body.concat(AlgebraElement.from_word(xis)))
-    return WedgeForm(omega.degree + 1, total)
+        moved = sys.normal_form(df.body.concat(AlgebraElement.from_word(xis)))
+        for w2, v in moved.terms.items():
+            ncalg.add_term(out, w2, v)
+    return WedgeForm(omega.degree + 1, AlgebraElement(out))
 
 
 def wedge(a: WedgeForm, b: WedgeForm, sys: RewriteSystem) -> WedgeForm:
@@ -212,21 +181,28 @@ def to_tensor(omega: WedgeForm, gamma: LegMatrix, sys: RewriteSystem
     if omega.degree != 2:
         raise QcalcError("to_tensor expects a 2-form")
     out = TensorForm(2)
+    rows = _braiding_rows(gamma)
     for w, c in sys.normal_form(omega.body).terms.items():
-        coord = tuple(g for g in w if g[0] == COORD)
-        a, b = [g[1] for g in w if g[0] == DIFF]
-        _add_lift(out, coord, a, b, c, gamma, sys.dimension)
+        coord, ((_, a), (_, b)), _ = ncalg.blocks(w)
+        _add_lift(out, coord, a, b, c, rows)
     return out
 
 
-def _add_lift(out: TensorForm, coord, a, b, c: Scalar, gamma: LegMatrix, n):
-    """Add c * coord * (xi_a (x) xi_b - Gamma row (a, b)) to ``out``."""
+def _braiding_rows(gamma: LegMatrix):
+    """Gamma's nonzero entries by row: {(a, b): [((k, l), value), ...]},
+    each row in (k, l) order."""
+    rows = {}
+    for (ab, kl), v in sorted(ncalg.pair_entries(gamma).items()):
+        rows.setdefault(ab, []).append((kl, v))
+    return rows
+
+
+def _add_lift(out: TensorForm, coord, a, b, c: Scalar, rows):
+    """Add c * coord * (xi_a (x) xi_b - Gamma row (a, b)) to ``out``, with
+    Gamma's rows read from ``_braiding_rows``."""
     out.add_entry(coord, (a, b), c)
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            v = gamma.at((a, b), (k, l))
-            if not v.is_zero():
-                out.add_entry(coord, (k, l), -(c * v))
+    for kl, v in rows.get((a, b), ()):
+        out.add_entry(coord, kl, -(c * v))
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +214,33 @@ def pair(x: VectorField, alpha: WedgeForm, sys: RewriteSystem
     """Inner product <f d_i, g dx^j>: ``x`` contracted with alpha's slot."""
     if alpha.degree != 1:
         raise QcalcError("pair expects a one-form")
-    body = sys.normal_form(alpha.body)
-    t = contract(x, TensorForm(1, {(w[:-1], (w[-1][1],)): c
-                                   for w, c in body.terms.items()}), sys)
+    entries = {}
+    for w, c in sys.normal_form(alpha.body).terms.items():
+        coord, ((_, j),), _ = ncalg.blocks(w)
+        entries[coord, (j,)] = c
+    t = contract(x, TensorForm(1, entries), sys)
     return AlgebraElement({w: c for (w, _), c in t.entries.items()})
 
 
 def contract(x: VectorField, t: TensorForm, sys: RewriteSystem) -> TensorForm:
-    """First-slot contraction after derivative transport."""
+    """First-slot contraction after moving each derivative through the
+    entries' coordinate words, once per component and word."""
     if t.degree < 1:
         raise QcalcError("cannot contract a degree-0 tensor")
     out = TensorForm(t.degree - 1)
     for i, f in x.components.items():
+        tables = {}
         for (word, slots), c in t.entries.items():
-            h = ncalg.transport(i, AlgebraElement.from_word(word), sys)
-            g = h.get(slots[0])
+            table = tables.get(word)
+            if table is None:
+                _, table = ncalg.derivative_split(
+                    i, AlgebraElement.from_word(word), sys)
+                tables[word] = table
+            g = table.get(slots[0])
             if g is None:
                 continue
-            value = sys.normal_form(f.concat(g)).scale(c)
-            for w, v in value.terms.items():
-                out.add_entry(w, slots[1:], v)
+            for w, v in sys.normal_form(f.concat(g)).terms.items():
+                out.add_entry(w, slots[1:], v * c)
     return out
 
 
@@ -266,9 +249,9 @@ def apply_field(x: VectorField, f: AlgebraElement, sys: RewriteSystem
     """X(f) = sum coeff . (d_direction f), a pure coordinate element."""
     if not f.is_pure(COORD):
         raise QcalcError("apply_field expects a pure coordinate element")
-    out = AlgebraElement.zero()
+    out = {}
     for i, coeff in x.components.items():
-        action = ncalg.derivative_action(i, f, sys)
-        if not action.is_zero():
-            out = out + sys.normal_form(coeff.concat(action))
-    return out
+        action, _ = ncalg.derivative_split(i, f, sys)
+        for w, c in sys.normal_form(coeff.concat(action)).terms.items():
+            ncalg.add_term(out, w, c)
+    return AlgebraElement(out)

@@ -716,6 +716,8 @@ class Parser:
                     return _constant(n, 0, d)
                 self.pos = save
             return from_int(n)
+        if not ch:
+            raise ParseError("unexpected end of input", self.pos)
         word = self.take_word()
         if word in NAMES:
             return NAMES[word]

@@ -38,7 +38,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 
-from . import qcalc, scalar
+from . import ncalg, qcalc, scalar
 from .linalg import echelon, rref_rows
 from .ncalg import COORD, DIFF, AlgebraElement, gen
 from .qcalc import TensorForm, VectorField, WedgeForm, one_form_body
@@ -99,8 +99,8 @@ def build_symplectic_form(plane) -> SymplecticForm:
     if body.is_zero():
         raise SympError(f"plane {plane.name}: the symplectic form is zero")
     for w in body.terms:
-        # normal words are kind-sorted: coordinates, then differentials
-        if [g[0] for g in w if g[0] != COORD] != [DIFF, DIFF]:
+        _, xis, derivs = ncalg.blocks(w)
+        if len(xis) != 2 or derivs:
             raise SympError(
                 f"plane {plane.name}: the symplectic form is not a 2-form: "
                 f"word {plane.system.word_str(w)} is not a "
@@ -129,12 +129,13 @@ def constraint_reduce(e: AlgebraElement, plane, extra_degree: int = 2
     if not plane.constraint_forms or e.is_zero():
         return e
     sys = plane.system
-    xi_degrees = {sum(1 for g in w if g[0] == DIFF) for w in e.terms}
+    splits = [ncalg.blocks(w) for w in e.terms]
+    xi_degrees = {len(xis) for _, xis, _ in splits}
     if len(xi_degrees) != 1:
         raise SympError("constraint reduction expects homogeneous "
                         "differential degree")
     k = xi_degrees.pop()
-    coord_deg = max(sum(1 for g in w if g[0] == COORD) for w in e.terms)
+    coord_deg = max(len(coords) for coords, _, _ in splits)
     span = _constraint_span(plane, k, coord_deg + extra_degree)
     return _reduce_against_span(e, span, sys)
 
@@ -156,8 +157,8 @@ def _constraint_span(plane, xi_degree, coord_bound):
     for row in echelon(cores, sys.word_key).values():
         parts = []
         for word, c in row.items():
-            n = sum(1 for g in word if g[0] == COORD)
-            parts.append((word[:n], word[n:], c))
+            head, tail, _ = ncalg.blocks(word)
+            parts.append((head, tail, c))
         basis.append(parts)
     gens = []
     for w in _normal_coord_words(plane, coord_bound):
@@ -165,9 +166,8 @@ def _constraint_span(plane, xi_degree, coord_bound):
             terms = {}
             for head, tail, c in parts:
                 for w2, v in sys.reduce_word(w + head).terms.items():
-                    word = w2 + tail
-                    terms[word] = terms.get(word, scalar.ZERO) + v * c
-            gens.append({w2: v for w2, v in terms.items() if not v.is_zero()})
+                    ncalg.add_term(terms, w2 + tail, v * c)
+            gens.append(terms)
     span = {lead: AlgebraElement(row) for lead, row in
             echelon(gens, sys.word_key).items()}
     cache[key] = span
@@ -209,8 +209,6 @@ def _normal_coord_words(plane, max_degree):
 
 
 def _diff_words(plane, length):
-    if length == 0:
-        return [()]
     gens = [gen(DIFF, i) for i in range(1, plane.dimension + 1)]
     words = [()]
     for _ in range(length):
@@ -335,11 +333,18 @@ def _kernel_vector(reduced, pivots, free_col, variables):
         v = reduced[r].get(free_col)
         if v is not None:
             coeffs[p] = -v
-    field = VectorField()
-    for col, c in coeffs.items():
-        j, w = variables[col]
-        field = field + VectorField.basis(j, AlgebraElement.from_word(w, c))
-    return field
+    return _field(variables, coeffs.items())
+
+
+def _field(variables, coeffs):
+    """The field sum of c * w d_j over the (p, c) of ``coeffs``, with
+    (j, w) = variables[p]."""
+    components = {}
+    for p, c in coeffs:
+        j, w = variables[p]
+        ncalg.add_term(components.setdefault(j, {}), w, c)
+    return VectorField({j: AlgebraElement(terms)
+                        for j, terms in components.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +379,14 @@ def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
     for n in sorted({len(w) for w in f.terms}):
         part = AlgebraElement({w: c for w, c in f.terms.items()
                                if len(w) == n})
-        target = sys.normal_form(qcalc.d_function(part, sys).body)
+        target = qcalc.d_function(part, sys).body
         targets.append(constraint_reduce(target, plane).scale(
             scalar.MINUS_ONE))
     solutions = _solve_columns(system.reduced, targets, sys)
     if solutions is None:
         return SolveReport("none", None, (), max_degree)
-    particular = VectorField()
-    for solution in solutions:
-        for p, v in solution:
-            j, w = system.variables[p]
-            particular = particular + VectorField.basis(
-                j, AlgebraElement.from_word(w, v))
+    particular = _field(system.variables,
+                        [pv for solution in solutions for pv in solution])
     kernel = system.kernel
     if kernel:
         particular = _prefer_conserving(f, particular, kernel, plane)
@@ -420,9 +421,8 @@ def _prefer_conserving(f, particular, kernel, plane):
 def _check_residual(f, field, omega, plane, max_degree):
     sys = plane.system
     lhs = one_form_body(qcalc.contract(field, omega.tensor, sys))
-    residual = sys.normal_form(
-        sys.normal_form(lhs).scale(omega.scale)
-        + qcalc.d_function(sys.normal_form(f), sys).body)
+    residual = (sys.normal_form(lhs).scale(omega.scale)
+                + qcalc.d_function(f, sys).body)
     # at the solver's own multiplier bound first, and at a wider one only
     # when that leaves a remainder: a span grows with its bound, so a
     # residual that vanishes at the first vanishes at the second, and a

@@ -18,7 +18,7 @@ from qplane.ncalg import (
     _pivot_rules,
     build_rewrite_system,
     confluence_selftest,
-    derivative_action,
+    derivative_split,
     element_str,
     gen,
     is_central,
@@ -27,7 +27,6 @@ from qplane.ncalg import (
     pair_entries,
     parse_element,
     quotient_system,
-    transport,
 )
 from qplane.scalar import parse_scalar
 
@@ -268,24 +267,31 @@ def test_multiply_associative_random():
                 multiply(a, multiply(b, c, sys), sys)
 
 
-# -- derivative action and transport ------------------------------------------
+# -- derivative split ---------------------------------------------------------
+
+def _action(i, f, sys):
+    return derivative_split(i, f, sys)[0]
+
+
+def _transport(i, f, sys):
+    return derivative_split(i, f, sys)[1]
+
 
 def test_derivative_action_examples():
-    assert GL2.show(derivative_action(1, GL2.parse("x"), GL2.system)) == "1"
+    assert GL2.show(_action(1, GL2.parse("x"), GL2.system)) == "1"
     # oracle: stepwise expansion of D(x)*x*y recorded by hand
-    assert GL2.show(derivative_action(1, GL2.parse("x*y"), GL2.system)) \
-        == "s^4 * y"
-    assert derivative_action(3, ORTH3.parse("x+"), ORTH3.system).is_zero()
+    assert GL2.show(_action(1, GL2.parse("x*y"), GL2.system)) == "s^4 * y"
+    assert _action(3, ORTH3.parse("x+"), ORTH3.system).is_zero()
 
 
 def test_transport_examples():
-    t = transport(1, GL2.parse("y"), GL2.system)
+    t = _transport(1, GL2.parse("y"), GL2.system)
     assert set(t) == {1}
     assert GL2.show(t[1]) == "s^2 * y"
-    t = transport(1, AlgebraElement.unit(), GL2.system)
+    t = _transport(1, AlgebraElement.unit(), GL2.system)
     assert set(t) == {1}
     assert GL2.show(t[1]) == "1"
-    t = transport(2, GL2.parse("x"), GL2.system)
+    t = _transport(2, GL2.parse("x"), GL2.system)
     assert set(t) == {2}
     assert GL2.show(t[2]) == "s^2 * x"
 
@@ -301,8 +307,7 @@ def test_transport_decomposition_exact():
         for i in (1, 2, 3):
             moved = sys.normal_form(
                 AlgebraElement.from_word((gen(DERIV, i),)).concat(f))
-            act = derivative_action(i, f, sys)
-            tab = transport(i, f, sys)
+            act, tab = derivative_split(i, f, sys)
             rebuilt = act
             for j, h in tab.items():
                 rebuilt = rebuilt + h.concat(
@@ -312,7 +317,7 @@ def test_transport_decomposition_exact():
 
 def test_derivative_requires_pure_coordinates():
     with pytest.raises(NcalgError):
-        derivative_action(1, GL2.parse("d(x)"), GL2.system)
+        derivative_split(1, GL2.parse("d(x)"), GL2.system)
 
 
 def test_transport_multiplicative():
@@ -329,10 +334,10 @@ def test_transport_multiplicative():
                 tuple(rng.choice(coords) for _ in range(rng.randint(0, 2))))
             gh = multiply(g, h, sys)
             for i in range(1, plane.dimension + 1):
-                direct = transport(i, gh, sys)
+                direct = _transport(i, gh, sys)
                 composed = {}
-                for m, gm in transport(i, g, sys).items():
-                    for j, hj in transport(m, h, sys).items():
+                for m, gm in _transport(i, g, sys).items():
+                    for j, hj in _transport(m, h, sys).items():
                         composed.setdefault(j, AlgebraElement.zero())
                         composed[j] = composed[j] + multiply(gm, hj, sys)
                 composed = {j: v for j, v in composed.items()
@@ -847,6 +852,9 @@ def test_element_parse_errors_name_the_position():
         "x^": "expected exponent at position 2",
         "d(z)": "unknown generator name at position 2",
         "x*foo": "unexpected token 'foo' (at position 5)",
+        # the end of the input, after a scalar and after a generator
+        "2 *": "unexpected end of input (at position 3)",
+        "x*": "unexpected end of input (at position 2)",
         "3/0*x": "zero denominator (at position 3)",
         # superscript digits pass str.isdigit but are no int literal
         "x^\u00b2": "expected exponent at position 2",

@@ -25,11 +25,12 @@ ORTH3 = planes.builtin_plane("orth3")
 SPHERE = planes.builtin_plane("sphere_qm1")
 
 
-def tensor_lift_words(words, gamma, n):
+def tensor_lift_words(words, gamma):
     """Lift raw two-differential words without normal-forming them first."""
     out = TensorForm(2)
+    rows = qcalc._braiding_rows(gamma)
     for (a, b), c in words:
-        qcalc._add_lift(out, (), a, b, c, gamma, n)
+        qcalc._add_lift(out, (), a, b, c, rows)
     return out
 
 
@@ -164,7 +165,7 @@ def test_to_tensor_kills_relation_rows():
                         v = m.at((i, j), (k, l))
                         if not v.is_zero():
                             row.append(((k, l), v))
-                t = tensor_lift_words(row, plane.gamma, n)
+                t = tensor_lift_words(row, plane.gamma)
                 assert t.is_zero(), (plane.name, i, j)
 
 
