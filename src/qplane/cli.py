@@ -170,8 +170,10 @@ def _without_form(suite, plane):
     if plane.symplectic_body_expr is None:
         return [Check(f"{suite}/symplectic-declared", "pass",
                       "plane declares no symplectic form; nothing to check")]
-    if isinstance(plane.symplectic, str):
-        return [Check(f"{suite}/symplectic-form", "fail", plane.symplectic)]
+    try:
+        plane.symplectic
+    except SympError as exc:
+        return [Check(f"{suite}/symplectic-form", "fail", str(exc))]
     return []
 
 

@@ -348,17 +348,19 @@ WZ_CONDITIONS = ("wz1_xx_xi_compat", "wz2_xx_transport",
                  "wz5_dd_transport")
 
 
-def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
+def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix):
     """The five Wess-Zumino consistency conditions, reported separately
     and keyed by :data:`WZ_CONDITIONS`.
 
-    The first and fourth are evaluated as (E-B)(E+C) = 0 and (E-F)(E+C) = 0:
-    this is the form that follows from applying the exterior differential to
-    the coordinate relations with the x-xi exchange convention used
-    throughout (x1 xi2 = C12 xi1 x2), and it is the form both solution
-    families actually satisfy.  The printed minus sign fails for both.
+    The derivative relations' matrix F is B on both solution families,
+    so the fourth condition, (E-F)(E+C) = 0, is the first, and the fifth
+    reads E - B.  The first is evaluated as (E-B)(E+C) = 0, the form that
+    follows from applying the exterior differential to the coordinate
+    relations with the x-xi exchange convention used throughout
+    (x1 xi2 = C12 xi1 x2); both solution families satisfy it, and fail
+    the printed minus sign.
     """
-    for mat in (c, d, f):
+    for mat in (c, d):
         b._check_shape(mat)
     e2 = identity(b.base_dim, 2)
     c12 = embed(c, "12")
@@ -366,19 +368,15 @@ def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix, f: LegMatrix):
     # conditions 2, 3 and 5 share the two triple-leg products of C
     c23c12 = c23 * c12
     c12c23 = c12 * c23
-    # conditions 1, 2, 4 and 5 are linear in E-B or E-F, so they are
-    # checked on the denominator-cleared matrices (see clear_denominators)
+    # conditions 1, 2 and 5 are linear in E-B, so they are checked on the
+    # denominator-cleared matrix (see clear_denominators)
     eb, _ = clear_denominators(e2 - b)
-    # with F = B (every derived plane) condition 4 is condition 1
-    same = f == b
-    ef = eb if same else clear_denominators(e2 - f)[0]
     wz1 = (eb * (e2 + c)).is_zero()
     wz2 = embed(eb, "12") * c23c12 == c23c12 * embed(eb, "23")
     braid = (embed(d, "23") * c12c23) == (c12c23 * embed(d, "12"))
     wz3 = braid and (c * d) == e2 and (d * c) == e2
-    wz4 = wz1 if same else (ef * (e2 + c)).is_zero()
-    wz5 = embed(ef, "23") * c12c23 == c12c23 * embed(ef, "12")
-    return dict(zip(WZ_CONDITIONS, (wz1, wz2, wz3, wz4, wz5)))
+    wz5 = embed(eb, "23") * c12c23 == c12c23 * embed(eb, "12")
+    return dict(zip(WZ_CONDITIONS, (wz1, wz2, wz3, wz1, wz5)))
 
 
 def clear_denominators(m: LegMatrix):

@@ -9,7 +9,10 @@ differential block, derivative block.
 
 That layout is the calculus layer's one convention, stated here once:
 functions left of differentials, differentials left of derivatives.
-``blocks`` splits a normal word into its three blocks.  Moving d_i through
+``blocks`` splits a normal word into its three blocks, and
+``normal_words`` lists the normal words of one kind without reducing
+any: rules rewrite two letters, so a word is normal exactly when no two
+adjacent letters form a rule's left side.  Moving d_i through
 a coordinate element f gives d_i f = action + sum_j h_j d_j, with the
 action and each h_j pure coordinate; ``derivative_split`` reads
 (action, {j: h_j}) off the one normal form of d_i f.  ``add_term`` is the
@@ -503,6 +506,22 @@ def blocks(word):
         raise NcalgError(f"word {word} is not kind-sorted")
     a, b = kinds.count(COORD), len(kinds) - kinds.count(DERIV)
     return word[:a], word[a:b], word[b:]
+
+
+def normal_words(sys: RewriteSystem, kind: int, max_degree: int):
+    """The normal words of ``kind`` letters up to ``max_degree``, shortest
+    first (see the module docstring); a bound above the degree cap raises
+    the cap error once a normal word would exceed it."""
+    letters = sys.generators(kinds=(kind,))
+    words, frontier = [()], [()]
+    for degree in range(1, max_degree + 1):
+        if frontier and degree > sys.degree_cap:
+            raise NcalgError(
+                f"word of degree {degree} exceeds the cap {sys.degree_cap}")
+        frontier = [w + (g,) for w in frontier for g in letters
+                    if not w or (w[-1], g) not in sys.rules]
+        words += frontier
+    return words
 
 
 def derivative_split(i: int, f: AlgebraElement, sys: RewriteSystem):

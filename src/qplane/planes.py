@@ -41,8 +41,8 @@ decides equality, includes it.
 Five views are derived from a plane's fields when first read and then
 kept on it, so every new plane value starts without them:
 ``constraint_spans`` (the memo of :mod:`qplane.symp`'s spans),
-``symplectic`` (the declared symplectic form with its per-bound
-Hamiltonian systems, or the message of the error that building it raised),
+``symplectic`` (the declared symplectic form with its contractions and
+Hamiltonian systems; a form that cannot be built raises on every read),
 ``gamma_candidates`` (each braiding candidate for the wedge
 product with its verdict on the wedge condition and the braid relation,
 the one place that condition is proved), ``gamma`` (the first passing
@@ -122,12 +122,10 @@ class PlaneSpec:
 
     @cached_property
     def symplectic(self):
-        """:func:`qplane.symp.symplectic_form`'s form, built on first read,
-        or the message of the ``SympError`` that building it raised."""
-        try:
-            return symp.build_symplectic_form(self)
-        except symp.SympError as exc:
-            return str(exc)
+        """:func:`qplane.symp.symplectic_form`'s form, built on first read
+        and kept; a form that cannot be built raises its ``SympError`` on
+        every read, and nothing is kept."""
+        return symp.build_symplectic_form(self)
 
     @cached_property
     def gamma_candidates(self):
@@ -365,7 +363,7 @@ def _derive_generic(name, dimension, generator_names, family, r,
             b = identity(dimension) - projector_q(r, *eigenvalues)
         except LinalgError as exc:
             raise PlaneError(f"plane {name}: projector undefined ({exc})")
-    bad = [k for k, ok in wz_conditions(b, c, d, b).items() if not ok]
+    bad = [k for k, ok in wz_conditions(b, c, d).items() if not ok]
     if bad:
         raise PlaneVerificationError(
             f"plane {name}: consistency conditions failed: {bad}")

@@ -14,23 +14,29 @@ on unconstrained planes the module is empty and reduction is the
 identity.
 
 A span is built from an echelon basis of its cores nf(p * g * u), the
-constraint forms g padded by differential words p and u, extended by the
-normal coordinate words x^w.  This is exact for two reasons.  Scalars and
-the radius symbol are central and the normal form is linear, so the
-x^w * B over the basis rows B span what the x^w * core span, and a space
-has one reduced echelon basis.  And no rule's left side has ascending
-kinds, so the normal form of x^w times a word of B is the normal form of
-x^w times the word's coordinate head, followed by its differential tail.
-On the sphere at k = 3 the 27 cores have 7 basis rows, so the span at
-coordinate bound 6, of rank 224, is the echelon basis of 7 x 49 = 343
-generators.
+constraint forms g padded by normal differential words p and u (other
+words add nothing, as nf(p * g * u) = nf(nf(p) * g * u)), extended by the
+normal coordinate words x^w (``ncalg.normal_words``).  This is exact for
+two reasons.  Scalars and the radius symbol are central and the normal
+form is linear, so the x^w * B over the basis rows B span what the
+x^w * core span, and a space has one reduced echelon basis.  And no rule's
+left side has ascending kinds, so the normal form of x^w times a word of B
+is the normal form of x^w times the word's coordinate head, followed by
+its differential tail.  On the sphere at k = 3 the 21 cores have 7 basis
+rows, so the span at coordinate bound 6, of rank 224, is the echelon
+basis of 7 x 49 = 343 generators.
 
 A Hamiltonian field solves X~|omega = -df over the fields whose
-coefficients have degree at most a bound.  Each ``SymplecticForm`` keeps
-one ``_HamiltonianSystem`` per bound: the contraction of omega with each
-ansatz field, the same modulo the constraint module, and the kernel of
-that map.  ``is_nondegenerate`` reads the contractions, and each field is
-one elimination against the reduced ones.
+coefficients have degree at most a bound.  The contraction keeps a
+field's coefficient on the left, so X -> X~|omega is a left module map,
+fixed by the n coordinate contractions C_j = scale * (d_j~|omega): a form
+contracts omega with d_1, ..., d_n once, on first use, and maps
+X = sum_j f_j d_j to the sum of nf(f_j * C_j).  Each ``SymplecticForm``
+also keeps one ``_HamiltonianSystem`` per bound: the columns nf(w * C_j)
+over the ansatz unknowns w d_j, the same modulo the constraint module, and
+the kernel of that map.  One routine reads a kernel off an rref:
+``is_nondegenerate`` the unreduced columns', the system the reduced ones'.
+Each field is one elimination against the reduced columns.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from collections import namedtuple
 
 from . import ncalg, qcalc, scalar
 from .linalg import echelon, rref_rows
-from .ncalg import COORD, DIFF, AlgebraElement, gen
+from .ncalg import COORD, DIFF, AlgebraElement
 from .qcalc import TensorForm, VectorField, WedgeForm, one_form_body
 from .scalar import Scalar
 
@@ -60,7 +66,7 @@ class NoSolutionError(SympError):
 class SymplecticForm:
     """2-form with cached tensor representation and a constant prefactor."""
 
-    __slots__ = ("wedge", "tensor", "scale", "_systems")
+    __slots__ = ("wedge", "tensor", "scale", "_contractions", "_systems")
 
     def __init__(self, wedge: WedgeForm, tensor: TensorForm, scale: Scalar):
         if wedge.degree != 2:
@@ -70,6 +76,8 @@ class SymplecticForm:
         self.wedge = wedge
         self.tensor = tensor
         self.scale = scale
+        # {j: scale * (d_j~|omega)}, built on first use
+        self._contractions = None
         # max_degree -> its _HamiltonianSystem
         self._systems = {}
 
@@ -81,10 +89,7 @@ def symplectic_form(plane) -> SymplecticForm:
     (``plane.symplectic``), with its per-bound Hamiltonian systems; a form
     that cannot be built raises the same ``SympError`` text on every call.
     """
-    form = plane.symplectic
-    if isinstance(form, str):
-        raise SympError(form)
-    return form
+    return plane.symplectic
 
 
 def build_symplectic_form(plane) -> SymplecticForm:
@@ -121,10 +126,11 @@ def constraint_reduce(e: AlgebraElement, plane, extra_degree: int = 2
 
     The module is spanned by normal forms of  x^w . xi^p . g . xi^u  over
     all constraint generators g, coordinate monomials x^w up to the input's
-    coordinate degree plus ``extra_degree``, and differential words padding
-    g to the input's differential degree.  The margin covers relations that
-    only appear after the central quotient trades a coordinate pair for the
-    radius symbol.  Identity on planes without constraints.
+    coordinate degree plus ``extra_degree``, and normal differential words
+    padding g to the input's differential degree.  The margin covers
+    relations that only appear after the central quotient trades a
+    coordinate pair for the radius symbol.  Identity on planes without
+    constraints.
     """
     if not plane.constraint_forms or e.is_zero():
         return e
@@ -153,15 +159,11 @@ def _constraint_span(plane, xi_degree, coord_bound):
         return cache[key]
     sys = plane.system
     cores = [core.terms for core in _constraint_cores(plane, xi_degree)]
-    basis = []
-    for row in echelon(cores, sys.word_key).values():
-        parts = []
-        for word, c in row.items():
-            head, tail, _ = ncalg.blocks(word)
-            parts.append((head, tail, c))
-        basis.append(parts)
+    # each row as (coordinate head, differential tail, c) per word
+    basis = [[ncalg.blocks(word)[:2] + (c,) for word, c in row.items()]
+             for row in echelon(cores, sys.word_key).values()]
     gens = []
-    for w in _normal_coord_words(plane, coord_bound):
+    for w in ncalg.normal_words(sys, COORD, coord_bound):
         for parts in basis:
             terms = {}
             for head, tail, c in parts:
@@ -176,44 +178,19 @@ def _constraint_span(plane, xi_degree, coord_bound):
 
 def _constraint_cores(plane, xi_degree):
     """The nonzero nf(p * g * u) over the constraint forms g and the
-    differential words p, u that pad g to ``xi_degree``."""
+    normal differential words p, u that pad g to ``xi_degree``.  Other
+    padding words add nothing, as nf(p * g * u) = nf(nf(p) * g * u)."""
     sys = plane.system
     for form in plane.constraint_forms:
         pad = xi_degree - form.degree
-        for split in range(pad + 1):
-            for prefix in _diff_words(plane, split):
-                for suffix in _diff_words(plane, pad - split):
-                    core = sys.normal_form(
-                        AlgebraElement.from_word(prefix).concat(
-                            form.body).concat(
-                                AlgebraElement.from_word(suffix)))
-                    if not core.is_zero():
-                        yield core
-
-
-def _normal_coord_words(plane, max_degree):
-    sys = plane.system
-    out = [()]
-    frontier = [()]
-    for _ in range(max_degree):
-        nxt = []
-        for w in frontier:
-            for g in plane.coordinate_generators():
-                cand = w + (g,)
-                nf = sys.reduce_word(cand)
-                if list(nf.terms) == [cand]:
-                    nxt.append(cand)
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
-def _diff_words(plane, length):
-    gens = [gen(DIFF, i) for i in range(1, plane.dimension + 1)]
-    words = [()]
-    for _ in range(length):
-        words = [w + (g,) for w in words for g in gens]
-    return words
+        words = ncalg.normal_words(sys, DIFF, pad)
+        for prefix in words:
+            for suffix in (u for u in words if len(prefix) + len(u) == pad):
+                core = sys.normal_form(
+                    AlgebraElement.from_word(prefix).concat(
+                        form.body).concat(AlgebraElement.from_word(suffix)))
+                if not core.is_zero():
+                    yield core
 
 
 def _reduce_against_span(e, span, sys):
@@ -245,27 +222,39 @@ def is_nondegenerate(omega: SymplecticForm, plane, max_degree: int = 1):
     ``max_degree``.
     """
     system = _system(omega, plane, max_degree)
-    reduced, pivots = _rref_columns(system.columns, plane.system)
-    free = [j for j in range(len(system.variables)) if j not in pivots]
-    if not free:
-        return True, None
-    return False, _kernel_vector(reduced, pivots, free[0], system.variables)
+    kernel = _kernel(system.columns, system.variables, plane.system)
+    return (False, kernel[0]) if kernel else (True, None)
 
 
 def _ansatz(plane, max_degree):
     # low-degree unknowns first: the rref particular (free variables zero)
     # then concentrates on minimal-degree coefficients
-    words = _normal_coord_words(plane, max_degree)
-    variables = [(j, w) for j in range(1, plane.dimension + 1)
-                 for w in words]
-    variables.sort(key=lambda t: (len(t[1]),
-                                  plane.system.word_key(t[1]), t[0]))
-    return variables
+    words = ncalg.normal_words(plane.system, COORD, max_degree)
+    key = plane.system.word_key  # shortest words first
+    return sorted(((j, w) for j in range(1, plane.dimension + 1)
+                   for w in words), key=lambda t: (key(t[1]), t[0]))
+
+
+def _contract(field, omega, plane):
+    """The body of scale * (X~|omega): the sum of nf(f_j * C_j) over the
+    components f_j d_j of X (see the module docstring)."""
+    sys = plane.system
+    if omega._contractions is None:
+        omega._contractions = {
+            j: one_form_body(qcalc.contract(
+                VectorField.basis(j), omega.tensor, sys)).scale(omega.scale)
+            for j in range(1, plane.dimension + 1)}
+    out = {}
+    for j, f in field.components.items():
+        product = f.concat(omega._contractions[j])
+        for w, c in sys.normal_form(product).terms.items():
+            ncalg.add_term(out, w, c)
+    return AlgebraElement(out)
 
 
 # The map X -> X~|omega on one bounded ansatz: ``variables`` lists the
 # unknowns (direction j, coefficient word w), ``columns`` the one-form
-# bodies scale * (w d_j)~|tensor, ``reduced`` the same modulo the
+# bodies nf(w * C_j) (see ``_contract``), ``reduced`` the same modulo the
 # constraint module, and ``kernel`` the kernel basis of ``reduced``, a
 # tuple every report at this degree bound shares.
 _HamiltonianSystem = namedtuple("_HamiltonianSystem",
@@ -277,17 +266,11 @@ def _system(omega, plane, max_degree):
     system = omega._systems.get(max_degree)
     if system is not None:
         return system
-    sys = plane.system
     variables = _ansatz(plane, max_degree)
-    columns = []
-    for j, w in variables:
-        field = VectorField.basis(j, AlgebraElement.from_word(w))
-        body = one_form_body(qcalc.contract(field, omega.tensor, sys))
-        columns.append(sys.normal_form(body).scale(omega.scale))
+    columns = [_contract(VectorField.basis(j, AlgebraElement.from_word(w)),
+                         omega, plane) for j, w in variables]
     reduced = [constraint_reduce(col, plane) for col in columns]
-    rref, pivots = _rref_columns(reduced, sys)
-    kernel = tuple(_kernel_vector(rref, pivots, fc, variables)
-                   for fc in range(len(variables)) if fc not in pivots)
+    kernel = _kernel(reduced, variables, plane.system)
     system = _HamiltonianSystem(variables, columns, reduced, kernel)
     omega._systems[max_degree] = system
     return system
@@ -327,13 +310,16 @@ def _solve_columns(columns, targets, sys):
             for b in range(last, last + len(targets))]
 
 
-def _kernel_vector(reduced, pivots, free_col, variables):
-    coeffs = {free_col: scalar.ONE}
-    for r, p in enumerate(pivots):
-        v = reduced[r].get(free_col)
-        if v is not None:
-            coeffs[p] = -v
-    return _field(variables, coeffs.items())
+def _kernel(columns, variables, sys):
+    """The kernel basis of the map with these columns, as a tuple of
+    fields: one per free column, with its unknown 1 and every other free
+    unknown 0."""
+    reduced, pivots = _rref_columns(columns, sys)
+    return tuple(
+        _field(variables, [(free, scalar.ONE)] + [
+            (p, -reduced[r][free]) for r, p in enumerate(pivots)
+            if free in reduced[r]])
+        for free in range(len(variables)) if free not in pivots)
 
 
 def _field(variables, coeffs):
@@ -354,8 +340,7 @@ def _field(variables, coeffs):
 # Solution set of X~|omega = -df within a coefficient-degree bound:
 # ``status`` is "unique", "family" or "none", and ``kernel_basis`` is the
 # tuple every report at this degree bound shares.
-SolveReport = namedtuple("SolveReport",
-                         "status particular kernel_basis degree_bound")
+SolveReport = namedtuple("SolveReport", "status particular kernel_basis")
 
 
 def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
@@ -384,7 +369,7 @@ def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
             scalar.MINUS_ONE))
     solutions = _solve_columns(system.reduced, targets, sys)
     if solutions is None:
-        return SolveReport("none", None, (), max_degree)
+        return SolveReport("none", None, ())
     particular = _field(system.variables,
                         [pv for solution in solutions for pv in solution])
     kernel = system.kernel
@@ -392,7 +377,7 @@ def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
         particular = _prefer_conserving(f, particular, kernel, plane)
     status = "unique" if not kernel else "family"
     _check_residual(f, particular, omega, plane, max_degree)
-    return SolveReport(status, particular, kernel, max_degree)
+    return SolveReport(status, particular, kernel)
 
 
 def _prefer_conserving(f, particular, kernel, plane):
@@ -400,15 +385,14 @@ def _prefer_conserving(f, particular, kernel, plane):
 
     A Hamiltonian should be a constant of its own motion; when the kernel
     of the contraction map allows it, shift the particular solution so that
-    applying it to f gives zero.  Unreachable shifts leave the rref
-    particular unchanged.
+    applying it to f, which is in normal form, gives zero.  Unreachable
+    shifts leave the rref particular unchanged.
     """
     sys = plane.system
-    f_nf = sys.normal_form(f)
-    base = qcalc.apply_field(particular, f_nf, sys)
+    base = qcalc.apply_field(particular, f, sys)
     if base.is_zero():
         return particular
-    actions = [qcalc.apply_field(z, f_nf, sys) for z in kernel]
+    actions = [qcalc.apply_field(z, f, sys) for z in kernel]
     solutions = _solve_columns(actions, [-base], sys)
     if solutions is None:
         return particular  # inconsistent: no conserving representative
@@ -420,9 +404,7 @@ def _prefer_conserving(f, particular, kernel, plane):
 
 def _check_residual(f, field, omega, plane, max_degree):
     sys = plane.system
-    lhs = one_form_body(qcalc.contract(field, omega.tensor, sys))
-    residual = (sys.normal_form(lhs).scale(omega.scale)
-                + qcalc.d_function(f, sys).body)
+    residual = _contract(field, omega, plane) + qcalc.d_function(f, sys).body
     # at the solver's own multiplier bound first, and at a wider one only
     # when that leaves a remainder: a span grows with its bound, so a
     # residual that vanishes at the first vanishes at the second, and a
@@ -458,7 +440,7 @@ def bracket_from_field(field: VectorField, g: AlgebraElement, plane
                        ) -> AlgebraElement:
     """[f, g] = -X_f(g), given the Hamiltonian field X_f of f."""
     value = qcalc.apply_field(field, plane.nf(g), plane.system)
-    return plane.nf(value.scale(scalar.MINUS_ONE))
+    return value.scale(scalar.MINUS_ONE)
 
 
 def equations_of_motion(h: AlgebraElement, omega: SymplecticForm, plane,

@@ -67,8 +67,8 @@ def test_criterion_2_spectral():
 
 
 def test_criterion_3_consistency():
-    gl2_ok = all(wz_conditions(GL2.b, GL2.c, GL2.d, GL2.b).values())
-    orth3_ok = all(wz_conditions(ORTH3.b, ORTH3.c, ORTH3.d, ORTH3.b).values())
+    gl2_ok = all(wz_conditions(GL2.b, GL2.c, GL2.d).values())
+    orth3_ok = all(wz_conditions(ORTH3.b, ORTH3.c, ORTH3.d).values())
     table = from_exprs(fixtures.D_ORTH3_TABLE, 3)
     typos = []
     for rr in range(9):

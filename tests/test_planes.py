@@ -68,7 +68,7 @@ def _derivation_verdicts(plane):
     braid relation, minimal polynomial, consistency conditions."""
     r = plane.r_matrix
     return (check_ybe(r), check_min_poly(r, plane.eigenvalues),
-            all(wz_conditions(plane.b, plane.c, plane.d, plane.b).values()))
+            all(wz_conditions(plane.b, plane.c, plane.d).values()))
 
 
 def test_builtin_invariants():

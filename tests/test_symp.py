@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from qplane import cli, fixtures, planes, qcalc, scalar, symp
+from conftest import glq_plane_document
+from qplane import cli, fixtures, ncalg, planes, qcalc, scalar, symp
 from qplane.linalg import rref_rows
-from qplane.ncalg import DIFF, AlgebraElement, gen
+from qplane.ncalg import COORD, DERIV, DIFF, AlgebraElement, NcalgError, gen
 from qplane.qcalc import TensorForm, VectorField, WedgeForm, one_form_body
 from qplane.scalar import parse_scalar
 from qplane.symp import (
@@ -292,7 +293,7 @@ def _augmented_kernel(f, omega, plane, max_degree):
                if w in col.terms} for w in rows]
     reduced, pivots = rref_rows(matrix, len(columns) + 1)
     assert len(variables) not in pivots
-    return [symp._kernel_vector(reduced, pivots, fc, variables)
+    return [_kernel_vector(reduced, pivots, fc, variables)
             for fc in range(len(variables)) if fc not in pivots]
 
 
@@ -337,13 +338,13 @@ def _echelonized_span(plane, xi_degree, coord_bound):
     Gauss-Jordan reduced one at a time, each new row back-substituted
     into the rows before it."""
     sys = plane.system
-    coords = symp._normal_coord_words(plane, coord_bound)
+    coords = _trial_normal_words(plane.system, COORD, coord_bound)
     gens = []
     for form in plane.constraint_forms:
         pad = xi_degree - form.degree
         for split in range(pad + 1):
-            for prefix in symp._diff_words(plane, split):
-                for suffix in symp._diff_words(plane, pad - split):
+            for prefix in _diff_words(plane, split):
+                for suffix in _diff_words(plane, pad - split):
                     core = AlgebraElement.from_word(prefix).concat(
                         form.body).concat(AlgebraElement.from_word(suffix))
                     for w in coords:
@@ -395,8 +396,9 @@ def test_constraint_span_matches_echelonize_on_the_sphere_document():
 
 
 def test_constraint_span_extends_a_basis_of_its_cores(monkeypatch):
-    # at k = 3 the 27 cores nf(p * g * u) have a basis of 7 rows, so the
-    # span at bound 6 eliminates 7 x 49 generators, not 27 x 49
+    # at k = 3 the 21 cores nf(p * g * u) over normal padding words p, u
+    # have a basis of 7 rows, so the span at bound 6 eliminates 7 x 49
+    # generators, not 21 x 49
     sizes = []
     echelon = symp.echelon
 
@@ -408,8 +410,8 @@ def test_constraint_span_extends_a_basis_of_its_cores(monkeypatch):
     monkeypatch.setattr(symp, "echelon", counting)
     fresh = planes._replace(SPHERE)
     span = symp._constraint_span(fresh, 3, 6)
-    assert len(symp._normal_coord_words(SPHERE, 6)) == 49
-    assert sizes == [27, 7 * 49]
+    assert len(ncalg.normal_words(SPHERE.system, COORD, 6)) == 49
+    assert sizes == [21, 7 * 49]
     assert len(span) == 224
 
 
@@ -521,6 +523,8 @@ def test_one_solve_matches_per_component_reference(plane, omega, fixed,
 
 
 def test_nondegeneracy_and_solve_contract_each_variable_once(monkeypatch):
+    # a form contracts omega with its n coordinate fields d_j, once; every
+    # ansatz column and every residual is read off those contractions
     calls = []
     contract = qcalc.contract
 
@@ -531,11 +535,26 @@ def test_nondegeneracy_and_solve_contract_each_variable_once(monkeypatch):
     monkeypatch.setattr(qcalc, "contract", counted)
     omega = symp.build_symplectic_form(SPHERE)
     assert is_nondegenerate(omega, SPHERE, 2)[0]
-    variables = symp._system(omega, SPHERE, 2).variables
-    assert len(calls) == len(variables)
-    hamiltonian_vector_field(SPHERE.parse("x0"), omega, SPHERE, 2)
-    # the residual check contracts the solved field once
-    assert len(calls) == len(variables) + 1
+    assert calls == [VectorField.basis(j) for j in (1, 2, 3)]
+    for degree in (1, 2, 3):
+        hamiltonian_vector_field(SPHERE.parse("x0"), omega, SPHERE, degree)
+    assert len(calls) == 3
+
+
+def test_sphere_system_splits_each_contraction_word_once(monkeypatch):
+    # the degree-3 system moves each d_j through the form's coordinate
+    # words once: 3 directions x 3 words
+    splits = []
+    split = ncalg.derivative_split
+
+    def counted(i, f, sys):
+        splits.append((i, f))
+        return split(i, f, sys)
+
+    monkeypatch.setattr(ncalg, "derivative_split", counted)
+    omega = symp.build_symplectic_form(SPHERE)
+    symp._system(omega, SPHERE, 3)
+    assert len(splits) == len(set(splits)) == 9
 
 
 # -- one form per plane value ---------------------------------------------------
@@ -582,3 +601,132 @@ def test_symplectic_form_that_fails_raises_the_same_text_each_call():
                 symplectic_form(plane)
             assert str(err.value) == text
             assert type(err.value) is SympError
+            # a failing read stores nothing on the plane
+            assert "symplectic" not in vars(plane)
+
+
+# -- the retired builders, as references ----------------------------------------
+
+def _trial_normal_words(sys, kind, max_degree):
+    """The former normal-word lister, for words of one kind: the normal
+    words up to ``max_degree``, by reducing every candidate word."""
+    out = [()]
+    frontier = [()]
+    for _ in range(max_degree):
+        nxt = []
+        for w in frontier:
+            for g in sys.generators(kinds=(kind,)):
+                cand = w + (g,)
+                nf = sys.reduce_word(cand)
+                if list(nf.terms) == [cand]:
+                    nxt.append(cand)
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def _diff_words(plane, length):
+    """All n^length differential words."""
+    gens = [gen(DIFF, i) for i in range(1, plane.dimension + 1)]
+    words = [()]
+    for _ in range(length):
+        words = [w + (g,) for w in words for g in gens]
+    return words
+
+
+def _kernel_vector(reduced, pivots, free_col, variables):
+    coeffs = {free_col: scalar.ONE}
+    for r, p in enumerate(pivots):
+        v = reduced[r].get(free_col)
+        if v is not None:
+            coeffs[p] = -v
+    return symp._field(variables, coeffs.items())
+
+
+def _per_variable_columns(omega, plane, variables):
+    """scale * (w d_j)~|omega, contracted afresh for each unknown (j, w)."""
+    sys = plane.system
+    columns = []
+    for j, w in variables:
+        field = VectorField.basis(j, AlgebraElement.from_word(w))
+        body = one_form_body(qcalc.contract(field, omega.tensor, sys))
+        columns.append(sys.normal_form(body).scale(omega.scale))
+    return columns
+
+
+def _reference_kernel(columns, variables, sys):
+    reduced, pivots = symp._rref_columns(columns, sys)
+    return tuple(_kernel_vector(reduced, pivots, fc, variables)
+                 for fc in range(len(variables)) if fc not in pivots)
+
+
+def _glq3_with_a_form():
+    doc = glq_plane_document(3, [2, 0, 1])
+    doc["symplectic"] = {"form": "d(a)*d(b) + c*d(b)*d(c)", "scale": "2"}
+    return planes.load_plane(json.dumps(doc))
+
+
+CONTRACTION_PLANES = {
+    "gl2": lambda: GL2,
+    "sphere_qm1": lambda: SPHERE,
+    "sphere-doc@generic": lambda: _sphere_document_plane(q="generic"),
+    "sphere-doc@q=2i": lambda: _sphere_document_plane(q="2*i"),
+    "sphere-doc@q=1": lambda: _sphere_document_plane(q="1"),
+    "glq3-perm201": _glq3_with_a_form,
+}
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("name", CONTRACTION_PLANES)
+def test_contraction_map_matches_the_retired_builders(name, degree):
+    # columns from the n coordinate contractions, kernels from the one
+    # kernel routine and spans from normal padding words, each against the
+    # builder it replaced; the sphere document at generic q and q = 2i has
+    # no braiding for its form, so only its spans are compared
+    plane = planes._replace(CONTRACTION_PLANES[name]())
+    sys = plane.system
+    for k in (1, 2, 3):
+        assert symp._constraint_span(plane, k, degree + 2) == \
+            _echelonized_span(plane, k, degree + 2), k
+    if name in ("sphere-doc@generic", "sphere-doc@q=2i"):
+        with pytest.raises(SympError):
+            symplectic_form(plane)
+        return
+    omega = symplectic_form(plane)
+    system = symp._system(omega, plane, degree)
+    words = _trial_normal_words(sys, COORD, degree)
+    assert sorted(system.variables) == sorted(
+        (j, w) for j in range(1, plane.dimension + 1) for w in words)
+    columns = _per_variable_columns(omega, plane, system.variables)
+    assert system.columns == columns
+    reduced = [constraint_reduce(col, plane) for col in columns]
+    assert system.reduced == reduced
+    assert system.kernel == _reference_kernel(reduced, system.variables, sys)
+    kernel = _reference_kernel(columns, system.variables, sys)
+    assert is_nondegenerate(omega, plane, degree) == (
+        (False, kernel[0]) if kernel else (True, None))
+
+
+@pytest.mark.parametrize("name", ["gl2", "orth3", "sphere_qm1",
+                                  "glq3-perm201"])
+def test_normal_words_equal_trial_reduction(name):
+    plane = (_glq3_with_a_form() if name == "glq3-perm201"
+             else planes.builtin_plane(name))
+    sys = plane.system
+
+    def outcome(words, *args):
+        try:
+            return words(*args)
+        except NcalgError as exc:
+            return str(exc)
+
+    for kind in (COORD, DIFF, DERIV):
+        assert ncalg.normal_words(sys, kind, 4) == \
+            _trial_normal_words(sys, kind, 4), kind
+        # a bound above the cap raises the reduction's cap error once a
+        # normal word would exceed it
+        args = (sys.capped(3), kind, 5)
+        assert outcome(ncalg.normal_words, *args) == \
+            outcome(_trial_normal_words, *args), kind
+    assert outcome(ncalg.normal_words, sys.capped(3), COORD, 5) == \
+        "word of degree 4 exceeds the cap 3"
