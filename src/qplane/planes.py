@@ -9,8 +9,11 @@ derivation of its braid matrix:
    Q, which B therefore holds; the Wess-Zumino F is B on both families;
    neither Q nor F is stored), checks them against the consistency system
    and turns them into the rewrite rule set, which holds the monomial
-   order (``system.ranks``).  The result is a generic plane; its
-   ``generic`` field is the plane itself.
+   order (``system.ranks``).  The coordinate rules must leave as many
+   normal words of degree 2 and 3 as commuting coordinates have: a
+   family-B plane whose declared lambda1 has an empty eigenspace has no
+   coordinate relations, and fails here.  The result is a generic plane; its ``generic`` field is
+   the plane itself.
 2. Specialization (:func:`_specialize`) evaluates the generic matrices at
    a numeric q, refusing a pole; the generic checks (braid relation,
    minimal polynomial, consistency conditions) hold there too, since
@@ -60,6 +63,7 @@ calculus by :func:`verify_reference_relations`.
 from __future__ import annotations
 
 import json
+import math
 from collections import namedtuple
 from functools import cached_property
 
@@ -369,6 +373,7 @@ def _derive_generic(name, dimension, generator_names, family, r,
             f"plane {name}: consistency conditions failed: {bad}")
     system = ncalg.build_rewrite_system(
         dimension, generator_names, _family_ranks(dimension, family), b, c, d)
+    _check_word_counts(name, system)
     return PlaneSpec(name, dimension, generator_names, family, r,
                      eigenvalues, b, c, d, system, gamma_policy)
 
@@ -383,6 +388,23 @@ def _validate_structure(name, r, eigenvalues):
         raise PlaneVerificationError(
             f"plane {name}: minimal polynomial with the declared "
             "eigenvalues does not annihilate the r_matrix")
+
+
+def _check_word_counts(name, system):
+    """Raise unless the coordinate relations leave as many normal words of
+    degree 2 and 3 as commuting coordinates have, C(n+1, 2) and C(n+2, 3).
+    The count looks up adjacent letter pairs and reduces nothing
+    (``ncalg.normal_words``)."""
+    n = system.dimension
+    counts = [0] * 4
+    for w in ncalg.normal_words(system, COORD, 3):
+        counts[len(w)] += 1
+    want = (math.comb(n + 1, 2), math.comb(n + 2, 3))
+    if (counts[2], counts[3]) != want:
+        raise PlaneVerificationError(
+            f"plane {name}: the coordinate relations leave {counts[2]} "
+            f"normal words of degree 2 and {counts[3]} of degree 3, where "
+            f"commuting coordinates have {want[0]} and {want[1]}")
 
 
 def _family_ranks(dimension, family):

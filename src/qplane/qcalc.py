@@ -136,17 +136,32 @@ def one_form_body(t: TensorForm) -> AlgebraElement:
 # Exterior differential
 # ---------------------------------------------------------------------------
 
-def d_function(f: AlgebraElement, sys: RewriteSystem) -> WedgeForm:
-    """d f = sum_i xi_i . (d_i f), normal-ordered to functions-left form."""
+def derivative_actions(f: AlgebraElement, directions, sys: RewriteSystem):
+    """{i: the action of d_i on f} for each direction i of ``directions``,
+    each read off one ``ncalg.derivative_split``.  d f
+    (:func:`d_of_actions`) and X(f) (:func:`apply_to_actions`) are built
+    from these."""
     if not f.is_pure(COORD):
-        raise QcalcError("d_function expects a pure coordinate element")
+        raise QcalcError("derivatives act on pure coordinate elements only")
+    return {i: ncalg.derivative_split(i, f, sys)[0] for i in directions}
+
+
+def d_of_actions(actions, sys: RewriteSystem) -> AlgebraElement:
+    """The body of d f = sum_i xi_i . (d_i f), normal-ordered to
+    functions-left form, from f's ``derivative_actions``."""
     out = {}
-    for i in range(1, sys.dimension + 1):
-        action, _ = ncalg.derivative_split(i, f, sys)
+    for i, action in actions.items():
         xi = AlgebraElement.from_word((gen(DIFF, i),))
         for w, c in sys.normal_form(xi.concat(action)).terms.items():
             ncalg.add_term(out, w, c)
-    return WedgeForm(1, AlgebraElement(out))
+    return AlgebraElement(out)
+
+
+def d_function(f: AlgebraElement, sys: RewriteSystem) -> WedgeForm:
+    """d f = sum_i xi_i . (d_i f), normal-ordered to functions-left form."""
+    directions = range(1, sys.dimension + 1)
+    return WedgeForm(1, d_of_actions(derivative_actions(f, directions, sys),
+                                     sys))
 
 
 def d_form(omega: WedgeForm, sys: RewriteSystem) -> WedgeForm:
@@ -247,11 +262,16 @@ def contract(x: VectorField, t: TensorForm, sys: RewriteSystem) -> TensorForm:
 def apply_field(x: VectorField, f: AlgebraElement, sys: RewriteSystem
                 ) -> AlgebraElement:
     """X(f) = sum coeff . (d_direction f), a pure coordinate element."""
-    if not f.is_pure(COORD):
-        raise QcalcError("apply_field expects a pure coordinate element")
+    return apply_to_actions(x, derivative_actions(f, x.components, sys),
+                            sys)
+
+
+def apply_to_actions(x: VectorField, actions, sys: RewriteSystem
+                     ) -> AlgebraElement:
+    """X(f) from f's ``derivative_actions`` in (at least) the directions
+    of X."""
     out = {}
     for i, coeff in x.components.items():
-        action, _ = ncalg.derivative_split(i, f, sys)
-        for w, c in sys.normal_form(coeff.concat(action)).terms.items():
+        for w, c in sys.normal_form(coeff.concat(actions[i])).terms.items():
             ncalg.add_term(out, w, c)
     return AlgebraElement(out)

@@ -36,7 +36,11 @@ also keeps one ``_HamiltonianSystem`` per bound: the columns nf(w * C_j)
 over the ansatz unknowns w d_j, the same modulo the constraint module, and
 the kernel of that map.  One routine reads a kernel off an rref:
 ``is_nondegenerate`` the unreduced columns', the system the reduced ones'.
-Each field is one elimination against the reduced columns.
+Each field is one elimination against the reduced columns.  A solve
+splits each homogeneous component of f once per direction
+(``qcalc.derivative_actions``): those actions give the component's
+target, and their sums, the actions of d_i on f and the body of d f, are
+what the conserving choice and the residual read.
 """
 
 from __future__ import annotations
@@ -353,6 +357,12 @@ def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
     one of -df.  Each target column is kept homogeneous because a scalar
     holds one power of the sphere's radius symbol, so a row operation on
     a column that mixes degrees there can fail to add.
+
+    Each component is split once per direction: its actions give its
+    target, and, as d_i is linear, their sums give d_i f and the d f
+    that the conserving choice and the residual read.  Those sums are
+    taken only when read, so a system with no solution adds nothing
+    across components.
     """
     sys = plane.system
     if not f.is_pure(COORD):
@@ -360,13 +370,15 @@ def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
                         "coordinate element")
     f = sys.normal_form(f)
     system = _system(omega, plane, max_degree)
-    targets = []
+    directions = range(1, plane.dimension + 1)
+    actions, bodies = [], []
     for n in sorted({len(w) for w in f.terms}):
         part = AlgebraElement({w: c for w, c in f.terms.items()
                                if len(w) == n})
-        target = qcalc.d_function(part, sys).body
-        targets.append(constraint_reduce(target, plane).scale(
-            scalar.MINUS_ONE))
+        actions.append(qcalc.derivative_actions(part, directions, sys))
+        bodies.append(qcalc.d_of_actions(actions[-1], sys))
+    targets = [constraint_reduce(body, plane).scale(scalar.MINUS_ONE)
+               for body in bodies]
     solutions = _solve_columns(system.reduced, targets, sys)
     if solutions is None:
         return SolveReport("none", None, ())
@@ -374,26 +386,31 @@ def hamiltonian_vector_field(f: AlgebraElement, omega: SymplecticForm,
                         [pv for solution in solutions for pv in solution])
     kernel = system.kernel
     if kernel:
-        particular = _prefer_conserving(f, particular, kernel, plane)
+        zero = AlgebraElement.zero()
+        f_actions = {i: sum((a[i] for a in actions), zero)
+                     for i in directions}
+        particular = _prefer_conserving(f_actions, particular, kernel, plane)
     status = "unique" if not kernel else "family"
-    _check_residual(f, particular, omega, plane, max_degree)
+    _check_residual(sum(bodies, AlgebraElement.zero()), particular, omega,
+                    plane, max_degree)
     return SolveReport(status, particular, kernel)
 
 
-def _prefer_conserving(f, particular, kernel, plane):
+def _prefer_conserving(f_actions, particular, kernel, plane):
     """Canonical representative of a solution family: make X_f(f) vanish.
 
     A Hamiltonian should be a constant of its own motion; when the kernel
     of the contraction map allows it, shift the particular solution so that
-    applying it to f, which is in normal form, gives zero.  Unreachable
-    shifts leave the rref particular unchanged.
+    applying it to f gives zero.  Each field is applied to f through f's
+    ``qcalc.derivative_actions``, ``f_actions``.  Unreachable shifts leave
+    the rref particular unchanged.
     """
     sys = plane.system
-    base = qcalc.apply_field(particular, f, sys)
+    base = qcalc.apply_to_actions(particular, f_actions, sys)
     if base.is_zero():
         return particular
-    actions = [qcalc.apply_field(z, f, sys) for z in kernel]
-    solutions = _solve_columns(actions, [-base], sys)
+    images = [qcalc.apply_to_actions(z, f_actions, sys) for z in kernel]
+    solutions = _solve_columns(images, [-base], sys)
     if solutions is None:
         return particular  # inconsistent: no conserving representative
     shifted = particular
@@ -402,9 +419,11 @@ def _prefer_conserving(f, particular, kernel, plane):
     return shifted
 
 
-def _check_residual(f, field, omega, plane, max_degree):
+def _check_residual(df, field, omega, plane, max_degree):
+    """Raise unless ``field`` contracts omega to -d f, given the body
+    ``df`` of d f, modulo the constraint module."""
     sys = plane.system
-    residual = _contract(field, omega, plane) + qcalc.d_function(f, sys).body
+    residual = _contract(field, omega, plane) + df
     # at the solver's own multiplier bound first, and at a wider one only
     # when that leaves a remainder: a span grows with its bound, so a
     # residual that vanishes at the first vanishes at the second, and a

@@ -404,6 +404,24 @@ def test_load_plane_wrong_minimal_polynomial():
         load_plane(json.dumps(doc))
 
 
+def test_plane_without_the_commutative_word_count_is_refused():
+    # FRT Sp_q(2) declared as family B: the declared -q^-1 has an empty
+    # eigenspace, so the rules are those of the free algebra, with 4 and 8
+    # normal words of degree 2 and 3 where commuting x, y have 3 and 4
+    doc = gl2_doc(name="spq2", family="B", gamma="auto",
+                  r_matrix=[["q", "0", "0", "0"],
+                            ["0", "q - q^-3", "q^-1", "0"],
+                            ["0", "q^-1", "0", "0"],
+                            ["0", "0", "0", "q"]],
+                  eigenvalues={"lambda0": "-q^-3", "lambda1": "-q^-1",
+                               "lambda2": "q"})
+    with pytest.raises(PlaneVerificationError,
+                       match="leave 4 normal words of degree 2 and 8 of "
+                             "degree 3, where commuting coordinates have "
+                             "3 and 4"):
+        load_plane(json.dumps(doc))
+
+
 def test_reserved_generator_names_rejected():
     with pytest.raises(PlaneError, match="reserved"):
         load_plane(json.dumps(gl2_doc(generators=["q", "y"])))

@@ -473,7 +473,14 @@ def _per_component_reference(f, omega, plane, max_degree):
     kernel = _augmented_kernel(AlgebraElement.zero(), omega, plane,
                                max_degree)
     if kernel:
-        particular = symp._prefer_conserving(f, particular, kernel, plane)
+        # the conserving shift: make X(f) vanish when the kernel allows it
+        base = qcalc.apply_field(particular, f, sys)
+        if not base.is_zero():
+            images = [qcalc.apply_field(z, f, sys) for z in kernel]
+            shift = symp._solve_columns(images, [-base], sys)
+            if shift is not None:
+                for p, t in shift[0]:
+                    particular = particular + kernel[p].scale(t)
     return ("family" if kernel else "unique"), particular, tuple(kernel)
 
 
@@ -539,6 +546,25 @@ def test_nondegeneracy_and_solve_contract_each_variable_once(monkeypatch):
     for degree in (1, 2, 3):
         hamiltonian_vector_field(SPHERE.parse("x0"), omega, SPHERE, degree)
     assert len(calls) == 3
+
+
+def test_solve_splits_each_component_of_f_once_per_direction(monkeypatch):
+    # the targets, the conserving choice and the residual read the same
+    # actions: 3 directions x 2 homogeneous components
+    omega = symp.build_symplectic_form(SPHERE)
+    f = SPHERE.parse("x0*x+ + x-")
+    hamiltonian_vector_field(f, omega, SPHERE, 3)  # warm: system built
+    splits = []
+    split = ncalg.derivative_split
+
+    def counted(i, f, sys):
+        splits.append((i, f))
+        return split(i, f, sys)
+
+    monkeypatch.setattr(ncalg, "derivative_split", counted)
+    report = hamiltonian_vector_field(f, omega, SPHERE, 3)
+    assert report.status == "family"  # the conserving choice ran
+    assert len(splits) == len(set(splits)) == 6
 
 
 def test_sphere_system_splits_each_contraction_word_once(monkeypatch):
