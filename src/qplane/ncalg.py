@@ -50,14 +50,27 @@ count drops on every exchange rule, degree drops on the inhomogeneous
 delta and quotient summands, and graded-lex rank drops on the same-kind
 reordering rules because derivation pivots on the largest monomial.
 
-Confluence is checked on critical pairs: every rule rewrites a two-letter
-word and no two rules share one, so the only ambiguities are three-letter
-overlaps, and ``confluence_selftest`` resolves each (Bergman's diamond
-lemma, Adv. Math. 29, 1978).  Open premise: the measure is not yet a
-semigroup order, so this is not yet a certificate of confluence.  The
-seeded random words it also checks depend only on the generator set, the
-sample count, the maximal length and the seed, so they are drawn once per
-such tuple and kept (a small bounded memo).
+Every rule is made by ``RewriteSystem._rule``, renormalized quotient rules
+included, and it refuses a rule l -> sum c_t t unless each term t has
+lower measure than l and letter kinds that are a sub-multiset of l's.
+Then the measure of a t b is below that of a l b for all words a and b:
+the cross inversions of t with a and with b are at most those of l; the
+length can only drop; and at equal inversions and equal length the kind
+multisets are equal, so graded-lex rank decides, and it is compatible
+with concatenation.  The closure of the rules under context is therefore
+a semigroup partial order with the descending chain condition, compatible
+with the rules.  Left sides have two letters and no two rules share one,
+so there are no inclusion ambiguities and the only ambiguities are the
+three-letter overlaps.  Bergman's diamond lemma (Adv. Math. 29, 1978,
+Theorem 1.2) then says: every overlap resolves if and only if every word
+has one normal form.  ``confluence_selftest`` resolves each overlap
+(``critical_words`` lists the words with two redexes), so a clean
+overlap check is a certificate and no sampled word can disagree; ``qplane
+verify`` reports it as ``certified: 111 critical pairs among 729 overlap
+words resolve`` on orth3.  The seeded random words it can also check
+depend only on the generator set, the sample count, the maximal length
+and the seed, so they are drawn once per such tuple and kept (a small
+bounded memo).
 
 There is one rewrite path.  ``reduce_word`` checks the degree cap and the
 cache; a word not cached goes to the module function ``_reduce``, which
@@ -278,6 +291,18 @@ class RewriteSystem:
 
     def add_rule(self, lhs, rhs: AlgebraElement):
         lhs = tuple(lhs)
+        self.rules[lhs] = self._rule(lhs, rhs)
+        self._cache = {}
+
+    def _rule(self, lhs, rhs):
+        """The rule lhs -> rhs, its rhs compiled against this system's
+        product memo.
+
+        Every rule is made here, renormalized ones included, so every rule
+        keeps the diamond lemma's premise (see the module docstring): each
+        right-hand term has lower measure than lhs, and letter kinds that
+        are a sub-multiset of lhs's.
+        """
         if lhs[0][0] < lhs[1][0]:
             # normal words are kind-sorted; so a coordinate head and a
             # differential tail reduce apart, which qplane.symp's
@@ -287,17 +312,14 @@ class RewriteSystem:
         lm = self.measure(lhs)
         for w in rhs.terms:
             if self.measure(w) >= lm:
-                raise NcalgError(
-                    f"rule {self.word_str(lhs)} -> {element_str(rhs, self)} "
-                    f"does not decrease the termination measure at word "
-                    f"{self.word_str(w)}"
-                )
-        self.rules[lhs] = self._rule(lhs, rhs)
-        self._cache = {}
-
-    def _rule(self, lhs, rhs):
-        """The rule lhs -> rhs, its rhs compiled against this system's
-        product memo."""
+                fault = "does not decrease the termination measure"
+            elif not _kinds_within(w, lhs):
+                fault = "has letter kinds that its left side lacks"
+            else:
+                continue
+            raise NcalgError(
+                f"rule {self.word_str(lhs)} -> {element_str(rhs, self)} "
+                f"{fault} at word {self.word_str(w)}")
         products = self._products
         return RewriteRule(lhs, rhs, tuple(
             (w, c, products.setdefault(c, {})) for w, c in rhs.terms.items()))
@@ -338,6 +360,17 @@ class RewriteSystem:
             for w2, v in self.reduce_word(w).terms.items():
                 add_term(out, w2, v * c)
         return _element(out)
+
+
+def _kinds_within(word, lhs) -> bool:
+    """True when the letter kinds of ``word`` are a sub-multiset of the
+    letter kinds of ``lhs``."""
+    rest = [g[0] for g in lhs]
+    for g in word:
+        if g[0] not in rest:
+            return False
+        rest.remove(g[0])
+    return True
 
 
 def _reduce(word, rules, cache) -> AlgebraElement:
@@ -575,18 +608,25 @@ def confluence_selftest(sys: RewriteSystem, sample_count=200, max_degree=5,
                         seed=0) -> ConfluenceReport:
     """Resolve every three-letter overlap, then seeded random words.
 
-    ``overlaps`` counts all n^3 three-letter words, but only those with
-    two redexes are reduced: no other word can disagree.
+    ``overlaps`` counts all n^3 three-letter words, but only the critical
+    pairs, those with two redexes, are reduced: no other word can
+    disagree.  With no mismatch among them, no sampled word can disagree
+    either (the diamond lemma, see the module docstring).
     """
     gens = tuple(sys.generators())
-    overlap_count = len(gens) ** 3
-    follows = {g: [h for h in gens if (g, h) in sys.rules] for g in gens}
-    words = [(g1, g2, g3) for g1 in gens for g2 in follows[g1]
-             for g3 in follows[g2]]
+    words = critical_words(sys)
     words += _sample_words(gens, sample_count, max_degree, seed)
     mismatches = [m for m in (_critical_pair_mismatch(sys, w) for w in words)
                   if m is not None]
-    return ConfluenceReport(sample_count, overlap_count, mismatches)
+    return ConfluenceReport(sample_count, len(gens) ** 3, mismatches)
+
+
+def critical_words(sys: RewriteSystem):
+    """The three-letter words with two redexes, the rules' critical pairs."""
+    gens = sys.generators()
+    follows = {g: [h for h in gens if (g, h) in sys.rules] for g in gens}
+    return [(g1, g2, g3) for g1 in gens for g2 in follows[g1]
+            for g3 in follows[g2]]
 
 
 @functools.lru_cache(maxsize=32)

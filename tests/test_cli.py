@@ -515,8 +515,8 @@ def test_twisted_gl2_document_verifies(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, "verify", "--plane", str(path))
     assert code == 0, err
-    assert "PASS relations/confluence: 200 random words, 216 overlap " \
-           "words, 0 mismatches" in out
+    assert "PASS relations/confluence: certified: 32 critical pairs among " \
+           "216 overlap words resolve" in out
 
 
 def _sphere_with(**changes):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -93,12 +94,42 @@ def test_ascending_kind_rule_rejected():
 
 
 def test_rule_left_sides_never_ascend_in_kind():
-    # every left side is same-kind or a kind inversion
+    # every left side is same-kind or a kind inversion, and every right
+    # term's letter kinds are a sub-multiset of its left side's: the
+    # sphere's renormalized quotient rules included
     glq = [planes.load_plane(json.dumps(glq_plane_document(n)))
            for n in (2, 3, 4)]
     for plane in [GL2, ORTH3, SPHERE] + glq:
-        for a, b in plane.system.rules:
+        for (a, b), rule in plane.system.rules.items():
             assert a[0] >= b[0], (plane.name, a, b)
+            kinds = Counter((a[0], b[0]))
+            for w in rule.rhs.terms:
+                assert not Counter(g[0] for g in w) - kinds, (plane.name, w)
+
+
+def test_rule_with_a_new_letter_kind_rejected():
+    # x_2 x_1 -> d(x_1) lowers the measure, but a term with a kind that
+    # its left side lacks would break the measure's compatibility with
+    # concatenation, on which the confluence certificate rests
+    sys = RewriteSystem(2, ("x", "y"), (1, 2))
+    with pytest.raises(NcalgError,
+                       match=r"rule y\*x -> d\(x\) has letter kinds .* "
+                             r"at word d\(x\)$"):
+        sys.add_rule((gen(COORD, 2), gen(COORD, 1)),
+                     AlgebraElement.from_word((gen(DIFF, 1),)))
+    assert not sys.rules
+
+
+def test_renormalized_rules_keep_the_premise():
+    # renormalize_rules makes its rules where add_rule does: a right-hand
+    # side that renormalizes to a term of another letter kind is refused
+    sys = RewriteSystem(2, ("x", "y"), (1, 2))
+    x, y, dx = gen(COORD, 1), gen(COORD, 2), gen(DERIV, 1)
+    sys.add_rule((y, x), AlgebraElement.from_word((x, y)))
+    sys.rules[dx, x] = ncalg.RewriteRule(
+        (dx, x), AlgebraElement.from_word((y, x)), ())
+    with pytest.raises(NcalgError, match=r"at word x\*y$"):
+        sys.renormalize_rules()
 
 
 def dense_rewrite_system(plane):
@@ -400,6 +431,37 @@ def _corrupted_gl2_system():
         (gen(COORD, 2), gen(DIFF, 2)), parse_scalar("1"))
     sys.add_rule(lhs, rhs)
     return sys
+
+
+def _glq_planes():
+    """GL_q(2..4) in every basis permutation and the twisted GL_q(3) in
+    both orders."""
+    docs = [glq_plane_document(n, list(perm)) for n in (2, 3, 4)
+            for perm in itertools.permutations(range(n))]
+    docs += [twisted_glq_document(3, reverse) for reverse in (False, True)]
+    return [planes.load_plane(json.dumps(doc)) for doc in docs]
+
+
+def test_clean_overlaps_leave_no_sampled_word_to_disagree():
+    # the diamond lemma: once every critical pair resolves, the seeded
+    # words that verify no longer reduces cannot disagree either
+    for plane in [GL2, ORTH3, SPHERE] + _glq_planes():
+        assert confluence_selftest(plane.system, sample_count=0).ok
+        for seed in (0, 3):
+            report = confluence_selftest(plane.system, sample_count=200,
+                                         max_degree=5, seed=seed)
+            assert report.ok, (plane.name, seed, report.mismatches[:1])
+
+
+def test_sphere_at_generic_q_keeps_its_sampled_mismatches():
+    # the failing case, whose report still reduces the seeded words
+    doc = json.loads(planes.serialize_plane(SPHERE))
+    doc["q"] = "generic"
+    sys = planes.load_plane(json.dumps(doc)).system
+    overlaps = confluence_selftest(sys, sample_count=0).mismatches
+    report = confluence_selftest(sys, sample_count=200, max_degree=5, seed=0)
+    assert len(overlaps) == 12 and len(report.mismatches) == 16
+    assert report.mismatches[:12] == overlaps
 
 
 def test_confluence_detects_corruption():
