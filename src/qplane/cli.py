@@ -5,8 +5,10 @@ only here.  Exit codes: 0 all checks pass, 1 verification or solve
 failure, 2 usage/parse/configuration error; 141 when stdout is closed
 before the output is written and 130 on an interrupt, each quietly.
 Findings (adjudicated discrepancies in the printed tables) exit 0 unless
---strict is given.  --degree takes an integer of at least 0 and
---max-degree one of at least 1; any other value is a usage error.
+--strict is given.  --degree, which verify, hamvec, bracket and eom take
+and nf does not, takes an integer of at least 0, and --max-degree one of
+at least 1; any other value is a usage error.  The cap bounds the call's
+own words, not the confluence check's.
 
 A plane exists only when its derivation checks hold (braid relation,
 minimal polynomial, consistency conditions, centrality of a quotient
@@ -32,7 +34,7 @@ import warnings
 from collections import namedtuple
 
 from . import __version__, fixtures, ncalg, planes, qcalc, scalar, symp
-from .linalg import WZ_CONDITIONS, clear_denominators, identity
+from .linalg import WZ_CONDITIONS, identity
 from .ncalg import AlgebraElement, NcalgError
 from .planes import PlaneError
 from .scalar import ScalarError
@@ -69,17 +71,14 @@ def _plane_from_arg(args):
 # ---------------------------------------------------------------------------
 
 def suite_ybe(plane):
-    # a plane is built only when its braid matrix passes both checks
+    # a plane is built only when its braid matrix passes both checks, and
+    # the minimal polynomial makes Q idempotent (planes._derive_generic)
     eigs = ", ".join(str(v) for v in plane.eigenvalues)
     checks = [Check("ybe/braid-relation", "pass",
                     "R12 R23 R12 == R23 R12 R23"),
               Check("ybe/minimal-polynomial", "pass", f"eigenvalues {eigs}")]
     if plane.family == "B":
-        # B = E - Q, and M = c*Q: Q*Q == Q exactly when M*M == c*M
-        m, c = clear_denominators(identity(plane.dimension) - plane.b)
-        ok = m * m == m.scale(c)
-        checks.append(Check("ybe/projector-idempotent",
-                            "pass" if ok else "fail", "Q*Q == Q"))
+        checks.append(Check("ybe/projector-idempotent", "pass", "Q*Q == Q"))
     return checks
 
 
@@ -157,20 +156,26 @@ def suite_relations(plane, seed=0):
 def _confluence_check(plane, seed):
     """Certified when every critical pair resolves: the rules keep the
     diamond lemma's premise, so no other word can disagree.  Only a
-    failing check also reduces the seeded words, which it reports."""
-    report = ncalg.confluence_selftest(plane.system, sample_count=0)
+    failing check also reduces the seeded words, which it reports.
+
+    Its words, of length 3 and up to 5, belong to the check, not to the
+    call, so a lower --max-degree cap does not apply to them: they are
+    reduced on a copy of the rules with a cap of at least 5.
+    """
+    system = plane.system.capped(max(plane.system.degree_cap, 5))
+    report = ncalg.confluence_selftest(system, sample_count=0)
     if report.ok:
         return Check("relations/confluence", "pass",
-                     f"certified: {len(ncalg.critical_words(plane.system))} "
+                     f"certified: {len(ncalg.critical_words(system))} "
                      f"critical pairs among {report.overlaps} overlap words "
                      "resolve")
-    report = ncalg.confluence_selftest(plane.system, sample_count=200,
+    report = ncalg.confluence_selftest(system, sample_count=200,
                                        max_degree=5, seed=seed)
     word, left, right = report.mismatches[0]
     return Check("relations/confluence", "fail",
                  f"{report.samples} random words, {report.overlaps} overlap "
                  f"words, {len(report.mismatches)} mismatches; first "
-                 f"{plane.system.word_str(word)}: leftmost redex first gives "
+                 f"{system.word_str(word)}: leftmost redex first gives "
                  f"{plane.show(left)}, last redex first gives "
                  f"{plane.show(right)}")
 
@@ -457,13 +462,14 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, degree=True):
         p.add_argument("--plane", required=True,
                        help="builtin name (gl2, orth3, sphere_qm1) or a "
                             "JSON configuration path")
-        p.add_argument("--degree", type=_int_from(0), default=1,
-                       help="vector-field coefficient degree bound, at "
-                            "least 0")
+        if degree:
+            p.add_argument("--degree", type=_int_from(0), default=1,
+                           help="vector-field coefficient degree bound, at "
+                                "least 0")
         p.add_argument("--max-degree", type=_int_from(1), default=None,
                        help="rewrite degree cap for this call, at least 1 "
                             "(default 16)")
@@ -482,7 +488,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("nf", help="normal form of an element")
-    common(p)
+    common(p, degree=False)
     p.add_argument("expression")
     p.set_defaults(func=cmd_nf)
 

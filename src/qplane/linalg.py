@@ -11,6 +11,18 @@ Yang-Baxter equation, minimal polynomials of R-matrices, the projector
 entering the B-family calculus, the Wess-Zumino consistency system, and
 the wedge-compatibility condition on the braiding of differentials.
 
+``wz_conditions`` evaluates all five consistency conditions on any three
+matrices B, C, D; acceptance criterion 3 and the corrupted-matrix tests
+call it.  A derivation needs only the two-leg condition
+(E - B)(E + C) = 0 (:func:`xi_compat`): its C is qR for an R that
+satisfies the braid relation, its D is C's exact inverse and its B is a
+polynomial in R, and from these the three triple-leg conditions follow
+(see :mod:`qplane.planes`).  Likewise ``check_min_poly`` implies
+Q Q = Q for every Q that ``projector_q`` returns: Q = L(R) with L the
+Lagrange polynomial of lambda1 on {lambda0, lambda1, lambda2}, and the
+minimal polynomial divides L^2 - L, whose roots hold every eigenvalue
+with at least its multiplicity, also when lambda0 = lambda2.
+
 A matrix product multiplies each distinct pair of entries once: canonical
 scalars are equal exactly when their values are, so a memo keyed on the
 two operands returns the same product as the multiplication it replaces.
@@ -368,15 +380,25 @@ def wz_conditions(b: LegMatrix, c: LegMatrix, d: LegMatrix):
     # conditions 2, 3 and 5 share the two triple-leg products of C
     c23c12 = c23 * c12
     c12c23 = c12 * c23
-    # conditions 1, 2 and 5 are linear in E-B, so they are checked on the
-    # denominator-cleared matrix (see clear_denominators)
+    wz1 = xi_compat(b, c)
+    # conditions 2 and 5 are linear in E-B: checked on the cleared matrix
     eb, _ = clear_denominators(e2 - b)
-    wz1 = (eb * (e2 + c)).is_zero()
     wz2 = embed(eb, "12") * c23c12 == c23c12 * embed(eb, "23")
     braid = (embed(d, "23") * c12c23) == (c12c23 * embed(d, "12"))
     wz3 = braid and (c * d) == e2 and (d * c) == e2
     wz5 = embed(eb, "23") * c12c23 == c12c23 * embed(eb, "12")
     return dict(zip(WZ_CONDITIONS, (wz1, wz2, wz3, wz1, wz5)))
+
+
+def xi_compat(b: LegMatrix, c: LegMatrix) -> bool:
+    """Conditions 1 and 4, (E-B)(E+C) = 0, one two-leg product.
+
+    It is linear in E-B, so it is checked on the denominator-cleared
+    matrix (see :func:`clear_denominators`).
+    """
+    e2 = identity(b.base_dim, 2)
+    eb, _ = clear_denominators(e2 - b)
+    return (eb * (e2 + c)).is_zero()
 
 
 def clear_denominators(m: LegMatrix):

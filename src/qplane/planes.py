@@ -9,11 +9,15 @@ derivation of its braid matrix:
    Q, which B therefore holds; the Wess-Zumino F is B on both families;
    neither Q nor F is stored), checks them against the consistency system
    and turns them into the rewrite rule set, which holds the monomial
-   order (``system.ranks``).  The coordinate rules must leave as many
-   normal words of degree 2 and 3 as commuting coordinates have: a
-   family-B plane whose declared lambda1 has an empty eigenspace has no
-   coordinate relations, and fails here.  The result is a generic plane; its ``generic`` field is
-   the plane itself.
+   order (``system.ranks``).  Of the five consistency conditions only
+   (E - B)(E + C) = 0 is evaluated: B is a polynomial in R, C = qR and
+   D = C^-1, so the braid relation, proved first, carries the three
+   triple-leg conditions, and the minimal polynomial carries Q Q = Q
+   (the argument is in :func:`_derive_generic`).  The coordinate rules
+   must leave as many normal words of degree 2 and 3 as commuting
+   coordinates have: a family-B plane whose declared lambda1 has an
+   empty eigenspace has no coordinate relations, and fails here.  The
+   result is a generic plane; its ``generic`` field is the plane itself.
 2. Specialization (:func:`_specialize`) evaluates the generic matrices at
    a numeric q, refusing a pole; the generic checks (braid relation,
    minimal polynomial, consistency conditions) hold there too, since
@@ -68,9 +72,9 @@ from collections import namedtuple
 from functools import cached_property
 
 from . import fixtures, ncalg, qcalc, scalar, symp
-from .linalg import LegMatrix, LinalgError, check_min_poly, check_ybe, \
-    echelon, from_exprs, identity, mat_inverse, projector_q, \
-    wedge_condition, wz_conditions
+from .linalg import WZ_CONDITIONS, LegMatrix, LinalgError, \
+    check_min_poly, check_ybe, echelon, from_exprs, identity, mat_inverse, \
+    projector_q, wedge_condition, xi_compat
 from .ncalg import COORD, AlgebraElement, gen
 from .scalar import ScalarError, Specialization, parse_scalar
 
@@ -351,8 +355,41 @@ def _parse_q_value(q):
 
 def _derive_generic(name, dimension, generator_names, family, r,
                     eigenvalues, gamma_policy) -> PlaneSpec:
-    """The generic plane of a braid matrix: matrices, checks and rules."""
-    _validate_structure(name, r, eigenvalues)
+    """The generic plane of a braid matrix: matrices, checks and rules.
+
+    Nothing else makes B, C or D, and here R satisfies the braid relation
+    and its minimal polynomial (both checked first), C = qR, D is C's
+    exact inverse, and B is a polynomial in R: R/q on family A, and
+    E - k(R - lambda0)(R - lambda2) on family B.  The consistency
+    conditions then reduce to one two-leg product:
+
+    - wz2, X12 C23 C12 = C23 C12 X23 for X = E - B.  The X that satisfy
+      it form an algebra: it is linear in X, and if X and Y satisfy it,
+      X12 Y12 C23 C12 = X12 C23 C12 Y23 = C23 C12 X23 Y23.  It holds for
+      X = E, and for X = R it is the braid relation times q^2.  So it
+      holds for every polynomial in R, E - B and its denominator-cleared
+      multiple among them.
+    - wz5, X23 C12 C23 = C12 C23 X12: the same argument.
+    - wz3: CD = DC = E by construction.  Multiplying wz5's identity for
+      X = C, C23 C12 C23 = C12 C23 C12, by D23 on the left and D12 on the
+      right gives D23 C12 C23 = C12 C23 D12.
+    - wz4 is wz1, since F = B, so only (E - B)(E + C) = 0 is evaluated
+      (:func:`qplane.linalg.xi_compat`).
+
+    Q = L(R) for the Lagrange polynomial L of lambda1 on {lambda0,
+    lambda1, lambda2}, which ``projector_q`` requires distinct from
+    lambda0 and lambda2.  L^2 - L = L (L - 1) vanishes at lambda0 and
+    lambda2 (twice at lambda0 = lambda2) and at lambda1, so the minimal
+    polynomial divides it, and Q Q = Q holds with no product.
+    """
+    if not check_ybe(r):
+        raise PlaneVerificationError(
+            f"plane {name}: braid Yang-Baxter equation fails for the "
+            "given r_matrix")
+    if not check_min_poly(r, eigenvalues):
+        raise PlaneVerificationError(
+            f"plane {name}: minimal polynomial with the declared "
+            "eigenvalues does not annihilate the r_matrix")
     c = r.scale(scalar.Q)
     try:
         d = mat_inverse(c)
@@ -367,27 +404,15 @@ def _derive_generic(name, dimension, generator_names, family, r,
             b = identity(dimension) - projector_q(r, *eigenvalues)
         except LinalgError as exc:
             raise PlaneError(f"plane {name}: projector undefined ({exc})")
-    bad = [k for k, ok in wz_conditions(b, c, d).items() if not ok]
-    if bad:
+    if not xi_compat(b, c):
         raise PlaneVerificationError(
-            f"plane {name}: consistency conditions failed: {bad}")
+            f"plane {name}: consistency conditions failed: "
+            f"{[WZ_CONDITIONS[0], WZ_CONDITIONS[3]]}")
     system = ncalg.build_rewrite_system(
         dimension, generator_names, _family_ranks(dimension, family), b, c, d)
     _check_word_counts(name, system)
     return PlaneSpec(name, dimension, generator_names, family, r,
                      eigenvalues, b, c, d, system, gamma_policy)
-
-
-def _validate_structure(name, r, eigenvalues):
-    """Check the braid relation and minimal polynomial; raise if one fails."""
-    if not check_ybe(r):
-        raise PlaneVerificationError(
-            f"plane {name}: braid Yang-Baxter equation fails for the "
-            "given r_matrix")
-    if not check_min_poly(r, eigenvalues):
-        raise PlaneVerificationError(
-            f"plane {name}: minimal polynomial with the declared "
-            "eigenvalues does not annihilate the r_matrix")
 
 
 def _check_word_counts(name, system):

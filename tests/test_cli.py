@@ -832,6 +832,13 @@ def test_failed_derivation_check_is_one_line(tmp_path, capsys, doc, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+SPHERE_GENERIC_CONFLUENCE = (
+    "FAIL relations/confluence: 200 random words, 729 overlap words, "
+    "16 mismatches; first d(x+)*x+*x-: leftmost redex first gives "
+    "((-s^-1 + s^-3)*rho) * d(x+) + x-*x+*d(x+), last redex first "
+    "gives ((-s^3 + s)*rho) * d(x+) + x-*x+*d(x+)")
+
+
 def test_failed_confluence_names_its_first_witness(tmp_path, capsys):
     # the sphere's document at generic q: its rules and the quotient rule
     # do not resolve every overlap there
@@ -840,7 +847,34 @@ def test_failed_confluence_names_its_first_witness(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
                          "relations")
     assert (code, err) == (1, "")
-    assert "FAIL relations/confluence: 200 random words, 729 overlap words, " \
-           "16 mismatches; first d(x+)*x+*x-: leftmost redex first gives " \
-           "((-s^-1 + s^-3)*rho) * d(x+) + x-*x+*d(x+), last redex first " \
-           "gives ((-s^3 + s)*rho) * d(x+) + x-*x+*d(x+)" in out.splitlines()
+    assert SPHERE_GENERIC_CONFLUENCE in out.splitlines()
+
+
+@pytest.mark.parametrize("cap", ["3", "4"])
+def test_confluence_words_are_not_capped(tmp_path, capsys, cap):
+    # the overlap and sample words belong to the check, not to the call:
+    # a lower cap reports the same failure
+    path = tmp_path / "sphere_generic.json"
+    path.write_text(json.dumps(_sphere_with(q="generic")), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--plane", str(path), "--suite",
+                         "relations", "--max-degree", cap)
+    assert (code, err) == (1, "")
+    assert SPHERE_GENERIC_CONFLUENCE in out.splitlines()
+
+
+def test_confluence_is_certified_under_a_low_cap(capsys):
+    code, out, err = run(capsys, "verify", "--plane", "gl2", "--suite",
+                         "relations", "--max-degree", "2")
+    assert (code, err) == (0, "")
+    assert "PASS relations/confluence: certified: 32 critical pairs among " \
+           "216 overlap words resolve" in out.splitlines()
+
+
+def test_nf_takes_no_degree_bound(capsys):
+    # nf solves nothing, so it has no --degree to ignore
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", "--plane", "gl2", "--degree", "7", "y*x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qplane ")
+    assert "unrecognized arguments: --degree" in err

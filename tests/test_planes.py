@@ -1,13 +1,15 @@
+import itertools
 import json
 import pathlib
 
 import pytest
 
-from conftest import glq_plane_document
-from qplane import fixtures, ncalg, planes
+from conftest import glq_plane_document, twisted_glq_document
+from qplane import fixtures, linalg, ncalg, planes
 from qplane.linalg import (
     check_min_poly,
     check_ybe,
+    clear_denominators,
     from_exprs,
     gamma_condition,
     identity,
@@ -75,6 +77,58 @@ def test_builtin_invariants():
     for plane in builtin_planes():
         assert _derivation_verdicts(plane) == (True, True, True)
         assert plane.system is not None
+
+
+def _sphere_document(q):
+    return {**json.loads(planes.serialize_plane(builtin_plane("sphere_qm1"))),
+            "q": q}
+
+
+# the planes the suite derives: the built-ins, GL_q(2..4) in every basis
+# permutation, the twisted GL_q(2..4) in both orders, and the sphere's
+# document at four values of q
+DERIVED_PLANES = {
+    **{name: lambda name=name: builtin_plane(name)
+       for name in ("gl2", "orth3", "sphere_qm1")},
+    **{f"glq{n}-{''.join(map(str, perm))}":
+       lambda n=n, perm=perm: derive_plane(glq_plane_document(n, list(perm)))
+       for n in (2, 3, 4) for perm in itertools.permutations(range(n))},
+    **{f"twisted{n}-{'reversed' if reverse else 'standard'}":
+       lambda n=n, reverse=reverse: derive_plane(
+           twisted_glq_document(n, reverse))
+       for n in (2, 3, 4) for reverse in (False, True)},
+    **{f"sphere-doc@q={q}": lambda q=q: derive_plane(_sphere_document(q))
+       for q in ("generic", "1", "-1", "2*i")},
+}
+
+
+@pytest.mark.parametrize("name", DERIVED_PLANES)
+def test_derived_planes_satisfy_every_condition(name):
+    # the derivation evaluates one two-leg condition and reads the others
+    # off the braid relation and the minimal polynomial: all five, and
+    # Q*Q == Q, proved again on the plane's own matrices
+    plane = DERIVED_PLANES[name]()
+    assert _derivation_verdicts(plane) == (True, True, True)
+    if plane.family == "B":
+        # B = E - Q, and M = c*Q: Q*Q == Q exactly when M*M == c*M
+        m, c = clear_denominators(identity(plane.dimension) - plane.b)
+        assert m * m == m.scale(c)
+
+
+def test_derivation_embeds_only_the_braid_relation(monkeypatch):
+    # the braid relation's R12 and R23 are the only triple-leg matrices a
+    # load builds: the three triple-leg consistency conditions follow
+    # from it
+    embeds = []
+    embed = linalg.embed
+
+    def counted(m, position):
+        embeds.append(position)
+        return embed(m, position)
+
+    monkeypatch.setattr(linalg, "embed", counted)
+    derive_plane(glq_plane_document(3))
+    assert embeds == ["12", "23"]
 
 
 def test_sphere_gamma_resolution():
