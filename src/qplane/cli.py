@@ -7,8 +7,9 @@ before the output is written and 130 on an interrupt, each quietly.
 Findings (adjudicated discrepancies in the printed tables) exit 0 unless
 --strict is given.  --degree, which verify, hamvec, bracket and eom take
 and nf does not, takes an integer of at least 0, and --max-degree one of
-at least 1; any other value is a usage error.  The cap bounds the call's
-own words, not the confluence check's.
+at least 1; any other value is a usage error.  --max-degree (default 16)
+bounds the call's own words: the expressions it parses and the unknowns
+of degree --degree + 1 it solves for, not the words a check builds.
 
 A plane exists only when its derivation checks hold (braid relation,
 minimal polynomial, consistency conditions, centrality of a quotient
@@ -51,8 +52,12 @@ EXIT_INTERRUPTED = 130
 Check = namedtuple("Check", "name status detail", defaults=("",))
 
 
+class UsageError(ValueError):
+    """Options that do not fit together."""
+
+
 def _plane_from_arg(args):
-    """The plane of --plane, with the --max-degree cap of this call."""
+    """The plane of --plane."""
     try:
         if args.plane in ("gl2", "orth3", "sphere_qm1"):
             plane = planes.builtin_plane(args.plane)
@@ -61,9 +66,25 @@ def _plane_from_arg(args):
                 plane = planes.load_plane(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise PlaneError(f"cannot read plane configuration: {exc}")
-    if args.max_degree is not None:
-        plane = planes.capped(plane, args.max_degree)
     return plane
+
+
+def _check_degree(args):
+    """Refuse a --degree whose unknowns, a coefficient word and one D
+    letter each, would pass the --max-degree cap."""
+    if args.degree + 1 > args.max_degree:
+        raise UsageError(f"--degree {args.degree} needs unknowns of degree "
+                         f"{args.degree + 1}, past the cap "
+                         f"{args.max_degree} of --max-degree")
+
+
+def _solver_inputs(args, *texts):
+    """The plane, its form and ``texts`` parsed under --max-degree, for
+    a command that solves for fields; --degree is checked first."""
+    _check_degree(args)
+    plane = _plane_from_arg(args)
+    omega = symp.symplectic_form(plane)
+    return plane, omega, [plane.parse(t, args.max_degree) for t in texts]
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +178,8 @@ def _confluence_check(plane, seed):
     """Certified when every critical pair resolves: the rules keep the
     diamond lemma's premise, so no other word can disagree.  Only a
     failing check also reduces the seeded words, which it reports.
-
-    Its words, of length 3 and up to 5, belong to the check, not to the
-    call, so a lower --max-degree cap does not apply to them: they are
-    reduced on a copy of the rules with a cap of at least 5.
     """
-    system = plane.system.capped(max(plane.system.degree_cap, 5))
+    system = plane.system
     report = ncalg.confluence_selftest(system, sample_count=0)
     if report.ok:
         return Check("relations/confluence", "pass",
@@ -326,6 +343,8 @@ _SUITES = {
 
 
 def cmd_verify(args):
+    if args.suite in ("closedness", "hamiltonian", "all"):
+        _check_degree(args)  # the suites that read --degree
     try:
         plane = _plane_from_arg(args)
     except planes.PlaneVerificationError as exc:
@@ -367,19 +386,16 @@ def cmd_verify(args):
 
 def cmd_nf(args):
     plane = _plane_from_arg(args)
-    value = plane.nf(plane.parse(args.expression))
+    value = plane.nf(plane.parse(args.expression, args.max_degree))
     print(plane.show(value))
     return 0
 
 
 def cmd_bracket(args):
-    plane = _plane_from_arg(args)
-    omega = symp.symplectic_form(plane)
+    plane, omega, (f, g) = _solver_inputs(args, args.f, args.g)
     try:
         with _surfaced_family_warnings():
-            value = symp.poisson_bracket(plane.parse(args.f),
-                                         plane.parse(args.g),
-                                         omega, plane, args.degree)
+            value = symp.poisson_bracket(f, g, omega, plane, args.degree)
     except symp.NoSolutionError as exc:
         print(exc)
         return 1
@@ -388,10 +404,8 @@ def cmd_bracket(args):
 
 
 def cmd_hamvec(args):
-    plane = _plane_from_arg(args)
-    omega = symp.symplectic_form(plane)
-    report = symp.hamiltonian_vector_field(plane.parse(args.f), omega,
-                                           plane, args.degree)
+    plane, omega, (f,) = _solver_inputs(args, args.f)
+    report = symp.hamiltonian_vector_field(f, omega, plane, args.degree)
     if report.status == "none":
         print(f"no solution within coefficient degree {args.degree}")
         return 1
@@ -403,12 +417,10 @@ def cmd_hamvec(args):
 
 
 def cmd_eom(args):
-    plane = _plane_from_arg(args)
-    omega = symp.symplectic_form(plane)
+    plane, omega, (h,) = _solver_inputs(args, args.h)
     try:
         with _surfaced_family_warnings():
-            table = symp.equations_of_motion(plane.parse(args.h), omega,
-                                             plane, args.degree)
+            table = symp.equations_of_motion(h, omega, plane, args.degree)
     except symp.NoSolutionError as exc:
         print(exc)
         return 1
@@ -470,9 +482,9 @@ def build_parser():
             p.add_argument("--degree", type=_int_from(0), default=1,
                            help="vector-field coefficient degree bound, at "
                                 "least 0")
-        p.add_argument("--max-degree", type=_int_from(1), default=None,
-                       help="rewrite degree cap for this call, at least 1 "
-                            "(default 16)")
+        p.add_argument("--max-degree", type=_int_from(1), default=16,
+                       help="largest word degree of the call's input and "
+                            "unknowns, at least 1 (default 16)")
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
@@ -515,8 +527,8 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         try:
             code = args.func(args)
-        except (PlaneError, ScalarError, NcalgError, qcalc.QcalcError,
-                SympError) as exc:
+        except (UsageError, PlaneError, ScalarError, NcalgError,
+                qcalc.QcalcError, SympError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2
         # a closed stdout is met here, not when the interpreter exits

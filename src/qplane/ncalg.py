@@ -72,14 +72,14 @@ depend only on the generator set, the sample count, the maximal length
 and the seed, so they are drawn once per such tuple and kept (a small
 bounded memo).
 
-There is one rewrite path.  ``reduce_word`` checks the degree cap and the
+There is one rewrite path.  ``reduce_word`` looks a word up in the
 cache; a word not cached goes to the module function ``_reduce``, which
 rewrites its leftmost redex (``_rewrite_at``, also the right-hand side of
 a critical pair) and caches the result.  Both take the rules and the cache
 as arguments, so a step does one ``rules.get`` per position and no method
-or attribute lookup.  No rule makes a word longer, so every word met below
-the top-level one is within the cap and is looked up in the cache or
-reduced directly, with no second check.  A rule carries its right-hand
+or attribute lookup.  No rule makes a word longer, so a rewrite system
+bounds no degree: a call's degree bound is checked where its words enter,
+when ``parse_element`` reads them.  A rule carries its right-hand
 side compiled, as (word w, coefficient c, memo) triples in term order,
 built by ``add_rule`` and ``renormalize_rules``; the memo is the rewrite
 system's ``_products[c]``, which maps a normal-form coefficient v to
@@ -87,8 +87,8 @@ v * c.  A rewrite step sums ``c * nf(prefix + w + suffix)`` over the
 triples into one dict, each product read from the memo.  Canonical
 scalars are equal exactly when their values are, so the memo is exact; a
 product of values does not depend on the rules, so ``add_rule`` keeps it,
-and copies made by ``capped`` and ``quotient_system`` share it, the
-quotient's rules included.
+and the copy made by ``quotient_system`` shares it, the quotient's rules
+included.
 ``normal_form`` merges each scaled word normal form into one dict in
 place, and it and ``AlgebraElement.scale`` multiply without the memo: a
 warm session on the symplectic layer calls them on ever new coefficients,
@@ -237,12 +237,11 @@ RewriteRule = namedtuple("RewriteRule", "lhs rhs compiled")
 class RewriteSystem:
     """Derived rule set for one plane; immutable after construction."""
 
-    def __init__(self, dimension, generator_names, ranks, degree_cap=16):
+    def __init__(self, dimension, generator_names, ranks):
         self.dimension = dimension
         self.generator_names = tuple(generator_names)
         # ranks[index-1] = position of that generator in the monomial order
         self.ranks = tuple(ranks)
-        self.degree_cap = degree_cap
         self.rules = {}
         self.quotient_rule = None
         self._cache = {}
@@ -250,17 +249,6 @@ class RewriteSystem:
         # coefficient v; kept across add_rule, since a product of values
         # does not depend on the rules
         self._products = {}
-
-    def capped(self, degree_cap) -> "RewriteSystem":
-        """This system with another degree cap, sharing rules and memos.
-
-        Exact: no rule makes a word longer, so every word met while
-        reducing is at most as long as the top-level word, and a cached
-        normal form does not depend on the cap.
-        """
-        out = copy.copy(self)
-        out.degree_cap = degree_cap
-        return out
 
     # -- ordering ----------------------------------------------------------
 
@@ -342,10 +330,6 @@ class RewriteSystem:
 
     def reduce_word(self, word) -> AlgebraElement:
         word = tuple(word)
-        if len(word) > self.degree_cap:
-            raise NcalgError(
-                f"word of degree {len(word)} exceeds the cap {self.degree_cap}"
-            )
         hit = self._cache.get(word)
         if hit is not None:
             return hit
@@ -392,8 +376,7 @@ def _rewrite_at(word, k, rule, rules, cache) -> AlgebraElement:
     """Normal form of word after rewriting its redex ``rule`` at position k.
 
     Terms are kept in the order a sum of one scaled reduction after
-    another gives (see ``add_term``).  A term's word is no longer than
-    ``word``, so it is reduced without a cap check.
+    another gives (see ``add_term``).
     """
     prefix, suffix = word[:k], word[k + 2:]
     out = {}
@@ -543,14 +526,10 @@ def blocks(word):
 
 def normal_words(sys: RewriteSystem, kind: int, max_degree: int):
     """The normal words of ``kind`` letters up to ``max_degree``, shortest
-    first (see the module docstring); a bound above the degree cap raises
-    the cap error once a normal word would exceed it."""
+    first (see the module docstring)."""
     letters = sys.generators(kinds=(kind,))
     words, frontier = [()], [()]
-    for degree in range(1, max_degree + 1):
-        if frontier and degree > sys.degree_cap:
-            raise NcalgError(
-                f"word of degree {degree} exceeds the cap {sys.degree_cap}")
+    for _ in range(max_degree):
         frontier = [w + (g,) for w in frontier for g in letters
                     if not w or (w[-1], g) not in sys.rules]
         words += frontier
@@ -663,25 +642,32 @@ def _critical_pair_mismatch(sys: RewriteSystem, word):
 # name := generator | "d(" generator ")" | "D(" generator ")" | scalar name;
 # a product is taken in the free algebra, a quotient only by a scalar
 # factor, and a power of a non-scalar factor only to an exponent within
-# the degree cap.
+# the degree bound.
 
 RESERVED_NAMES = {*scalar.NAMES, "d", "D"}
 
 
-def parse_element(text: str, sys: RewriteSystem) -> AlgebraElement:
-    """Parse an element in the plane's generator names (free, unreduced)."""
-    parser = _ElementParser(text, sys)
+def parse_element(text: str, sys: RewriteSystem, max_degree: int = 16
+                  ) -> AlgebraElement:
+    """Parse an element in the plane's generator names (free, unreduced);
+    a word that survives parsing and is longer than ``max_degree`` is an
+    error (see the module docstring)."""
+    parser = _ElementParser(text, sys, max_degree)
     value = parser.parse_expr()
     parser.skip_ws()
     if parser.pos != len(text):
         raise ScalarError(f"trailing input at position {parser.pos}: {text!r}")
+    for w in value.terms:
+        if len(w) > max_degree:
+            raise NcalgError(
+                f"word of degree {len(w)} exceeds the cap {max_degree}")
     return value
 
 
 class _ElementParser(scalar.Parser):
-    def __init__(self, text, sys):
+    def __init__(self, text, sys, max_degree):
         super().__init__(text)
-        self.sys = sys
+        self.max_degree = max_degree
         # longest-first so that "x+" wins over a bare "x" prefix, and the
         # constant "rho" over a generator "r"; a constant has index None
         names = [(name, idx + 1)
@@ -723,11 +709,11 @@ class _ElementParser(scalar.Parser):
                 self.scalar_power(base.coefficient(()), e))
         if e < 0:
             raise ScalarError("negative powers only on scalar factors")
-        cap = self.sys.degree_cap
-        if e > cap:
+        if e > self.max_degree:
             # the free algebra has no zero divisors, so base^e has a word
-            # of length at least e, which the cap would reject anyway
-            raise ScalarError(f"power {e} exceeds the degree cap {cap}")
+            # of length at least e, which the bound would reject anyway
+            raise ScalarError(
+                f"power {e} exceeds the degree cap {self.max_degree}")
         out = AlgebraElement.unit()
         for _ in range(e):
             out = self.product(out, base)

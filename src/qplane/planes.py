@@ -13,10 +13,11 @@ derivation of its braid matrix:
    (E - B)(E + C) = 0 is evaluated: B is a polynomial in R, C = qR and
    D = C^-1, so the braid relation, proved first, carries the three
    triple-leg conditions, and the minimal polynomial carries Q Q = Q
-   (the argument is in :func:`_derive_generic`).  The coordinate rules
-   must leave as many normal words of degree 2 and 3 as commuting
-   coordinates have: a family-B plane whose declared lambda1 has an
-   empty eigenspace has no coordinate relations, and fails here.  The
+   (the argument is in :func:`_derive_generic`).  Each kind's rules
+   must leave as many normal words of low degree as its classical model
+   has (commuting coordinates and derivatives, anticommuting
+   differentials): a family-B plane whose declared lambda1 has an empty
+   eigenspace has no coordinate relations, and fails here.  The
    result is a generic plane; its ``generic`` field is the plane itself.
 2. Specialization (:func:`_specialize`) evaluates the generic matrices at
    a numeric q, refusing a pole; the generic checks (braid relation,
@@ -54,10 +55,9 @@ Hamiltonian systems; a form that cannot be built raises on every read),
 product with its verdict on the wedge condition and the braid relation,
 the one place that condition is proved), ``gamma`` (the first passing
 candidate) and ``reference_shape`` (which transcribed tables apply).
-The rewrite degree cap is fixed when a rule system is built;
-:func:`capped` gives a copy with another cap that shares the rules and
-the rule system's caches, and starts its own span memo and symplectic
-form; at the plane's own cap it is the plane itself.
+A plane bounds no degree: :meth:`PlaneSpec.parse` checks the bound of
+the call whose words it reads, so every call shares one plane's rules,
+caches, spans and form.
 
 The braid matrix is the single source of truth; the printed relation
 tables live in :mod:`qplane.fixtures` and are diffed against the derived
@@ -124,8 +124,7 @@ class PlaneSpec:
     @cached_property
     def constraint_spans(self):
         """:mod:`qplane.symp`'s constraint-module spans by (differential
-        degree, coordinate bound); a copy with another degree cap starts
-        its own."""
+        degree, coordinate bound)."""
         return {}
 
     @cached_property
@@ -165,8 +164,9 @@ class PlaneSpec:
     def coordinate_generators(self):
         return [gen(COORD, i) for i in range(1, self.dimension + 1)]
 
-    def parse(self, text: str) -> AlgebraElement:
-        e = ncalg.parse_element(text, self.system)
+    def parse(self, text: str, max_degree: int = 16) -> AlgebraElement:
+        """``text`` parsed, refusing a word longer than ``max_degree``."""
+        e = ncalg.parse_element(text, self.system, max_degree)
         if self.specialization is not None:
             e = _specialize_element(e, self.specialization)
         return e
@@ -416,20 +416,33 @@ def _derive_generic(name, dimension, generator_names, family, r,
 
 
 def _check_word_counts(name, system):
-    """Raise unless the coordinate relations leave as many normal words of
-    degree 2 and 3 as commuting coordinates have, C(n+1, 2) and C(n+2, 3).
-    The count looks up adjacent letter pairs and reduces nothing
-    (``ncalg.normal_words``)."""
+    """Raise unless each kind's relations leave as many normal words as
+    its classical model has: C(n+k-1, k) of degree k = 2, 3 for commuting
+    coordinates and derivatives, and C(n, k) of degree k = 2 .. n+1 for
+    anticommuting differentials.  The count looks up adjacent letter
+    pairs and reduces nothing (``ncalg.normal_words``)."""
     n = system.dimension
-    counts = [0] * 4
-    for w in ncalg.normal_words(system, COORD, 3):
-        counts[len(w)] += 1
-    want = (math.comb(n + 1, 2), math.comb(n + 2, 3))
-    if (counts[2], counts[3]) != want:
-        raise PlaneVerificationError(
-            f"plane {name}: the coordinate relations leave {counts[2]} "
-            f"normal words of degree 2 and {counts[3]} of degree 3, where "
-            f"commuting coordinates have {want[0]} and {want[1]}")
+    commuting = [math.comb(n + k - 1, k) for k in (2, 3)]
+    for kind, sector, model, want in (
+            (COORD, "coordinate", "commuting coordinates", commuting),
+            (ncalg.DIFF, "differential", "anticommuting differentials",
+             [math.comb(n, k) for k in range(2, n + 2)]),
+            (ncalg.DERIV, "derivative", "commuting derivatives", commuting)):
+        counts = [0] * (len(want) + 2)
+        for w in ncalg.normal_words(system, kind, len(want) + 1):
+            counts[len(w)] += 1
+        if counts[2:] != want:
+            got = [f"{counts[2]} normal words of degree 2"] + [
+                f"{c} of degree {k}" for k, c in enumerate(counts[3:], 3)]
+            raise PlaneVerificationError(
+                f"plane {name}: the {sector} relations leave "
+                f"{_and_list(got)}, where {model} have {_and_list(want)}")
+
+
+def _and_list(items):
+    """'a, b and c'."""
+    *head, last = map(str, items)
+    return f"{', '.join(head)} and {last}"
 
 
 def _family_ranks(dimension, family):
@@ -610,20 +623,6 @@ def specialize(plane: PlaneSpec, q) -> PlaneSpec:
 def specialize_builtin(name: str, q) -> PlaneSpec:
     """The cached generic builtin plane ``name`` specialized at q."""
     return specialize(builtin_plane(name), q)
-
-
-def capped(plane: PlaneSpec, degree_cap: int) -> PlaneSpec:
-    """``plane`` with rewrite degree cap ``degree_cap``.
-
-    The copy shares the rules and the rule system's caches: no rule makes
-    a word longer, so the cap only decides which top-level words are
-    rejected.  Its span memo is its own: a span built under a higher cap
-    would let the copy skip the words its cap rejects.  At the plane's own
-    cap nothing changes, so the plane itself is returned.
-    """
-    if degree_cap == plane.system.degree_cap:
-        return plane
-    return _replace(plane, system=plane.system.capped(degree_cap))
 
 
 def _matrix_exprs(m: LegMatrix):

@@ -177,11 +177,24 @@ def test_eom_command(capsys):
     assert lines["d/dt x0"] == "0"
 
 
+def _fresh(argv):
+    """(exit code, stdout, stderr) of ``qplane argv`` in a new process."""
+    done = subprocess.run([sys.executable, "-m", "qplane.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
 def test_max_degree_applies_to_one_call_only(capsys):
-    code, _, _ = run(capsys, "verify", "--plane", "gl2", "--suite", "ybe",
-                     "--max-degree", "3")
-    assert code == 0
-    assert planes.builtin_plane("gl2").system.degree_cap == 16
+    # ybe reads no --degree and parses no input, so even the least bound
+    # answers as the default call, and leaves the next call as it was
+    default = ["verify", "--plane", "gl2", "--suite", "ybe", "--format",
+               "json"]
+    low = [*default, "--max-degree", "1"]
+    before = run(capsys, *default)
+    assert before[0] == 0
+    assert run(capsys, *low) == before
+    assert run(capsys, *default) == before
+    assert _fresh(low) == before
 
 
 @pytest.mark.parametrize("argv", [
@@ -264,20 +277,71 @@ def test_max_degree_applies_to_query_commands(capsys):
                          "x*y*x*y")
     assert code == 2, out
     assert "exceeds the cap 2" in err
-    assert planes.builtin_plane("gl2").system.degree_cap == 16
 
 
 def test_max_degree_does_not_read_spans_of_an_earlier_call(capsys):
-    # an uncapped call builds constraint spans past degree 4; a capped call
-    # after it in the same process must still reject the words its cap
-    # rejects, exactly as a fresh process does
-    run(capsys, "hamvec", "--plane", "sphere_qm1", "x0")
-    capped = ["hamvec", "--plane", "sphere_qm1", "--max-degree", "4", "x0"]
-    code, out, err = run(capsys, *capped)
-    fresh = subprocess.run([sys.executable, "-m", "qplane.cli", *capped],
-                           capture_output=True, text=True, timeout=120)
-    assert fresh.returncode == 2
-    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    # a default call builds constraint spans past degree 4; they are the
+    # solve's own words, so a call with a lower bound after it in the same
+    # process answers as the default call and as a fresh process
+    default = ["hamvec", "--plane", "sphere_qm1", "x0"]
+    low = [*default, "--max-degree", "4"]
+    before = run(capsys, *default)
+    assert before[0] == 0
+    assert run(capsys, *low) == before
+    assert _fresh(low) == before
+
+
+@pytest.mark.parametrize("suite", ["closedness", "hamiltonian", "all"])
+def test_max_degree_bounds_no_word_a_suite_builds(capsys, suite):
+    # the sphere's closedness and constraint spans reach degree 4; a bound
+    # of 3 covers the default --degree 1 and its unknowns of degree 2
+    default = ["verify", "--plane", "sphere_qm1", "--suite", suite,
+               "--format", "json"]
+    before = run(capsys, *default)
+    assert before[0] == 0
+    assert run(capsys, *default, "--max-degree", "3") == before
+
+
+def test_engine_words_past_the_bound_are_not_input(capsys):
+    # x^8*y^8 has degree 16, within the default bound; d f has words of
+    # degree 17, which belong to the solve
+    code, out, err = run(capsys, "hamvec", "--plane", "gl2", "x^8*y^8")
+    assert (code, out, err) == (
+        1, "no solution within coefficient degree 1\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hamvec", "x"],
+    ["bracket", "x", "y"],
+    ["eom", "x"],
+    ["verify", "--suite", "closedness"],
+    ["verify", "--suite", "hamiltonian"],
+    ["verify"],
+    ["hamvec", "--max-degree", "17", "x"],
+])
+def test_degree_past_the_bound_exits_2_before_solving(capsys, monkeypatch,
+                                                     argv):
+    # an unknown's word is a coefficient word and one D letter, so
+    # --degree + 1 must be within --max-degree
+    built = []
+    monkeypatch.setattr(symp, "_system", lambda *a: built.append(a))
+    cap = "17" if "--max-degree" in argv else "16"
+    code, out, err = run(capsys, argv[0], "--plane", "gl2", "--degree", cap,
+                         *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == (f"error: --degree {cap} needs unknowns of degree "
+                   f"{int(cap) + 1}, past the cap {cap} of --max-degree\n")
+    assert built == []
+
+
+def test_degree_at_the_bound_answers(capsys):
+    assert run(capsys, "hamvec", "--plane", "gl2", "--degree", "15", "x") \
+        == (0, "status: unique\nX = (s^2) * D(y)\n", "")
+    code, out, err = run(capsys, "hamvec", "--plane", "gl2", "--degree", "2",
+                         "--max-degree", "3", "x")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "hamvec", "--plane", "gl2", "--degree", "2",
+                      "x")[1]
 
 
 def test_max_degree_at_the_plane_cap_answers_as_uncapped(capsys):
@@ -290,12 +354,15 @@ def test_max_degree_at_the_plane_cap_answers_as_uncapped(capsys):
     assert at_cap == uncapped
 
 
-def test_oversized_power_rejected_while_parsing():
-    cmd = [sys.executable, "-m", "qplane.cli", "nf", "--plane", "gl2",
-           "x^1000000"]
+@pytest.mark.parametrize("argv, message", [
+    (["x^1000000"], "exceeds the degree cap 16"),
+    (["--max-degree", "3", "x^4"], "power 4 exceeds the degree cap 3"),
+], ids=["default", "max-degree-3"])
+def test_oversized_power_rejected_while_parsing(argv, message):
+    cmd = [sys.executable, "-m", "qplane.cli", "nf", "--plane", "gl2", *argv]
     run_ = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
     assert run_.returncode == 2
-    assert "exceeds the degree cap 16" in run_.stderr
+    assert message in run_.stderr
 
 
 def test_scalar_power_by_squaring(capsys):

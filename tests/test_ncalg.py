@@ -500,22 +500,22 @@ def test_classical_limit_commutes():
             assert at1.nf(x.concat(y) - y.concat(x)).is_zero()
 
 
-def test_degree_cap():
+def test_parse_element_bounds_the_degree():
     sys = GL2.system
-    word = tuple(gen(COORD, 1) for _ in range(sys.degree_cap + 1))
     with pytest.raises(NcalgError) as err:
-        sys.reduce_word(word)
+        parse_element("x*y + " + "*".join(["x"] * 17), sys)
     assert str(err.value) == "word of degree 17 exceeds the cap 16"
-    # the cap is checked before the cache: a word cached under the plane's
-    # cap is still refused by a copy capped below it
-    five = (gen(DERIV, 1), gen(COORD, 2), gen(COORD, 1), gen(DIFF, 2),
-            gen(COORD, 1))
-    nf = sys.reduce_word(five)
-    assert sys.reduce_word(list(five)) is nf
     with pytest.raises(NcalgError) as err:
-        sys.capped(4).reduce_word(five)
+        parse_element("D(x)*y*x*d(y)*x", sys, max_degree=4)
     assert str(err.value) == "word of degree 5 exceeds the cap 4"
-    assert sys.capped(5).reduce_word(five) is nf
+    # the bound reads the surviving terms: a word that cancels is not one
+    assert parse_element("x*y*x*y - x*y*x*y + y", sys, max_degree=2) == \
+        AlgebraElement.from_word((gen(COORD, 2),))
+    # the rewrite system bounds no degree: its rules never lengthen a word
+    word = tuple(gen(COORD, 2 - k % 2) for k in range(20))
+    nf = sys.reduce_word(word)
+    assert all(len(w) == 20 for w in nf.terms)
+    assert sys.reduce_word(list(word)) is nf
 
 
 # -- the rewrite step --------------------------------------------------------
@@ -561,11 +561,6 @@ def test_rewrite_step_against_reference(glq3):
             # same terms in the same order, and no zero stored
             assert list(got.terms.items()) == list(want.terms.items()), word
             assert not any(c.is_zero() for c in got.terms.values())
-
-
-def test_capped_copy_shares_the_product_memo():
-    sys = GL2.system
-    assert sys.capped(4)._products is sys._products
 
 
 def test_quotient_copy_shares_the_product_memo():

@@ -20,7 +20,6 @@ from qplane.linalg import (
 from qplane.planes import (
     PlaneError,
     PlaneVerificationError,
-    capped,
     _matrix_exprs,
     builtin_plane,
     derive_plane,
@@ -221,22 +220,6 @@ def test_specialize_builtin_leaves_generic_plane_unchanged():
     assert orth3.name == "orth3"
     assert orth3.signature() == signature
     assert orth3.gamma_candidates == candidates
-
-
-def test_capped_copy_shares_rules_and_caches():
-    gl2 = builtin_plane("gl2")
-    low = capped(gl2, 3)
-    assert low.system.degree_cap == 3 and gl2.system.degree_cap == 16
-    assert low.system.rules is gl2.system.rules
-    assert low.system._cache is gl2.system._cache
-    assert low.generic is low and low == gl2
-    assert low.nf(low.parse("y*x*y")) == gl2.nf(gl2.parse("y*x*y"))
-
-
-@pytest.mark.parametrize("name", ["gl2", "orth3", "sphere_qm1"])
-def test_capped_at_the_plane_cap_is_the_plane(name):
-    plane = builtin_plane(name)
-    assert capped(plane, plane.system.degree_cap) is plane
 
 
 @pytest.mark.parametrize("name,q", [
@@ -474,6 +457,31 @@ def test_plane_without_the_commutative_word_count_is_refused():
                              "degree 3, where commuting coordinates have "
                              "3 and 4"):
         load_plane(json.dumps(doc))
+
+
+def test_word_counts_name_the_differential_sector():
+    # orth3 at q = -1 is no generic plane: its differential relations
+    # leave 4 normal words of degree 2 where anticommuting ones have 3
+    system = planes.specialize(builtin_plane("orth3"), "-1").system
+    with pytest.raises(PlaneVerificationError,
+                       match="the differential relations leave 4 normal "
+                             "words of degree 2, 4 of degree 3 and 4 of "
+                             "degree 4, where anticommuting differentials "
+                             "have 3, 1 and 0"):
+        planes._check_word_counts("orth3@q=-1", system)
+
+
+def test_word_counts_name_the_derivative_sector():
+    # gl2's rules without D.D rules: the derivatives are free
+    system = builtin_plane("gl2").system
+    free = ncalg.RewriteSystem(2, system.generator_names, system.ranks)
+    free.rules = {lhs: rule for lhs, rule in system.rules.items()
+                  if {g[0] for g in lhs} != {ncalg.DERIV}}
+    with pytest.raises(PlaneVerificationError,
+                       match="the derivative relations leave 4 normal words "
+                             "of degree 2 and 8 of degree 3, where commuting "
+                             "derivatives have 3 and 4"):
+        planes._check_word_counts("gl2", free)
 
 
 def test_reserved_generator_names_rejected():

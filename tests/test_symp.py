@@ -6,7 +6,7 @@ import pytest
 from conftest import glq_plane_document
 from qplane import cli, fixtures, ncalg, planes, qcalc, scalar, symp
 from qplane.linalg import rref_rows
-from qplane.ncalg import COORD, DERIV, DIFF, AlgebraElement, NcalgError, gen
+from qplane.ncalg import COORD, DERIV, DIFF, AlgebraElement, gen
 from qplane.qcalc import TensorForm, VectorField, WedgeForm, one_form_body
 from qplane.scalar import parse_scalar
 from qplane.symp import (
@@ -595,24 +595,17 @@ def test_symplectic_form_is_kept_on_the_plane():
     for plane in (GL2, SPHERE):
         assert symplectic_form(plane) is symplectic_form(plane)
     # each new plane value builds its own form, once
-    capped = planes.capped(SPHERE, 8)
-    assert planes.capped(SPHERE, SPHERE.system.degree_cap) is SPHERE
     generic = _sphere_document_plane(q="generic")
     special = planes.specialize(generic, "-1")
     unquotiented = _sphere_document_plane(quotient=None)
     assert unquotiented.quotient_central_expr is None
     before = symplectic_form(unquotiented)
     quotient = planes._quotient(unquotiented, fixtures.SPHERE_CENTRAL)
-    for plane, other in ((capped, SPHERE), (special, SPHERE),
-                         (quotient, unquotiented)):
+    for plane, other in ((special, SPHERE), (quotient, unquotiented)):
         omega = symplectic_form(plane)
         assert omega is symplectic_form(plane)
         assert omega is not symplectic_form(other)
     assert symplectic_form(unquotiented) is before
-    # the copies' forms are the form the plane would build afresh
-    fresh = symp.build_symplectic_form(capped)
-    assert symplectic_form(capped).wedge.body == fresh.wedge.body
-    assert symplectic_form(capped).scale == fresh.scale
 
 
 def test_symplectic_form_that_fails_raises_the_same_text_each_call():
@@ -740,19 +733,6 @@ def test_normal_words_equal_trial_reduction(name):
              else planes.builtin_plane(name))
     sys = plane.system
 
-    def outcome(words, *args):
-        try:
-            return words(*args)
-        except NcalgError as exc:
-            return str(exc)
-
     for kind in (COORD, DIFF, DERIV):
         assert ncalg.normal_words(sys, kind, 4) == \
             _trial_normal_words(sys, kind, 4), kind
-        # a bound above the cap raises the reduction's cap error once a
-        # normal word would exceed it
-        args = (sys.capped(3), kind, 5)
-        assert outcome(ncalg.normal_words, *args) == \
-            outcome(_trial_normal_words, *args), kind
-    assert outcome(ncalg.normal_words, sys.capped(3), COORD, 5) == \
-        "word of degree 4 exceeds the cap 3"
