@@ -13,11 +13,17 @@ the wedge-compatibility condition on the braiding of differentials.
 
 ``wz_conditions`` evaluates all five consistency conditions on any three
 matrices B, C, D; acceptance criterion 3 and the corrupted-matrix tests
-call it.  A derivation needs only the two-leg condition
-(E - B)(E + C) = 0 (:func:`xi_compat`): its C is qR for an R that
-satisfies the braid relation, its D is C's exact inverse and its B is a
-polynomial in R, and from these the three triple-leg conditions follow
-(see :mod:`qplane.planes`).  Likewise ``check_min_poly`` implies
+call it.  A derivation reads every matrix off R's minimal polynomial:
+:class:`Powers` holds E, R, R^2, ..., each product made once, and
+``check_min_poly`` proves m(R) = 0 on them, ``projector_q`` reads Q off
+them, and a derivation reads D = (qR)^-1 off them too (see
+:mod:`qplane.planes`); ``Powers.poly`` is the one evaluation of a
+polynomial in R.  So its C is qR for an R that satisfies the braid
+relation, its D is C's exact inverse and its B is a polynomial in R, and
+from these the three triple-leg conditions follow.  The two-leg
+condition (E - B)(E + C) = 0 (:func:`xi_compat`) follows from m(R) = 0
+on the paper's eigenvalues, and a derivation evaluates it only on other
+declarations.  Likewise ``check_min_poly`` implies
 Q Q = Q for every Q that ``projector_q`` returns: Q = L(R) with L the
 Lagrange polynomial of lambda1 on {lambda0, lambda1, lambda2}, and the
 minimal polynomial divides L^2 - L, whose roots hold every eigenvalue
@@ -35,11 +41,12 @@ matrix as a dense n^4 grid.
 ``rref_rows`` is the one exact elimination.  It has three callers:
 ``echelon``, which gives the reduced basis, keyed by lead word, that the
 rewrite rules, the quotient rule, the constraint 1-form and the
-constraint spans are read from; ``mat_inverse``; and the symplectic
-column solves.  A row is a dict {column: nonzero Scalar}: a row operation
-visits only the pivot row's nonzero columns and deletes an entry that
-cancels, so no zero is stored or multiplied, and the pivots and values
-are those of dense Gauss-Jordan elimination.  The pivot column's entry,
+constraint spans are read from; the symplectic column solves; and
+``mat_inverse``, which no load calls: it is the tests' oracle for D.  A
+row is a dict {column: nonzero Scalar}: a row operation visits only the
+pivot row's nonzero columns and deletes an entry that cancels, so no
+zero is stored or multiplied, and the pivots and values are those of
+dense Gauss-Jordan elimination.  The pivot column's entry,
 which always cancels, is deleted without arithmetic.  It keeps no memo,
 so its memory stays what the nonzero entries need.
 """
@@ -239,31 +246,98 @@ def embed(m: LegMatrix, position: str) -> LegMatrix:
 
 
 def check_ybe(r_matrix: LegMatrix) -> bool:
-    """Braid Yang-Baxter equation R12 R23 R12 == R23 R12 R23."""
+    """Braid Yang-Baxter equation R12 R23 R12 == R23 R12 R23, checked as
+    X R12 == R23 X with X = R12 R23: three triple-leg products."""
     r12 = embed(r_matrix, "12")
     r23 = embed(r_matrix, "23")
-    return (r12 * r23 * r12) == (r23 * r12 * r23)
+    x = r12 * r23
+    return x * r12 == r23 * x
 
 
-def check_min_poly(r_matrix: LegMatrix, eigenvalues) -> bool:
-    """True iff the product of (R - lambda E) over eigenvalues vanishes."""
-    e = identity(r_matrix.base_dim, r_matrix.legs)
-    acc = e
-    for lam in eigenvalues:
-        acc = acc * (r_matrix - e.scale(lam))
-    return acc.is_zero()
+class Powers:
+    """E, R, R^2, ... of one matrix R, each made once, when first read.
+
+    R^k is R^(k-1) R, so reading powers up to R^k costs k - 1 products in
+    all, in whatever order they are read.  ``check_min_poly``,
+    ``projector_q`` and a derivation that reads D off the minimal
+    polynomial share one Powers, and so its products.
+    """
+
+    __slots__ = ("_powers",)
+
+    def __init__(self, r_matrix: LegMatrix):
+        self._powers = [identity(r_matrix.base_dim, r_matrix.legs), r_matrix]
+
+    def __getitem__(self, k: int) -> LegMatrix:
+        powers = self._powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * powers[1])
+        return powers[k]
+
+    def poly(self, coeffs) -> LegMatrix:
+        """The sum of coeffs[k] R^k, entrywise, with no product beyond
+        the powers; a zero coefficient reads no power.
+
+        The sum is taken with the coefficients' denominators cleared
+        (:func:`qplane.scalar.clear_denominators`) and divided out once
+        per entry, so Laurent-polynomial powers sum without a gcd.
+        """
+        coeffs, den = scalar.clear_denominators(list(coeffs))
+        acc = {}
+        for k, c in enumerate(coeffs):
+            if c.is_zero():
+                continue
+            for rc, v in self[k].entries.items():
+                term = v if c == scalar.ONE else v * c
+                prev = acc.get(rc)
+                acc[rc] = term if prev is None else prev + term
+        r = self._powers[1]
+        out = LegMatrix(r.base_dim, r.legs)
+        out.entries = {rc: v for rc, v in acc.items() if not v.is_zero()}
+        return out if den == scalar.ONE else out.scale(den.inverse())
 
 
-def projector_q(r_matrix: LegMatrix, lambda0: Scalar, lambda1: Scalar,
+def _powers(r) -> Powers:
+    """``r`` if it is a Powers, else the Powers of the matrix ``r``."""
+    return r if isinstance(r, Powers) else Powers(r)
+
+
+def monic_coefficients(roots):
+    """c_0, ..., c_k of the monic polynomial prod (x - root), lowest
+    degree first; c_0 = m(0) is the product of the -root."""
+    coeffs = [scalar.ONE]
+    for lam in roots:
+        # (x - lam) p: c_j = p_(j-1) - lam p_j
+        coeffs = [a - lam * b for a, b in
+                  zip([scalar.ZERO] + coeffs, coeffs + [scalar.ZERO])]
+    return coeffs
+
+
+def check_min_poly(r_matrix, eigenvalues) -> bool:
+    """True iff m(R), the product of (R - lambda E) over the eigenvalues,
+    vanishes.
+
+    ``r_matrix`` is a LegMatrix or its :class:`Powers`.  m(R) is read off
+    E, R, ..., R^k for k eigenvalues, so it costs k - 1 products, and the
+    powers stay on a given Powers for the caller to read.
+    """
+    return _powers(r_matrix).poly(monic_coefficients(eigenvalues)).is_zero()
+
+
+def projector_q(r_matrix, lambda0: Scalar, lambda1: Scalar,
                 lambda2: Scalar) -> LegMatrix:
-    """Spectral projector (R-l0)(R-l2) / ((l1-l0)(l1-l2)) onto the l1 space."""
+    """Spectral projector (R-l0)(R-l2) / ((l1-l0)(l1-l2)) onto the l1 space.
+
+    ``r_matrix`` is a LegMatrix or its :class:`Powers`; Q is read off E,
+    R and R^2, one product unless the Powers already holds R^2.
+    """
     d10 = lambda1 - lambda0
     d12 = lambda1 - lambda2
     if d10.is_zero() or d12.is_zero():
         raise LinalgError("coincident eigenvalues: projector undefined")
-    e = identity(r_matrix.base_dim, r_matrix.legs)
-    num = (r_matrix - e.scale(lambda0)) * (r_matrix - e.scale(lambda2))
-    return num.scale((d10 * d12).inverse())
+    k = (d10 * d12).inverse()
+    return _powers(r_matrix).poly(
+        [lambda0 * lambda2 * k, -((lambda0 + lambda2) * k), k])
 
 
 def rref_rows(rows, ncols):

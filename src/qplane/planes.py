@@ -9,11 +9,13 @@ derivation of its braid matrix:
    Q, which B therefore holds; the Wess-Zumino F is B on both families;
    neither Q nor F is stored), checks them against the consistency system
    and turns them into the rewrite rule set, which holds the monomial
-   order (``system.ranks``).  Of the five consistency conditions only
-   (E - B)(E + C) = 0 is evaluated: B is a polynomial in R, C = qR and
-   D = C^-1, so the braid relation, proved first, carries the three
-   triple-leg conditions, and the minimal polynomial carries Q Q = Q
-   (the argument is in :func:`_derive_generic`).  Each kind's rules
+   order (``system.ranks``).  B, C and D = C^-1 are polynomials in R, read
+   off the powers of R that prove its minimal polynomial, so no matrix is
+   inverted.  The braid relation, proved first, carries the three
+   triple-leg consistency conditions, and the minimal polynomial carries
+   Q Q = Q and, on the paper's eigenvalues, (E - B)(E + C) = 0; only
+   another declaration evaluates that product (the argument is in
+   :func:`_derive_generic`).  Each kind's rules
    must leave as many normal words of low degree as its classical model
    has (commuting coordinates and derivatives, anticommuting
    differentials): a family-B plane whose declared lambda1 has an empty
@@ -53,7 +55,7 @@ kept on it, so every new plane value starts without them:
 Hamiltonian systems; a form that cannot be built raises on every read),
 ``gamma_candidates`` (each braiding candidate for the wedge
 product with its verdict on the wedge condition and the braid relation,
-the one place that condition is proved), ``gamma`` (the first passing
+the one place that condition is decided), ``gamma`` (the first passing
 candidate) and ``reference_shape`` (which transcribed tables apply).
 A plane bounds no degree: :meth:`PlaneSpec.parse` checks the bound of
 the call whose words it reads, so every call shares one plane's rules,
@@ -72,9 +74,9 @@ from collections import namedtuple
 from functools import cached_property
 
 from . import fixtures, ncalg, qcalc, scalar, symp
-from .linalg import WZ_CONDITIONS, LegMatrix, LinalgError, \
-    check_min_poly, check_ybe, echelon, from_exprs, identity, mat_inverse, \
-    projector_q, wedge_condition, xi_compat
+from .linalg import WZ_CONDITIONS, LegMatrix, LinalgError, Powers, \
+    check_min_poly, check_ybe, echelon, from_exprs, identity, \
+    monic_coefficients, projector_q, wedge_condition, xi_compat
 from .ncalg import COORD, AlgebraElement, gen
 from .scalar import ScalarError, Specialization, parse_scalar
 
@@ -357,12 +359,31 @@ def _derive_generic(name, dimension, generator_names, family, r,
                     eigenvalues, gamma_policy) -> PlaneSpec:
     """The generic plane of a braid matrix: matrices, checks and rules.
 
-    Nothing else makes B, C or D, and here R satisfies the braid relation
-    and its minimal polynomial (both checked first), C = qR, D is C's
-    exact inverse, and B is a polynomial in R: R/q on family A, and
-    E - k(R - lambda0)(R - lambda2) on family B.  The consistency
-    conditions then reduce to one two-leg product:
+    Nothing else makes B, C or D.  Every eigenvalue is nonzero (a braid
+    matrix is invertible), and R satisfies the braid relation, checked as
+    X R12 == R23 X with X = R12 R23, and its minimal polynomial m(R) =
+    sum c_k R^k = 0, read off R's powers E, R, R^2 (and R^3 on family
+    B; :class:`qplane.linalg.Powers`).  Every other matrix is a
+    polynomial in R, read off those powers with no further product:
 
+    - C = qR.
+    - D = -(sum_(k>=1) c_k R^(k-1)) / (q c_0): m(R) = 0 gives c_0 E =
+      -R sum_(k>=1) c_k R^(k-1), and c_0 = m(0), up to sign the product
+      of the eigenvalues, is nonzero.  So D is C's exact inverse.
+    - B = R/q on family A, and B = E - Q on family B, with Q = (R^2 -
+      (lambda0 + lambda2) R + lambda0 lambda2 E) / ((lambda1 - lambda0)
+      (lambda1 - lambda2)) (:func:`qplane.linalg.projector_q`).
+
+    The consistency conditions then follow from m(R) = 0 and the braid
+    relation, except (E - B)(E + C) = 0 on some declarations:
+
+    - wz1, (E - B)(E + C) = 0.  On family A it is -(R - q)(R + q^-1),
+      which is m(R) when the eigenvalues are q and -q^-1 as values.  On
+      family B it is Q (E + qR) = (1 + q lambda1) Q, since (R - lambda1)
+      Q is m(R) up to a scalar, and so zero when lambda1 = -q^-1.  Any
+      other declaration evaluates the product
+      (:func:`qplane.linalg.xi_compat`).
+    - wz4 is wz1, since F = B.
     - wz2, X12 C23 C12 = C23 C12 X23 for X = E - B.  The X that satisfy
       it form an algebra: it is linear in X, and if X and Y satisfy it,
       X12 Y12 C23 C12 = X12 C23 C12 Y23 = C23 C12 X23 Y23.  It holds for
@@ -370,11 +391,9 @@ def _derive_generic(name, dimension, generator_names, family, r,
       holds for every polynomial in R, E - B and its denominator-cleared
       multiple among them.
     - wz5, X23 C12 C23 = C12 C23 X12: the same argument.
-    - wz3: CD = DC = E by construction.  Multiplying wz5's identity for
-      X = C, C23 C12 C23 = C12 C23 C12, by D23 on the left and D12 on the
-      right gives D23 C12 C23 = C12 C23 D12.
-    - wz4 is wz1, since F = B, so only (E - B)(E + C) = 0 is evaluated
-      (:func:`qplane.linalg.xi_compat`).
+    - wz3: CD = DC = E, as above.  Multiplying wz5's identity for X = C,
+      C23 C12 C23 = C12 C23 C12, by D23 on the left and D12 on the right
+      gives D23 C12 C23 = C12 C23 D12.
 
     Q = L(R) for the Lagrange polynomial L of lambda1 on {lambda0,
     lambda1, lambda2}, which ``projector_q`` requires distinct from
@@ -382,29 +401,34 @@ def _derive_generic(name, dimension, generator_names, family, r,
     lambda2 (twice at lambda0 = lambda2) and at lambda1, so the minimal
     polynomial divides it, and Q Q = Q holds with no product.
     """
+    for key, value in zip(_EIGENVALUE_KEYS[family], eigenvalues):
+        if value.is_zero():
+            raise PlaneVerificationError(
+                f"plane {name}: eigenvalue {key} is 0, but a braid matrix "
+                "is invertible")
     if not check_ybe(r):
         raise PlaneVerificationError(
             f"plane {name}: braid Yang-Baxter equation fails for the "
             "given r_matrix")
-    if not check_min_poly(r, eigenvalues):
+    powers = Powers(r)
+    if not check_min_poly(powers, eigenvalues):
         raise PlaneVerificationError(
             f"plane {name}: minimal polynomial with the declared "
             "eigenvalues does not annihilate the r_matrix")
     c = r.scale(scalar.Q)
-    try:
-        d = mat_inverse(c)
-    except LinalgError as exc:
-        raise PlaneVerificationError(
-            f"plane {name}: C = qR is singular, the exchange matrix "
-            f"D = C^-1 does not exist ({exc})")
+    coeffs = monic_coefficients(eigenvalues)
+    k = -(scalar.Q * coeffs[0]).inverse()
+    d = powers.poly([ck * k for ck in coeffs[1:]])
     if family == "A":
         b = r.scale(scalar.Q.inverse())
+        proved = _is_hecke(family, eigenvalues, scalar.Q)
     else:
         try:
-            b = identity(dimension) - projector_q(r, *eigenvalues)
+            b = identity(dimension) - projector_q(powers, *eigenvalues)
         except LinalgError as exc:
             raise PlaneError(f"plane {name}: projector undefined ({exc})")
-    if not xi_compat(b, c):
+        proved = eigenvalues[1] == -scalar.Q.inverse()
+    if not proved and not xi_compat(b, c):
         raise PlaneVerificationError(
             f"plane {name}: consistency conditions failed: "
             f"{[WZ_CONDITIONS[0], WZ_CONDITIONS[3]]}")
@@ -413,6 +437,12 @@ def _derive_generic(name, dimension, generator_names, family, r,
     _check_word_counts(name, system)
     return PlaneSpec(name, dimension, generator_names, family, r,
                      eigenvalues, b, c, d, system, gamma_policy)
+
+
+def _is_hecke(family, eigenvalues, q):
+    """True when the minimal polynomial is (R - q)(R + q^-1): a family-A
+    plane whose eigenvalues are q and -q^-1 as values."""
+    return family == "A" and set(eigenvalues) == {q, -q.inverse()}
 
 
 def _check_word_counts(name, system):
@@ -542,8 +572,13 @@ def resolve_gamma(plane: PlaneSpec):
     Returns a list of (candidate name, matrix, passes) in policy order; the
     first passing candidate becomes the plane's braiding.  A candidate
     passes the wedge condition (D+E)(E-Gamma) = 0 and the braid relation;
-    this is the one place the wedge condition is proved.  R^-1 is read off
+    this is the one place the wedge condition is decided.  R^-1 is read off
     D = (qR)^-1 as q D: every plane has an invertible C = qR.
+
+    For R/q the condition is proved without a product where the minimal
+    polynomial carries it: D + E = D (E + qR), and (E + qR)(E - R/q) =
+    -(R - q)(R + q^-1), which is m(R) on a family-A plane whose
+    eigenvalues are q and -q^-1.  Every other candidate is evaluated.
 
     The derived candidates R/q, D and q D = R^-1 satisfy the braid relation
     because the plane exists: its R does, and so does every scalar multiple
@@ -561,8 +596,10 @@ def resolve_gamma(plane: PlaneSpec):
         candidates = [("d_matrix", plane.d), ("r_inverse", plane.d.scale(q))]
     else:  # "explicit": the document's matrix
         candidates = [("explicit", plane.gamma_explicit)]
-    out = [(cname, matrix, wedge_condition(plane.d, matrix)
-            and (policy != "explicit" or check_ybe(matrix)))
+    hecke = _is_hecke(plane.family, plane.eigenvalues, q)
+    out = [(cname, matrix, (cname == "r_over_q" and hecke)
+            or (wedge_condition(plane.d, matrix)
+                and (policy != "explicit" or check_ybe(matrix))))
            for cname, matrix in candidates]
     if policy == "explicit" and not any(p for _, _, p in out):
         raise PlaneVerificationError("explicit braiding fails the wedge "

@@ -885,8 +885,23 @@ def _gl2_r_with(row, col, text):
     (_gl2_with(quotient={"central": "x", "symbol": "rho"}),
      "plane gl2: declared central element x is not central: it does not "
      "commute with y"),
+    # R = qE with eigenvalues 0 and q satisfies the braid relation and its
+    # minimal polynomial (it used to fail the word count)
+    (_gl2_with(r_matrix=[["q" if r == c else "0" for c in range(4)]
+                         for r in range(4)],
+               eigenvalues={"lambda1": "0", "lambda2": "q"}),
+     "plane gl2: eigenvalue lambda1 is 0, but a braid matrix is "
+     "invertible"),
+    # a singular diagonal R with eigenvalues q and 0 (it used to fail
+    # with "C = qR is singular")
+    (_gl2_with(r_matrix=[["q", "0", "0", "0"], ["0", "0", "0", "0"],
+                         ["0", "0", "0", "0"], ["0", "0", "0", "q"]],
+               eigenvalues={"lambda1": "q", "lambda2": "0"}),
+     "plane gl2: eigenvalue lambda2 is 0, but a braid matrix is "
+     "invertible"),
 ], ids=["braid-relation", "minimal-polynomial", "jordanian-wz",
-        "central-element"])
+        "central-element", "zero-eigenvalue-scalar-r",
+        "zero-eigenvalue-singular-r"])
 def test_failed_derivation_check_is_one_line(tmp_path, capsys, doc, message):
     # a plane exists only when every derivation check holds: verify prints
     # the one failed check and exits 1, and a query has no plane to ask

@@ -7,6 +7,7 @@ from qplane import fixtures, scalar
 from qplane.linalg import (
     LegMatrix,
     LinalgError,
+    Powers,
     check_min_poly,
     check_ybe,
     clear_denominators,
@@ -15,6 +16,7 @@ from qplane.linalg import (
     gamma_condition,
     identity,
     mat_inverse,
+    monic_coefficients,
     projector_q,
     rref_rows,
     wz_conditions,
@@ -247,6 +249,87 @@ def test_projector_idempotent():
 def test_projector_coincident_eigenvalues():
     with pytest.raises(LinalgError):
         projector_q(r_orth3(), Q, Q, parse_scalar("-q^-1"))
+
+
+def _count_products(monkeypatch):
+    """The leg counts of the LegMatrix products made from here on."""
+    legs = []
+    mul = LegMatrix.__mul__
+
+    def counted(a, b):
+        legs.append(a.legs)
+        return mul(a, b)
+
+    monkeypatch.setattr(LegMatrix, "__mul__", counted)
+    return legs
+
+
+def test_ybe_makes_three_products(monkeypatch):
+    # X = R12 R23 once, then X R12 == R23 X
+    products = _count_products(monkeypatch)
+    assert check_ybe(r_orth3())
+    assert products == [3, 3, 3]
+
+
+def test_powers_make_each_product_once(monkeypatch):
+    r = r_orth3()
+    powers = Powers(r)
+    products = _count_products(monkeypatch)
+    assert powers[0] == identity(3) and powers[1] is r
+    assert products == []
+    r3 = powers[3]
+    assert products == [2, 2]
+    assert powers[2] * r == r3
+    products.clear()
+    assert powers[2] is powers[2] and powers[3] is r3
+    assert products == []
+
+
+def test_monic_coefficients_lowest_degree_first():
+    # (x - q)(x + q^-1) = x^2 - (q - q^-1) x - 1
+    assert monic_coefficients([Q, -QI]) == [
+        parse_scalar("-1"), parse_scalar("-(q - q^-1)"), ONE]
+    assert monic_coefficients([]) == [ONE]
+
+
+def test_min_poly_reads_k_minus_one_products(monkeypatch):
+    # m(R) is read off E, R, ..., R^k: one product for two eigenvalues,
+    # two for three, and a Powers keeps them for projector_q
+    eigs = [parse_scalar("q^-2"), -QI, Q]
+    powers = Powers(r_orth3())
+    products = _count_products(monkeypatch)
+    assert check_min_poly(powers, eigs)
+    assert products == [2, 2]
+    projector_q(powers, *eigs)
+    assert products == [2, 2]
+    products.clear()
+    assert check_min_poly(r_gl2(), [Q, -QI])
+    assert products == [2]
+
+
+def test_min_poly_fails_on_a_wrong_eigenvalue():
+    assert not check_min_poly(r_gl2(), [Q, -Q])
+    assert not check_min_poly(r_orth3(), [parse_scalar("q^-2"), QI, Q])
+
+
+def test_projector_equals_its_product_formula():
+    # the oracle: (R - l0)(R - l2) / ((l1 - l0)(l1 - l2)) by a product
+    r = r_orth3()
+    l0, l1, l2 = parse_scalar("q^-2"), -QI, Q
+    e = identity(3)
+    want = ((r - e.scale(l0)) * (r - e.scale(l2))).scale(
+        ((l1 - l0) * (l1 - l2)).inverse())
+    assert projector_q(r, l0, l1, l2) == want
+    assert projector_q(Powers(r), l0, l1, l2) == want
+
+
+def test_poly_of_r_equals_the_sum_of_scaled_powers():
+    # coefficients with denominators are cleared and divided out once
+    r = r_orth3()
+    coeffs = [parse_scalar("1/(q + 1)"), parse_scalar("0"),
+              parse_scalar("q^-1/(q^2 + 1)")]
+    want = identity(3).scale(coeffs[0]) + (r * r).scale(coeffs[2])
+    assert Powers(r).poly(coeffs) == want
 
 
 def test_inverse_roundtrip():

@@ -14,6 +14,7 @@ from qplane.linalg import (
     gamma_condition,
     identity,
     mat_inverse,
+    projector_q,
     wedge_condition,
     wz_conditions,
 )
@@ -103,15 +104,29 @@ DERIVED_PLANES = {
 
 @pytest.mark.parametrize("name", DERIVED_PLANES)
 def test_derived_planes_satisfy_every_condition(name):
-    # the derivation evaluates one two-leg condition and reads the others
-    # off the braid relation and the minimal polynomial: all five, and
-    # Q*Q == Q, proved again on the plane's own matrices
+    # the derivation takes the five consistency conditions and Q*Q == Q
+    # from the braid relation and the minimal polynomial: each is proved
+    # again here on the plane's own matrices
     plane = DERIVED_PLANES[name]()
     assert _derivation_verdicts(plane) == (True, True, True)
     if plane.family == "B":
         # B = E - Q, and M = c*Q: Q*Q == Q exactly when M*M == c*M
         m, c = clear_denominators(identity(plane.dimension) - plane.b)
         assert m * m == m.scale(c)
+    # every derived plane declares the eigenvalues on which the derivation
+    # takes (E - B)(E + C) = 0 (wz1 above), and on family A the r_over_q
+    # wedge condition, from m(R) = 0; B is checked against the projector
+    # of a fresh R^2
+    generic = plane.generic
+    if plane.family == "A":
+        assert set(generic.eigenvalues) == {Q, -Q.inverse()}
+        q = Q if plane.specialization is None else Q.specialize(
+            plane.specialization)
+        assert wedge_condition(plane.d, plane.r_matrix.scale(q.inverse()))
+    else:
+        assert generic.eigenvalues[1] == -Q.inverse()
+        assert generic.b == identity(generic.dimension) - projector_q(
+            generic.r_matrix, *generic.eigenvalues)
 
 
 def test_derivation_embeds_only_the_braid_relation(monkeypatch):
@@ -128,6 +143,87 @@ def test_derivation_embeds_only_the_braid_relation(monkeypatch):
     monkeypatch.setattr(linalg, "embed", counted)
     derive_plane(glq_plane_document(3))
     assert embeds == ["12", "23"]
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of ``planes.<name>``."""
+    calls = []
+    fn = getattr(planes, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(planes, name, counted)
+    return calls
+
+
+def test_xi_compat_is_evaluated_only_off_the_paper_eigenvalues(
+        monkeypatch, glq_document):
+    calls = _counted(monkeypatch, "xi_compat")
+    for doc in (GL2_DOC, ORTH3_DOC, glq_document(3),
+                {**GL2_DOC, "eigenvalues": {"lambda1": "q",
+                                            "lambda2": "-q^-1"}}):
+        derive_plane({**doc, "name": "p"})
+    assert calls == []
+    # lambda1 = q on orth3: Q (E + qR) = (1 + q^2) Q, not zero
+    swapped = {"lambda0": "q^-2", "lambda1": "q", "lambda2": "-q^-1"}
+    with pytest.raises(PlaneVerificationError, match="wz1_xx_xi_compat"):
+        derive_plane({**ORTH3_DOC, "name": "p", "eigenvalues": swapped})
+    assert len(calls) == 1
+
+
+def test_wedge_condition_is_evaluated_off_the_hecke_r_over_q(
+        monkeypatch, glq_document):
+    calls = _counted(monkeypatch, "wedge_condition")
+    for plane in (builtin_plane("gl2"), derive_plane(glq_document(3)),
+                  derive_plane({**GL2_DOC, "name": "p", "q": "1"})):
+        assert [ok for _, _, ok in plane.gamma_candidates] == [True]
+    assert calls == []
+    # family B's r_over_q, and gl2's d policy, are evaluated
+    for doc, verdicts in (({**ORTH3_DOC, "gamma": "r_over_q"}, [False]),
+                          ({**GL2_DOC, "gamma": "d"}, [False])):
+        calls.clear()
+        plane = derive_plane({**doc, "name": "p"})
+        assert [ok for _, _, ok in plane.gamma_candidates] == verdicts
+        assert len(calls) == 1
+        assert verdicts == [gamma_condition(plane.d, m)
+                            for _, m, _ in plane.gamma_candidates]
+
+
+@pytest.mark.parametrize("name, legs", [("orth3", [3, 3, 3, 2, 2]),
+                                        ("glq3", [3, 3, 3, 2])])
+def test_derivation_products_read_off_the_powers(monkeypatch, name, legs,
+                                                 glq_document):
+    # three triple-leg products prove the braid relation, and R^2 (and R^3
+    # on family B) the minimal polynomial; D, B and Q are read off them
+    # with no further product
+    doc = {**ORTH3_DOC, "name": "p"} if name == "orth3" else glq_document(3)
+    products = []
+    mul = linalg.LegMatrix.__mul__
+
+    def counted(a, b):
+        products.append(a.legs)
+        return mul(a, b)
+
+    monkeypatch.setattr(linalg.LegMatrix, "__mul__", counted)
+    derive_plane(doc)
+    assert products == legs
+
+
+@pytest.mark.parametrize("family, eigenvalues, key", [
+    ("A", {"lambda1": "-q^-1", "lambda2": "0"}, "lambda2"),
+    ("B", {"lambda0": "0", "lambda1": "-q^-1", "lambda2": "q"}, "lambda0"),
+])
+def test_zero_eigenvalue_is_refused(family, eigenvalues, key):
+    # D = (qR)^-1 is read off m(R) over m(0), the product of the
+    # eigenvalues up to sign: a zero one is refused before any check
+    doc = {**(GL2_DOC if family == "A" else ORTH3_DOC), "name": "p",
+           "eigenvalues": eigenvalues}
+    with pytest.raises(PlaneVerificationError,
+                       match=f"^plane p: eigenvalue {key} is 0, but a braid "
+                             "matrix is invertible$"):
+        derive_plane(doc)
 
 
 def test_sphere_gamma_resolution():
@@ -558,16 +654,18 @@ def test_glq_scalars_are_laurent_polynomials(glq_document):
     assert plane.c.at((1, 1), (1, 1)).val == 4  # q^2 = s^4
 
 
-@pytest.mark.parametrize("name", ["gl2", "orth3", "sphere_qm1", "glq3"])
+@pytest.mark.parametrize("name", ["glq3", *DERIVED_PLANES])
 def test_q_times_d_is_r_inverse(name, glq_document):
-    # D = (qR)^-1, so R^-1 = q D; the auto policy's r_inverse reads it so
+    # D = (qR)^-1, read off the minimal polynomial, so R^-1 = q D; the
+    # auto policy's r_inverse reads it so
     if name == "glq3":
         plane = load_plane(json.dumps({**glq_document(3), "gamma": "auto"}))
     else:
-        plane = builtin_plane(name)
+        plane = DERIVED_PLANES[name]()
     q = Q if plane.specialization is None else Q.specialize(
         plane.specialization)
-    r_inverse = mat_inverse(plane.r_matrix)  # the oracle
+    assert plane.d == mat_inverse(plane.c)  # the oracles
+    r_inverse = mat_inverse(plane.r_matrix)
     assert plane.d.scale(q) == r_inverse
     if plane.gamma_policy == "auto":
         candidates = {n: m for n, m, _ in plane.gamma_candidates}
