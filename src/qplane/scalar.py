@@ -29,6 +29,17 @@ and ``rho`` and polynomials num and den in canonical form:
 Structural equality of canonical forms is field equality, so zero-testing
 is a dictionary lookup away everywhere else in the engine, and equality
 and hashing compare tuples of ints.
+
+Constants take a direct path.  A product, sum or inverse of constants
+(num ``(d, a, b)``, den 1 and val 0, times any power of rho) is computed
+on the three ints and canonicalized by one ``_canon``; no polynomial
+kernel runs.  At q = -1, s = i, so every coefficient there is such a
+constant.  Small constants are shared: each (a + b*i)/d * rho^k with |a|,
+|b| and d at most ``SHARED_BOUND`` = 16 and k in -2..2 is one object,
+however it was reached.  The objects live in a module table that fills on
+first use; it holds at most 71,840 entries.  A memo keyed by a
+coefficient then matches by identity, and kept results share their
+coefficients.  Equality still compares values.
 """
 
 from __future__ import annotations
@@ -264,12 +275,14 @@ class Scalar:
 
     __slots__ = ("num", "den", "rho", "val", "_hash")
 
-    def __init__(self, num, den=POLY_ONE, rho=0, val=0):
+    def __new__(cls, num, den=POLY_ONE, rho=0, val=0):
         """s^val * num/den * rho^rho, for canonical polynomials num and
-        den != ()."""
-        self.num, self.den, self.rho, self.val = _canonicalize(num, den, rho,
-                                                               val)
-        self._hash = None
+        den != (); a small constant is its shared object."""
+        return _scalar(*_canonicalize(num, den, rho, val))
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt as canonical, so shared if small
+        return _scalar, (self.num, self.den, self.rho, self.val)
 
     # -- canonical-form queries ---------------------------------------------
 
@@ -297,17 +310,24 @@ class Scalar:
     # -- field operations ----------------------------------------------------
 
     def __add__(self, other):
-        if not self.num:
+        p, q = self.num, other.num
+        if not p:
             return other
-        if not other.num:
+        if not q:
             return self
         if self.rho != other.rho:
             raise ScalarError(
                 "cannot add scalars with different auxiliary monomials: "
                 f"{self} and {other}"
             )
+        if (len(p) == 3 == len(q) and not (self.val or other.val)
+                and self.den == POLY_ONE == other.den):
+            d, a, b = p
+            e, u, v = q
+            num = _canon([d * e, a * e + u * d, b * e + v * d])
+            return _scalar(num, POLY_ONE, self.rho, 0) if num else ZERO
         # both numerators over the smaller power of s
-        p, q, val = self.num, other.num, self.val
+        val = self.val
         if val < other.val:
             q = _shift(q, other.val - val)
         elif val > other.val:
@@ -332,11 +352,18 @@ class Scalar:
         return _scalar(poly_neg(self.num), self.den, self.rho, self.val)
 
     def __mul__(self, other):
-        if not self.num or not other.num:
+        p, q = self.num, other.num
+        if not p or not q:
             return ZERO
+        if (len(p) == 3 == len(q) and not (self.val or other.val)
+                and self.den == POLY_ONE == other.den):
+            d, a, b = p
+            e, u, v = q
+            return _scalar(_canon([d * e, a * u - b * v, a * v + b * u]),
+                           POLY_ONE, self.rho + other.rho, 0)
         # both numerators have a nonzero constant coefficient, so their
         # product has one too
-        num = poly_mul(self.num, other.num)
+        num = poly_mul(p, q)
         rho = self.rho + other.rho
         val = self.val + other.val
         if self.den == POLY_ONE and other.den == POLY_ONE:
@@ -344,10 +371,16 @@ class Scalar:
         return Scalar(num, poly_mul(self.den, other.den), rho, val)
 
     def inverse(self):
-        if not self.num:
+        p = self.num
+        if not p:
             raise ScalarError("division by zero")
+        if len(p) == 3 and not self.val and self.den == POLY_ONE:
+            # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2)
+            d, a, b = p
+            return _scalar(_canon([a * a + b * b, d * a, -d * b]),
+                           POLY_ONE, -self.rho, 0)
         # num and den are coprime already: only the new den is made monic
-        num, den = _monic(self.den, self.num)
+        num, den = _monic(self.den, p)
         return _scalar(num, den, -self.rho, -self.val)
 
     def __truediv__(self, other):
@@ -396,10 +429,34 @@ class Scalar:
         return f"Scalar({scalar_str(self)!r})"
 
 
+SHARED_BOUND = 16
+"""The shared constants are (a + b*i)/d * rho^k with |a|, |b| and d at
+most this bound and k in -2..2."""
+
+_SHARED = {k: {} for k in range(-2, 3)}
+"""The shared constants, by power of rho and then by numerator (d, a, b).
+
+It fills on first use and holds at most 71,840 entries: 14,368 canonical
+numerators in range for each of the five powers of rho.
+"""
+
+
 def _scalar(num, den, rho, val) -> Scalar:
-    # internal constructor: (num, den, rho, val) is canonical already
-    out = Scalar.__new__(Scalar)
+    """The scalar of a canonical (num, den, rho, val); a constant in the
+    shared range is its one shared object."""
+    table = None
+    if len(num) == 3 and not val and den == POLY_ONE:
+        table = _SHARED.get(rho)
+        if table is not None:
+            out = table.get(num)
+            if out is not None:
+                return out
+            if max(num[0], abs(num[1]), abs(num[2])) > SHARED_BOUND:
+                table = None
+    out = object.__new__(Scalar)
     out.num, out.den, out.rho, out.val, out._hash = num, den, rho, val, None
+    if table is not None:
+        table[num] = out
     return out
 
 

@@ -1,13 +1,16 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from qplane import planes, scalar, symp
 from qplane.scalar import (
     MAX_EXPONENT,
     MAX_NESTING,
     POLY_ONE,
+    SHARED_BOUND,
     I,
     ONE,
     Q,
@@ -625,3 +628,111 @@ def test_equal_values_hash_equal_across_routes():
         want = want * rho_power(x.rho)
         for v in (want, parse_scalar(str(got))):
             assert v == got and hash(v) == hash(got)
+
+
+# -- the constant path and the shared small constants -----------------------
+
+_EDGE = [-SHARED_BOUND - 1, -SHARED_BOUND, SHARED_BOUND, SHARED_BOUND + 1]
+
+
+def _edge_constant(rng):
+    """A nonzero (a + b*i)/d with parts inside, at and just outside the
+    shared range, d often != 1."""
+    while True:
+        a, b = (rng.choice([0, rng.randint(-3, 3), rng.randint(-18, 18),
+                            rng.choice(_EDGE)]) for _ in range(2))
+        d = rng.choice([1, rng.randint(2, 18), SHARED_BOUND,
+                        SHARED_BOUND + 1])
+        if a or b:
+            return _RefGauss(Fraction(a, d), Fraction(b, d))
+
+
+def _fields(x):
+    return x.num, x.den, x.rho, x.val
+
+
+def _want(ref, rho):
+    """The canonical (num, den, rho, val) of ref * rho^rho."""
+    return (_flat([ref]), POLY_ONE, rho, 0) if ref else ((), POLY_ONE, 0, 0)
+
+
+def test_constant_path_against_fraction_pairs():
+    rng = random.Random(3301)
+    for _ in range(3000):
+        rx, k = _edge_constant(rng), rng.randint(-2, 2)
+        ry = rng.choice([-rx, rx, _edge_constant(rng), _edge_constant(rng)])
+        ky = k if rng.random() < 0.7 else rng.randint(-2, 2)
+        x = Scalar(_flat([rx]), POLY_ONE, k)
+        y = Scalar(_flat([ry]), POLY_ONE, ky)
+        assert _fields(x * y) == _want(rx * ry, k + ky)
+        assert _fields(x / y) == _want(rx / ry, k - ky)
+        assert _fields(x.inverse()) == _want(rx.inverse(), -k)
+        if k == ky:
+            assert _fields(x + y) == _want(rx + ry, k)
+            assert _fields(x - y) == _want(rx - ry, k)
+            continue
+        # a sum across powers of rho is refused, as off the constant path
+        for got, other in [(lambda: x + y, y), (lambda: x - y, -y)]:
+            with pytest.raises(ScalarError) as err:
+                got()
+            assert str(err.value) == ("cannot add scalars with different "
+                                      f"auxiliary monomials: {x} and {other}")
+
+
+def test_small_constants_are_shared_objects():
+    half_plus_i = parse_scalar("1/2 + i")
+    assert parse_scalar("(2 + 4*i)/4") is half_plus_i
+    assert from_int(2) * parse_scalar("1/4 + i/2") is half_plus_i
+    assert parse_scalar("(1 + i)*(1 - i)") is from_int(2)
+    assert from_int(3) * rho_power(-2) is parse_scalar("3/rho^2")
+    assert pickle.loads(pickle.dumps(half_plus_i)) is half_plus_i
+    # (3 - 5i)/4 has the inverse (6 + 10i)/17, outside the range
+    x = parse_scalar("(3 - 5*i)/4")
+    assert x.inverse().inverse() is x
+    # a constant that a gcd leaves
+    assert parse_scalar("(s + 1)/(s + 1)") is ONE
+    assert Scalar((1, 1, 0, 1, 0), (1, 1, 0, 1, 0)) is ONE
+    # generic scalars specialized at s = i
+    at_i = Specialization(I)
+    assert parse_scalar("s/2 + 1").specialize(at_i) is parse_scalar("1+i/2")
+    assert parse_scalar("(s + 1)/(s - 1)").specialize(at_i) is -I
+    # the edge of the range is inside it, for every part and power of rho
+    edge = parse_scalar("(16 - 16*i)/15")
+    assert edge * rho_power(-2) is parse_scalar("(32 - 32*i)/30/rho^2")
+    assert from_int(16).inverse() * rho_power(2) is \
+        parse_scalar("rho^2/16")
+    # just outside the range: equal values, with equal hashes
+    for a, b in [(parse_scalar("17/2"), from_int(17) / from_int(2)),
+                 (parse_scalar("i*rho^3"), I * rho_power(3)),
+                 (parse_scalar("(1 + i)/17"), from_int(17).inverse() + I /
+                  from_int(17))]:
+        assert a == b and hash(a) == hash(b)
+
+
+def test_shared_table_stays_within_its_stated_bound():
+    # the docstring's worst case: every canonical (d, a, b) in range, for
+    # each of the five powers of rho
+    r = SHARED_BOUND
+    per_rho = sum(1 for d in range(1, r + 1) for a in range(-r, r + 1)
+                  for b in range(-r, r + 1)
+                  if (a or b) and math.gcd(d, a, b) == 1)
+    assert 5 * per_rho == 71_840
+    # a seeded session on the q = -1 sphere
+    plane = planes.builtin_plane("sphere_qm1")
+    omega = symp.symplectic_form(plane)
+    rng = random.Random(33)
+    names = ("x+", "x0", "x-")
+    for _ in range(30):
+        degree = rng.randint(1, 3)
+        h = " + ".join(
+            f"({rng.randint(-3, 3)} + {rng.randint(-3, 3)}*i)*"
+            + "*".join(rng.choice(names) for _ in range(degree))
+            for _ in range(rng.randint(1, 3)))
+        symp.hamiltonian_vector_field(plane.parse(h), omega, plane, degree)
+        symp.equations_of_motion(plane.parse(h), omega, plane, degree)
+    entries = [(k, num, v) for k, table in scalar._SHARED.items()
+               for num, v in table.items()]
+    assert 0 < len(entries) <= 71_840
+    for k, (d, a, b), v in entries:
+        assert -2 <= k <= 2 and d <= r and abs(a) <= r and abs(b) <= r
+        assert _fields(v) == ((d, a, b), POLY_ONE, k, 0)
