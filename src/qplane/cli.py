@@ -183,7 +183,7 @@ def _confluence_check(plane, seed):
     report = ncalg.confluence_selftest(system, sample_count=0)
     if report.ok:
         return Check("relations/confluence", "pass",
-                     f"certified: {len(ncalg.critical_words(system))} "
+                     f"certified: {report.critical} "
                      f"critical pairs among {report.overlaps} overlap words "
                      "resolve")
     report = ncalg.confluence_selftest(system, sample_count=200,
@@ -304,10 +304,8 @@ def _hamiltonian_tables(plane, omega):
         tables = fixtures.SPHERE_HAMILTONIAN_FIELDS, fixtures.SPHERE_BRACKETS
     else:
         return None
-    scale = scalar.parse_scalar(scale)
-    if sp is not None:
-        scale = scale.specialize(sp)
-    paper = (plane.nf(plane.parse(body)), scale, gamma)
+    paper = (plane.nf(plane.parse(body)), plane.parse_coefficient(scale),
+             gamma)
     return tables if (omega.wedge.body, omega.scale, plane.gamma) == paper \
         else None
 

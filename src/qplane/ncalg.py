@@ -186,11 +186,11 @@ class AlgebraElement:
         return _element({w: v * c for w, v in self.terms.items()})
 
     def concat(self, other: "AlgebraElement") -> "AlgebraElement":
-        """Free (unreduced) product."""
+        """Free (unreduced) product; a coefficient times 1 is itself."""
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                add_term(out, w1 + w2, c1 * c2)
+                add_term(out, w1 + w2, c1 if c2 is scalar.ONE else c1 * c2)
         return _element(out)
 
     def is_pure(self, kind: int) -> bool:
@@ -249,6 +249,21 @@ class RewriteSystem:
         # coefficient v; kept across add_rule, since a product of values
         # does not depend on the rules
         self._products = {}
+
+    @functools.cached_property
+    def name_tokens(self):
+        """The element grammar's names for ``scalar.tokenize``, built on
+        the first parse: "d(" (kind DIFF), "D(" (DERIV), then generators
+        (COORD) and constants (None) longest first, so that "x+" is one
+        name and "rho" no generator "r".  "(" and "-" stay operators."""
+        names = self.generator_names
+        table = {"d": [("d(", DIFF)], "D": [("D(", DERIV)]}
+        heads = {name[0] for name in names} - set("(-")
+        for name in sorted([*names, *scalar.NAMES], key=len, reverse=True):
+            if name[0] in heads:
+                kind = COORD if name in names else None
+                table.setdefault(name[0], []).append((name, kind))
+        return table
 
     # -- ordering ----------------------------------------------------------
 
@@ -575,7 +590,7 @@ def is_central(e: AlgebraElement, sys: RewriteSystem) -> bool:
 # ---------------------------------------------------------------------------
 
 class ConfluenceReport(namedtuple("ConfluenceReport",
-                                  "samples overlaps mismatches")):
+                                  "samples overlaps critical mismatches")):
     __slots__ = ()
 
     @property
@@ -587,17 +602,18 @@ def confluence_selftest(sys: RewriteSystem, sample_count=200, max_degree=5,
                         seed=0) -> ConfluenceReport:
     """Resolve every three-letter overlap, then seeded random words.
 
-    ``overlaps`` counts all n^3 three-letter words, but only the critical
-    pairs, those with two redexes, are reduced: no other word can
-    disagree.  With no mismatch among them, no sampled word can disagree
+    ``overlaps`` counts all n^3 three-letter words, but only the
+    ``critical`` pairs, those with two redexes, are reduced: no other word
+    can disagree.  With no mismatch among them, no sampled word can disagree
     either (the diamond lemma, see the module docstring).
     """
     gens = tuple(sys.generators())
-    words = critical_words(sys)
-    words += _sample_words(gens, sample_count, max_degree, seed)
+    critical = critical_words(sys)
+    words = [*critical, *_sample_words(gens, sample_count, max_degree, seed)]
     mismatches = [m for m in (_critical_pair_mismatch(sys, w) for w in words)
                   if m is not None]
-    return ConfluenceReport(sample_count, len(gens) ** 3, mismatches)
+    return ConfluenceReport(sample_count, len(gens) ** 3, len(critical),
+                            mismatches)
 
 
 def critical_words(sys: RewriteSystem):
@@ -642,7 +658,8 @@ def _critical_pair_mismatch(sys: RewriteSystem, word):
 # name := generator | "d(" generator ")" | "D(" generator ")" | scalar name;
 # a product is taken in the free algebra, a quotient only by a scalar
 # factor, and a power of a non-scalar factor only to an exponent within
-# the degree bound.
+# the degree bound.  A value with no word stays a Scalar until it meets
+# one; element values are new, so a sum adds into its first one's dict.
 
 RESERVED_NAMES = {*scalar.NAMES, "d", "D"}
 
@@ -654,9 +671,10 @@ def parse_element(text: str, sys: RewriteSystem, max_degree: int = 16
     error (see the module docstring)."""
     parser = _ElementParser(text, sys, max_degree)
     value = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise ScalarError(f"trailing input at position {parser.pos}: {text!r}")
+    kind, _, start = parser.tokens[parser.i]
+    if kind != "end":
+        raise ScalarError(f"trailing input at position {start}: {text!r}")
+    value = _as_element(value)
     for w in value.terms:
         if len(w) > max_degree:
             raise NcalgError(
@@ -664,49 +682,62 @@ def parse_element(text: str, sys: RewriteSystem, max_degree: int = 16
     return value
 
 
+def _scalar_value(v):
+    """The Scalar of a value with no word, else None."""
+    if v.__class__ is Scalar:
+        return v
+    return v.coefficient(()) if set(v.terms) <= {()} else None
+
+
+def _as_element(v):
+    return AlgebraElement({(): v}) if v.__class__ is Scalar else v
+
+
 class _ElementParser(scalar.Parser):
     def __init__(self, text, sys, max_degree):
-        super().__init__(text)
+        super().__init__(text, sys.name_tokens)
+        self.names = sys.generator_names
         self.max_degree = max_degree
-        # longest-first so that "x+" wins over a bare "x" prefix, and the
-        # constant "rho" over a generator "r"; a constant has index None
-        names = [(name, idx + 1)
-                 for idx, name in enumerate(sys.generator_names)]
-        names += [(name, None) for name in scalar.NAMES]
-        self.names = sorted(names, key=lambda t: -len(t[0]))
+        self.power_end = (None, None)  # (next token, end) of an exponent
 
-    def error(self, message) -> ScalarError:
-        return ScalarError(f"{message} at position {self.pos}")
+    def error(self, message, pos) -> ScalarError:
+        return ScalarError(f"{message} at position {pos}")
 
-    def match_generator(self):
-        """The index of the generator named at the cursor, taken, or None
-        when the longest name there is no generator's."""
-        self.skip_ws()
-        for name, idx in self.names:
-            if self.text.startswith(name, self.pos):
-                if idx is not None:
-                    self.pos += len(name)
-                return idx
-        return None
+    def add(self, total, term, negate):
+        if total.__class__ is Scalar is term.__class__:
+            return total - term if negate else total + term
+        total = _as_element(total)
+        for w, c in _as_element(term).terms.items():
+            add_term(total.terms, w, -c if negate else c)
+        return total
 
     def product(self, a, b):
         """The free product a*b, or a parse error when it could hold more
         than ``scalar.MAX_TERMS`` words."""
+        if a.__class__ is Scalar is b.__class__:
+            return a * b
+        a, b = _as_element(a), _as_element(b)
         if len(a.terms) * len(b.terms) > scalar.MAX_TERMS:
+            # where the right factor ends: after its exponent, if any
+            i, pos = self.power_end
             raise self.error(f"expanding the product would make more than "
-                             f"{scalar.MAX_TERMS} words")
+                             f"{scalar.MAX_TERMS} words",
+                             pos if i == self.i else self.tokens[self.i][2])
         return a.concat(b)
 
     def divide(self, a, b, pos):
-        if not _is_scalar_element(b):
+        c = _scalar_value(b)
+        if c is None:
             raise ScalarError("can only divide by scalar factors")
-        return a.scale(super().divide(scalar.ONE, b.coefficient(()), pos))
+        c = super().divide(scalar.ONE, c, pos)
+        return a * c if a.__class__ is Scalar else a.scale(c)
 
     def power(self, base):
-        e = self.take_signed_int("exponent")
-        if _is_scalar_element(base):
-            return AlgebraElement.unit(
-                self.scalar_power(base.coefficient(()), e))
+        e = self.take_int("exponent", True)
+        self.power_end = (self.i, self.end())
+        c = _scalar_value(base)
+        if c is not None:
+            return self.scalar_power(c, e)
         if e < 0:
             raise ScalarError("negative powers only on scalar factors")
         if e > self.max_degree:
@@ -720,22 +751,17 @@ class _ElementParser(scalar.Parser):
         return out
 
     def parse_name(self):
-        # differentials and derivatives before generic name matching
-        for prefix, kind in (("d(", DIFF), ("D(", DERIV)):
-            if self.take(prefix):
-                idx = self.match_generator()
-                if idx is None:
-                    raise self.error("unknown generator name")
-                self.expect(")")
-                return AlgebraElement.from_word((gen(kind, idx),))
-        idx = self.match_generator()
-        if idx is not None:
-            return AlgebraElement.from_word((gen(COORD, idx),))
-        return AlgebraElement.unit(super().parse_name())
-
-
-def _is_scalar_element(e: AlgebraElement) -> bool:
-    return set(e.terms) <= {()}
+        kind, name, _ = self.tokens[self.i]
+        if kind.__class__ is not int:
+            return super().parse_name()
+        self.i += 1
+        if kind != COORD:  # "d(" or "D(", then a generator and ")"
+            letter, name, start = self.tokens[self.i]
+            if letter != COORD:
+                raise self.error("unknown generator name", start)
+            self.i += 1
+            self.expect(")")
+        return _element({((kind, self.names.index(name) + 1),): scalar.ONE})
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ coefficients.  Equality still compares values.
 
 from __future__ import annotations
 
-import contextlib
 import math
+import re
 
 
 class ScalarError(ValueError):
@@ -406,7 +406,10 @@ class Scalar:
     # -- specialization -------------------------------------------------------
 
     def specialize(self, sp: "Specialization") -> "Scalar":
-        """Evaluate at s = sp.value; the power of rho is preserved."""
+        """Evaluate at s = sp.value; the power of rho is preserved, and a
+        constant is its own value."""
+        if self.is_constant():
+            return self
         num, den, x = self.num, self.den, sp.value.num
         if self.val > 0:
             num = _shift(num, self.val)
@@ -660,6 +663,8 @@ def join_signed(terms):
 # atom   := "(" expr ")" | "-" factor | name
 # name   := rational | "i" | "s" | "q" | "rho"
 # rational := int ("/" int)?
+# over tokens read once per text (``tokenize``); the element grammar keeps
+# a part with no word as a Scalar until it meets one.
 
 NAMES = {"i": I, "s": S, "q": Q, "rho": rho_power(1)}
 """The named constants of the grammar, by name."""
@@ -683,60 +688,107 @@ reduce; a product that could hold more words than the cap is a parse
 error instead.  This bounds the words, not the rewriting of each one.
 """
 
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\w+)|(\S))")
+_KINDS = (None, "int", "word", None)
+
+
+def tokenize(text, names=None):
+    """The tokens (kind, text, start) of ``text``: digit runs ("int"),
+    word runs ("word"), other characters, each its own kind, and "end".
+    ``names`` maps a first character to (name, kind) pairs, longest name
+    first; the first one a token starts with is read whole, as one token
+    of its kind, unless that kind is None."""
+    names = names or {}
+    tokens = []
+    pos = 0
+    while (m := _TOKEN.match(text, pos)) is not None:
+        group = m.lastindex
+        start, pos = m.span(group)
+        for name, kind in names.get(text[start], ()):
+            if text.startswith(name, start):
+                break
+        else:
+            kind = None
+        if kind is None:
+            value = m[group]
+            tokens.append((_KINDS[group] or value, value, start))
+        else:
+            tokens.append((kind, name, start))
+            pos = start + len(name)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
 
 class Parser:
     """Recursive descent over the grammar above, valued in scalars.
 
-    ``parse_expr`` down to ``parse_atom`` are the grammar, written once;
-    the values are made by ``product``, ``divide``, ``power`` and
-    ``parse_name``, which the element parser of :mod:`qplane.ncalg`
-    overrides, with ``error``, to read elements of the free algebra.
+    ``parse_expr`` down to ``parse_atom`` are the grammar, written once,
+    walking the text's tokens; the values are made by ``add``, ``product``,
+    ``divide``, ``power`` and ``parse_name``, which the element parser of
+    :mod:`qplane.ncalg` overrides, with ``error``, to read elements.
     """
 
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+    def __init__(self, text, names=None):
+        self.tokens = tokenize(text, names)
+        self.i = 0  # the next token
         self.depth = 0
 
     # -- the grammar ---------------------------------------------------------
 
     def parse_expr(self):
         value = self.parse_term()
+        tokens = self.tokens
         while True:
-            if self.take("+"):
-                value = value + self.parse_term()
-            elif self.take("-"):
-                value = value - self.parse_term()
-            else:
+            kind = tokens[self.i][0]
+            if kind != "+" and kind != "-":
                 return value
+            self.i += 1
+            value = self.add(value, self.parse_term(), kind == "-")
 
     def parse_term(self):
         value = self.parse_factor()
+        tokens = self.tokens
         while True:
-            if self.take("*"):
+            kind, _, start = tokens[self.i]
+            if kind == "*":
+                self.i += 1
                 value = self.product(value, self.parse_factor())
-            elif self.take("/"):
-                pos = self.pos
-                value = self.divide(value, self.parse_factor(), pos)
+            elif kind == "/":
+                self.i += 1
+                value = self.divide(value, self.parse_factor(), start + 1)
             else:
                 return value
 
     def parse_factor(self):
         atom = self.parse_atom()
-        return self.power(atom) if self.take("^") else atom
+        if self.tokens[self.i][0] == "^":
+            self.i += 1
+            return self.power(atom)
+        return atom
 
     def parse_atom(self):
-        if self.take("("):
-            with self.nested():
-                value = self.parse_expr()
-                self.expect(")")
-            return value
-        if self.take("-"):
-            with self.nested():
-                return -self.parse_factor()
-        return self.parse_name()
+        kind, _, start = self.tokens[self.i]
+        if kind != "(" and kind != "-":
+            return self.parse_name()
+        # one more level of parentheses or unary minus, up to the cap
+        self.i += 1
+        if self.depth == MAX_NESTING:
+            raise self.error(f"parentheses and unary minus signs nest "
+                             f"deeper than {MAX_NESTING} levels", start + 1)
+        self.depth += 1
+        if kind == "(":
+            value = self.parse_expr()
+            self.expect(")")
+        else:
+            value = -self.parse_factor()
+        self.depth -= 1
+        return value
 
     # -- scalar values -------------------------------------------------------
+
+    def add(self, total, term, negate):
+        """The running sum of an expression, plus or minus its next term."""
+        return total - term if negate else total + term
 
     def product(self, a, b):
         return a * b
@@ -749,100 +801,63 @@ class Parser:
 
     def power(self, base):
         """``base`` to the signed exponent that follows the ``^``."""
-        return self.scalar_power(base, self.take_signed_int())
+        return self.scalar_power(base, self.take_int("integer", True))
 
     def scalar_power(self, base, e):
         if e < 0 and base.is_zero():
-            raise ParseError("zero to a negative power", self.pos)
+            raise ParseError("zero to a negative power", self.end())
         return base ** e
 
     def parse_name(self):
         """A rational or a named constant.  Its errors are always
-        ``ParseError``s, also inside an element."""
-        ch = self.peek()
-        if ch.isdecimal():
-            n = self.take_int()
-            if self.peek() == "/":
-                # lookahead: rational only when a digit follows the slash
-                save = self.pos
-                self.take("/")
-                if self.peek().isdecimal():
-                    d = self.take_int()
-                    if d == 0:
-                        raise ParseError("zero denominator", self.pos)
-                    return _constant(n, 0, d)
-                self.pos = save
+        ``ParseError``s, also inside an element, but for the digit cap."""
+        kind, text, start = self.tokens[self.i]
+        if kind == "int":
+            n, tokens = self.take_int("integer"), self.tokens
+            # a rational only when an integer follows the slash
+            if tokens[self.i][0] == "/" and tokens[self.i + 1][0] == "int":
+                self.i += 1
+                d = self.take_int("integer")
+                if d == 0:
+                    raise ParseError("zero denominator", self.end())
+                return _constant(n, 0, d)
             return from_int(n)
-        if not ch:
-            raise ParseError("unexpected end of input", self.pos)
-        word = self.take_word()
-        if word in NAMES:
-            return NAMES[word]
-        raise ParseError(f"unexpected token {word or ch!r}", self.pos)
+        if kind == "end":
+            raise ParseError("unexpected end of input", start)
+        if text in NAMES:
+            self.i += 1
+            return NAMES[text]
+        raise ParseError(f"unexpected token {text!r}",
+                         start + len(text) if kind == "word" else start)
 
-    # -- the cursor ----------------------------------------------------------
+    # -- tokens --------------------------------------------------------------
 
-    @contextlib.contextmanager
-    def nested(self):
-        """One more level of parentheses or unary minus, up to the cap."""
-        if self.depth == MAX_NESTING:
-            raise self.error(f"parentheses and unary minus signs nest "
-                             f"deeper than {MAX_NESTING} levels")
-        self.depth += 1
+    def error(self, message, pos) -> ScalarError:
+        return ParseError(message, pos)
+
+    def end(self):
+        """Where the last token read ends."""
+        _, text, start = self.tokens[self.i - 1]
+        return start + len(text)
+
+    def expect(self, kind):
+        found, _, start = self.tokens[self.i]
+        if found != kind:
+            raise self.error(f"expected {kind!r}", start)
+        self.i += 1
+
+    def take_int(self, what, signed=False):
+        neg = signed and self.tokens[self.i][0] == "-"
+        self.i += neg
+        kind, digits, start = self.tokens[self.i]
+        if kind != "int":
+            raise self.error(f"expected {what}", start)
+        self.i += 1
         try:
-            yield
-        finally:
-            self.depth -= 1
-
-    def error(self, message) -> ScalarError:
-        return ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, token):
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token):
-        if not self.take(token):
-            raise self.error(f"expected {token!r}")
-
-    def take_int(self, what="integer"):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error(f"expected {what}")
-        digits = self.text[start:self.pos]
-        try:
-            return int(digits)
+            return -int(digits) if neg else int(digits)
         except ValueError:  # Python caps str -> int (4300 digits by default)
-            self.pos = start
-            raise self.error(f"{what} of {len(digits)} digits is too long")
-
-    def take_signed_int(self, what="integer"):
-        neg = self.take("-")
-        n = self.take_int(what)
-        return -n if neg else n
-
-    def take_word(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start:self.pos]
+            raise self.error(f"{what} of {len(digits)} digits is too long",
+                             start)
 
 
 def parse_scalar(text: str, where: str | None = None) -> Scalar:
@@ -854,9 +869,9 @@ def parse_scalar(text: str, where: str | None = None) -> Scalar:
     try:
         parser = Parser(text)
         value = parser.parse_expr()
-        parser.skip_ws()
-        if parser.pos != len(text):
-            raise ParseError("trailing input", parser.pos)
+        kind, _, start = parser.tokens[parser.i]
+        if kind != "end":
+            raise ParseError("trailing input", start)
         return value
     except ScalarError as exc:
         if where is None:
