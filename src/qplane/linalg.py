@@ -43,12 +43,18 @@ matrix as a dense n^4 grid.
 rewrite rules, the quotient rule, the constraint 1-form and the
 constraint spans are read from; the symplectic column solves; and
 ``mat_inverse``, which no load calls: it is the tests' oracle for D.  A
-row is a dict {column: nonzero Scalar}: a row operation visits only the
-pivot row's nonzero columns and deletes an entry that cancels, so no
-zero is stored or multiplied, and the pivots and values are those of
-dense Gauss-Jordan elimination.  The pivot column's entry,
-which always cancels, is deleted without arithmetic.  It keeps no memo,
-so its memory stays what the nonzero entries need.
+row is a dict {column: nonzero Scalar}, and its work follows the
+nonzeros.  A column -> rows index, kept exact as fill-in adds entries and
+cancellation deletes them, gives each pivot column's holding rows, and
+only those are eliminated; a row operation visits only the pivot row's
+nonzero columns and deletes an entry that cancels, so no zero is stored
+or multiplied.  The pivot column's entry, which always cancels, is
+deleted without arithmetic.  The pivot is the unused holding row with the
+fewest nonzeros (Markowitz's choice, which keeps fill-in down), the
+lowest index winning a tie.  The output does not depend on that choice:
+a matrix has one reduced row echelon form, so the pivots and values are
+those of dense Gauss-Jordan elimination in row order.  It keeps no memo,
+so its memory stays what the nonzero entries and the index need.
 """
 
 from __future__ import annotations
@@ -345,48 +351,73 @@ def rref_rows(rows, ncols):
 
     Each row is a dict {column: nonzero Scalar} over columns
     0 .. ``ncols`` - 1, and so is each returned row; a cancelled entry is
-    deleted.  Pivots are the leftmost nonzero entries, searched in the
-    given row order, so derived rule systems are byte-for-byte
-    reproducible.
+    deleted.  The returned rows are the pivot rows in pivot order, then
+    the rows that reduced to zero, as empty dicts.
+
+    The work follows the nonzeros: an index lists, for each column, the
+    rows that hold it, and it is kept exact as fill-in adds entries and
+    cancellation deletes them.  Pivot columns are taken left to right;
+    the pivot is the row not yet a pivot that holds the column with the
+    fewest nonzeros, the lowest index winning a tie, and only the rows
+    the index lists for the column are eliminated.  The output does not
+    depend on that choice: a matrix has one reduced row echelon form, so
+    its pivot columns and reduced rows are those of any other choice.
     """
     rows = [dict(r) for r in rows]
-    nrows = len(rows)
+    holders = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            if c in holders:
+                holders[c].add(r)
+            else:
+                holders[c] = {r}
+    used = set()
+    order = []
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if col in rows[r]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    for col in sorted(holders):
+        if col >= ncols:
+            break
+        held = holders.pop(col)
+        p = None
+        for r in held:
+            if r in used:
+                continue
+            n = len(rows[r])
+            if p is None or n < size or n == size and r < p:
+                p, size = r, n
+        if p is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = rows[rank][col].inverse()
-        pivot = rows[rank] = {c: scalar.ONE if c == col else v * inv
-                              for c, v in rows[rank].items()}
+        row = rows[p]
+        lead = row.pop(col)
+        if lead != scalar.ONE:
+            inv = lead.inverse()
+            row = {c: v * inv for c, v in row.items()}
         # the pivot column's own entry cancels in every eliminated row
-        rest = [(c, b) for c, b in pivot.items() if c != col]
-        for r in range(nrows):
-            if r == rank:
+        rest = row.items()
+        for r in held:
+            if r == p:
                 continue
-            row = rows[r]
-            f = row.pop(col, None)
-            if f is None:
-                continue
+            other = rows[r]
+            f = other.pop(col)
             for c, b in rest:
-                a = row.get(c)
+                a = other.get(c)
                 if a is None:
-                    row[c] = -(f * b)
+                    other[c] = -(f * b)
+                    holders[c].add(r)
                 else:
                     v = a - f * b
                     if v.is_zero():
-                        del row[c]
+                        del other[c]
+                        holders[c].discard(r)
                     else:
-                        row[c] = v
+                        other[c] = v
+        row[col] = scalar.ONE
+        rows[p] = row
+        used.add(p)
+        order.append(p)
         pivots.append(col)
-        rank += 1
-    return rows, pivots
+    return ([rows[p] for p in order]
+            + [rows[r] for r in range(len(rows)) if r not in used], pivots)
 
 
 def echelon(vectors, key):

@@ -309,6 +309,10 @@ def derive_plane(doc) -> PlaneSpec:
         if n_ in ncalg.RESERVED_NAMES:
             raise PlaneError(f"generator name {n_!r} collides with a "
                              "reserved token")
+        if n_[0].isdecimal() or n_[0] in "+*/^()-":
+            raise PlaneError(f"generator name {n_!r} starts with a digit "
+                             "or one of + * / ^ ( ) -, which the element "
+                             "grammar reads as a number or an operator")
     if quotient is not None and quotient["symbol"] != "rho":
         raise PlaneError(f"quotient.symbol must be 'rho', the one auxiliary "
                          f"symbol the grammar reads, not "

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import glq_plane_document, twisted_glq_document
 from qplane import cli, fixtures, planes, scalar, symp
 from qplane.cli import main
 
@@ -621,6 +622,31 @@ def test_generator_prefix_of_rho_does_not_shadow_it(tmp_path, capsys, first):
     assert (code, out.strip()) == (0, "rho * y"), err
     code, out, err = run(capsys, "nf", "--plane", str(path), f"y*{first}")
     assert (code, out.strip()) == (0, f"s^-2 * {first}*y"), err
+
+
+def test_generator_names_the_grammar_reads_first_are_refused(tmp_path,
+                                                              capsys):
+    # a leading digit or operator is read as a number or an operator
+    # wherever a token starts, so such a name could not be read back
+    for generators in (["x", "2"], ["x", "+a"]):
+        path = tmp_path / "plane.json"
+        doc = _gl2_with(generators=generators)
+        del doc["symplectic"]  # its form names y
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "nf", "--plane", str(path), "x")
+        assert code == 2, out + err
+        assert f"generator name {generators[1]!r}" in err
+    # names that start with a letter still load, "+" and "-" inside them
+    docs = [json.loads(planes.serialize_plane(planes.builtin_plane(name)))
+            for name in ("gl2", "orth3", "sphere_qm1")]
+    docs += [glq_plane_document(n) for n in (2, 3, 4)]
+    docs += [twisted_glq_document(3, reverse=True)]
+    docs += [_gl2_with(generators=[first, "y"],
+                       symplectic={"form": f"d({first})*d(y)", "scale": "1"})
+             for first in ("r", "rh")]
+    for doc in docs:
+        plane = planes.derive_plane(doc)
+        assert plane.generator_names == tuple(doc["generators"])
 
 
 @pytest.mark.parametrize("doc,applies", [

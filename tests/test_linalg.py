@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import frt_gl_matrix
-from qplane import fixtures, scalar
+from qplane import fixtures, linalg, planes, scalar, symp
 from qplane.linalg import (
     LegMatrix,
     LinalgError,
@@ -446,6 +446,144 @@ def test_sparse_rref_equals_dense_reference(rho):
         deficient += len(got_pivots) < min(nrows, ncols)
     assert deficient > 10
     assert rref_rows([], 3) == ([], [])
+
+
+def _random_sparse(rng, nrows, ncols, rho):
+    """A seeded matrix at 3-8% density of Gaussian constants, and Laurent
+    polynomials in s in its last three columns, with duplicated and
+    combined rows, an empty row, and a last row whose last column makes
+    the system [A | b] inconsistent.
+    With ``rho`` entry (r, c) is scaled by rho^(e_r + f_c), which keeps
+    every dependency among the rows."""
+    constants = [parse_scalar(t) for t in ("1", "-2", "2*i", "3 - i",
+                                           "1/2 + i/3")]
+    laurent = [parse_scalar(t) for t in ("s^2 - s^-1", "s^-3", "1 + s^4")]
+    density = rng.uniform(0.03, 0.08)
+    rows = [{c: rng.choice(constants) for c in range(ncols)
+             if rng.random() < density} for _ in range(nrows)]
+    # entries in s sit in the last three columns: eliminating the columns
+    # before them adds constant multiples of them, so no degree grows
+    # before the last pivots (entries in s anywhere made the dense
+    # reference take minutes)
+    for row in rows:
+        for c in range(ncols - 3, ncols):
+            if rng.random() < 0.2:
+                row[c] = rng.choice(laurent)
+
+    def combine(*terms):
+        out = {}
+        for f, row in terms:
+            for c, v in row.items():
+                out[c] = out.get(c, ZERO) + f * v
+        return {c: v for c, v in out.items() if not v.is_zero()}
+
+    for _ in range(nrows // 5):
+        r, a, b = rng.sample(range(nrows - 1), 3)
+        if rng.random() < 0.5:
+            rows[r] = combine((rng.choice(constants), rows[a]))
+        else:
+            rows[r] = combine((rng.choice(constants), rows[a]),
+                              (rng.choice(constants), rows[b]))
+    empty, a, b = rng.sample(range(nrows - 1), 3)
+    rows[empty] = {}
+    # the last row minus a combination of rows a and b is a nonzero
+    # multiple of the last unit vector
+    rows[-1] = combine((rng.choice(constants), rows[a]),
+                       (rng.choice(constants), rows[b]),
+                       (rng.choice(constants), {ncols - 1: ONE}))
+    if rho:
+        row_rho = [rng.randint(-1, 1) for _ in range(nrows)]
+        col_rho = [rng.randint(-1, 1) for _ in range(ncols)]
+        rows = [{c: v * rho_power(row_rho[r] + col_rho[c])
+                 for c, v in row.items()} for r, row in enumerate(rows)]
+    return rows
+
+
+@pytest.mark.parametrize("rho", [False, True])
+def test_sparse_rref_equals_dense_reference_at_size(rho):
+    rng = random.Random(29 + rho)
+    for _ in range(3):
+        nrows, ncols = rng.randint(30, 60), rng.randint(40, 80)
+        sparse = _random_sparse(rng, nrows, ncols, rho)
+        dense = [[row.get(c, ZERO) for c in range(ncols)] for row in sparse]
+        want_rows, want_pivots = dense_rref(dense)
+        got_rows, got_pivots = rref_rows(sparse, ncols)
+        assert got_pivots == want_pivots
+        assert got_pivots[-1] == ncols - 1
+        assert [[row.get(c, ZERO) for c in range(ncols)]
+                for row in got_rows] == want_rows
+        assert len(got_rows) == nrows
+        assert not any(got_rows[len(got_pivots):])
+        assert all(0 <= c < ncols and not v.is_zero()
+                   for row in got_rows for c, v in row.items())
+
+
+def _row_order_rref(rows, ncols):
+    """The elimination before the column index, kept as an oracle: the
+    pivot of a column is the first row in row order, after the pivots,
+    that holds it, and every row is probed for every pivot column."""
+    rows = [dict(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for r in range(rank, nrows):
+            if col in rows[r]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = rows[rank][col].inverse()
+        pivot = rows[rank] = {c: ONE if c == col else v * inv
+                              for c, v in rows[rank].items()}
+        rest = [(c, b) for c, b in pivot.items() if c != col]
+        for r in range(nrows):
+            if r == rank:
+                continue
+            row = rows[r]
+            f = row.pop(col, None)
+            if f is None:
+                continue
+            for c, b in rest:
+                a = row.get(c)
+                if a is None:
+                    row[c] = -(f * b)
+                else:
+                    v = a - f * b
+                    if v.is_zero():
+                        del row[c]
+                    else:
+                        row[c] = v
+        pivots.append(col)
+        rank += 1
+    return rows, pivots
+
+
+def test_rref_equals_row_order_oracle_on_sphere_systems(monkeypatch):
+    # a fresh sphere, so that its spans and systems are built here
+    plane = planes.load_plane(planes.serialize_plane(
+        planes.builtin_plane("sphere_qm1")))
+    shapes = []
+
+    def checked(rows, ncols):
+        got = rref_rows(rows, ncols)
+        assert got == _row_order_rref(rows, ncols)
+        shapes.append((len(rows), ncols))
+        return got
+
+    monkeypatch.setattr(linalg, "rref_rows", checked)
+    monkeypatch.setattr(symp, "rref_rows", checked)
+    for bound in range(2, 7):
+        symp._constraint_span(plane, 3, bound)
+    omega = symp.symplectic_form(plane)
+    for degree, f in ((1, "x0"), (2, "x+*x-"), (3, "x0*x0*x+")):
+        symp.is_nondegenerate(omega, plane, degree)
+        symp.hamiltonian_vector_field(plane.parse(f), omega, plane, degree)
+    # the (3, 6) span eliminates 343 generators over its words
+    assert max(shapes)[0] == 343
+    assert len(shapes) > 20
 
 
 def test_wz_gl2():

@@ -183,6 +183,19 @@ def test_solver_no_solution_reported():
     assert rep.status == "none"
 
 
+def test_large_sparse_solve_on_glq4():
+    # at degree bound 8 the system is 1980 x 1980 with one nonzero per
+    # row: the elimination visits the rows that hold each pivot column,
+    # not every row for every column
+    doc = glq_plane_document(4)
+    doc["symplectic"] = {"form": "d(a)*d(b) + d(c)*d(e)", "scale": "1"}
+    plane = planes.derive_plane(doc)
+    omega = symplectic_form(plane)
+    report = hamiltonian_vector_field(plane.parse("a"), omega, plane, 8)
+    assert report.status == "unique"
+    assert report.particular == field_of(plane, [("s^2", "b")])
+
+
 def test_solver_rejects_non_coordinate_input():
     with pytest.raises(SympError):
         hamiltonian_vector_field(GL2.parse("d(x)"), OMEGA_GL2, GL2, 1)
